@@ -17,7 +17,7 @@ from so2frames import (So2Features, So3Features, frame_average_check,
 from so2frames.frames import so2_layout_of
 from so2frames.irreps import So2Features
 from so2frames.sampling import random_rotation_matrix, random_unit_vector, stream
-from so2frames.so2ops import So2LinearWeights
+from so2frames.so2ops import init_so2_linear
 
 rng = stream(0, "demo-frames")
 layout = layout_parse("3x0e+2x1e+2x2e+1x3e")
@@ -36,12 +36,12 @@ print(f"round trip error {err:.2e}; norms {x.norm():.6f} vs {local.norm():.6f} "
 
 print("\n== canonicalized pipelines are globally equivariant ==")
 reg = so2_layout_of(layout)
-weights = So2LinearWeights.random(reg, reg, stream(1, "demo-frames-weights"))
+weights = init_so2_linear({}, "lin", reg, reg, stream(1, "demo-frames-weights"))
 
 
 def pipeline(direction, feats):
     f = frame_from_direction(direction, layout.max_index)
-    return from_local(f, so2_linear(to_local(f, feats), weights), layout)
+    return from_local(f, so2_linear(to_local(f, feats), weights, "lin"), layout)
 
 
 g = rotation_from_matrix(random_rotation_matrix(rng))
@@ -51,7 +51,7 @@ err = max(np.max(np.abs(a - b)) for a, b in zip(lhs.as_arrays(), rhs.as_arrays()
 print(f"pipeline(g r, D(g) x) vs D(g) pipeline(r, x): max error {err:.2e}")
 
 print("\n== frame averaging collapses to one rotation ==")
-dev = frame_average_check(lambda f: so2_linear(f, weights), r, x, 64,
+dev = frame_average_check(lambda f: so2_linear(f, weights, "lin"), r, x, 64,
                           stream(2, "demo-frames-avg"))
 print(f"equivariant map: 64-sample stabilizer average vs single rotation "
       f"deviates by {dev:.2e}")

@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 
-from so2frames import (So2Features, enumerate_tp_paths, rotate_so2, so2_gate,
+from so2frames import (So2Features, enumerate_tp_paths, init_so2_gate,
+                       init_so2_layernorm, init_so2_linear, rotate_so2, so2_gate,
                        so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair)
 from so2frames.irreps import so2_layout
 from so2frames.sampling import stream
-from so2frames.so2ops import (So2GateParams, So2LayerNormParams, So2LinearWeights)
 
 rng = stream(0, "demo-so2ops")
 layout = so2_layout([(0, 4), (1, 3), (2, 2)])
@@ -23,21 +23,21 @@ def dev(a, b):
 
 
 print("== SO(2) Linear is complex matrix multiplication ==")
-weights = So2LinearWeights.random(layout, layout, rng)
-z = so2_linear(x, weights)
-w_c = weights.weights[1][0] + 1j * weights.weights[1][1]
+params = init_so2_linear({}, "lin", layout, layout, rng)
+z = so2_linear(x, params, "lin")
+w_c = params["lin/1/w1"] + 1j * params["lin/1/w2"]
 x_c = np.asarray(x.block(1))[:, 1] + 1j * np.asarray(x.block(1))[:, 0]
 z_c = np.asarray(z.block(1))[:, 1] + 1j * np.asarray(z.block(1))[:, 0]
 print(f"order 1: |real-pair result - complex matvec| = "
       f"{np.max(np.abs(w_c @ x_c - z_c)):.2e}")
 
 print("\n== every op commutes with planar rotations ==")
-gate = So2GateParams.init(layout, rng)
-ln = So2LayerNormParams.identity(layout)
+init_so2_gate(params, "gate", layout, rng)
+init_so2_layernorm(params, "ln", layout)
 phi = rng.uniform(0, 2 * math.pi)
-for name, op in [("linear", lambda f: so2_linear(f, weights)),
-                 ("gate", lambda f: so2_gate(f, gate)),
-                 ("layernorm", lambda f: so2_layernorm(f, ln))]:
+for name, op in [("linear", lambda f: so2_linear(f, params, "lin")),
+                 ("gate", lambda f: so2_gate(f, params, "gate")),
+                 ("layernorm", lambda f: so2_layernorm(f, params, "ln"))]:
     err = dev(op(rotate_so2(x, phi)), rotate_so2(op(x), phi))
     print(f"  {name:9s}: commutation error {err:.2e}")
 

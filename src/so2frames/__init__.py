@@ -20,9 +20,9 @@ from .frames import (Frame, Rotation, TARGET_AXIS, frame_average_check,
 from .cg import (PathWeights, cg_table, escn_reference_apply,
                  escn_weights_from_paths, expansion, expansion_decompose,
                  so3_tensor_product, valid_paths)
-from .so2ops import (So2FfnParams, So2GateParams, So2LayerNormParams,
-                     So2LinearWeights, So2TpPath, enumerate_tp_paths, so2_ffn,
-                     so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
+from .so2ops import (So2TpPath, enumerate_tp_paths, init_mlp, init_so2_ffn,
+                     init_so2_gate, init_so2_layernorm, init_so2_linear, mlp,
+                     so2_ffn, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
                      so2_tp_pair)
 from .graph import MoleculeGraph, build_graph, graph_from_json, sample_molecule
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
@@ -37,17 +37,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockMatrix", "Frame", "IrrepsLayout", "LayoutError", "ModelConfig",
     "MoleculeGraph", "OpCounter", "OrbitalLayout", "PathWeights", "Rotation",
-    "RunReport", "So2FfnParams", "So2GateParams", "So2LayerNormParams",
-    "So2LinearWeights", "So2TpPath", "So2Features", "So3Features", "TARGET_AXIS",
+    "RunReport", "So2TpPath", "So2Features", "So3Features", "TARGET_AXIS",
     "assemble", "bench", "block_rotate", "build_graph", "build_orbital_layout",
     "cg_table", "check_equivariance", "checkpoint_dumps", "checkpoint_loads",
     "circular_harmonics", "default_fit_config", "enumerate_tp_paths",
     "escn_reference_apply", "escn_weights_from_paths", "expansion",
     "expansion_decompose", "fit_demo", "forward", "frame_average_check",
     "frame_from_direction", "from_local", "gen_synthetic_target",
-    "generalized_eigensolve", "graph_from_json", "init_params", "layout_parse",
-    "metrics", "predict", "real_spherical_harmonics", "rotate_so2", "rotate_so3",
-    "rotation_from_euler", "rotation_from_matrix", "sample_molecule",
+    "generalized_eigensolve", "graph_from_json", "init_mlp", "init_params",
+    "init_so2_ffn", "init_so2_gate", "init_so2_layernorm", "init_so2_linear",
+    "layout_parse", "metrics", "mlp", "predict", "real_spherical_harmonics",
+    "rotate_so2", "rotate_so3", "rotation_from_euler", "rotation_from_matrix",
+    "sample_molecule",
     "so2_ffn", "so2_gate", "so2_layernorm", "so2_linear", "so2_rotation_matrix",
     "so2_tp_contract", "so2_tp_pair", "so3_tensor_product", "to_local",
     "valid_paths", "wigner_d",

@@ -225,16 +225,16 @@ def escn_weights_from_paths(weights: PathWeights, li: int, lo: int):
 
 
 def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
-                            out_degrees) -> "object":
+                            out_degrees, prefix: str) -> dict[str, np.ndarray]:
     """Assemble full per-order SO(2) linear weights matching a filter TP.
 
     Input channels at order m are the regrouped (degree, channel) slots of
     ``in_layout``; output channels those of the out_degrees layout.  The
     result is block-structured: slot (lo, c) at order m receives only from
-    slot (li, c) via ``escn_weights_from_paths``.
+    slot (li, c) via ``escn_weights_from_paths``.  Returns the flat
+    ``{prefix}/{m}/w1|w2`` dict that :func:`so2ops.so2_linear` reads.
     """
     from .frames import so2_layout_of
-    from .so2ops import So2LinearWeights
 
     mults = {c for _, c in in_layout.entries}
     if len(mults) != 1:
@@ -248,7 +248,7 @@ def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
                 per_pair[(li, lo)] = escn_weights_from_paths(weights, li, lo)
             except ValueError:
                 continue
-    lin = {}
+    lin: dict[str, np.ndarray] = {}
     in_so2 = so2_layout_of(in_layout)
     out_so2 = so2_layout_of(out_layout)
     for m in out_so2.indices:
@@ -274,9 +274,10 @@ def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
                         w2[row + c, col + c] = ad.value_of(pw2)[c]
                 col += channels
             row += channels
-        lin[m] = (w1, w2)
-    return So2LinearWeights({m: (lin[m][0], lin[m][1] if m > 0 else None)
-                             for m in lin})
+        lin[f"{prefix}/{m}/w1"] = w1
+        if m > 0:
+            lin[f"{prefix}/{m}/w2"] = w2
+    return lin
 
 
 def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
@@ -293,12 +294,12 @@ def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
     out_degrees = sorted(out_degrees)
     cap = l_max if l_max is not None else max(x.layout.max_index, out_degrees[-1])
     frame = frame_from_direction(direction, cap)
-    lin = escn_so2_linear_weights(weights, x.layout, out_degrees)
+    lin = escn_so2_linear_weights(weights, x.layout, out_degrees, "escn")
     mults = {c for _, c in x.layout.entries}
     channels = mults.pop()
     out_layout = so3_layout([(lo, channels) for lo in out_degrees])
     local = to_local(frame, x, counter=counter)
-    mixed = so2_linear(local, lin, counter=counter)
+    mixed = so2_linear(local, lin, "escn", counter=counter)
     # orders the input cannot reach stay zero but must exist for the
     # inverse mapping
     from .frames import so2_layout_of as regroup

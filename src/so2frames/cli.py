@@ -7,9 +7,9 @@
     so2frames predict     mol.json ckpt.json --out H_pred.json
     so2frames metrics     H_pred.json H_true.json --n-occ 4
 
-Exit codes: 0 all checks PASS, 1 any FAIL, 2 usage or I/O error.  The
-environment variable SO2FRAMES_THREADS caps library-level parallelism
-(set before numpy loads its threading backend).
+Exit codes: 0 all checks PASS, 1 any FAIL, 2 usage, I/O or invalid-input
+error.  The environment variable SO2FRAMES_THREADS caps library-level
+parallelism (set before numpy loads its threading backend).
 """
 
 from __future__ import annotations
@@ -169,10 +169,7 @@ def cmd_metrics(args) -> int:
     pred = read_matrix(args.pred)
     true = read_matrix(args.true)
     overlap = read_matrix(args.overlap) if args.overlap else None
-    try:
-        result = metrics(pred, true, overlap, args.n_occ)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    result = metrics(pred, true, overlap, args.n_occ)
     if not args.json:
         for key in ("mae_diag", "mae_offdiag", "mae_all", "mae_eps", "cosine_psi"):
             print(f"{key:12s} {result[key]:.12e}")
@@ -256,7 +253,7 @@ def main(argv=None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -27,9 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-KNOWN_KERNELS = ("so3_tp", "so2_linear", "so2_tp", "frame_rotation")
-
-
 @dataclass
 class OpCounter:
     """Monotone multiply counter with labeled per-kernel sub-counters."""

@@ -69,6 +69,8 @@ def build_graph(numbers, positions, cutoff: float,
     if positions.shape != (len(numbers), 3):
         raise ValueError(f"positions shape {positions.shape} does not match "
                          f"{len(numbers)} atoms")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions must be finite (found NaN or inf)")
     graph = MoleculeGraph(numbers, positions, float(cutoff))
     n = len(numbers)
     for i in range(n):

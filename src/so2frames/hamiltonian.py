@@ -157,74 +157,21 @@ def block_rotate(H: BlockMatrix, g: Rotation) -> BlockMatrix:
 # generalized eigenproblem
 # ---------------------------------------------------------------------------
 
-def _jacobi_eigh(A: np.ndarray, tol: float = 1e-15, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Sweeps rotate away every off-diagonal pair (p, q) in fixed row-major
-    order until the off-diagonal Frobenius norm falls below tol times the
-    matrix norm.  Returns (eigenvalues, eigenvector columns), unsorted.
-    """
-    A = np.array(A, dtype=np.float64)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = max(np.linalg.norm(A), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(A - np.diag(np.diag(A)))))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) \
-                    if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    return np.diag(A).copy(), V
-
-
 def generalized_eigensolve(H: BlockMatrix | np.ndarray, S: BlockMatrix | np.ndarray):
     """Solve H C = S C diag(eps) for symmetric H and SPD S.
 
-    Cholesky-reduces to a standard symmetric problem, diagonalizes it with
-    cyclic Jacobi, and back-transforms, so the eigenvector columns are
-    S-orthonormal.  Eigenvalues ascend.  Raises ValueError when S is not
-    positive definite.
+    Uses LAPACK's symmetric-definite solver (``scipy.linalg.eigh``), so
+    the eigenvector columns are S-orthonormal and the eigenvalues ascend.
+    Raises ValueError when S is not positive definite.
     """
     Ha = H.array if isinstance(H, BlockMatrix) else np.asarray(H, dtype=np.float64)
     Sa = S.array if isinstance(S, BlockMatrix) else np.asarray(S, dtype=np.float64)
     if Ha.shape != Sa.shape:
         raise ValueError(f"shape mismatch {Ha.shape} vs {Sa.shape}")
     try:
-        L = np.linalg.cholesky(Sa)
+        return scipy.linalg.eigh(Ha, Sa)
     except np.linalg.LinAlgError as err:
         raise ValueError("overlap matrix is not positive definite") from err
-    # A = L^-1 H L^-T
-    tmp = scipy.linalg.solve_triangular(L, Ha, lower=True)
-    A = scipy.linalg.solve_triangular(L, tmp.T, lower=True).T
-    A = 0.5 * (A + A.T)
-    eigvals, V = _jacobi_eigh(A)
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    V = V[:, order]
-    C = scipy.linalg.solve_triangular(L.T, V, lower=False)
-    return eigvals, C
 
 
 # ---------------------------------------------------------------------------

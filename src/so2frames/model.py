@@ -36,9 +36,9 @@ from .frames import Frame, frame_from_direction, from_local, so2_layout_of, to_l
 from .graph import MoleculeGraph
 from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so2_layout
 from .sampling import stream
-from .so2ops import (Mlp, So2GateParams, So2LayerNormParams, So2LinearWeights,
-                     enumerate_tp_paths, so2_gate, so2_layernorm, so2_linear,
-                     so2_tp_contract)
+from .so2ops import (enumerate_tp_paths, init_mlp, init_so2_ffn, init_so2_gate,
+                     init_so2_layernorm, init_so2_linear, mlp, so2_ffn, so2_gate,
+                     so2_layernorm, so2_linear, so2_tp_contract, uniform_init)
 
 DEFAULT_BASIS: dict[int, tuple[int, ...]] = {
     1: (0, 0, 1),
@@ -176,26 +176,6 @@ def prepare_graph(graph: MoleculeGraph, config: ModelConfig) -> PreparedGraph:
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def _uniform(rng, shape):
-    fan_in = shape[-1] if len(shape) > 1 else shape[0]
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _init_mlp(params, prefix, sizes, rng):
-    for k, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        params[f"{prefix}/{k}/W"] = _uniform(rng, (n_out, n_in))
-        params[f"{prefix}/{k}/b"] = np.zeros(n_out)
-
-
-def _init_so2_linear(params, prefix, in_layout, out_layout, rng):
-    for m in out_layout.indices:
-        c_in, c_out = in_layout.mult(m), out_layout.mult(m)
-        params[f"{prefix}/{m}/w1"] = _uniform(rng, (c_out, c_in))
-        if m > 0:
-            params[f"{prefix}/{m}/w2"] = _uniform(rng, (c_out, c_in))
-
-
 def uniform_so2(order_max: int, channels: int) -> IrrepsLayout:
     return so2_layout([(m, channels) for m in range(order_max + 1)])
 
@@ -205,51 +185,37 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
     rng = stream(config.seed, "model-init") if rng is None else rng
     layout = config.node_layout
     reg = so2_layout_of(layout)
-    c0 = layout.mult(0)
     s_width = sum(c for _, c in layout.entries)
-    n_gates_so3 = sum(c for l, c in layout.entries if l > 0)
-    c0r = reg.mult(0)
-    n_gates_so2 = sum(c for m, c in reg.entries if m > 0)
     F = config.invariant_width
     K = config.rbf_size
     tp_layout = uniform_so2(config.order_max, config.tp_channels)
     ffn_layout = uniform_so2(config.order_max, config.ffn_channels)
-    n_gates_tp = sum(c for m, c in ffn_layout.entries if m > 0)
-    doubled = so2_layout([(m, 2 * c) for m, c in reg.entries])
     params: dict[str, np.ndarray] = {}
 
-    params["embed/table"] = _uniform(rng, (len(config.elements), c0))
-    params["pair0/s_lin"] = _uniform(rng, (F, s_width))
-    params["pair0/r_lin"] = _uniform(rng, (F, K))
-    _init_mlp(params, "pair0/mlp", [F, F, F, c0r], rng)
+    params["embed/table"] = uniform_init(rng, (len(config.elements), layout.mult(0)))
+    params["pair0/s_lin"] = uniform_init(rng, (F, s_width))
+    params["pair0/r_lin"] = uniform_init(rng, (F, K))
+    init_mlp(params, "pair0/mlp", [F, F, F, reg.mult(0)], rng)
 
     paths = enumerate_tp_paths(config.order_max, config.tp_arity)
     for n in range(config.layers):
         p = f"L{n}"
         for half in ("self1", "self2"):
             for l, c in layout.entries:
-                params[f"{p}/{half}/lin/{l}"] = _uniform(rng, (c, c))
-            _init_mlp(params, f"{p}/{half}/gate/mlp", [c0, c0, c0, c0 + n_gates_so3], rng)
-        _init_so2_linear(params, f"{p}/msg/lin", reg, reg, rng)
-        _init_mlp(params, f"{p}/msg/gate/mlp", [c0r, c0r, c0r, c0r + n_gates_so2], rng)
-        params[f"{p}/msg/scale/s_lin"] = _uniform(rng, (F, s_width))
-        params[f"{p}/msg/scale/r_lin"] = _uniform(rng, (F, K))
-        _init_mlp(params, f"{p}/msg/scale/mlp", [F, F, F, s_width], rng)
-        for l, c in layout.entries:
-            params[f"{p}/ln_node/{l}/g"] = np.ones(c)
-            params[f"{p}/ln_node/{l}/b"] = np.zeros(c)
-        _init_so2_linear(params, f"{p}/tp/pre", reg, tp_layout, rng)
+                params[f"{p}/{half}/lin/{l}"] = uniform_init(rng, (c, c))
+            init_so2_gate(params, f"{p}/{half}/gate", layout, rng)
+        init_so2_linear(params, f"{p}/msg/lin", reg, reg, rng)
+        init_so2_gate(params, f"{p}/msg/gate", reg, rng)
+        params[f"{p}/msg/scale/s_lin"] = uniform_init(rng, (F, s_width))
+        params[f"{p}/msg/scale/r_lin"] = uniform_init(rng, (F, K))
+        init_mlp(params, f"{p}/msg/scale/mlp", [F, F, F, s_width], rng)
+        init_so2_layernorm(params, f"{p}/ln_node", layout)
+        init_so2_linear(params, f"{p}/tp/pre", reg, tp_layout, rng)
         for k in range(len(paths)):
-            params[f"{p}/tp/w/{k}"] = _uniform(rng, (config.tp_channels,)) / len(paths)
-        _init_so2_linear(params, f"{p}/tp/post", tp_layout, reg, rng)
-        _init_so2_linear(params, f"{p}/ffn/lin1", doubled, ffn_layout, rng)
-        _init_mlp(params, f"{p}/ffn/gate/mlp",
-                  [config.ffn_channels, config.ffn_channels, config.ffn_channels,
-                   config.ffn_channels + n_gates_tp], rng)
-        _init_so2_linear(params, f"{p}/ffn/lin2", ffn_layout, reg, rng)
-        for m, c in reg.entries:
-            params[f"{p}/ln_pair/{m}/g"] = np.ones(c)
-            params[f"{p}/ln_pair/{m}/b"] = np.zeros(c)
+            params[f"{p}/tp/w/{k}"] = uniform_init(rng, (config.tp_channels,)) / len(paths)
+        init_so2_linear(params, f"{p}/tp/post", tp_layout, reg, rng)
+        init_so2_ffn(params, f"{p}/ffn", reg, ffn_layout, reg, rng)
+        init_so2_layernorm(params, f"{p}/ln_pair", reg)
 
     basis = config.basis_map
     l_max = config.l_max
@@ -259,69 +225,21 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
             for t, lt in enumerate(orbs):
                 for l3 in range(abs(ls - lt), min(ls + lt, l_max) + 1):
                     params[f"expand/diag/{z}/{s}.{t}/{l3}"] = \
-                        _uniform(rng, (layout.mult(l3),)) / len(orbs)
+                        uniform_init(rng, (layout.mult(l3),)) / len(orbs)
     for zi in config.elements:
         for zj in config.elements:
             for s, ls in enumerate(basis[zi]):
                 for t, lt in enumerate(basis[zj]):
                     for l3 in range(abs(ls - lt), min(ls + lt, l_max) + 1):
                         params[f"expand/off/{zi}.{zj}/{s}.{t}/{l3}"] = \
-                            _uniform(rng, (layout.mult(l3),)) / len(basis[zi])
+                            uniform_init(rng, (layout.mult(l3),)) / len(basis[zi])
     return params
-
-
-# container builders over the flat dict -------------------------------------
-
-def _mlp_of(params, prefix, n=3) -> Mlp:
-    return Mlp([(params[f"{prefix}/{k}/W"], params[f"{prefix}/{k}/b"]) for k in range(n)])
-
-
-def _so2_linear_of(params, prefix, orders) -> So2LinearWeights:
-    return So2LinearWeights({
-        m: (params[f"{prefix}/{m}/w1"], params[f"{prefix}/{m}/w2"] if m > 0 else None)
-        for m in orders})
-
-
-def _ln_params_of(params, prefix, entries) -> So2LayerNormParams:
-    return So2LayerNormParams({m: (params[f"{prefix}/{m}/g"], params[f"{prefix}/{m}/b"])
-                               for m, _ in entries})
-
-
-@dataclass
-class So3GateParams:
-    """Scalar-channel MLP gating the l > 0 degrees (new l = 0 included)."""
-
-    mlp: Mlp
-    out_l0: int
-    gated: tuple[tuple[int, int], ...]
-
-
-def so3_gate(h: So3Features, params: So3GateParams) -> So3Features:
-    """Gate for SO(3) features: MLP on l = 0, sigmoid scaling for l > 0."""
-    c0 = h.layout.mult(0)
-    v = ad.reshape(h.block(0), (c0,))
-    out = params.mlp(v)
-    entries = [(0, params.out_l0)]
-    blocks = [ad.reshape(ad.take(out, slice(0, params.out_l0)), (params.out_l0, 1))]
-    offset = params.out_l0
-    for l, c in params.gated:
-        gates = ad.sigmoid(ad.take(out, slice(offset, offset + c)))
-        offset += c
-        blocks.append(ad.mul(h.block(l), ad.reshape(gates, (c, 1))))
-        entries.append((l, c))
-    from .irreps import so3_layout
-    return So3Features(so3_layout(entries), blocks)
 
 
 def _self_interaction(h: So3Features, params, prefix) -> So3Features:
     """Per-degree channel-mixing linear followed by the SO(3) gate."""
     blocks = [ad.matmul(params[f"{prefix}/lin/{l}"], block) for l, block in h.items()]
-    mixed = So3Features(h.layout, blocks)
-    gate = So3GateParams(
-        _mlp_of(params, f"{prefix}/gate/mlp"),
-        h.layout.mult(0),
-        tuple((l, c) for l, c in h.layout.entries if l > 0))
-    return so3_gate(mixed, gate)
+    return so2_gate(So3Features(h.layout, blocks), params, f"{prefix}/gate")
 
 
 def add_so3(a: So3Features, b: So3Features) -> So3Features:
@@ -362,7 +280,7 @@ def _invariant_mix(params, prefix, s_ij, rbf_vec):
     """MLP(Linear(s) * Linear(rbf)), the shared invariant mixing block."""
     a = ad.matmul(params[f"{prefix}/s_lin"], s_ij)
     b = ad.matmul(params[f"{prefix}/r_lin"], rbf_vec)
-    return _mlp_of(params, f"{prefix}/mlp")(ad.mul(a, b))
+    return mlp(ad.mul(a, b), params, f"{prefix}/mlp")
 
 
 def pair_embed(params, s_ij, rbf_vec):
@@ -407,9 +325,6 @@ def message_pass(graph: MoleculeGraph, h: list[So3Features], params, config: Mod
     p = f"L{layer}"
     layout = config.node_layout
     reg = so2_layout_of(layout)
-    lin = _so2_linear_of(params, f"{p}/msg/lin", reg.indices)
-    gate = So2GateParams(_mlp_of(params, f"{p}/msg/gate/mlp"), reg.mult(0),
-                         tuple((m, c) for m, c in reg.entries if m > 0))
     g1 = [_self_interaction(hi, params, f"{p}/self1") for hi in h]
     out = []
     for i in range(graph.n_atoms):
@@ -419,7 +334,8 @@ def message_pass(graph: MoleculeGraph, h: list[So3Features], params, config: Mod
         for (ei, ej) in prepared.neighbor_lists[i]:
             frame = prepared.edge_frames[(ei, ej)]
             local = to_local(frame, g1[ej], counter)
-            mixed = so2_gate(so2_linear(local, lin, counter), gate)
+            mixed = so2_gate(so2_linear(local, params, f"{p}/msg/lin", counter),
+                             params, f"{p}/msg/gate")
             s_ij = degree_inner_products(h[ei], h[ej])
             scale_vec = _invariant_mix(params, f"{p}/msg/scale", s_ij,
                                        prepared.edge_rbf[(ei, ej)])
@@ -434,39 +350,6 @@ def message_pass(graph: MoleculeGraph, h: list[So3Features], params, config: Mod
     return out
 
 
-def equivariant_layernorm_so3(h: So3Features, params, prefix) -> So3Features:
-    """Norm-based LayerNorm on SO(3) features.
-
-    l = 0 channels get a standard LayerNorm; each l > 0 channel keeps its
-    direction while the channel norms are standardized per degree (same
-    algebra as the SO(2) variant).
-    """
-    eps = 1e-8
-    blocks = []
-    for l, block in h.items():
-        g = params[f"{prefix}/{l}/g"]
-        b = params[f"{prefix}/{l}/b"]
-        c = h.layout.mult(l)
-        if l == 0:
-            mu = ad.mean_axis(block, axis=0, keepdims=True)
-            centered = ad.sub(block, mu)
-            var = ad.mean_axis(ad.mul(centered, centered), axis=0, keepdims=True)
-            normed = ad.div(centered, ad.sqrt(ad.add(var, eps * eps)))
-            blocks.append(ad.add(ad.mul(normed, ad.reshape(g, (c, 1))),
-                                 ad.reshape(b, (c, 1))))
-        else:
-            sq = ad.sum_axis(ad.mul(block, block), axis=1, keepdims=True)
-            norm = ad.sqrt(ad.add(sq, eps * eps))
-            direction = ad.div(block, norm)
-            mu = ad.mean_axis(norm, axis=0, keepdims=True)
-            centered = ad.sub(norm, mu)
-            var = ad.mean_axis(ad.mul(centered, centered), axis=0, keepdims=True)
-            scaled = ad.div(centered, ad.sqrt(ad.add(var, eps * eps)))
-            affine = ad.add(ad.mul(scaled, ad.reshape(g, (c, 1))), ad.reshape(b, (c, 1)))
-            blocks.append(ad.mul(direction, affine))
-    return So3Features(h.layout, blocks)
-
-
 def node_update_so2tp(graph: MoleculeGraph, h: list[So3Features], params,
                       config: ModelConfig, prepared: PreparedGraph, layer: int,
                       counter: OpCounter | None = None) -> list[So3Features]:
@@ -479,19 +362,15 @@ def node_update_so2tp(graph: MoleculeGraph, h: list[So3Features], params,
     """
     p = f"L{layer}"
     layout = config.node_layout
-    reg = so2_layout_of(layout)
-    tp_layout = uniform_so2(config.order_max, config.tp_channels)
-    pre = _so2_linear_of(params, f"{p}/tp/pre", tp_layout.indices)
-    post = _so2_linear_of(params, f"{p}/tp/post", reg.indices)
     paths = enumerate_tp_paths(config.order_max, config.tp_arity)
     weights = [params[f"{p}/tp/w/{k}"] for k in range(len(paths))]
     out = []
     for i in range(graph.n_atoms):
         frame = prepared.node_frames[i]
         local = to_local(frame, h[i], counter)
-        u = so2_linear(local, pre, counter)
+        u = so2_linear(local, params, f"{p}/tp/pre", counter)
         fused = so2_tp_contract([u] * config.tp_arity, paths, weights, counter)
-        y = so2_linear(fused, post, counter)
+        y = so2_linear(fused, params, f"{p}/tp/post", counter)
         update = from_local(frame, y, layout, counter)
         out.append(add_so3(h[i], update))
     return out
@@ -502,26 +381,15 @@ def offdiag_update(graph: MoleculeGraph, h: list[So3Features],
                    config: ModelConfig, prepared: PreparedGraph, layer: int,
                    counter: OpCounter | None = None) -> dict[tuple[int, int], So2Features]:
     """Pair-track update: FFN on the frame projections, skip, SO(2) LayerNorm."""
-    from .so2ops import So2FfnParams, so2_ffn
-
     p = f"L{layer}"
-    layout = config.node_layout
-    reg = so2_layout_of(layout)
-    ffn_layout = uniform_so2(config.order_max, config.ffn_channels)
-    ffn = So2FfnParams(
-        _so2_linear_of(params, f"{p}/ffn/lin1", ffn_layout.indices),
-        So2GateParams(_mlp_of(params, f"{p}/ffn/gate/mlp"), config.ffn_channels,
-                      tuple((m, c) for m, c in ffn_layout.entries if m > 0)),
-        _so2_linear_of(params, f"{p}/ffn/lin2", reg.indices))
-    ln = _ln_params_of(params, f"{p}/ln_pair", reg.entries)
     out = {}
     for key in prepared.edge_keys:
         i, j = key
         frame = prepared.edge_frames[key]
         mi = to_local(frame, h[i], counter)
         mj = to_local(frame, h[j], counter)
-        f = so2_ffn(mi, mj, ffn, counter)
-        out[key] = so2_layernorm(add_so2(x_pair[key], f), ln)
+        f = so2_ffn(mi, mj, params, f"{p}/ffn", counter)
+        out[key] = so2_layernorm(add_so2(x_pair[key], f), params, f"{p}/ln_pair")
     return out
 
 
@@ -550,7 +418,7 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
         x_pair[key] = So2Features(reg, blocks)
     for n in range(config.layers):
         msg = message_pass(graph, h, params, config, prepared, n, counter)
-        h = [equivariant_layernorm_so3(add_so3(h[i], msg[i]), params, f"L{n}/ln_node")
+        h = [so2_layernorm(add_so3(h[i], msg[i]), params, f"L{n}/ln_node")
              for i in range(graph.n_atoms)]
         h = node_update_so2tp(graph, h, params, config, prepared, n, counter)
         x_pair = offdiag_update(graph, h, x_pair, params, config, prepared, n, counter)

@@ -7,11 +7,15 @@ the autodiff primitives, so gradients with respect to inputs and
 parameters come from the same code path.  Blocks follow the container
 conventions of :mod:`so2frames.irreps`: order m > 0 pairs are
 ``(x_{-m}, x_{+m})`` read as the complex number ``x_{+m} + i x_{-m}``.
+
+Weights live in a flat ``{name: array}`` dict: each operation reads its
+own under a name prefix, and the ``init_*`` helpers write them there.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,94 +26,105 @@ from .irreps import IrrepsLayout, So2Features, so2_layout
 
 
 # ---------------------------------------------------------------------------
+# parameter initialization
+# ---------------------------------------------------------------------------
+
+def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform draw in +-1/sqrt(fan_in); fan_in is the last axis."""
+    fan_in = shape[-1] if len(shape) > 1 else shape[0]
+    bound = 1.0 / math.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def init_mlp(params: dict, prefix: str, sizes, rng: np.random.Generator) -> dict:
+    """Write ``{prefix}/{k}/W`` (out, in) and zero ``{prefix}/{k}/b`` per layer."""
+    for k, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        params[f"{prefix}/{k}/W"] = uniform_init(rng, (n_out, n_in))
+        params[f"{prefix}/{k}/b"] = np.zeros(n_out)
+    return params
+
+
+def init_so2_linear(params: dict, prefix: str, in_layout: IrrepsLayout,
+                    out_layout: IrrepsLayout, rng: np.random.Generator) -> dict:
+    """Write ``{prefix}/{m}/w1`` (and ``w2`` for m > 0) per output order."""
+    for m in out_layout.indices:
+        c_in, c_out = in_layout.mult(m), out_layout.mult(m)
+        if c_in == 0:
+            raise ValueError(f"input layout lacks order {m}")
+        params[f"{prefix}/{m}/w1"] = uniform_init(rng, (c_out, c_in))
+        if m > 0:
+            params[f"{prefix}/{m}/w2"] = uniform_init(rng, (c_out, c_in))
+    return params
+
+
+def init_so2_gate(params: dict, prefix: str, layout: IrrepsLayout,
+                  rng: np.random.Generator) -> dict:
+    """Write the gate MLP ``{prefix}/mlp`` for an SO(2) or SO(3) layout."""
+    c0 = layout.mult(0)
+    if c0 == 0:
+        raise ValueError("gate needs m = 0 channels")
+    n_gates = sum(c for m, c in layout.entries if m > 0)
+    return init_mlp(params, f"{prefix}/mlp", [c0, c0, c0, c0 + n_gates], rng)
+
+
+def init_so2_layernorm(params: dict, prefix: str, layout: IrrepsLayout) -> dict:
+    """Write identity affines: ``{prefix}/{m}/g`` ones, ``{prefix}/{m}/b`` zeros."""
+    for m, c in layout.entries:
+        params[f"{prefix}/{m}/g"] = np.ones(c)
+        params[f"{prefix}/{m}/b"] = np.zeros(c)
+    return params
+
+
+def init_so2_ffn(params: dict, prefix: str, in_layout: IrrepsLayout,
+                 hidden_layout: IrrepsLayout, out_layout: IrrepsLayout,
+                 rng: np.random.Generator) -> dict:
+    """Write ``{prefix}/lin1`` (on the doubled pair input), ``gate``, ``lin2``."""
+    doubled = so2_layout([(m, 2 * c) for m, c in in_layout.entries])
+    init_so2_linear(params, f"{prefix}/lin1", doubled, hidden_layout, rng)
+    init_so2_gate(params, f"{prefix}/gate", hidden_layout, rng)
+    return init_so2_linear(params, f"{prefix}/lin2", hidden_layout, out_layout, rng)
+
+
+# ---------------------------------------------------------------------------
 # small MLP (used by gates and by the model's invariant tracks)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Mlp:
-    """Fully connected net with SiLU on hidden layers, linear output."""
-
-    layers: list  # [(W, b), ...]; W of shape (out, in)
-
-    def __call__(self, v):
-        out = v
-        last = len(self.layers) - 1
-        for i, (W, b) in enumerate(self.layers):
-            out = ad.add(ad.matmul(W, out), b)
-            if i != last:
-                out = ad.silu(out)
-        return out
-
-    @classmethod
-    def init(cls, sizes, rng: np.random.Generator) -> "Mlp":
-        layers = []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(n_in)
-            layers.append((rng.uniform(-bound, bound, size=(n_out, n_in)),
-                           np.zeros(n_out)))
-        return cls(layers)
+def mlp(v, params: dict, prefix: str):
+    """Fully connected net ``{prefix}/{k}/W|b``: SiLU on hidden layers, linear output."""
+    n = 0
+    while f"{prefix}/{n}/W" in params:
+        n += 1
+    out = v
+    for k in range(n):
+        out = ad.add(ad.matmul(params[f"{prefix}/{k}/W"], out), params[f"{prefix}/{k}/b"])
+        if k != n - 1:
+            out = ad.silu(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # SO(2) Linear
 # ---------------------------------------------------------------------------
 
-class So2LinearWeights:
-    """Independent complex weights per order.
+def so2_linear(x: So2Features, params: dict, prefix: str,
+               counter: OpCounter | None = None) -> So2Features:
+    """Per-order complex linear map without bias (block-matrix form).
 
-    ``weights[m] = (w1, w2)`` with w1, w2 of shape (C_out, C_in); w2 is
-    None for m = 0 (plain real matrix).  The action per order is
+    Order m reads ``{prefix}/{m}/w1`` and, for m > 0, ``{prefix}/{m}/w2``,
+    both of shape (C_out, C_in); orders without weights are dropped.  The
+    action per order is
 
         z_{-m} = w1 x_{-m} + w2 x_{+m}
         z_{+m} = -w2 x_{-m} + w1 x_{+m}
 
     i.e. the complex product (w1 + i w2)(x_{+m} + i x_{-m}).
     """
-
-    def __init__(self, weights: dict):
-        self.weights = dict(weights)
-        for m, pair in self.weights.items():
-            w1, w2 = pair
-            if m == 0 and w2 is not None:
-                raise ValueError("m = 0 takes a single real matrix")
-            if m > 0 and w2 is None:
-                raise ValueError(f"order {m} needs both w1 and w2")
-
-    @classmethod
-    def random(cls, in_layout: IrrepsLayout, out_layout: IrrepsLayout,
-               rng: np.random.Generator) -> "So2LinearWeights":
-        weights = {}
-        for m in out_layout.indices:
-            c_in = in_layout.mult(m)
-            c_out = out_layout.mult(m)
-            if c_in == 0:
-                raise ValueError(f"input layout lacks order {m}")
-            bound = 1.0 / np.sqrt(c_in)
-            w1 = rng.uniform(-bound, bound, size=(c_out, c_in))
-            w2 = rng.uniform(-bound, bound, size=(c_out, c_in)) if m > 0 else None
-            weights[m] = (w1, w2)
-        return cls(weights)
-
-    @classmethod
-    def identity(cls, layout: IrrepsLayout) -> "So2LinearWeights":
-        weights = {}
-        for m, c in layout.entries:
-            weights[m] = (np.eye(c), np.zeros((c, c)) if m > 0 else None)
-        return cls(weights)
-
-    def out_entry(self, m: int) -> int:
-        return ad.value_of(self.weights[m][0]).shape[0]
-
-
-def so2_linear(x: So2Features, w: So2LinearWeights,
-               counter: OpCounter | None = None) -> So2Features:
-    """Per-order complex linear map without bias (block-matrix form)."""
     entries = []
     blocks = []
     for m, block in x.items():
-        if m not in w.weights:
+        w1 = params.get(f"{prefix}/{m}/w1")
+        if w1 is None:
             continue
-        w1, w2 = w.weights[m]
         c_out, c_in = ad.value_of(w1).shape
         if c_in != x.layout.mult(m):
             raise ValueError(f"order {m}: weight expects {c_in} channels, "
@@ -119,6 +134,7 @@ def so2_linear(x: So2Features, w: So2LinearWeights,
             if counter is not None:
                 counter.add("so2_linear", c_out * c_in)
         else:
+            w2 = params[f"{prefix}/{m}/w2"]
             a = ad.matmul(w1, block)   # (C_out, 2): (w1 x-, w1 x+)
             b = ad.matmul(w2, block)   # (C_out, 2): (w2 x-, w2 x+)
             minus = ad.add(ad.take(a, (slice(None), slice(0, 1))),
@@ -134,93 +150,56 @@ def so2_linear(x: So2Features, w: So2LinearWeights,
 
 
 # ---------------------------------------------------------------------------
-# SO(2) Gate
+# Gate and LayerNorm (SO(2) orders or SO(3) degrees)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class So2GateParams:
-    """Invariant MLP producing new m = 0 channels plus one gate per m > 0 channel."""
-
-    mlp: Mlp
-    out_m0: int
-    gated: tuple[tuple[int, int], ...]  # (order, channels) for m > 0, ascending
-
-    @classmethod
-    def init(cls, layout: IrrepsLayout, rng: np.random.Generator,
-             out_m0: int | None = None, hidden: int | None = None) -> "So2GateParams":
-        c0 = layout.mult(0)
-        if c0 == 0:
-            raise ValueError("gate needs m = 0 channels")
-        out_m0 = c0 if out_m0 is None else out_m0
-        hidden = c0 if hidden is None else hidden
-        gated = tuple((m, c) for m, c in layout.entries if m > 0)
-        n_gates = sum(c for _, c in gated)
-        mlp = Mlp.init([c0, hidden, hidden, out_m0 + n_gates], rng)
-        return cls(mlp, out_m0, gated)
-
-
-def so2_gate(x: So2Features, params: So2GateParams) -> So2Features:
+def so2_gate(x, params: dict, prefix: str):
     """Gate activation: MLP on the m = 0 channels; sigmoid gates for m > 0.
 
-    The MLP sees every m = 0 channel (whatever degree it came from), emits
-    the new m = 0 features and one pre-sigmoid gate scalar per m > 0
-    channel; each m > 0 channel is scaled by its sigmoid gate.
+    ``x`` is So2Features or So3Features (index 0 holds the invariant
+    channels either way) and the result has the same type and layout.
+    The MLP ``{prefix}/mlp`` sees every m = 0 channel (whatever degree it
+    came from), emits the new m = 0 features and one pre-sigmoid gate
+    scalar per m > 0 channel; each m > 0 channel is scaled by its sigmoid
+    gate.
     """
     c0 = x.layout.mult(0)
     v = ad.reshape(x.block(0), (c0,))
-    out = params.mlp(v)
-    if ad.value_of(out).shape[0] != params.out_m0 + sum(c for _, c in params.gated):
+    out = mlp(v, params, f"{prefix}/mlp")
+    gated = [(m, c) for m, c in x.layout.entries if m > 0]
+    if ad.value_of(out).shape[0] != c0 + sum(c for _, c in gated):
         raise ValueError("gate MLP output width mismatch")
-    entries = [(0, params.out_m0)]
-    blocks = [ad.reshape(ad.take(out, slice(0, params.out_m0)), (params.out_m0, 1))]
-    offset = params.out_m0
-    for m, c in params.gated:
-        if x.layout.mult(m) != c:
-            raise ValueError(f"gate expects {c} channels at order {m}")
+    blocks = [ad.reshape(ad.take(out, slice(0, c0)), (c0, 1))]
+    offset = c0
+    for m, c in gated:
         gates = ad.sigmoid(ad.take(out, slice(offset, offset + c)))
         offset += c
         blocks.append(ad.mul(x.block(m), ad.reshape(gates, (c, 1))))
-        entries.append((m, c))
-    return So2Features(so2_layout(entries), blocks)
-
-
-# ---------------------------------------------------------------------------
-# SO(2) LayerNorm
-# ---------------------------------------------------------------------------
-
-@dataclass
-class So2LayerNormParams:
-    """Per-order, per-channel affine (gain, bias) arrays."""
-
-    affine: dict  # m -> (g, b), shapes (C,)
-
-    @classmethod
-    def identity(cls, layout: IrrepsLayout) -> "So2LayerNormParams":
-        return cls({m: (np.ones(c), np.zeros(c)) for m, c in layout.entries})
+    return type(x)(x.layout, blocks)
 
 
 LN_EPS = 1e-8
 
 
-def so2_layernorm(x: So2Features, params: So2LayerNormParams,
-                  eps: float = LN_EPS) -> So2Features:
-    """Norm-based layer normalization.
+def so2_layernorm(x, params: dict, prefix: str):
+    """Norm-based layer normalization with affine ``{prefix}/{m}/g|b``.
 
+    ``x`` is So2Features or So3Features; the result has the same type.
     m = 0: standard LayerNorm across channels.  m > 0: each channel keeps
     its direction while its norm is standardized across channels and then
     rescaled: ``x / norm * ((norm - mean) / std * g + b)``.  The
     stabilizer enters as eps^2 under the square roots, so unit-variance
     and scale-invariance hold to near machine precision for O(1) inputs.
     """
-    entries = []
+    eps = LN_EPS
     blocks = []
     for m, block in x.items():
-        g, b = params.affine[m]
+        g = params[f"{prefix}/{m}/g"]
+        b = params[f"{prefix}/{m}/b"]
         c = x.layout.mult(m)
         if m == 0:
-            v = block  # (C, 1)
-            mu = ad.mean_axis(v, axis=0, keepdims=True)
-            centered = ad.sub(v, mu)
+            mu = ad.mean_axis(block, axis=0, keepdims=True)
+            centered = ad.sub(block, mu)
             var = ad.mean_axis(ad.mul(centered, centered), axis=0, keepdims=True)
             normed = ad.div(centered, ad.sqrt(ad.add(var, eps * eps)))
             out = ad.add(ad.mul(normed, ad.reshape(g, (c, 1))),
@@ -236,9 +215,8 @@ def so2_layernorm(x: So2Features, params: So2LayerNormParams,
             affine = ad.add(ad.mul(scaled, ad.reshape(g, (c, 1))),
                             ad.reshape(b, (c, 1)))
             out = ad.mul(direction, affine)
-        entries.append((m, c))
         blocks.append(out)
-    return So2Features(so2_layout(entries), blocks)
+    return type(x)(x.layout, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +390,6 @@ def so2_tp_contract(features, paths, weights,
 # off-diagonal feed-forward
 # ---------------------------------------------------------------------------
 
-@dataclass
-class So2FfnParams:
-    """Linear -> Gate -> Linear composition on concatenated pair inputs."""
-
-    linear_in: So2LinearWeights
-    gate: So2GateParams
-    linear_out: So2LinearWeights
-
-    @classmethod
-    def init(cls, in_layout: IrrepsLayout, hidden_layout: IrrepsLayout,
-             out_layout: IrrepsLayout, rng: np.random.Generator) -> "So2FfnParams":
-        doubled = so2_layout([(m, 2 * c) for m, c in in_layout.entries])
-        linear_in = So2LinearWeights.random(doubled, hidden_layout, rng)
-        gate = So2GateParams.init(hidden_layout, rng)
-        linear_out = So2LinearWeights.random(hidden_layout, out_layout, rng)
-        return cls(linear_in, gate, linear_out)
-
-
 def concat_orders(a: So2Features, b: So2Features) -> So2Features:
     """Concatenate two feature sets channel-wise per order."""
     if a.layout.indices != b.layout.indices:
@@ -442,11 +402,16 @@ def concat_orders(a: So2Features, b: So2Features) -> So2Features:
     return So2Features(so2_layout(entries), blocks)
 
 
-def so2_ffn(m_i: So2Features, m_j: So2Features, params: So2FfnParams,
+def so2_ffn(m_i: So2Features, m_j: So2Features, params: dict, prefix: str,
             counter: OpCounter | None = None) -> So2Features:
-    """Off-diagonal update: Linear(Gate(Linear(m_i || m_j)))."""
+    """Off-diagonal update: Linear(Gate(Linear(m_i || m_j))).
+
+    Weights are read under ``{prefix}/lin1``, ``{prefix}/gate`` and
+    ``{prefix}/lin2``.
+    """
     if m_i.layout != m_j.layout:
         raise ValueError("pair inputs must share a layout")
     stacked = concat_orders(m_i, m_j)
-    hidden = so2_gate(so2_linear(stacked, params.linear_in, counter), params.gate)
-    return so2_linear(hidden, params.linear_out, counter)
+    hidden = so2_gate(so2_linear(stacked, params, f"{prefix}/lin1", counter),
+                      params, f"{prefix}/gate")
+    return so2_linear(hidden, params, f"{prefix}/lin2", counter)

@@ -27,7 +27,7 @@ from so2frames.irreps import (So2Features, So3Features, real_spherical_harmonics
                               so2_layout, so2_rotation_matrix, so3_layout)
 from so2frames.model import default_fit_config, fit_demo, init_params, predict
 from so2frames.sampling import random_rotation_matrix, random_unit_vector, stream
-from so2frames.so2ops import So2LinearWeights, enumerate_tp_paths, so2_linear
+from so2frames.so2ops import enumerate_tp_paths, init_so2_linear, so2_linear
 
 
 def conclude(number: int, name: str, ok: bool, detail: str) -> None:
@@ -135,11 +135,11 @@ def test_05_frame_averaging_collapse():
     rng = stream(105, "acceptance-frames")
     layout = so3_layout([(0, 2), (1, 2), (2, 1), (3, 1)])
     reg = so2_layout_of(layout)
-    weights = So2LinearWeights.random(reg, reg, rng)
+    weights = init_so2_linear({}, "lin", reg, reg, rng)
     x = So3Features(layout, [rng.normal(size=layout.block_shape(l))
                              for l in layout.indices])
     direction = random_unit_vector(rng)
-    dev_equi = frame_average_check(lambda f: so2_linear(f, weights), direction, x,
+    dev_equi = frame_average_check(lambda f: so2_linear(f, weights, "lin"), direction, x,
                                    64, stream(105, "acceptance-frames-samples"))
 
     def broken(f: So2Features) -> So2Features:
@@ -186,20 +186,20 @@ def test_07_gradient_contract():
     1e-6) within relative error 1e-5 on 20 random probes per op."""
     from so2frames.frames import frame_from_direction, from_local, to_local
     from so2frames.cg import expansion
-    from so2frames.so2ops import (Mlp, So2FfnParams, So2GateParams,
-                                  So2LayerNormParams, so2_ffn, so2_gate,
-                                  so2_layernorm, so2_tp_contract, so2_tp_pair)
+    from so2frames.so2ops import (init_so2_ffn, init_so2_gate, init_so2_layernorm,
+                                  so2_ffn, so2_gate, so2_layernorm, so2_tp_contract,
+                                  so2_tp_pair)
 
     rng = stream(107, "acceptance-vjp")
     layout = so2_layout([(0, 3), (1, 2), (2, 2)])
     so3 = so3_layout([(0, 2), (1, 2), (2, 2)])
     reg = so2_layout_of(so3)
     frame = frame_from_direction(random_unit_vector(rng), 2)
-    lin_w = So2LinearWeights.random(layout, layout, rng)
-    gate_p = So2GateParams.init(layout, rng)
-    ln_p = So2LayerNormParams.identity(layout)
-    ffn_p = So2FfnParams.init(layout, so2_layout([(m, 3) for m in range(3)]),
-                              layout, rng)
+    lin_w = init_so2_linear({}, "lin", layout, layout, rng)
+    gate_p = init_so2_gate({}, "gate", layout, rng)
+    ln_p = init_so2_layernorm({}, "ln", layout)
+    ffn_p = init_so2_ffn({}, "ffn", layout, so2_layout([(m, 3) for m in range(3)]),
+                         layout, rng)
     paths = enumerate_tp_paths(2, 2)
     tp_w = [rng.normal(size=3) for _ in paths]
     uni = so2_layout([(m, 3) for m in range(3)])
@@ -222,11 +222,11 @@ def test_07_gradient_contract():
              for m in layout.indices}
         cots = [c[m] for m in layout.indices]
         yield "so2_linear", (lambda lv: project(
-            so2_linear(So2Features(layout, lv), lin_w).blocks, cots)), feats(layout)
+            so2_linear(So2Features(layout, lv), lin_w, "lin").blocks, cots)), feats(layout)
         yield "so2_gate", (lambda lv: project(
-            so2_gate(So2Features(layout, lv), gate_p).blocks, cots)), feats(layout)
+            so2_gate(So2Features(layout, lv), gate_p, "gate").blocks, cots)), feats(layout)
         yield "so2_layernorm", (lambda lv: project(
-            so2_layernorm(So2Features(layout, lv), ln_p).blocks, cots)), feats(layout)
+            so2_layernorm(So2Features(layout, lv), ln_p, "ln").blocks, cots)), feats(layout)
         pair_cot = np.random.default_rng(9).normal(size=(3, 2))
         yield "so2_tp_pair", (lambda lv: ad.sum_all(ad.mul(
             so2_tp_pair(lv[0], 2, lv[1], 1, -1)[0], pair_cot))), \
@@ -238,7 +238,7 @@ def test_07_gradient_contract():
                             paths, tp_w).blocks, ucots)), feats(uni) + feats(uni)
         yield "so2_ffn", (lambda lv: project(
             so2_ffn(So2Features(layout, lv[:3]), So2Features(layout, lv[3:6]),
-                    ffn_p).blocks, cots)), feats(layout) + feats(layout)
+                    ffn_p, "ffn").blocks, cots)), feats(layout) + feats(layout)
         rcots = [np.random.default_rng(m + 40).normal(size=reg.block_shape(m))
                  for m in reg.indices]
         yield "to_local", (lambda lv: project(

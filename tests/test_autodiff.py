@@ -12,10 +12,9 @@ from so2frames.cg import PathWeights, expansion, so3_tensor_product, valid_paths
 from so2frames.frames import frame_from_direction, from_local, to_local
 from so2frames.irreps import So2Features, So3Features, real_spherical_harmonics, so2_layout, so3_layout
 from so2frames.sampling import random_unit_vector, stream
-from so2frames.so2ops import (Mlp, So2FfnParams, So2GateParams, So2LayerNormParams,
-                              So2LinearWeights, enumerate_tp_paths, so2_ffn,
-                              so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
-                              so2_tp_pair)
+from so2frames.so2ops import (enumerate_tp_paths, init_so2_ffn, init_so2_gate,
+                              so2_ffn, so2_gate, so2_layernorm, so2_linear,
+                              so2_tp_contract, so2_tp_pair)
 
 PROBES = 20
 TOL = 1e-5
@@ -106,9 +105,9 @@ class TestOperationVjps:
                 blocks = leaves[:3]
                 w1s = leaves[3:6]
                 w2s = leaves[6:]
-                w = So2LinearWeights({0: (w1s[0], None), 1: (w1s[1], w2s[0]),
-                                      2: (w1s[2], w2s[1])})
-                out = so2_linear(So2Features(self.layout, blocks), w)
+                w = {"lin/0/w1": w1s[0], "lin/1/w1": w1s[1], "lin/1/w2": w2s[0],
+                     "lin/2/w1": w1s[2], "lin/2/w2": w2s[1]}
+                out = so2_linear(So2Features(self.layout, blocks), w, "lin")
                 total = None
                 for cot, block in zip(cots, out.blocks):
                     term = ad.sum_all(ad.mul(block, cot))
@@ -133,19 +132,24 @@ class TestOperationVjps:
         return build_loss
 
     def test_so2_gate(self, rng):
-        params_proto = So2GateParams.init(self.layout, rng)
+        params_proto = init_so2_gate({}, "gate", self.layout, rng)
+        layers = range(3)
 
         def arrays_fn():
             blocks = _random_so2(self.layout, rng)
-            mlp = [rng.normal(size=W.shape) * 0.5 for W, _ in params_proto.mlp.layers]
-            biases = [rng.normal(size=b.shape) * 0.1 for _, b in params_proto.mlp.layers]
+            mlp = [rng.normal(size=params_proto[f"gate/mlp/{k}/W"].shape) * 0.5
+                   for k in layers]
+            biases = [rng.normal(size=params_proto[f"gate/mlp/{k}/b"].shape) * 0.1
+                      for k in layers]
             return blocks + mlp + biases
 
         def op(leaves):
             blocks, mlp_w, mlp_b = leaves[:3], leaves[3:6], leaves[6:9]
-            params = So2GateParams(Mlp(list(zip(mlp_w, mlp_b))),
-                                   params_proto.out_m0, params_proto.gated)
-            return so2_gate(So2Features(self.layout, blocks), params)
+            params = {}
+            for k in layers:
+                params[f"gate/mlp/{k}/W"] = mlp_w[k]
+                params[f"gate/mlp/{k}/b"] = mlp_b[k]
+            return so2_gate(So2Features(self.layout, blocks), params, "gate")
 
         self._run(lambda arrays: self._feature_loss(op, 3, self.layout)(arrays),
                   arrays_fn, rng)
@@ -161,9 +165,11 @@ class TestOperationVjps:
 
         def op(leaves):
             blocks, gains, biases = leaves[:3], leaves[3:6], leaves[6:9]
-            params = So2LayerNormParams({m: (g, b) for m, g, b in
-                                         zip(self.layout.indices, gains, biases)})
-            return so2_layernorm(So2Features(self.layout, blocks), params)
+            params = {}
+            for m, g, b in zip(self.layout.indices, gains, biases):
+                params[f"ln/{m}/g"] = g
+                params[f"ln/{m}/b"] = b
+            return so2_layernorm(So2Features(self.layout, blocks), params, "ln")
 
         self._run(lambda arrays: self._feature_loss(op, 3, self.layout)(arrays),
                   arrays_fn, rng)
@@ -199,7 +205,7 @@ class TestOperationVjps:
     def test_so2_ffn(self, rng):
         layout = so2_layout([(m, 2) for m in range(3)])
         hidden = so2_layout([(m, 3) for m in range(3)])
-        proto = So2FfnParams.init(layout, hidden, layout, stream(9, "ffn-proto"))
+        proto = init_so2_ffn({}, "ffn", layout, hidden, layout, stream(9, "ffn-proto"))
 
         def arrays_fn():
             return ([b for b in _random_so2(layout, rng)]
@@ -208,7 +214,7 @@ class TestOperationVjps:
         def op(leaves):
             a = So2Features(layout, leaves[:3])
             b = So2Features(layout, leaves[3:6])
-            return so2_ffn(a, b, proto)
+            return so2_ffn(a, b, proto, "ffn")
 
         self._run(lambda arrays: self._feature_loss(op, 6, layout)(arrays),
                   arrays_fn, rng)

@@ -13,7 +13,7 @@ from so2frames.irreps import (So2Features, So3Features, layout_parse,
                               real_spherical_harmonics, rotate_so2,
                               so2_rotation_matrix)
 from so2frames.sampling import random_rotation_matrix, random_unit_vector, stream
-from so2frames.so2ops import So2LinearWeights, so2_linear
+from so2frames.so2ops import init_so2_linear, so2_linear
 
 
 def random_so3_features(layout, rng):
@@ -197,11 +197,12 @@ class TestLocalMapping:
         # with a stabilizer-equivariant map between the projections, the
         # canonicalized pipeline commutes with arbitrary global rotations
         reg = so2_layout_of(self.layout)
-        weights = So2LinearWeights.random(reg, reg, stream(5, "chain"))
+        weights = init_so2_linear({}, "lin", reg, reg, stream(5, "chain"))
 
         def pipeline(direction, x):
             frame = frame_from_direction(direction, 3)
-            return from_local(frame, so2_linear(to_local(frame, x), weights), self.layout)
+            return from_local(frame, so2_linear(to_local(frame, x), weights, "lin"),
+                              self.layout)
 
         for _ in range(10):
             x = random_so3_features(self.layout, rng)
@@ -225,9 +226,9 @@ class TestFrameAveraging:
 
     def test_so2_linear_collapses(self, rng):
         reg = so2_layout_of(self.layout)
-        weights = So2LinearWeights.random(reg, reg, stream(2, "fa-lin"))
+        weights = init_so2_linear({}, "lin", reg, reg, stream(2, "fa-lin"))
         x = random_so3_features(self.layout, rng)
-        dev = frame_average_check(lambda f: so2_linear(f, weights),
+        dev = frame_average_check(lambda f: so2_linear(f, weights, "lin"),
                                   random_unit_vector(rng), x, 64, stream(3, "fa"))
         assert dev < 1e-10
 

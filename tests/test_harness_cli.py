@@ -192,6 +192,41 @@ class TestPredictMetricsCli:
         assert main(["metrics", str(pred_path), str(small)]) == 2
 
 
+class TestBadInput:
+    """Invalid input gets ``error: ...`` on stderr and exit code 2."""
+
+    def _molecule(self, tmp_path, atoms_json):
+        path = tmp_path / "bad.json"
+        path.write_text('{"atoms": [%s], "cutoff": 15.0}' % atoms_json)
+        return str(path)
+
+    def _assert_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_coincident_atoms(self, tmp_path, capsys):
+        mol = self._molecule(tmp_path, '{"z": 1, "pos": [0.0, 0.0, 0.0]}, '
+                                       '{"z": 1, "pos": [0.0, 0.0, 0.0]}')
+        self._assert_usage_error(["check-equiv", mol, "--trials", "1"], capsys)
+
+    def test_nan_coordinates(self, tmp_path, capsys):
+        mol = self._molecule(tmp_path, '{"z": 1, "pos": [0.0, 0.0, 0.0]}, '
+                                       '{"z": 1, "pos": [NaN, 0.0, 1.5]}')
+        self._assert_usage_error(["check-equiv", mol, "--trials", "1"], capsys)
+
+    def test_element_missing_from_checkpoint(self, molecule_file, tmp_path, capsys):
+        from so2frames.model import checkpoint_dumps
+
+        graph = graph_from_json(open(molecule_file).read())
+        config = default_fit_config(graph)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(checkpoint_dumps(config, init_params(config)))
+        mol = self._molecule(tmp_path, '{"z": 1, "pos": [0.0, 0.0, 0.0]}, '
+                                       '{"z": 8, "pos": [0.0, 0.0, 1.8]}')
+        self._assert_usage_error(["predict", mol, str(ckpt), "--out",
+                                  str(tmp_path / "H.json")], capsys)
+
+
 class TestIdentityTrial:
     def test_identity_rotation_deviation_exactly_zero(self, molecule_file):
         graph = graph_from_json(open(molecule_file).read())

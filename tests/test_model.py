@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,12 +11,12 @@ from so2frames.graph import build_graph
 from so2frames.hamiltonian import gen_synthetic_target
 from so2frames.model import (DEFAULT_BASIS, ModelConfig, checkpoint_dumps,
                              checkpoint_loads, default_fit_config,
-                             degree_inner_products, equivariant_layernorm_so3,
-                             fit_demo, forward, init_params, message_pass,
+                             degree_inner_products, fit_demo, forward, init_params, message_pass,
                              node_embed, node_update_so2tp, prepare_graph, predict,
                              rbf)
 from so2frames.irreps import So3Features, layout_parse
 from so2frames.sampling import random_rotation_matrix, stream
+from so2frames.so2ops import so2_layernorm
 
 POSITIONS = np.array([[0.0, 0.0, 0.0],
                       [1.8, 0.3, 0.1],
@@ -188,7 +189,7 @@ class TestEquivariantLayerNorm:
             params[f"ln/{l}/b"] = np.zeros(c)
         h = So3Features(layout, [3.0 * rng.normal(size=layout.block_shape(l))
                                  for l in layout.indices])
-        out = equivariant_layernorm_so3(h, params, "ln")
+        out = so2_layernorm(h, params, "ln")
         for l, block in out.items():
             arr = np.asarray(block)
             if l == 0:
@@ -208,12 +209,12 @@ class TestEquivariantLayerNorm:
         h = So3Features(layout, [rng.normal(size=layout.block_shape(l))
                                  for l in layout.indices])
         g = rotation_from_matrix(random_rotation_matrix(rng))
-        lhs = equivariant_layernorm_so3(rotate_so3(h, g), params, "ln")
-        rhs = rotate_so3(equivariant_layernorm_so3(h, params, "ln"), g)
+        lhs = so2_layernorm(rotate_so3(h, g), params, "ln")
+        rhs = rotate_so3(so2_layernorm(h, params, "ln"), g)
         assert features_dev([lhs], [rhs]) < 1e-13
         scaled = So3Features(layout, [7.3 * np.asarray(b) for b in h.blocks])
-        assert features_dev([equivariant_layernorm_so3(scaled, params, "ln")],
-                            [equivariant_layernorm_so3(h, params, "ln")]) < 1e-12
+        assert features_dev([so2_layernorm(scaled, params, "ln")],
+                            [so2_layernorm(h, params, "ln")]) < 1e-12
 
 
 class TestForward:
@@ -383,6 +384,18 @@ class TestCheckpoint:
         e2 = node_embed(1, params2, config2)
         assert np.array_equal(np.asarray(e1.block(0)), np.asarray(e2.block(0)))
 
+    def test_init_checkpoint_pinned(self, setup):
+        # parameter names, init draws and the JSON layout are what saved
+        # checkpoints depend on; any change to them shows up here
+        pinned = {
+            "483de14dcf5ab6ba9aae71b33b9f04472192a38e156d458e4ed1a9bb0e66da1e": setup[1],
+            "acdcb61f128b02dc17fe0b2493e3b51dc54f6fd1fbef2f0320af26e1005ec788":
+                ModelConfig(elements=(1, 6, 8)),
+        }
+        for digest, config in pinned.items():
+            text = checkpoint_dumps(config, init_params(config))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_config_fields_present(self, setup):
         _, config, _ = setup
         doc = json.loads(checkpoint_dumps(config, {}))["config"]
@@ -392,7 +405,7 @@ class TestCheckpoint:
 
 
 class TestPairEmbed:
-    def test_zero_invariants_zero_biases_give_mlp_of_zero(self, setup):
+    def test_zero_invariants_zero_biases_give_zero(self, setup):
         from so2frames.model import pair_embed
         _, config, params = setup
         zeroed = dict(params)
@@ -433,8 +446,8 @@ class TestOffdiagUpdate:
     def test_zero_pair_state_is_ln_of_ffn(self, setup, rng):
         from so2frames.irreps import So2Features
         from so2frames.model import offdiag_update
-        from so2frames.frames import so2_layout_of
-        from so2frames.so2ops import so2_layernorm
+        from so2frames.frames import so2_layout_of, to_local
+        from so2frames.so2ops import so2_ffn
 
         graph, config, params = setup
         prepared = prepare_graph(graph, config)
@@ -445,19 +458,10 @@ class TestOffdiagUpdate:
         zeros = {key: So2Features.zeros(reg) for key in prepared.edge_keys}
         out = offdiag_update(graph, h, zeros, params, config, prepared, layer=0)
         # with a zero pair state the skip is the identity on the FFN output
-        from so2frames.model import _ln_params_of, _mlp_of, _so2_linear_of, uniform_so2
-        from so2frames.so2ops import So2FfnParams, So2GateParams, so2_ffn
-        from so2frames.frames import to_local
-        ffn_layout = uniform_so2(config.order_max, config.ffn_channels)
-        ffn = So2FfnParams(
-            _so2_linear_of(params, "L0/ffn/lin1", ffn_layout.indices),
-            So2GateParams(_mlp_of(params, "L0/ffn/gate/mlp"), config.ffn_channels,
-                          tuple((m, c) for m, c in ffn_layout.entries if m > 0)),
-            _so2_linear_of(params, "L0/ffn/lin2", reg.indices))
-        ln = _ln_params_of(params, "L0/ln_pair", reg.entries)
         key = prepared.edge_keys[0]
         frame = prepared.edge_frames[key]
         direct = so2_layernorm(
-            so2_ffn(to_local(frame, h[key[0]]), to_local(frame, h[key[1]]), ffn), ln)
+            so2_ffn(to_local(frame, h[key[0]]), to_local(frame, h[key[1]]), params,
+                    "L0/ffn"), params, "L0/ln_pair")
         for a, b in zip(out[key].as_arrays(), direct.as_arrays()):
             assert np.array_equal(a, b)

@@ -7,9 +7,9 @@ import pytest
 from so2frames.counters import OpCounter
 from so2frames.irreps import So2Features, rotate_so2, so2_layout
 from so2frames.sampling import stream
-from so2frames.so2ops import (Mlp, So2FfnParams, So2GateParams, So2LayerNormParams,
-                              So2LinearWeights, So2TpPath, concat_orders,
-                              enumerate_tp_paths, so2_ffn, so2_gate, so2_layernorm,
+from so2frames.so2ops import (So2TpPath, concat_orders, enumerate_tp_paths,
+                              init_so2_ffn, init_so2_gate, init_so2_layernorm,
+                              init_so2_linear, so2_ffn, so2_gate, so2_layernorm,
                               so2_linear, so2_tp_contract, so2_tp_pair)
 
 LAYOUT = so2_layout([(0, 4), (1, 3), (2, 2), (3, 1)])
@@ -24,6 +24,15 @@ def max_dev(a: So2Features, b: So2Features) -> float:
     return max(np.max(np.abs(x - y)) for x, y in zip(a.as_arrays(), b.as_arrays()))
 
 
+def identity_linear(layout):
+    params = {}
+    for m, c in layout.entries:
+        params[f"lin/{m}/w1"] = np.eye(c)
+        if m > 0:
+            params[f"lin/{m}/w2"] = np.zeros((c, c))
+    return params
+
+
 def to_complex(block, m):
     arr = np.asarray(block)
     return arr[:, 1] + 1j * arr[:, 0] if m > 0 else arr[:, 0].astype(complex)
@@ -32,64 +41,63 @@ def to_complex(block, m):
 class TestSo2Linear:
     def test_identity_weights(self, rng):
         x = random_so2(LAYOUT, rng)
-        out = so2_linear(x, So2LinearWeights.identity(LAYOUT))
+        out = so2_linear(x, identity_linear(LAYOUT), "lin")
         assert max_dev(out, x) == 0.0
 
     def test_complex_oracle(self, rng):
         out_layout = so2_layout([(0, 2), (1, 4), (2, 1), (3, 2)])
-        w = So2LinearWeights.random(LAYOUT, out_layout, rng)
+        w = init_so2_linear({}, "lin", LAYOUT, out_layout, rng)
         x = random_so2(LAYOUT, rng)
-        z = so2_linear(x, w)
+        z = so2_linear(x, w, "lin")
         for m in out_layout.indices:
             if m == 0:
-                expected = w.weights[0][0] @ np.asarray(x.block(0))
+                expected = w["lin/0/w1"] @ np.asarray(x.block(0))
                 assert np.max(np.abs(np.asarray(z.block(0)) - expected)) < 1e-13
             else:
-                w_c = w.weights[m][0] + 1j * w.weights[m][1]
+                w_c = w[f"lin/{m}/w1"] + 1j * w[f"lin/{m}/w2"]
                 expected = w_c @ to_complex(x.block(m), m)
                 assert np.max(np.abs(to_complex(z.block(m), m) - expected)) < 1e-13
 
     def test_equivariance(self, rng):
-        w = So2LinearWeights.random(LAYOUT, LAYOUT, rng)
+        w = init_so2_linear({}, "lin", LAYOUT, LAYOUT, rng)
         for _ in range(200):
             x = random_so2(LAYOUT, rng)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            lhs = so2_linear(rotate_so2(x, phi), w)
-            rhs = rotate_so2(so2_linear(x, w), phi)
+            lhs = so2_linear(rotate_so2(x, phi), w, "lin")
+            rhs = rotate_so2(so2_linear(x, w, "lin"), phi)
             assert max_dev(lhs, rhs) < 1e-13
 
     def test_shape_mismatch_rejected(self, rng):
-        w = So2LinearWeights.random(LAYOUT, LAYOUT, rng)
+        w = init_so2_linear({}, "lin", LAYOUT, LAYOUT, rng)
         bad = random_so2(so2_layout([(0, 2), (1, 3), (2, 2), (3, 1)]), rng)
         with pytest.raises(ValueError):
-            so2_linear(bad, w)
+            so2_linear(bad, w, "lin")
 
     def test_counter(self, rng):
         counter = OpCounter()
-        so2_linear(random_so2(LAYOUT, rng),
-                   So2LinearWeights.identity(LAYOUT), counter)
+        so2_linear(random_so2(LAYOUT, rng), identity_linear(LAYOUT), "lin", counter)
         assert counter.get("so2_linear") == 16 + 4 * (9 + 4 + 1)
 
 
 class TestSo2Gate:
     def test_zero_mlp_halves_equivariant_channels(self, rng):
-        params = So2GateParams.init(LAYOUT, rng)
-        W, b = params.mlp.layers[-1]
-        params.mlp.layers[-1] = (np.zeros_like(W), np.zeros_like(b))
+        params = init_so2_gate({}, "gate", LAYOUT, rng)
+        params["gate/mlp/2/W"] = np.zeros_like(params["gate/mlp/2/W"])
+        params["gate/mlp/2/b"] = np.zeros_like(params["gate/mlp/2/b"])
         x = random_so2(LAYOUT, rng)
-        out = so2_gate(x, params)
+        out = so2_gate(x, params, "gate")
         for m, block in out.items():
             if m > 0:
                 assert np.max(np.abs(np.asarray(block)
                                      - 0.5 * np.asarray(x.block(m)))) == 0.0
 
     def test_equivariance(self, rng):
-        params = So2GateParams.init(LAYOUT, rng)
+        params = init_so2_gate({}, "gate", LAYOUT, rng)
         for _ in range(200):
             x = random_so2(LAYOUT, rng)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            lhs = so2_gate(rotate_so2(x, phi), params)
-            rhs = rotate_so2(so2_gate(x, params), phi)
+            lhs = so2_gate(rotate_so2(x, phi), params, "gate")
+            rhs = rotate_so2(so2_gate(x, params, "gate"), phi)
             assert max_dev(lhs, rhs) < 1e-14
 
     def test_expressivity_beyond_scalar_input_gate(self, rng):
@@ -102,7 +110,7 @@ class TestSo2Gate:
         """
         n_scalar = 2   # channels a scalar-only gate may read
         layout = so2_layout([(0, 4), (1, 3), (2, 2)])
-        teacher = So2GateParams.init(layout, rng)
+        teacher = init_so2_gate({}, "gate", layout, rng)
         samples = []
         for k in range(64):
             blocks = []
@@ -113,10 +121,10 @@ class TestSo2Gate:
             blocks.append(rng.normal(size=(3, 2)))
             blocks.append(rng.normal(size=(2, 2)))
             samples.append(So2Features(layout, blocks))
-        targets = [so2_gate(x, teacher) for x in samples]
+        targets = [so2_gate(x, teacher, "gate") for x in samples]
 
         # full-input family: the teacher parameters achieve the data exactly
-        fit_err = max(max_dev(so2_gate(x, teacher), y)
+        fit_err = max(max_dev(so2_gate(x, teacher, "gate"), y)
                       for x, y in zip(samples, targets))
         assert fit_err < 1e-6
 
@@ -133,18 +141,18 @@ class TestSo2Gate:
         assert best_err > 1e-2
 
     def test_output_width_validated(self, rng):
-        params = So2GateParams.init(LAYOUT, rng)
-        W, b = params.mlp.layers[-1]
-        params.mlp.layers[-1] = (W[:-1], b[:-1])
+        params = init_so2_gate({}, "gate", LAYOUT, rng)
+        params["gate/mlp/2/W"] = params["gate/mlp/2/W"][:-1]
+        params["gate/mlp/2/b"] = params["gate/mlp/2/b"][:-1]
         with pytest.raises(ValueError):
-            so2_gate(random_so2(LAYOUT, rng), params)
+            so2_gate(random_so2(LAYOUT, rng), params, "gate")
 
 
 class TestSo2LayerNorm:
     def test_forced_statistics(self, rng):
-        params = So2LayerNormParams.identity(LAYOUT)
+        params = init_so2_layernorm({}, "ln", LAYOUT)
         x = random_so2(LAYOUT, rng, scale=2.0)
-        out = so2_layernorm(x, params)
+        out = so2_layernorm(x, params, "ln")
         for m in LAYOUT.indices:
             if m == 0:
                 vals = np.asarray(out.block(0))[:, 0]
@@ -159,19 +167,20 @@ class TestSo2LayerNorm:
                 assert abs(norms.std() - 1.0) < 1e-7
 
     def test_scale_invariance(self, rng):
-        params = So2LayerNormParams.identity(LAYOUT)
+        params = init_so2_layernorm({}, "ln", LAYOUT)
         x = random_so2(LAYOUT, rng)
         for c in (0.1, 3.7, 250.0):
             scaled = So2Features(LAYOUT, [c * np.asarray(b) for b in x.blocks])
-            assert max_dev(so2_layernorm(x, params), so2_layernorm(scaled, params)) < 1e-12
+            assert max_dev(so2_layernorm(x, params, "ln"),
+                           so2_layernorm(scaled, params, "ln")) < 1e-12
 
     def test_equivariance(self, rng):
-        params = So2LayerNormParams.identity(LAYOUT)
+        params = init_so2_layernorm({}, "ln", LAYOUT)
         for _ in range(200):
             x = random_so2(LAYOUT, rng)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            lhs = so2_layernorm(rotate_so2(x, phi), params)
-            rhs = rotate_so2(so2_layernorm(x, params), phi)
+            lhs = so2_layernorm(rotate_so2(x, phi), params, "ln")
+            rhs = rotate_so2(so2_layernorm(x, params, "ln"), phi)
             assert max_dev(lhs, rhs) < 1e-13
 
 
@@ -340,45 +349,44 @@ class TestSo2Ffn:
     hidden = so2_layout([(m, 5) for m in range(3)])
 
     def test_zero_inputs_propagate_mlp_constant(self, rng):
-        params = So2FfnParams.init(self.layout, self.hidden, self.layout, rng)
+        params = init_so2_ffn({}, "ffn", self.layout, self.hidden, self.layout, rng)
         zero = So2Features.zeros(self.layout)
-        out = so2_ffn(zero, zero, params)
+        out = so2_ffn(zero, zero, params, "ffn")
         # zero biases: MLP(0) = 0, so every order vanishes
         for m, block in out.items():
             assert np.max(np.abs(np.asarray(block))) == 0.0
         # a nonzero gate-MLP bias reaches the m = 0 track but the gated
         # m > 0 channels stay zero (sigmoid scales a zero input)
-        W, b = params.gate.mlp.layers[-1]
-        params.gate.mlp.layers[-1] = (W, b + 1.0)
-        out = so2_ffn(zero, zero, params)
+        params["ffn/gate/mlp/2/b"] = params["ffn/gate/mlp/2/b"] + 1.0
+        out = so2_ffn(zero, zero, params, "ffn")
         assert np.max(np.abs(np.asarray(out.block(0)))) > 0.0
         for m, block in out.items():
             if m > 0:
                 assert np.max(np.abs(np.asarray(block))) == 0.0
 
     def test_equivariance(self, rng):
-        params = So2FfnParams.init(self.layout, self.hidden, self.layout, rng)
+        params = init_so2_ffn({}, "ffn", self.layout, self.hidden, self.layout, rng)
         for _ in range(200):
             a = random_so2(self.layout, rng)
             b = random_so2(self.layout, rng)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            lhs = so2_ffn(rotate_so2(a, phi), rotate_so2(b, phi), params)
-            rhs = rotate_so2(so2_ffn(a, b, params), phi)
+            lhs = so2_ffn(rotate_so2(a, phi), rotate_so2(b, phi), params, "ffn")
+            rhs = rotate_so2(so2_ffn(a, b, params, "ffn"), phi)
             assert max_dev(lhs, rhs) < 1e-12
 
     def test_argument_order_matters(self, rng):
         # no accidental symmetrization of the pair feature itself
-        params = So2FfnParams.init(self.layout, self.hidden, self.layout, rng)
+        params = init_so2_ffn({}, "ffn", self.layout, self.hidden, self.layout, rng)
         a = random_so2(self.layout, rng)
         b = random_so2(self.layout, rng)
-        assert max_dev(so2_ffn(a, b, params), so2_ffn(b, a, params)) > 1e-3
+        assert max_dev(so2_ffn(a, b, params, "ffn"), so2_ffn(b, a, params, "ffn")) > 1e-3
 
     def test_layout_mismatch_rejected(self, rng):
-        params = So2FfnParams.init(self.layout, self.hidden, self.layout, rng)
+        params = init_so2_ffn({}, "ffn", self.layout, self.hidden, self.layout, rng)
         a = random_so2(self.layout, rng)
         b = random_so2(so2_layout([(m, 3) for m in range(3)]), rng)
         with pytest.raises(ValueError):
-            so2_ffn(a, b, params)
+            so2_ffn(a, b, params, "ffn")
 
 
 class TestLinearity:
@@ -393,14 +401,14 @@ class TestLinearity:
                              - a * np.asarray(t1) - b * np.asarray(t2))) < 1e-14
 
     def test_so2_linear_linear(self, rng):
-        w = So2LinearWeights.random(LAYOUT, LAYOUT, rng)
+        w = init_so2_linear({}, "lin", LAYOUT, LAYOUT, rng)
         x = random_so2(LAYOUT, rng)
         y = random_so2(LAYOUT, rng)
         a, b = 1.37, -0.44
         combo = So2Features(LAYOUT, [a * np.asarray(p) + b * np.asarray(q)
                                      for p, q in zip(x.blocks, y.blocks)])
-        lhs = so2_linear(combo, w)
-        fx, fy = so2_linear(x, w), so2_linear(y, w)
+        lhs = so2_linear(combo, w, "lin")
+        fx, fy = so2_linear(x, w, "lin"), so2_linear(y, w, "lin")
         ref = So2Features(LAYOUT, [a * np.asarray(p) + b * np.asarray(q)
                                    for p, q in zip(fx.blocks, fy.blocks)])
         assert max_dev(lhs, ref) < 1e-13
