@@ -15,8 +15,9 @@ from .irreps import (IrrepsLayout, LayoutError, So2Features, So3Features,
                      circular_harmonics, layout_parse, real_spherical_harmonics,
                      rotate_so2, so2_rotation_matrix)
 from .frames import (Frame, Rotation, TARGET_AXIS, frame_average_check,
-                     frame_from_direction, from_local, rotate_so3,
-                     rotation_from_euler, rotation_from_matrix, to_local, wigner_d)
+                     frame_from_direction, frames_from_directions, from_local,
+                     rotate_so3, rotation_from_euler, rotation_from_matrix, to_local,
+                     wigner_d)
 from .cg import (PathWeights, cg_table, escn_reference_apply,
                  escn_weights_from_paths, expansion, expansion_decompose,
                  so3_tensor_product, valid_paths)
@@ -43,7 +44,7 @@ __all__ = [
     "circular_harmonics", "default_fit_config", "enumerate_tp_paths",
     "escn_reference_apply", "escn_weights_from_paths", "expansion",
     "expansion_decompose", "fit_demo", "forward", "frame_average_check",
-    "frame_from_direction", "from_local", "gen_synthetic_target",
+    "frame_from_direction", "frames_from_directions", "from_local", "gen_synthetic_target",
     "generalized_eigensolve", "graph_from_json", "init_mlp", "init_params",
     "init_so2_ffn", "init_so2_gate", "init_so2_layernorm", "init_so2_linear",
     "layout_parse", "metrics", "mlp", "predict", "real_spherical_harmonics",

@@ -13,18 +13,28 @@ matrix.  A frame for a unit direction ``r`` is the minimal-angle rotation
 ("to local") applies ``D(h^{-1})`` per degree and regroups components by
 order m.
 
-Wigner-D construction: the complex little-d matrix from the standard
-factorial sum, assembled into ``D(a,b,g) = e^{-i m' a} d(b) e^{-i m g}``
-(active ZYZ composition), then conjugated into the real basis with the
-fixed unitary change of basis U.  The resulting real matrices satisfy
-``Y(R r) = D(R) Y(r)`` exactly in exact arithmetic.
+Wigner-D construction: for active ZYZ angles the real-basis matrix
+factors as ``D(a,b,g) = Z(a) d(b) Z(g)``, where each Z is a per-order
+planar rotation of the ``(x_{-m}, x_{+m})`` pairs and the real little-d
+``d(b)`` is a polynomial in ``cos(b/2)`` and ``sin(b/2)``.  Its
+coefficients come once per degree from the standard factorial sum,
+conjugated into the real basis with the fixed unitary U, and are cached;
+:func:`wigner_d_batch` then evaluates any number of rotations as arrays.
+The matrices satisfy ``Y(R r) = D(R) Y(r)``.
+
+Frames are built in batches (:func:`frames_from_directions`): the angles
+of ``h = Rz(phi) Ry(theta) Rz(-phi)`` come straight from the direction,
+``phi = atan2(y, x)`` and ``theta = atan2(hypot(x, y), z)``, which stays
+accurate next to both poles, and ``D(h^{-1})`` is evaluated for all
+directions at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,7 +63,10 @@ class Rotation:
             raise ValueError("rotation matrix must have determinant +1")
 
     def inverse(self) -> "Rotation":
-        return rotation_from_matrix(self.matrix.T)
+        """The inverse rotation; its angles are the exact negated reverse
+        ``(-gamma, -beta, -alpha)``, not re-derived from the matrix."""
+        alpha, beta, gamma = self.euler
+        return Rotation(self.matrix.T, (-gamma, -beta, -alpha))
 
     def compose(self, other: "Rotation") -> "Rotation":
         """self after other: matrix product self.matrix @ other.matrix."""
@@ -130,45 +143,72 @@ def _u_matrix(l: int) -> np.ndarray:
     return U
 
 
-def _wigner_small_d(l: int, beta: float) -> np.ndarray:
-    d = np.zeros((2 * l + 1, 2 * l + 1))
-    cb, sb = math.cos(beta / 2.0), math.sin(beta / 2.0)
+@lru_cache(maxsize=None)
+def _small_d_table(l: int) -> np.ndarray:
+    """Real-basis little-d as a polynomial in ``(cos(b/2), sin(b/2))``.
+
+    Row q holds the flattened ``(2l+1, 2l+1)`` coefficient matrix of
+    ``cos(b/2)^(2l-q) sin(b/2)^q``, so ``d(b) = monomials(b) @ table``.
+    The complex-basis coefficients come from the standard factorial sum
+    (each (m', m, q) gets exactly one term) and are conjugated into the
+    real basis with U.  Row 0 is the identity and is stored exactly, so
+    ``d(0)`` is the exact identity.
+    """
+    n = 2 * l + 1
+    f = math.factorial
+    C = np.zeros((n, n, n))
     for mp in range(-l, l + 1):
         for m in range(-l, l + 1):
-            pref = math.sqrt(
-                math.factorial(l + mp) * math.factorial(l - mp)
-                * math.factorial(l + m) * math.factorial(l - m))
-            acc = 0.0
+            num = f(l + mp) * f(l - mp) * f(l + m) * f(l - m)
             for k in range(max(0, m - mp), min(l + m, l - mp) + 1):
-                den = (math.factorial(l + m - k) * math.factorial(k)
-                       * math.factorial(mp - m + k) * math.factorial(l - mp - k))
-                term = cb ** (2 * l + m - mp - 2 * k) * sb ** (mp - m + 2 * k) / den
-                acc += -term if (mp - m + k) % 2 else term
-            d[l + mp, l + m] = pref * acc
-    return d
+                den = f(l + m - k) * f(k) * f(mp - m + k) * f(l - mp - k)
+                sign = -1.0 if (mp - m + k) % 2 else 1.0
+                C[mp - m + 2 * k, l + mp, l + m] = sign * math.sqrt(Fraction(num, den * den))
+    U = _u_matrix(l)
+    real = U @ C @ np.conj(U).T
+    if np.max(np.abs(real.imag)) > 1e-12:
+        raise AssertionError(f"real little-d has imaginary residue at l={l}")
+    table = np.ascontiguousarray(real.real.reshape(n, n * n))
+    table[0] = np.eye(n).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def wigner_d_batch(l: int, alpha, beta, gamma) -> np.ndarray:
+    """Real-basis Wigner-D of ``Rz(alpha) Ry(beta) Rz(gamma)`` for arrays of
+    ZYZ angles; returns shape ``(E, 2l+1, 2l+1)``.
+
+    ``D = Z(alpha) d(beta) Z(gamma)``: little-d is one matmul of the
+    monomials with the cached coefficient table, and each Z is a planar
+    rotation of the ``(x_{-m}, x_{+m})`` pairs applied elementwise.  Every
+    output matrix depends only on its own angles, so reordering the batch
+    reorders the output.
+    """
+    if l < 0 or l > DEFAULT_L_CAP:
+        raise ValueError(f"degree must be in [0, {DEFAULT_L_CAP}], got {l}")
+    alpha, beta, gamma = (np.asarray(a, dtype=np.float64).reshape(-1)
+                          for a in (alpha, beta, gamma))
+    n = 2 * l + 1
+    q = np.arange(n)
+    c, s = np.cos(beta / 2.0)[:, None], np.sin(beta / 2.0)[:, None]
+    d = ((c ** (2 * l - q) * s ** q) @ _small_d_table(l)).reshape(-1, n, n)
+    # Z(a) acts on component r through order k = l - r:
+    # rows  Z(a) A = cos(k a) A + sin(k a) A[::-1],
+    # cols  A Z(a) = cos(k a) A - sin(k a) A[:, ::-1].
+    k = np.arange(l, -l - 1, -1)
+    ka, kg = np.multiply.outer(alpha, k), np.multiply.outer(gamma, k)
+    d = np.cos(ka)[:, :, None] * d + np.sin(ka)[:, :, None] * d[:, ::-1, :]
+    return np.cos(kg)[:, None, :] * d - np.sin(kg)[:, None, :] * d[:, :, ::-1]
 
 
 def wigner_d(l: int, rotation: Rotation) -> np.ndarray:
     """Real-basis Wigner-D matrix of a rotation for degree l.
 
     Orthogonal, and consistent with the harmonics:
-    ``Y_l(R r) = wigner_d(l, R) @ Y_l(r)``.
+    ``Y_l(R r) = wigner_d(l, R) @ Y_l(r)``.  A batch of one through
+    :func:`wigner_d_batch`.
     """
-    if l < 0 or l > DEFAULT_L_CAP:
-        raise ValueError(f"degree must be in [0, {DEFAULT_L_CAP}], got {l}")
-    if l == 0:
-        return np.array([[1.0]])
-    alpha, beta, gamma = rotation.euler
-    if alpha == 0.0 and beta == 0.0 and gamma == 0.0:
-        return np.eye(2 * l + 1)  # keep the identity exact
-    d = _wigner_small_d(l, beta)
-    mvals = np.arange(-l, l + 1)
-    Dc = np.exp(-1j * alpha * mvals)[:, None] * d * np.exp(-1j * gamma * mvals)[None, :]
-    U = _u_matrix(l)
-    Dr = U @ np.conj(Dc) @ np.conj(U).T
-    if np.max(np.abs(Dr.imag)) > 1e-12:
-        raise AssertionError(f"real Wigner-D has imaginary residue at l={l}")
-    return np.ascontiguousarray(Dr.real)
+    return wigner_d_batch(l, *rotation.euler)[0]
 
 
 def order_alignment_permutation(l: int) -> np.ndarray:
@@ -191,48 +231,71 @@ def order_alignment_permutation(l: int) -> np.ndarray:
 class Frame:
     """Minimal-angle canonicalization of a reference direction.
 
-    ``rotation`` is h with ``h^{-1} reference = TARGET_AXIS``; the per
-    degree caches hold ``D(h^{-1})`` (into the frame) and ``D(h)`` (out of
-    the frame) up to ``l_max``.
+    ``rotation`` is h with ``h^{-1} reference = TARGET_AXIS``; ``d_in[l]``
+    holds ``D_l(h^{-1})`` for every degree up to ``l_max``.  The same
+    matrix maps out of the frame, transposed, since ``D(h) = D(h^{-1})^T``.
+    Frames built together share their arrays: ``reference`` and each
+    ``d_in[l]`` are views into the batch, and the :class:`Rotation` is
+    made on first use.
     """
 
-    def __init__(self, reference: np.ndarray, rotation: Rotation, l_max: int):
+    def __init__(self, reference: np.ndarray, matrix: np.ndarray,
+                 euler: tuple[float, float, float], d_in: list[np.ndarray]):
         self.reference = reference
-        self.rotation = rotation
-        self.l_max = l_max
-        inv = rotation.inverse()
-        self.d_in = [wigner_d(l, inv) for l in range(l_max + 1)]
-        self.d_out = [wigner_d(l, rotation) for l in range(l_max + 1)]
+        self.d_in = d_in
+        self.l_max = len(d_in) - 1
+        self._matrix = matrix
+        self._euler = euler
+
+    @cached_property
+    def rotation(self) -> Rotation:
+        return Rotation(self._matrix, self._euler)
 
     def __repr__(self):
         return f"Frame(reference={self.reference.tolist()}, l_max={self.l_max})"
 
 
-def frame_from_direction(direction, l_max: int = 4) -> Frame:
-    """Deterministic frame for a direction (need not be normalized).
+# phi of the frame at -TARGET_AXIS: h = Rz(phi) Ry(pi) Rz(-phi) is the pi
+# rotation about Rz(phi) (0, 1, 0) = FALLBACK_AXIS
+_FALLBACK_PHI = math.atan2(-FALLBACK_AXIS[0], FALLBACK_AXIS[1])
 
-    The canonical choice is the minimal-angle rotation about
-    ``r x TARGET_AXIS``; for the antipodal degeneracy ``r = -TARGET_AXIS``
-    the frame is the pi rotation about ``FALLBACK_AXIS``.
+
+def frames_from_directions(directions, l_max: int = 4) -> list[Frame]:
+    """Deterministic frames for a batch of directions (need not be
+    normalized), one array pass for all of them.
+
+    The canonical choice is the minimal-angle rotation
+    ``h = Rz(phi) Ry(theta) Rz(-phi)`` with ``phi = atan2(y, x)`` and
+    ``theta = atan2(hypot(x, y), z)``.  On the axis it is exactly the
+    identity for ``+TARGET_AXIS`` and the pi rotation about
+    ``FALLBACK_AXIS`` for ``-TARGET_AXIS``, whatever the signs of the
+    zero components.  Each frame depends only on its own direction.
     """
-    r = np.asarray(direction, dtype=np.float64)
-    n = float(np.linalg.norm(r))
-    if n < 1e-12:
-        raise ValueError("cannot build a frame from a zero-length direction")
-    r = r / n
-    c = min(1.0, max(-1.0, float(np.dot(r, TARGET_AXIS))))
-    if c > 1.0 - 1e-14:
-        h_inv = rotation_from_matrix(np.eye(3))
-    elif c < -1.0 + 1e-14:
-        h_inv = rotation_from_axis_angle(FALLBACK_AXIS, math.pi)
-    else:
-        axis = np.cross(r, TARGET_AXIS)
-        h_inv = rotation_from_axis_angle(axis, math.acos(c))
-    frame = Frame(r, h_inv.inverse(), l_max)
-    residual = np.linalg.norm(h_inv.apply(r) - TARGET_AXIS)
-    if residual > 1e-12:
-        raise AssertionError(f"frame residual {residual}")
-    return frame
+    r = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+    norm = np.linalg.norm(r, axis=1)
+    if not np.all(np.isfinite(norm) & (norm >= 1e-12)):
+        raise ValueError("cannot build a frame from a zero-length or non-finite direction")
+    r = r / norm[:, None]
+    x, y, z = r.T
+    on_axis = (x == 0.0) & (y == 0.0)
+    phi = np.where(on_axis, np.where(z > 0.0, 0.0, _FALLBACK_PHI), np.arctan2(y, x))
+    theta = np.arctan2(np.hypot(x, y), z)
+    cp, sp, ct, st = np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta)
+    h = np.stack([cp * cp * ct + sp * sp, cp * sp * (ct - 1.0), cp * st,
+                  cp * sp * (ct - 1.0), sp * sp * ct + cp * cp, sp * st,
+                  -cp * st, -sp * st, ct], axis=1).reshape(-1, 3, 3)
+    residual = np.linalg.norm(np.einsum("eji,ej->ei", h, r) - TARGET_AXIS, axis=1)
+    if np.any(residual > 1e-12):
+        raise AssertionError(f"frame residual {residual.max()}")
+    d_in = [wigner_d_batch(l, phi, -theta, -phi) for l in range(l_max + 1)]
+    return [Frame(r[k], h[k], (phi[k], theta[k], -phi[k]), [d[k] for d in d_in])
+            for k in range(len(r))]
+
+
+def frame_from_direction(direction, l_max: int = 4) -> Frame:
+    """The frame of one direction: :func:`frames_from_directions` on a
+    batch of one."""
+    return frames_from_directions(np.reshape(direction, (1, 3)), l_max)[0]
 
 
 def so2_layout_of(so3: IrrepsLayout) -> IrrepsLayout:
@@ -303,7 +366,7 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout,
                 cols[l + m] = ad.take(blk, rows + (slice(1, 2),))
             order_offsets[m] = off + mult
         assembled = ad.concat(cols, axis=1)
-        blocks.append(ad.matmul(assembled, frame.d_out[l].T))
+        blocks.append(ad.matmul(assembled, frame.d_in[l]))
         if counter is not None:
             counter.add("frame_rotation", mult * l * l)
     return So3Features(so3_layout, blocks)

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .counters import OpCounter
-from .frames import Frame, frame_from_direction, from_local, so2_layout_of, to_local, TARGET_AXIS
+from .frames import (TARGET_AXIS, Frame, frame_from_direction, frames_from_directions,
+                     from_local, so2_layout_of, to_local)
 from .graph import MoleculeGraph
 from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so2_layout
 from .sampling import stream
@@ -65,6 +66,13 @@ class ModelConfig:
     basis: tuple[tuple[int, tuple[int, ...]], ...] = tuple(sorted(DEFAULT_BASIS.items()))
     m_max: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        # the regrouped node layout has every order up to l_max, and the
+        # tensor-product layouts must have the same orders
+        if self.m_max is not None and self.m_max != self.l_max:
+            raise ValueError(f"m_max {self.m_max} is not supported: it must equal "
+                             f"l_max {self.l_max} or be left unset")
 
     @property
     def node_layout(self) -> IrrepsLayout:
@@ -125,7 +133,7 @@ class PreparedGraph:
     """Per-graph caches: frames, radial features, neighbor lists."""
 
     edge_frames: dict[tuple[int, int], Frame]
-    node_frames: list[Frame]
+    node_frames: list[Frame | None]              # None for an atom without neighbors
     edge_rbf: dict[tuple[int, int], np.ndarray]
     neighbor_lists: list[list[tuple[int, int]]]  # per node, ascending-j edge keys
     edge_keys: list[tuple[int, int]]             # sorted directed edges
@@ -149,26 +157,18 @@ def rbf(distance: float, config: ModelConfig) -> np.ndarray:
 
 
 def prepare_graph(graph: MoleculeGraph, config: ModelConfig) -> PreparedGraph:
-    l_max = config.l_max
-    edge_frames = {}
-    edge_rbf = {}
-    keys = []
-    for e in sorted(graph.edges, key=lambda e: (e.i, e.j)):
-        key = (e.i, e.j)
-        keys.append(key)
-        edge_frames[key] = frame_from_direction(e.direction, l_max)
-        edge_rbf[key] = rbf(e.distance, config)
+    edges = sorted(graph.edges, key=lambda e: (e.i, e.j))
+    keys = [(e.i, e.j) for e in edges]
+    directions = np.array([e.direction for e in edges]).reshape(-1, 3)
+    edge_frames = dict(zip(keys, frames_from_directions(directions, config.l_max)))
+    edge_rbf = {(e.i, e.j): rbf(e.distance, config) for e in edges}
     node_frames = []
     neighbor_lists = []
-    identity = frame_from_direction(TARGET_AXIS, l_max)
     for i in range(graph.n_atoms):
         nbrs = graph.neighbors(i)
         neighbor_lists.append([(e.i, e.j) for e in nbrs])
         nearest = graph.nearest_neighbor(i)
-        if nearest is None:
-            node_frames.append(identity)  # isolated-node fallback
-        else:
-            node_frames.append(edge_frames[(nearest.i, nearest.j)])
+        node_frames.append(None if nearest is None else edge_frames[(nearest.i, nearest.j)])
     return PreparedGraph(edge_frames, node_frames, edge_rbf, neighbor_lists, keys)
 
 
@@ -359,6 +359,12 @@ def node_update_so2tp(graph: MoleculeGraph, h: list[So3Features], params,
     order layout (the channel-wise fusion paths need equal channel counts
     at every order), contracted over all fusion paths, projected back,
     and added to the input (skip connection).
+
+    An atom without neighbors has no reference direction, and its
+    features are invariant (degree 0 only).  Its update is computed in the
+    target-axis frame and only the degree-0 block is added: that block is
+    the same in every frame, while the higher degrees would point along
+    an axis that does not rotate with the molecule.
     """
     p = f"L{layer}"
     layout = config.node_layout
@@ -367,12 +373,19 @@ def node_update_so2tp(graph: MoleculeGraph, h: list[So3Features], params,
     out = []
     for i in range(graph.n_atoms):
         frame = prepared.node_frames[i]
+        isolated = frame is None
+        if isolated:
+            frame = frame_from_direction(TARGET_AXIS, layout.max_index)
         local = to_local(frame, h[i], counter)
         u = so2_linear(local, params, f"{p}/tp/pre", counter)
         fused = so2_tp_contract([u] * config.tp_arity, paths, weights, counter)
         y = so2_linear(fused, params, f"{p}/tp/post", counter)
         update = from_local(frame, y, layout, counter)
-        out.append(add_so3(h[i], update))
+        if isolated:
+            out.append(So3Features(layout, [ad.add(b, update.block(0)) if l == 0 else b
+                                            for l, b in h[i].items()]))
+        else:
+            out.append(add_so3(h[i], update))
     return out
 
 

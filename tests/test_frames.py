@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so2frames.frames import (FALLBACK_AXIS, TARGET_AXIS, frame_average_check,
-                              frame_from_direction, from_local,
+                              frame_from_direction, frames_from_directions, from_local,
                               order_alignment_permutation, rotate_so3,
                               rotation_from_axis_angle, rotation_from_euler,
                               rotation_from_matrix, so2_layout_of, to_local,
@@ -100,6 +102,13 @@ class TestWignerD:
         with pytest.raises(ValueError):
             wigner_d(9, rotation_from_euler(0, 0, 0))
 
+    def test_identity_is_exact(self):
+        # check-equiv's identity trial needs D = I bit for bit
+        for R in (rotation_from_euler(0, 0, 0), rotation_from_matrix(np.eye(3))):
+            for l in range(9):
+                assert np.array_equal(wigner_d(l, R), np.eye(2 * l + 1))
+                assert np.array_equal(wigner_d(l, R.inverse()), np.eye(2 * l + 1))
+
 
 class TestFrame:
     def test_target_axis_gives_identity(self):
@@ -129,11 +138,62 @@ class TestFrame:
         with pytest.raises(ValueError):
             frame_from_direction([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(3, 14)])
+    def test_near_antipode_stable(self, eps):
+        # acos(r . z) loses the tilt next to -z; the atan2 angles do not
+        r = np.array([eps, 0.0, -1.0]) / math.hypot(eps, 1.0)
+        frame = frame_from_direction([eps, 0.0, -1.0], 4)
+        assert np.linalg.norm(frame.rotation.matrix.T @ r - TARGET_AXIS) <= 1e-12
+        for l in range(5):
+            D = frame.d_in[l]
+            assert np.max(np.abs(D.T @ D - np.eye(2 * l + 1))) < 1e-12
+
     def test_cached_matrices_orthogonal(self, rng):
         frame = frame_from_direction(random_unit_vector(rng), 4)
         for l in range(5):
-            for D in (frame.d_in[l], frame.d_out[l]):
+            for D in (frame.d_in[l], frame.d_in[l].T):
                 assert np.max(np.abs(D.T @ D - np.eye(2 * l + 1))) < 1e-12
+
+
+# components that put directions on, next to and between the axes
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-7, -1e-7, 1e-13, -1e-13]),
+    st.floats(-1.0, 1.0, allow_nan=False))
+_DIRECTION = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(
+    lambda v: math.hypot(*v) >= 1e-12)
+# degree-1 real components are ordered (y, z, x)
+_YZX = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+class TestBatchedFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_DIRECTION, min_size=1, max_size=8), st.randoms(use_true_random=False))
+    def test_batch_properties(self, directions, shuffler):
+        l_max = 8
+        frames = frames_from_directions(directions, l_max)
+        for v, frame in zip(directions, frames):
+            r = np.array(v) / np.linalg.norm(v)
+            h = frame.rotation.matrix
+            assert np.linalg.norm(h.T @ r - TARGET_AXIS) <= 1e-12
+            assert np.max(np.abs(frame.d_in[1] - _YZX @ h.T @ _YZX.T)) < 1e-13
+            inv = frame.rotation.inverse()
+            for l in range(l_max + 1):
+                D = frame.d_in[l]
+                assert np.max(np.abs(D.T @ D - np.eye(2 * l + 1))) < 1e-12
+                assert np.max(np.abs(D - wigner_d(l, inv))) < 1e-12
+        order = list(range(len(directions)))
+        shuffler.shuffle(order)
+        shuffled = frames_from_directions([directions[k] for k in order], l_max)
+        for frame, k in zip(shuffled, order):
+            assert np.array_equal(frame.rotation.matrix, frames[k].rotation.matrix)
+            for l in range(l_max + 1):
+                assert np.array_equal(frame.d_in[l], frames[k].d_in[l])
+
+    def test_rejects_bad_directions(self):
+        for bad in ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[np.nan, 0.0, 1.0]],
+                    [[np.inf, 0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                frames_from_directions(bad)
 
 
 class TestLocalMapping:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from so2frames.cli import main
-from so2frames.graph import graph_from_json, sample_molecule
+from so2frames.graph import build_graph, graph_from_json, sample_molecule
 from so2frames.harness import bench, brute_force_pair_paths, check_equivariance
 from so2frames.hamiltonian import matrix_loads, read_matrix
-from so2frames.model import default_fit_config, init_params
+from so2frames.model import checkpoint_dumps, default_fit_config, init_params
 from so2frames.so2ops import enumerate_tp_paths
 
 
@@ -225,6 +225,45 @@ class TestBadInput:
                                        '{"z": 8, "pos": [0.0, 0.0, 1.8]}')
         self._assert_usage_error(["predict", mol, str(ckpt), "--out",
                                   str(tmp_path / "H.json")], capsys)
+
+
+class TestFrameEdgeCases:
+    """Molecules whose frames sit on or next to the target axis, or have no
+    reference direction at all."""
+
+    def _molecule(self, tmp_path, positions, numbers=None):
+        path = tmp_path / "mol.json"
+        path.write_text(build_graph(numbers or [1] * len(positions), positions, 15.0).to_json())
+        return str(path)
+
+    def test_bond_next_to_minus_z(self, tmp_path):
+        # the bond 1 -> 0 points 1e-7 away from -z
+        mol = self._molecule(tmp_path, [[0.0, 0.0, 0.0], [1e-7, 0.0, 1.8]])
+        assert main(["check-equiv", mol, "--trials", "4"]) == 0
+        graph = graph_from_json(open(mol).read())
+        config = default_fit_config(graph)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(checkpoint_dumps(config, init_params(config)))
+        assert main(["predict", mol, str(ckpt), "--out", str(tmp_path / "H.json")]) == 0
+
+    @pytest.mark.parametrize("positions", [[[0.0, 0.0, 0.0]],
+                                           [[0.0, 0.0, 0.0], [0.0, 16.0, 3.0]]],
+                             ids=["single-atom", "beyond-cutoff"])
+    def test_isolated_atoms_equivariant(self, tmp_path, positions):
+        mol = self._molecule(tmp_path, positions, [8] + [1] * (len(positions) - 1))
+        graph = graph_from_json(open(mol).read())
+        assert not graph.edges
+        config = default_fit_config(graph)
+        report = check_equivariance(graph, init_params(config), config, trials=6, seed=2)
+        for name in ("node_track_equivariance", "pair_track_equivariance",
+                     "block_equivariance"):
+            assert report.checks[name]["max_error"] < 1e-9, name
+        assert main(["check-equiv", mol, "--trials", "4"]) == 0
+
+    def test_unsupported_mmax_is_usage_error(self, molecule_file, capsys):
+        assert main(["check-equiv", molecule_file, "--trials", "1", "--mmax", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "m_max 1" in err and "l_max 2" in err
 
 
 class TestIdentityTrial:

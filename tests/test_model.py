@@ -396,6 +396,11 @@ class TestCheckpoint:
             text = checkpoint_dumps(config, init_params(config))
             assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_m_max_must_equal_l_max(self):
+        assert ModelConfig(m_max=4).order_max == 4  # default l_max is 4
+        with pytest.raises(ValueError, match="m_max 2 .* l_max 4"):
+            ModelConfig(m_max=2)
+
     def test_config_fields_present(self, setup):
         _, config, _ = setup
         doc = json.loads(checkpoint_dumps(config, {}))["config"]
