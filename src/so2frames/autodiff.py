@@ -9,11 +9,13 @@ magic beyond what the primitives need and no higher-order gradients.
 All primitives dispatch: if none of the arguments is a :class:`Var` the
 plain numpy result is returned, so the same forward code serves both the
 inference path (ndarrays) and the training path (Vars).
+
+Operands are whole batches (all nodes or all edges of a molecule), so a
+tape records one node per batched operation, not one per item;
+:func:`segment_sum` is the order-independent aggregation over neighbors.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -368,26 +370,26 @@ def absolute(a):
     return _node(out, (a,), vjp)
 
 
-def exact_sum(parts):
-    """Order-independent exact sum of same-shaped arrays.
+def segment_sum(values, slots):
+    """Order-independent sums of gathered rows: ``out[n]`` is the sum of
+    ``values[slots[n, t]]`` over t, and slot -1 adds zero (padding).
 
-    Forward uses :func:`math.fsum` per component, so the result does not
-    depend on the order of ``parts``; this is what makes permutation
-    equivariance of neighbor aggregation bit-exact.
+    Each segment's terms are sorted along the term axis before one fixed
+    reduction, so every sum depends only on the multiset of its terms and
+    on the padded width, not on their order or on the segment's position;
+    this is what makes neighbor aggregation permutation-equivariant bit
+    for bit.  The adjoint hands the cotangent of each sum to all its terms.
     """
-    values = [value_of(p) for p in parts]
-    if len(values) == 1:
-        out = values[0].copy()
-    else:
-        stacked = np.stack(values)
-        flat = stacked.reshape(len(values), -1)
-        out = np.array([math.fsum(flat[:, k]) for k in range(flat.shape[1])])
-        out = out.reshape(values[0].shape)
+    va = value_of(values)
+    padded = np.concatenate([va, np.zeros((1,) + va.shape[1:])])[slots]
+    out = np.sort(padded, axis=1).sum(axis=1)
 
     def vjp(g):
-        return tuple(g for _ in values)
+        grad = np.zeros((len(va) + 1,) + va.shape[1:])
+        np.add.at(grad, slots, np.broadcast_to(g[:, None], padded.shape))
+        return (grad[:-1],)
 
-    return _node(out, tuple(parts), vjp)
+    return _node(out, (values,), vjp)
 
 
 def paste_blocks(shape, placed):

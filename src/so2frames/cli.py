@@ -62,8 +62,6 @@ def _config_from_args(args, base: ModelConfig) -> ModelConfig:
     if getattr(args, "lmax", None) is not None:
         parts = [f"{max(8 // (2 ** l), 2)}x{l}e" for l in range(args.lmax + 1)]
         updates["node_irreps"] = "+".join(parts)
-    if getattr(args, "mmax", None) is not None:
-        updates["m_max"] = args.mmax
     if getattr(args, "v", None) is not None:
         updates["tp_arity"] = args.v
     if getattr(args, "layers", None) is not None:
@@ -187,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path")
         if model_flags:
             p.add_argument("--lmax", type=int, default=None)
-            p.add_argument("--mmax", type=int, default=None)
             p.add_argument("--v", type=int, default=None, help="tensor-product arity")
             p.add_argument("--layers", type=int, default=None)
             p.add_argument("--cutoff", type=float, default=None)

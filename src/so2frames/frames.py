@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .counters import OpCounter
 from .irreps import (DEFAULT_L_CAP, SO3, IrrepsLayout, So2Features,
-                     So3Features, rotate_so2, so2_layout)
+                     So3Features, batch_size, rotate_so2, so2_layout)
 
 TARGET_AXIS = np.array([0.0, 0.0, 1.0])
 # antipodal fallback: pi rotation about this axis maps -TARGET_AXIS to TARGET_AXIS
@@ -98,16 +98,18 @@ def rotation_from_euler(alpha: float, beta: float, gamma: float) -> Rotation:
 def euler_from_matrix(R: np.ndarray) -> tuple[float, float, float]:
     """ZYZ angles reproducing the matrix; beta in [0, pi].
 
-    At the gimbal poles (beta = 0 or pi) gamma is fixed to 0.
+    beta comes from atan2, which keeps a small tilt from either pole.  Next
+    to a pole alpha and gamma are each ill-determined, but alpha + gamma
+    (upper hemisphere) or alpha - gamma (lower hemisphere) is not: it is
+    read off the upper-left 2x2 block, and gamma is taken from it, so the
+    angles reproduce R to rounding at every tilt.
     """
-    r22 = min(1.0, max(-1.0, float(R[2, 2])))
-    beta = math.acos(r22)
-    if r22 > 1.0 - 1e-12:
-        return math.atan2(R[1, 0], R[0, 0]), 0.0, 0.0
-    if r22 < -1.0 + 1e-12:
-        return math.atan2(-R[1, 0], -R[0, 0]), math.pi, 0.0
+    beta = math.atan2(math.hypot(R[0, 2], R[1, 2]), R[2, 2])
     alpha = math.atan2(R[1, 2], R[0, 2])
-    gamma = math.atan2(R[2, 1], -R[2, 0])
+    if R[2, 2] >= 0.0:
+        gamma = math.atan2(R[1, 0] - R[0, 1], R[0, 0] + R[1, 1]) - alpha
+    else:
+        gamma = alpha - math.atan2(-(R[0, 1] + R[1, 0]), R[1, 1] - R[0, 0])
     return alpha, beta, gamma
 
 
@@ -229,30 +231,43 @@ def order_alignment_permutation(l: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Frame:
-    """Minimal-angle canonicalization of a reference direction.
+    """Minimal-angle canonicalization of one reference direction or a batch.
 
     ``rotation`` is h with ``h^{-1} reference = TARGET_AXIS``; ``d_in[l]``
     holds ``D_l(h^{-1})`` for every degree up to ``l_max``.  The same
     matrix maps out of the frame, transposed, since ``D(h) = D(h^{-1})^T``.
-    Frames built together share their arrays: ``reference`` and each
-    ``d_in[l]`` are views into the batch, and the :class:`Rotation` is
-    made on first use.
+    A batch of E frames keeps the frame index as a leading axis:
+    ``reference`` is (E, 3), ``matrix`` (E, 3, 3), ``euler`` the ZYZ angles
+    of h as (E, 3), and ``d_in[l]`` is (E, 2l+1, 2l+1).  ``frames[k]`` is
+    the k-th single frame (views into the batch), and only a single frame
+    has a :class:`Rotation`.
     """
 
-    def __init__(self, reference: np.ndarray, matrix: np.ndarray,
-                 euler: tuple[float, float, float], d_in: list[np.ndarray]):
+    def __init__(self, reference: np.ndarray, matrix: np.ndarray, euler: np.ndarray,
+                 d_in: list[np.ndarray]):
         self.reference = reference
+        self.matrix = matrix
+        self.euler = euler
         self.d_in = d_in
         self.l_max = len(d_in) - 1
-        self._matrix = matrix
-        self._euler = euler
 
     @cached_property
     def rotation(self) -> Rotation:
-        return Rotation(self._matrix, self._euler)
+        return Rotation(self.matrix, tuple(self.euler))
 
-    def __repr__(self):
-        return f"Frame(reference={self.reference.tolist()}, l_max={self.l_max})"
+    def __getitem__(self, k) -> "Frame":
+        return Frame(self.reference[k], self.matrix[k], self.euler[k], [d[k] for d in self.d_in])
+
+    def take(self, index) -> "Frame":
+        """The frames of a batch at an index array, where index -1 gives the
+        TARGET_AXIS frame, the exact identity (for an item without a
+        reference direction)."""
+        def pick(a, identity):
+            return np.concatenate([a, identity[None]])[index]
+
+        return Frame(pick(self.reference, TARGET_AXIS), pick(self.matrix, np.eye(3)),
+                     pick(self.euler, np.zeros(3)),
+                     [pick(d, np.eye(2 * l + 1)) for l, d in enumerate(self.d_in)])
 
 
 # phi of the frame at -TARGET_AXIS: h = Rz(phi) Ry(pi) Rz(-phi) is the pi
@@ -260,9 +275,10 @@ class Frame:
 _FALLBACK_PHI = math.atan2(-FALLBACK_AXIS[0], FALLBACK_AXIS[1])
 
 
-def frames_from_directions(directions, l_max: int = 4) -> list[Frame]:
+def frames_from_directions(directions, l_max: int = 4) -> Frame:
     """Deterministic frames for a batch of directions (need not be
-    normalized), one array pass for all of them.
+    normalized), one array pass for all of them; returns one batched
+    :class:`Frame` in the order of the directions.
 
     The canonical choice is the minimal-angle rotation
     ``h = Rz(phi) Ry(theta) Rz(-phi)`` with ``phi = atan2(y, x)`` and
@@ -288,13 +304,12 @@ def frames_from_directions(directions, l_max: int = 4) -> list[Frame]:
     if np.any(residual > 1e-12):
         raise AssertionError(f"frame residual {residual.max()}")
     d_in = [wigner_d_batch(l, phi, -theta, -phi) for l in range(l_max + 1)]
-    return [Frame(r[k], h[k], (phi[k], theta[k], -phi[k]), [d[k] for d in d_in])
-            for k in range(len(r))]
+    return Frame(r, h, np.stack([phi, theta, -phi], axis=1), d_in)
 
 
 def frame_from_direction(direction, l_max: int = 4) -> Frame:
-    """The frame of one direction: :func:`frames_from_directions` on a
-    batch of one."""
+    """The single frame of one direction: :func:`frames_from_directions` on
+    a batch of one."""
     return frames_from_directions(np.reshape(direction, (1, 3)), l_max)[0]
 
 
@@ -318,30 +333,23 @@ def to_local(frame: Frame, x: So3Features, counter: OpCounter | None = None) -> 
 
     ``x'_l = D_l(h^{-1}) x_l`` per degree, then order m gathers the
     ``(x_{-m}, x_{+m})`` column pairs of every degree l >= m (ascending l).
+    A batch of frames rotates a batch of features item by item.
     """
     if x.layout.max_index > frame.l_max:
         raise ValueError(
             f"feature degree {x.layout.max_index} exceeds frame cache l_max {frame.l_max}")
     rotated = {}
     for l, block in x.items():
-        rotated[l] = ad.matmul(block, frame.d_in[l].T)
+        rotated[l] = ad.matmul(block, np.swapaxes(frame.d_in[l], -1, -2))
         if counter is not None:
-            counter.add("frame_rotation", x.layout.mult(l) * l * l)
+            counter.add("frame_rotation", x.layout.mult(l) * l * l * batch_size(rotated[l]))
     out_layout = so2_layout_of(x.layout)
     blocks = []
     for m in out_layout.indices:
-        cols = []
-        for l in x.layout.indices:
-            if l < m:
-                continue
-            blk = rotated[l]
-            if m == 0:
-                cols.append(ad.take(blk, (slice(None), slice(l, l + 1))))
-            else:
-                cols.append(ad.concat(
-                    [ad.take(blk, (slice(None), slice(l - m, l - m + 1))),
-                     ad.take(blk, (slice(None), slice(l + m, l + m + 1)))], axis=1))
-        blocks.append(cols[0] if len(cols) == 1 else ad.concat(cols, axis=0))
+        # components l - m and l + m (one component l for m = 0)
+        cols = [ad.take(rotated[l], (..., slice(l - m, l + m + 1, max(2 * m, 1))))
+                for l in x.layout.indices if l >= m]
+        blocks.append(cols[0] if len(cols) == 1 else ad.concat(cols, axis=-2))
     return So2Features(out_layout, blocks)
 
 
@@ -354,21 +362,18 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout,
     blocks = []
     for l in so3_layout.indices:
         mult = so3_layout.mult(l)
-        cols = [None] * (2 * l + 1)
-        for m in range(0, l + 1):
-            blk = x.block(m)
+        # the degree-l rows of orders 0..l hold its components in the
+        # order-aligned basis, which the permutation maps back
+        parts = []
+        for m in range(l + 1):
             off = order_offsets[m]
-            rows = (slice(off, off + mult),)
-            if m == 0:
-                cols[l] = ad.take(blk, rows + (slice(0, 1),))
-            else:
-                cols[l - m] = ad.take(blk, rows + (slice(0, 1),))
-                cols[l + m] = ad.take(blk, rows + (slice(1, 2),))
+            parts.append(ad.take(x.block(m), (..., slice(off, off + mult), slice(None))))
             order_offsets[m] = off + mult
-        assembled = ad.concat(cols, axis=1)
-        blocks.append(ad.matmul(assembled, frame.d_in[l]))
+        aligned = parts[0] if l == 0 else ad.concat(parts, axis=-1)
+        block = ad.matmul(aligned, order_alignment_permutation(l) @ frame.d_in[l])
+        blocks.append(block)
         if counter is not None:
-            counter.add("frame_rotation", mult * l * l)
+            counter.add("frame_rotation", mult * l * l * batch_size(block))
     return So3Features(so3_layout, blocks)
 
 

@@ -71,6 +71,8 @@ def build_graph(numbers, positions, cutoff: float,
                          f"{len(numbers)} atoms")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite (found NaN or inf)")
+    if not cutoff > 0.0:  # also false for NaN
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
     graph = MoleculeGraph(numbers, positions, float(cutoff))
     n = len(numbers)
     for i in range(n):

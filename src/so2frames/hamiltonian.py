@@ -106,31 +106,32 @@ def _expand_block(feature: So3Features, params, prefix: str, ls: int, lt: int):
     return expansion(feature, w, ls, lt)
 
 
-def assemble(h: list[So3Features], x_pair: dict[tuple[int, int], So2Features],
-             edge_frames, params, layout: OrbitalLayout, graph: MoleculeGraph,
-             config) -> BlockMatrix:
-    """Dense matrix from node features (diagonal atom blocks) and pair
-    features (off-diagonal atom blocks, rotated out of their edge frames),
-    followed by symmetrization ``(H + H^T) / 2``.
+def assemble(h: So3Features, x_pair: So2Features, prepared, params,
+             layout: OrbitalLayout, graph: MoleculeGraph, config) -> BlockMatrix:
+    """Dense matrix from node features (diagonal atom blocks; ``h`` is
+    batched over atoms) and pair features (off-diagonal atom blocks;
+    ``x_pair`` is batched over the edges of the prepared graph and rotated
+    out of their edge frames in one call), followed by symmetrization
+    ``(H + H^T) / 2``.
 
     Atom pairs without an edge (beyond cutoff) remain zero blocks.
     """
-    node_layout = config.node_layout
+    pair = from_local(prepared.frame, x_pair, config.node_layout)
     placed = []
     for i in range(graph.n_atoms):
         z = int(graph.numbers[i])
+        hi = h.map_blocks(lambda block: ad.take(block, i))
         orbs = layout.degrees[i]
         for s, ls in enumerate(orbs):
             for t, lt in enumerate(orbs):
-                block = _expand_block(h[i], params, f"expand/diag/{z}/{s}.{t}", ls, lt)
+                block = _expand_block(hi, params, f"expand/diag/{z}/{s}.{t}", ls, lt)
                 placed.append((layout.offsets[i][s], layout.offsets[i][t], block))
-    for (i, j), feats in sorted(x_pair.items()):
+    for e, (i, j) in enumerate(zip(prepared.src, prepared.dst)):
         zi, zj = int(graph.numbers[i]), int(graph.numbers[j])
-        frame = edge_frames[(i, j)]
-        so3 = from_local(frame, feats, node_layout)
+        feats = pair.map_blocks(lambda block: ad.take(block, e))
         for s, ls in enumerate(layout.degrees[i]):
             for t, lt in enumerate(layout.degrees[j]):
-                block = _expand_block(so3, params, f"expand/off/{zi}.{zj}/{s}.{t}", ls, lt)
+                block = _expand_block(feats, params, f"expand/off/{zi}.{zj}/{s}.{t}", ls, lt)
                 placed.append((layout.offsets[i][s], layout.offsets[j][t], block))
     dense = ad.paste_blocks((layout.dim, layout.dim), placed)
     sym = ad.mul(ad.add(dense, ad.transpose(dense)), 0.5)
@@ -320,8 +321,13 @@ def matrix_to_bytes(H: BlockMatrix) -> bytes:
 def matrix_from_bytes(blob: bytes) -> BlockMatrix:
     if blob[:8] != BINARY_MAGIC:
         raise ValueError("bad magic in binary matrix file")
+    if len(blob) < 16:
+        raise ValueError("binary matrix file ends inside its header")
     (n,) = struct.unpack("<q", blob[8:16])
-    data = np.frombuffer(blob[16:16 + 8 * n * n], dtype="<f8").reshape(n, n).copy()
+    if n < 0 or len(blob) != 16 + 8 * n * n:
+        raise ValueError(f"binary matrix file has {len(blob)} bytes, but N = {n} "
+                         f"needs 16 + 8 N^2")
+    data = np.frombuffer(blob[16:], dtype="<f8").reshape(n, n).copy()
     return BlockMatrix(data, None)
 
 

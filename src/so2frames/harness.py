@@ -63,12 +63,9 @@ class RunReport:
         return lines
 
 
-def _max_feature_dev(a: list[So3Features], b: list[So3Features]) -> float:
-    dev = 0.0
-    for fa, fb in zip(a, b):
-        for x, y in zip(fa.as_arrays(), fb.as_arrays()):
-            dev = max(dev, float(np.max(np.abs(x - y))))
-    return dev
+def _max_feature_dev(a: So3Features, b: So3Features) -> float:
+    return max((float(np.max(np.abs(x - y), initial=0.0))
+                for x, y in zip(a.as_arrays(), b.as_arrays())), default=0.0)
 
 
 def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
@@ -81,20 +78,20 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     (Wigner rotation), pair features (mapped out of their local frames),
     and the assembled matrix (block rotation oracle).  The first trial of
     the rotation stream is the identity so the zero-deviation case is
-    always exercised.  ``corrupt_wigner`` perturbs one cached frame matrix
-    to prove the audit detects broken rotations.
+    always exercised.  ``corrupt_wigner`` perturbs the cached degree-1
+    matrix of the first edge frame to prove the audit detects broken
+    rotations.
     """
     report = RunReport("check-equiv", config.to_json_obj(), seed)
     rng = stream(seed, "check-equiv")
     prepared = prepare_graph(graph, config)
     if corrupt_wigner:
-        key = next(iter(sorted(prepared.edge_frames)))
-        frame = prepared.edge_frames[key]
-        frame.d_in[1] = frame.d_in[1] + 0.05
+        d1 = prepared.frame.d_in[1].copy()
+        d1[:1] += 0.05
+        prepared.frame.d_in[1] = d1
     h0, x0 = forward(graph, params, config, prepared)
     H0 = predict(graph, params, config, prepared)
-    pair0 = {key: from_local(prepared.edge_frames[key], feats, config.node_layout)
-             for key, feats in x0.items()}
+    pair0 = from_local(prepared.frame, x0, config.node_layout)
     node_dev = pair_dev = block_dev = 0.0
     identity_dev = None
     for trial in range(trials):
@@ -104,13 +101,10 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
         rot_graph = build_graph(graph.numbers, rot_graph_positions, graph.cutoff)
         rot_prepared = prepare_graph(rot_graph, config)
         h1, x1 = forward(rot_graph, params, config, rot_prepared)
-        trial_node = _max_feature_dev(h1, [rotate_so3(h, R) for h in h0])
+        trial_node = _max_feature_dev(h1, rotate_so3(h0, R))
         node_dev = max(node_dev, trial_node)
-        pair1 = {key: from_local(rot_prepared.edge_frames[key], feats, config.node_layout)
-                 for key, feats in x1.items()}
-        trial_pair = _max_feature_dev(
-            [pair1[k] for k in sorted(pair1)],
-            [rotate_so3(pair0[k], R) for k in sorted(pair0)])
+        pair1 = from_local(rot_prepared.frame, x1, config.node_layout)
+        trial_pair = _max_feature_dev(pair1, rotate_so3(pair0, R))
         pair_dev = max(pair_dev, trial_pair)
         H1 = predict(rot_graph, params, config, rot_prepared)
         trial_block = float(np.max(np.abs(H1.array - block_rotate(H0, R).array)))

@@ -9,6 +9,10 @@ Conventions fixed here and relied on everywhere else:
   for ``m = 0``.  The pair ``(x_{-m}, x_{+m})`` is read as the complex
   number ``x_{+m} + i x_{-m}``; a planar rotation by ``phi`` multiplies it
   by ``e^{i m phi}``.
+* Blocks may carry leading batch axes, ``(..., multiplicity, dim)``, shared
+  by every block of a container: one container then holds the features of
+  all nodes ``(N, ...)`` or all edges ``(E, ...)``.  The channel axis is
+  always -2 and the component axis -1.
 * Real spherical harmonics are orthonormal over the unit sphere and carry
   no Condon-Shortley phase; the polar axis is the fixed target axis of the
   local frames (the z-axis, see :mod:`so2frames.frames`).
@@ -131,9 +135,9 @@ def so2_layout(entries) -> IrrepsLayout:
     return IrrepsLayout(SO2, tuple(sorted(entries)))
 
 
-def _block_shape(block) -> tuple[int, ...]:
-    # blocks are numpy arrays or autodiff Vars; both expose .shape
-    return tuple(block.shape)
+def batch_size(block) -> int:
+    """Number of items in a block's leading batch axes (1 without any)."""
+    return math.prod(block.shape[:-2])
 
 
 class _Features:
@@ -148,14 +152,22 @@ class _Features:
         if len(blocks) != len(layout.entries):
             raise LayoutError(
                 f"{len(layout.entries)} layout entries but {len(blocks)} blocks")
+        # blocks are numpy arrays or autodiff Vars; both expose .shape
+        batch = tuple(blocks[0].shape[:-2]) if blocks else ()
         for (idx, mult), block in zip(layout.entries, blocks):
-            expect = (mult, layout.component_dim(idx))
-            if _block_shape(block) != expect:
+            expect = batch + (mult, layout.component_dim(idx))
+            if tuple(block.shape) != expect:
                 raise LayoutError(
-                    f"block for index {idx} has shape {_block_shape(block)}, "
+                    f"block for index {idx} has shape {tuple(block.shape)}, "
                     f"expected {expect}")
         self.layout = layout
         self.blocks = blocks
+        self.batch_shape = batch
+
+    @classmethod
+    def zeros(cls, layout: IrrepsLayout, batch_shape=()):
+        return cls(layout, [np.zeros(tuple(batch_shape) + layout.block_shape(idx))
+                            for idx in layout.indices])
 
     def block(self, index: int):
         for (idx, _), block in zip(self.layout.entries, self.blocks):
@@ -205,19 +217,11 @@ class So3Features(_Features):
 
     kind = SO3
 
-    @classmethod
-    def zeros(cls, layout: IrrepsLayout) -> "So3Features":
-        return cls(layout, [np.zeros(layout.block_shape(l)) for l in layout.indices])
-
 
 class So2Features(_Features):
     """Multi-channel SO(2) irrep coefficients, one block per order."""
 
     kind = SO2
-
-    @classmethod
-    def zeros(cls, layout: IrrepsLayout) -> "So2Features":
-        return cls(layout, [np.zeros(layout.block_shape(m)) for m in layout.indices])
 
     def complex_view(self) -> dict[int, np.ndarray]:
         """Per order m>0: the channels as x_{+m} + i x_{-m}."""
@@ -226,7 +230,7 @@ class So2Features(_Features):
             if m == 0:
                 continue
             arr = np.asarray(getattr(block, "value", block))
-            out[m] = arr[:, 1] + 1j * arr[:, 0]
+            out[m] = arr[..., 1] + 1j * arr[..., 0]
         return out
 
 

@@ -5,21 +5,27 @@ inside SO(2) local frames:
 
 * node track: gated self-interaction, per-edge messages mixed by SO(2)
   Linear + Gate inside the edge frame and scaled by an invariant MLP of
-  pair geometry, exact-sum aggregation, gated self-interaction, skip,
-  norm-based equivariant LayerNorm, then a v-fold SO(2) tensor-product
-  update inside the nearest-neighbor frame.
+  pair geometry, order-independent aggregation, gated self-interaction,
+  skip, norm-based equivariant LayerNorm, then a v-fold SO(2)
+  tensor-product update inside the nearest-neighbor frame.
 * pair track: per-edge SO(2) features kept in their own edge frame,
   updated by an SO(2) feed-forward block on the frame projections of the
   two endpoint features, with skip connection and SO(2) LayerNorm.
+
+Features are batched: the node track is one So3Features whose blocks are
+(N, C, 2l+1), the pair track one So2Features whose blocks are (E, C, 1|2)
+over the directed edges in (i, j) order, and every stage is a fixed number
+of array operations per layer, whatever the size of the molecule.
 
 Parameters live in a flat ``{name: array}`` dict so that checkpointing,
 gradient bookkeeping, and the optimizer stay trivial.  The forward pass
 runs on plain ndarrays for inference and on autodiff Vars for training;
 model code never branches on which.
 
-Edge aggregation uses exact (order-independent) summation, so atom
-relabeling permutes outputs bit-for-bit, and only relative positions are
-consumed, so rigid translations leave outputs unchanged.
+Each item's result depends only on that item, and messages are added by
+a sorted segment sum (:func:`autodiff.segment_sum`), so atom relabeling
+permutes outputs bit-for-bit; only relative positions are consumed, so
+rigid translations leave outputs unchanged.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .counters import OpCounter
-from .frames import (TARGET_AXIS, Frame, frame_from_direction, frames_from_directions,
-                     from_local, so2_layout_of, to_local)
+from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
 from .graph import MoleculeGraph
 from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so2_layout
 from .sampling import stream
@@ -64,15 +69,7 @@ class ModelConfig:
     cutoff: float = 15.0
     elements: tuple[int, ...] = (1, 6, 7, 8, 9)
     basis: tuple[tuple[int, tuple[int, ...]], ...] = tuple(sorted(DEFAULT_BASIS.items()))
-    m_max: int | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        # the regrouped node layout has every order up to l_max, and the
-        # tensor-product layouts must have the same orders
-        if self.m_max is not None and self.m_max != self.l_max:
-            raise ValueError(f"m_max {self.m_max} is not supported: it must equal "
-                             f"l_max {self.l_max} or be left unset")
 
     @property
     def node_layout(self) -> IrrepsLayout:
@@ -81,10 +78,6 @@ class ModelConfig:
     @property
     def l_max(self) -> int:
         return self.node_layout.max_index
-
-    @property
-    def order_max(self) -> int:
-        return self.l_max if self.m_max is None else self.m_max
 
     @property
     def basis_map(self) -> dict[int, tuple[int, ...]]:
@@ -102,13 +95,14 @@ class ModelConfig:
             "cutoff": self.cutoff,
             "elements": list(self.elements),
             "basis": {str(z): list(orbs) for z, orbs in self.basis},
-            "m_max": self.m_max,
+            # SO(2) orders always run up to l_max; the key keeps the format
+            "m_max": None,
             "seed": self.seed,
         }
 
     @classmethod
     def from_json_obj(cls, doc) -> "ModelConfig":
-        return cls(
+        config = cls(
             node_irreps=doc["node_irreps"],
             layers=doc["layers"],
             tp_arity=doc["tp_arity"],
@@ -119,9 +113,15 @@ class ModelConfig:
             cutoff=doc["cutoff"],
             elements=tuple(doc["elements"]),
             basis=tuple(sorted((int(z), tuple(orbs)) for z, orbs in doc["basis"].items())),
-            m_max=doc.get("m_max"),
             seed=doc.get("seed", 0),
         )
+        # the regrouped node layout has every order up to l_max, and the
+        # tensor-product layouts must have the same orders
+        m_max = doc.get("m_max")
+        if m_max is not None and m_max != config.l_max:
+            raise ValueError(f"m_max {m_max} is not supported: it must equal "
+                             f"l_max {config.l_max} or be null")
+        return config
 
 
 # ---------------------------------------------------------------------------
@@ -130,46 +130,56 @@ class ModelConfig:
 
 @dataclass
 class PreparedGraph:
-    """Per-graph caches: frames, radial features, neighbor lists."""
+    """Per-graph geometry as arrays over the directed edges in (i, j) order.
 
-    edge_frames: dict[tuple[int, int], Frame]
-    node_frames: list[Frame | None]              # None for an atom without neighbors
-    edge_rbf: dict[tuple[int, int], np.ndarray]
-    neighbor_lists: list[list[tuple[int, int]]]  # per node, ascending-j edge keys
-    edge_keys: list[tuple[int, int]]             # sorted directed edges
+    ``src`` and ``dst`` (E,) are the endpoints of each edge; ``frame`` is
+    the batched frame of the edge directions, ``d_in[l]`` of shape
+    (E, 2l+1, 2l+1); ``rbf`` (E, K) holds the radial features of the edge
+    lengths; ``node_edge`` (N,) is the index of each atom's nearest-neighbor
+    edge (ties go to the smaller neighbor index), or -1 for an atom without
+    neighbors.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    frame: Frame
+    rbf: np.ndarray
+    node_edge: np.ndarray
 
 
-def rbf(distance: float, config: ModelConfig) -> np.ndarray:
+def rbf(distance, config: ModelConfig) -> np.ndarray:
     """Gaussian radial basis with a smooth cosine cutoff envelope.
 
     Centers are uniform on (0, cutoff], width cutoff/K; the envelope
     0.5 (1 + cos(pi r / cutoff)) brings every basis value to zero at the
-    cutoff.  Raises ValueError outside (0, cutoff].
+    cutoff.  Distances of shape (...) give (..., K).  Raises ValueError
+    for a distance outside (0, cutoff].
     """
     K = config.rbf_size
     cut = config.cutoff
-    if not 0.0 < distance <= cut:
-        raise ValueError(f"distance {distance} outside (0, {cut}]")
+    d = np.asarray(distance, dtype=np.float64)
+    inside = (d > 0.0) & (d <= cut)
+    if not np.all(inside):
+        raise ValueError(f"distance {d[~inside].ravel()[0]} outside (0, {cut}]")
     centers = np.linspace(cut / K, cut, K)
     width = cut / K
-    envelope = 0.5 * (1.0 + math.cos(math.pi * distance / cut))
-    return envelope * np.exp(-((distance - centers) ** 2) / (2.0 * width * width))
+    envelope = 0.5 * (1.0 + np.cos(np.pi * d / cut))
+    return envelope[..., None] * np.exp(-((d[..., None] - centers) ** 2) / (2.0 * width * width))
 
 
 def prepare_graph(graph: MoleculeGraph, config: ModelConfig) -> PreparedGraph:
     edges = sorted(graph.edges, key=lambda e: (e.i, e.j))
-    keys = [(e.i, e.j) for e in edges]
+    src = np.array([e.i for e in edges], dtype=np.int64)
+    dst = np.array([e.j for e in edges], dtype=np.int64)
     directions = np.array([e.direction for e in edges]).reshape(-1, 3)
-    edge_frames = dict(zip(keys, frames_from_directions(directions, config.l_max)))
-    edge_rbf = {(e.i, e.j): rbf(e.distance, config) for e in edges}
-    node_frames = []
-    neighbor_lists = []
-    for i in range(graph.n_atoms):
-        nbrs = graph.neighbors(i)
-        neighbor_lists.append([(e.i, e.j) for e in nbrs])
-        nearest = graph.nearest_neighbor(i)
-        node_frames.append(None if nearest is None else edge_frames[(nearest.i, nearest.j)])
-    return PreparedGraph(edge_frames, node_frames, edge_rbf, neighbor_lists, keys)
+    distance = np.array([e.distance for e in edges])
+    # each atom's nearest neighbor is its first edge by (distance, j)
+    order = np.lexsort((dst, distance, src))
+    atoms, first = np.unique(src[order], return_index=True)
+    node_edge = np.full(graph.n_atoms, -1)
+    node_edge[atoms] = order[first]
+    return PreparedGraph(src, dst, frames_from_directions(directions, config.l_max),
+                         rbf(distance, config), node_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +198,8 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
     s_width = sum(c for _, c in layout.entries)
     F = config.invariant_width
     K = config.rbf_size
-    tp_layout = uniform_so2(config.order_max, config.tp_channels)
-    ffn_layout = uniform_so2(config.order_max, config.ffn_channels)
+    tp_layout = uniform_so2(config.l_max, config.tp_channels)
+    ffn_layout = uniform_so2(config.l_max, config.ffn_channels)
     params: dict[str, np.ndarray] = {}
 
     params["embed/table"] = uniform_init(rng, (len(config.elements), layout.mult(0)))
@@ -197,7 +207,7 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
     params["pair0/r_lin"] = uniform_init(rng, (F, K))
     init_mlp(params, "pair0/mlp", [F, F, F, reg.mult(0)], rng)
 
-    paths = enumerate_tp_paths(config.order_max, config.tp_arity)
+    paths = enumerate_tp_paths(config.l_max, config.tp_arity)
     for n in range(config.layers):
         p = f"L{n}"
         for half in ("self1", "self2"):
@@ -242,44 +252,56 @@ def _self_interaction(h: So3Features, params, prefix) -> So3Features:
     return so2_gate(So3Features(h.layout, blocks), params, f"{prefix}/gate")
 
 
-def add_so3(a: So3Features, b: So3Features) -> So3Features:
-    return So3Features(a.layout, [ad.add(x, y) for x, y in zip(a.blocks, b.blocks)])
+def add_features(a, b):
+    """Blockwise sum of two feature containers of one type and layout."""
+    return type(a)(a.layout, [ad.add(x, y) for x, y in zip(a.blocks, b.blocks)])
 
 
-def add_so2(a: So2Features, b: So2Features) -> So2Features:
-    return So2Features(a.layout, [ad.add(x, y) for x, y in zip(a.blocks, b.blocks)])
+def gather(features, index):
+    """The items of batched features at an index array (a new leading axis)."""
+    return features.map_blocks(lambda block: ad.take(block, index))
 
 
 # ---------------------------------------------------------------------------
 # architecture pieces
 # ---------------------------------------------------------------------------
 
-def node_embed(z: int, params, config: ModelConfig) -> So3Features:
-    """Element embedding: learned l = 0 row, zero higher degrees."""
-    if z not in config.elements:
-        raise ValueError(f"element {z} not in configured set {config.elements}")
-    idx = config.elements.index(z)
+def node_embed(numbers, params, config: ModelConfig) -> So3Features:
+    """Element embedding: learned l = 0 row, zero higher degrees.
+
+    ``numbers`` is one atomic number or an array of them, whose shape
+    becomes the leading batch shape of the features.
+    """
+    numbers = np.asarray(numbers)
+    match = numbers[..., None] == np.asarray(config.elements)
+    known = match.any(axis=-1)
+    if not np.all(known):
+        raise ValueError(f"element {numbers[~known].ravel()[0]} not in configured set "
+                         f"{config.elements}")
     layout = config.node_layout
-    row = ad.take(params["embed/table"], idx)
-    blocks = [ad.reshape(row, (layout.mult(0), 1))]
-    for l in layout.indices[1:]:
-        blocks.append(np.zeros(layout.block_shape(l)))
-    return So3Features(layout, blocks)
+    rows = ad.take(params["embed/table"], match.argmax(axis=-1))
+    zeros = So3Features.zeros(layout, numbers.shape).blocks
+    return So3Features(layout, [ad.reshape(rows, zeros[0].shape)] + list(zeros[1:]))
 
 
 def degree_inner_products(hi: So3Features, hj: So3Features):
-    """Concatenated channel-wise per-degree inner products (rotation invariant)."""
+    """Concatenated channel-wise per-degree inner products (rotation
+    invariant), on the last axis: (..., sum of multiplicities)."""
     if hi.layout != hj.layout:
         raise ValueError("inner products need a shared layout")
-    parts = [ad.sum_axis(ad.mul(bi, bj), axis=1)
+    parts = [ad.sum_axis(ad.mul(bi, bj), axis=-1)
              for (_, bi), (_, bj) in zip(hi.items(), hj.items())]
-    return ad.concat(parts, axis=0)
+    return ad.concat(parts, axis=-1)
 
 
 def _invariant_mix(params, prefix, s_ij, rbf_vec):
-    """MLP(Linear(s) * Linear(rbf)), the shared invariant mixing block."""
-    a = ad.matmul(params[f"{prefix}/s_lin"], s_ij)
-    b = ad.matmul(params[f"{prefix}/r_lin"], rbf_vec)
+    """MLP(Linear(s) * Linear(rbf)), the shared invariant mixing block.
+
+    ``s_ij`` (..., S) and ``rbf_vec`` (..., K) give a column (..., out, 1).
+    """
+    s_col = ad.reshape(s_ij, ad.value_of(s_ij).shape + (1,))
+    a = ad.matmul(params[f"{prefix}/s_lin"], s_col)
+    b = ad.matmul(params[f"{prefix}/r_lin"], np.asarray(rbf_vec)[..., None])
     return mlp(ad.mul(a, b), params, f"{prefix}/mlp")
 
 
@@ -288,71 +310,59 @@ def pair_embed(params, s_ij, rbf_vec):
     return _invariant_mix(params, "pair0", s_ij, rbf_vec)
 
 
-def _scale_per_order(scale_vec, node_layout: IrrepsLayout, reg: IrrepsLayout):
-    """Broadcast per-(degree, channel) scales to regrouped order blocks.
-
-    ``scale_vec`` has one entry per (degree, channel) slot of the node
-    layout; each order-m block receives the slots of every degree >= m in
-    ascending-degree order, so a channel keeps one scale across all its
-    orders.
-    """
-    offsets = {}
-    off = 0
-    for l, c in node_layout.entries:
-        offsets[l] = (off, c)
-        off += c
-    per_order = {}
-    for m in reg.indices:
-        parts = [ad.take(scale_vec, slice(o, o + c))
-                 for l, (o, c) in offsets.items() if l >= m]
-        vec = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-        per_order[m] = ad.reshape(vec, (reg.mult(m), 1))
-    return per_order
+def _receiver_slots(src: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Where each atom's aggregation terms sit in the rows of
+    [own features (N); messages (E)]: slot 0 is the atom's own row, then
+    its edges in order, and -1 pads every atom to 1 + the largest degree.
+    ``src`` must be sorted."""
+    counts = np.bincount(src, minlength=n_atoms)
+    first = np.cumsum(counts) - counts
+    slots = np.full((n_atoms, 1 + counts.max(initial=0)), -1)
+    slots[:, 0] = np.arange(n_atoms)
+    edges = np.arange(len(src))
+    slots[src, 1 + edges - first[src]] = n_atoms + edges
+    return slots
 
 
-def message_pass(graph: MoleculeGraph, h: list[So3Features], params, config: ModelConfig,
+def message_pass(graph: MoleculeGraph, h: So3Features, params, config: ModelConfig,
                  prepared: PreparedGraph, layer: int,
-                 counter: OpCounter | None = None) -> list[So3Features]:
-    """Frame-based message passing.
+                 counter: OpCounter | None = None) -> So3Features:
+    """Frame-based message passing, all edges at once.
 
-    Gated self-interaction on the inputs; per edge the source features are
-    projected into the edge frame, mixed by SO(2) Linear + Gate, scaled by
-    an invariant MLP of (inner products, radial basis), and projected
-    back; the node's own gated features and its messages are aggregated by
-    exact summation and passed through a second gated self-interaction.
-    Inner products are taken on the layer inputs.
+    Gated self-interaction on the inputs; every edge (i, j) projects the
+    features of j into its frame, mixes them by SO(2) Linear + Gate,
+    scales them by an invariant MLP of (inner products, radial basis) and
+    projects them back; each atom's own gated features and its messages
+    are added by an order-independent segment sum and passed through a
+    second gated self-interaction.  Inner products are taken on the layer
+    inputs.
     """
     p = f"L{layer}"
     layout = config.node_layout
-    reg = so2_layout_of(layout)
-    g1 = [_self_interaction(hi, params, f"{p}/self1") for hi in h]
-    out = []
-    for i in range(graph.n_atoms):
-        terms_per_degree = {l: [] for l in layout.indices}
-        for l, block in g1[i].items():
-            terms_per_degree[l].append(block)
-        for (ei, ej) in prepared.neighbor_lists[i]:
-            frame = prepared.edge_frames[(ei, ej)]
-            local = to_local(frame, g1[ej], counter)
-            mixed = so2_gate(so2_linear(local, params, f"{p}/msg/lin", counter),
-                             params, f"{p}/msg/gate")
-            s_ij = degree_inner_products(h[ei], h[ej])
-            scale_vec = _invariant_mix(params, f"{p}/msg/scale", s_ij,
-                                       prepared.edge_rbf[(ei, ej)])
-            scales = _scale_per_order(scale_vec, layout, reg)
-            scaled = So2Features(mixed.layout,
-                                 [ad.mul(mixed.block(m), scales[m]) for m in mixed.layout.indices])
-            msg = from_local(frame, scaled, layout, counter)
-            for l, block in msg.items():
-                terms_per_degree[l].append(block)
-        agg = So3Features(layout, [ad.exact_sum(terms_per_degree[l]) for l in layout.indices])
-        out.append(_self_interaction(agg, params, f"{p}/self2"))
-    return out
+    src, dst = prepared.src, prepared.dst
+    g1 = _self_interaction(h, params, f"{p}/self1")
+    local = to_local(prepared.frame, gather(g1, dst), counter)
+    mixed = so2_gate(so2_linear(local, params, f"{p}/msg/lin", counter),
+                     params, f"{p}/msg/gate")
+    scale = _invariant_mix(params, f"{p}/msg/scale",
+                           degree_inner_products(gather(h, src), gather(h, dst)), prepared.rbf)
+    # the scale has one slot per (degree, channel), ascending degree; order
+    # m holds the channels of every degree l >= m, so it takes the slots
+    # from degree m on, and a channel keeps one scale across all its orders
+    scaled = []
+    for m, block in mixed.items():
+        start = sum(c for l, c in layout.entries if l < m)
+        scaled.append(ad.mul(block, ad.take(scale, (..., slice(start, None), slice(None)))))
+    msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout, counter)
+    slots = _receiver_slots(src, len(prepared.node_edge))
+    agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), slots)
+           for own, incoming in zip(g1.blocks, msg.blocks)]
+    return _self_interaction(So3Features(layout, agg), params, f"{p}/self2")
 
 
-def node_update_so2tp(graph: MoleculeGraph, h: list[So3Features], params,
+def node_update_so2tp(graph: MoleculeGraph, h: So3Features, params,
                       config: ModelConfig, prepared: PreparedGraph, layer: int,
-                      counter: OpCounter | None = None) -> list[So3Features]:
+                      counter: OpCounter | None = None) -> So3Features:
     """v-fold SO(2) tensor-product update in the nearest-neighbor frame.
 
     The regrouped frame features are first projected to a uniform-width
@@ -368,42 +378,28 @@ def node_update_so2tp(graph: MoleculeGraph, h: list[So3Features], params,
     """
     p = f"L{layer}"
     layout = config.node_layout
-    paths = enumerate_tp_paths(config.order_max, config.tp_arity)
+    paths = enumerate_tp_paths(config.l_max, config.tp_arity)
     weights = [params[f"{p}/tp/w/{k}"] for k in range(len(paths))]
-    out = []
-    for i in range(graph.n_atoms):
-        frame = prepared.node_frames[i]
-        isolated = frame is None
-        if isolated:
-            frame = frame_from_direction(TARGET_AXIS, layout.max_index)
-        local = to_local(frame, h[i], counter)
-        u = so2_linear(local, params, f"{p}/tp/pre", counter)
-        fused = so2_tp_contract([u] * config.tp_arity, paths, weights, counter)
-        y = so2_linear(fused, params, f"{p}/tp/post", counter)
-        update = from_local(frame, y, layout, counter)
-        if isolated:
-            out.append(So3Features(layout, [ad.add(b, update.block(0)) if l == 0 else b
-                                            for l, b in h[i].items()]))
-        else:
-            out.append(add_so3(h[i], update))
-    return out
+    frame = prepared.frame.take(prepared.node_edge)
+    local = to_local(frame, h, counter)
+    u = so2_linear(local, params, f"{p}/tp/pre", counter)
+    fused = so2_tp_contract([u] * config.tp_arity, paths, weights, counter)
+    y = so2_linear(fused, params, f"{p}/tp/post", counter)
+    update = from_local(frame, y, layout, counter)
+    connected = (prepared.node_edge >= 0).astype(np.float64)[:, None, None]
+    return So3Features(layout, [ad.add(b, du if l == 0 else ad.mul(du, connected))
+                                for (l, b), du in zip(h.items(), update.blocks)])
 
 
-def offdiag_update(graph: MoleculeGraph, h: list[So3Features],
-                   x_pair: dict[tuple[int, int], So2Features], params,
+def offdiag_update(graph: MoleculeGraph, h: So3Features, x_pair: So2Features, params,
                    config: ModelConfig, prepared: PreparedGraph, layer: int,
-                   counter: OpCounter | None = None) -> dict[tuple[int, int], So2Features]:
+                   counter: OpCounter | None = None) -> So2Features:
     """Pair-track update: FFN on the frame projections, skip, SO(2) LayerNorm."""
     p = f"L{layer}"
-    out = {}
-    for key in prepared.edge_keys:
-        i, j = key
-        frame = prepared.edge_frames[key]
-        mi = to_local(frame, h[i], counter)
-        mj = to_local(frame, h[j], counter)
-        f = so2_ffn(mi, mj, params, f"{p}/ffn", counter)
-        out[key] = so2_layernorm(add_so2(x_pair[key], f), params, f"{p}/ln_pair")
-    return out
+    mi = to_local(prepared.frame, gather(h, prepared.src), counter)
+    mj = to_local(prepared.frame, gather(h, prepared.dst), counter)
+    f = so2_ffn(mi, mj, params, f"{p}/ffn", counter)
+    return so2_layernorm(add_features(x_pair, f), params, f"{p}/ln_pair")
 
 
 def forward(graph: MoleculeGraph, params, config: ModelConfig,
@@ -411,28 +407,21 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
             counter: OpCounter | None = None):
     """Full forward pass.
 
-    Returns (per-node So3Features, per-directed-edge So2Features in the
-    edge's own frame).  Deterministic: edges are processed in sorted
-    order and aggregation is exact summation.
+    Returns (So3Features batched over atoms, So2Features batched over the
+    directed edges of ``prepared``, each in the edge's own frame).
+    Deterministic, and each atom's and edge's result is independent of
+    its position in the batch.
     """
     if prepared is None:
         prepared = prepare_graph(graph, config)
-    layout = config.node_layout
-    reg = so2_layout_of(layout)
-    h = [node_embed(int(z), params, config) for z in graph.numbers]
-    x_pair = {}
-    for key in prepared.edge_keys:
-        i, j = key
-        s_ij = degree_inner_products(h[i], h[j])
-        inv = pair_embed(params, s_ij, prepared.edge_rbf[key])
-        blocks = [ad.reshape(inv, (reg.mult(0), 1))]
-        for m in reg.indices[1:]:
-            blocks.append(np.zeros(reg.block_shape(m)))
-        x_pair[key] = So2Features(reg, blocks)
+    reg = so2_layout_of(config.node_layout)
+    h = node_embed(graph.numbers, params, config)
+    s = degree_inner_products(gather(h, prepared.src), gather(h, prepared.dst))
+    zeros = So2Features.zeros(reg, prepared.src.shape).blocks
+    x_pair = So2Features(reg, [pair_embed(params, s, prepared.rbf)] + list(zeros[1:]))
     for n in range(config.layers):
         msg = message_pass(graph, h, params, config, prepared, n, counter)
-        h = [so2_layernorm(add_so3(h[i], msg[i]), params, f"L{n}/ln_node")
-             for i in range(graph.n_atoms)]
+        h = so2_layernorm(add_features(h, msg), params, f"L{n}/ln_node")
         h = node_update_so2tp(graph, h, params, config, prepared, n, counter)
         x_pair = offdiag_update(graph, h, x_pair, params, config, prepared, n, counter)
     return h, x_pair
@@ -448,7 +437,7 @@ def predict(graph: MoleculeGraph, params, config: ModelConfig,
         prepared = prepare_graph(graph, config)
     h, x_pair = forward(graph, params, config, prepared, counter)
     layout = build_orbital_layout(graph.numbers, config.basis_map)
-    return assemble(h, x_pair, prepared.edge_frames, params, layout, graph, config)
+    return assemble(h, x_pair, prepared, params, layout, graph, config)
 
 
 # ---------------------------------------------------------------------------

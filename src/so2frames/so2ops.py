@@ -7,6 +7,10 @@ the autodiff primitives, so gradients with respect to inputs and
 parameters come from the same code path.  Blocks follow the container
 conventions of :mod:`so2frames.irreps`: order m > 0 pairs are
 ``(x_{-m}, x_{+m})`` read as the complex number ``x_{+m} + i x_{-m}``.
+Blocks may carry leading batch axes: every operation indexes components
+on axis -1 and channels on axis -2, so one call acts on all nodes or all
+edges at once, and each item's result depends only on that item.  Counter
+increments scale with the number of items.
 
 Weights live in a flat ``{name: array}`` dict: each operation reads its
 own under a name prefix, and the ``init_*`` helpers write them there.
@@ -14,6 +18,7 @@ own under a name prefix, and the ``init_*`` helpers write them there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .counters import OpCounter
-from .irreps import IrrepsLayout, So2Features, so2_layout
+from .irreps import IrrepsLayout, So2Features, batch_size, so2_layout
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +95,18 @@ def init_so2_ffn(params: dict, prefix: str, in_layout: IrrepsLayout,
 # ---------------------------------------------------------------------------
 
 def mlp(v, params: dict, prefix: str):
-    """Fully connected net ``{prefix}/{k}/W|b``: SiLU on hidden layers, linear output."""
+    """Fully connected net ``{prefix}/{k}/W|b``: SiLU on hidden layers, linear output.
+
+    ``v`` holds its features on axis -2 as a column, ``(..., in, 1)``, and
+    the result is ``(..., out, 1)``.
+    """
     n = 0
     while f"{prefix}/{n}/W" in params:
         n += 1
     out = v
     for k in range(n):
-        out = ad.add(ad.matmul(params[f"{prefix}/{k}/W"], out), params[f"{prefix}/{k}/b"])
+        bias = ad.reshape(params[f"{prefix}/{k}/b"], (-1, 1))
+        out = ad.add(ad.matmul(params[f"{prefix}/{k}/W"], out), bias)
         if k != n - 1:
             out = ad.silu(out)
     return out
@@ -105,6 +115,10 @@ def mlp(v, params: dict, prefix: str):
 # ---------------------------------------------------------------------------
 # SO(2) Linear
 # ---------------------------------------------------------------------------
+
+# multiplication by i of x_{+m} + i x_{-m}: (x_{-m}, x_{+m}) -> (x_{+m}, -x_{-m})
+_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
 
 def so2_linear(x: So2Features, params: dict, prefix: str,
                counter: OpCounter | None = None) -> So2Features:
@@ -132,18 +146,13 @@ def so2_linear(x: So2Features, params: dict, prefix: str,
         if m == 0:
             out = ad.matmul(w1, block)
             if counter is not None:
-                counter.add("so2_linear", c_out * c_in)
+                counter.add("so2_linear", c_out * c_in * batch_size(block))
         else:
-            w2 = params[f"{prefix}/{m}/w2"]
-            a = ad.matmul(w1, block)   # (C_out, 2): (w1 x-, w1 x+)
-            b = ad.matmul(w2, block)   # (C_out, 2): (w2 x-, w2 x+)
-            minus = ad.add(ad.take(a, (slice(None), slice(0, 1))),
-                           ad.take(b, (slice(None), slice(1, 2))))
-            plus = ad.sub(ad.take(a, (slice(None), slice(1, 2))),
-                          ad.take(b, (slice(None), slice(0, 1))))
-            out = ad.concat([minus, plus], axis=1)
+            # (w1 + i w2) x = w1 x + w2 (i x)
+            turned = ad.matmul(block, _TURN)
+            out = ad.add(ad.matmul(w1, block), ad.matmul(params[f"{prefix}/{m}/w2"], turned))
             if counter is not None:
-                counter.add("so2_linear", 4 * c_out * c_in)
+                counter.add("so2_linear", 4 * c_out * c_in * batch_size(block))
         entries.append((m, c_out))
         blocks.append(out)
     return So2Features(so2_layout(entries), blocks)
@@ -164,17 +173,17 @@ def so2_gate(x, params: dict, prefix: str):
     gate.
     """
     c0 = x.layout.mult(0)
-    v = ad.reshape(x.block(0), (c0,))
-    out = mlp(v, params, f"{prefix}/mlp")
+    out = mlp(x.block(0), params, f"{prefix}/mlp")
     gated = [(m, c) for m, c in x.layout.entries if m > 0]
-    if ad.value_of(out).shape[0] != c0 + sum(c for _, c in gated):
+    if ad.value_of(out).shape[-2] != c0 + sum(c for _, c in gated):
         raise ValueError("gate MLP output width mismatch")
-    blocks = [ad.reshape(ad.take(out, slice(0, c0)), (c0, 1))]
-    offset = c0
+    blocks = [ad.take(out, (..., slice(0, c0), slice(None)))]
+    gates = ad.sigmoid(ad.take(out, (..., slice(c0, None), slice(None))))
+    offset = 0
     for m, c in gated:
-        gates = ad.sigmoid(ad.take(out, slice(offset, offset + c)))
+        blocks.append(ad.mul(x.block(m), ad.take(gates, (..., slice(offset, offset + c),
+                                                         slice(None)))))
         offset += c
-        blocks.append(ad.mul(x.block(m), ad.reshape(gates, (c, 1))))
     return type(x)(x.layout, blocks)
 
 
@@ -198,19 +207,19 @@ def so2_layernorm(x, params: dict, prefix: str):
         b = params[f"{prefix}/{m}/b"]
         c = x.layout.mult(m)
         if m == 0:
-            mu = ad.mean_axis(block, axis=0, keepdims=True)
+            mu = ad.mean_axis(block, axis=-2, keepdims=True)
             centered = ad.sub(block, mu)
-            var = ad.mean_axis(ad.mul(centered, centered), axis=0, keepdims=True)
+            var = ad.mean_axis(ad.mul(centered, centered), axis=-2, keepdims=True)
             normed = ad.div(centered, ad.sqrt(ad.add(var, eps * eps)))
             out = ad.add(ad.mul(normed, ad.reshape(g, (c, 1))),
                          ad.reshape(b, (c, 1)))
         else:
-            sq = ad.sum_axis(ad.mul(block, block), axis=1, keepdims=True)
-            norm = ad.sqrt(ad.add(sq, eps * eps))           # (C, 1)
+            sq = ad.sum_axis(ad.mul(block, block), axis=-1, keepdims=True)
+            norm = ad.sqrt(ad.add(sq, eps * eps))           # (..., C, 1)
             direction = ad.div(block, norm)
-            mu = ad.mean_axis(norm, axis=0, keepdims=True)
+            mu = ad.mean_axis(norm, axis=-2, keepdims=True)
             centered = ad.sub(norm, mu)
-            var = ad.mean_axis(ad.mul(centered, centered), axis=0, keepdims=True)
+            var = ad.mean_axis(ad.mul(centered, centered), axis=-2, keepdims=True)
             scaled = ad.div(centered, ad.sqrt(ad.add(var, eps * eps)))
             affine = ad.add(ad.mul(scaled, ad.reshape(g, (c, 1))),
                             ad.reshape(b, (c, 1)))
@@ -231,40 +240,34 @@ def so2_tp_pair(x1, m1: int, x2, m2: int, sign: int,
     requires m1 > m2 and fuses to m1 - m2 (complex product x1 * conj(x2)).
     m = 0 operands act as real scalars.  Returns (block, m_out).
     """
-    c1 = ad.value_of(x1).shape[0]
-    c2 = ad.value_of(x2).shape[0]
+    c1 = ad.value_of(x1).shape[-2]
+    c2 = ad.value_of(x2).shape[-2]
     if c1 != c2:
         raise ValueError(f"channel mismatch: {c1} vs {c2}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if sign == -1 and m1 <= m2:
         raise ValueError(f"difference path needs m1 > m2, got {m1} <= {m2}")
+    items = batch_size(x1)
     if m2 == 0:
-        scalar = x2  # (C, 1) broadcasts over the pair columns
+        scalar = x2  # (..., C, 1) broadcasts over the pair columns
         out = ad.mul(x1, scalar)
         if counter is not None:
-            counter.add("so2_tp", c1 * (2 if m1 > 0 else 1))
+            counter.add("so2_tp", c1 * (2 if m1 > 0 else 1) * items)
         return out, m1
     if m1 == 0:
         out = ad.mul(x2, x1)
         if counter is not None:
-            counter.add("so2_tp", c1 * 2)
+            counter.add("so2_tp", c1 * 2 * items)
         return out, m2
-    a_m = ad.take(x1, (slice(None), slice(0, 1)))
-    a_p = ad.take(x1, (slice(None), slice(1, 2)))
-    b_m = ad.take(x2, (slice(None), slice(0, 1)))
-    b_p = ad.take(x2, (slice(None), slice(1, 2)))
-    if sign == +1:
-        minus = ad.add(ad.mul(a_m, b_p), ad.mul(a_p, b_m))
-        plus = ad.sub(ad.mul(a_p, b_p), ad.mul(a_m, b_m))
-        m_out = m1 + m2
-    else:
-        minus = ad.sub(ad.mul(a_m, b_p), ad.mul(a_p, b_m))
-        plus = ad.add(ad.mul(a_p, b_p), ad.mul(a_m, b_m))
-        m_out = m1 - m2
+    # x1 * x2 = x1 b+ + (i x1) b- and x1 * conj(x2) = x1 b+ - (i x1) b-
+    b_m = ad.take(x2, (..., slice(0, 1)))
+    b_p = ad.take(x2, (..., slice(1, 2)))
+    turned = ad.mul(ad.matmul(x1, _TURN), b_m)
+    out = (ad.add if sign == +1 else ad.sub)(ad.mul(x1, b_p), turned)
     if counter is not None:
-        counter.add("so2_tp", 4 * c1)
-    return ad.concat([minus, plus], axis=1), m_out
+        counter.add("so2_tp", 4 * c1 * items)
+    return out, m1 + sign * m2
 
 
 @dataclass(frozen=True)
@@ -337,6 +340,7 @@ def so2_tp_contract(features, paths, weights,
     if len(mults) != 1:
         raise ValueError("tensor product layout must have uniform multiplicity")
     channels = mults.pop()
+    batch = features[0].batch_shape
     if len(weights) != len(paths):
         raise ValueError(f"{len(paths)} paths but {len(weights)} weight arrays")
     arity = len(features)
@@ -372,18 +376,11 @@ def so2_tp_contract(features, paths, weights,
             raise AssertionError("path bookkeeping mismatch")
         weighted = ad.mul(block, ad.reshape(w, (channels, 1)))
         if counter is not None:
-            counter.add("so2_tp", channels * (2 if m_out > 0 else 1))
+            counter.add("so2_tp", channels * (2 if m_out > 0 else 1) * math.prod(batch))
         acc[m_out].append(weighted)
-    blocks = []
-    for m in layout.indices:
-        if acc[m]:
-            total = acc[m][0]
-            for term in acc[m][1:]:
-                total = ad.add(total, term)
-        else:
-            total = np.zeros(layout.block_shape(m))
-        blocks.append(total)
-    return So2Features(layout, blocks)
+    return So2Features(layout, [functools.reduce(ad.add, acc[m]) if acc[m]
+                                else np.zeros(batch + layout.block_shape(m))
+                                for m in layout.indices])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +395,7 @@ def concat_orders(a: So2Features, b: So2Features) -> So2Features:
     blocks = []
     for (m, ca), (_, cb) in zip(a.layout.entries, b.layout.entries):
         entries.append((m, ca + cb))
-        blocks.append(ad.concat([a.block(m), b.block(m)], axis=0))
+        blocks.append(ad.concat([a.block(m), b.block(m)], axis=-2))
     return So2Features(so2_layout(entries), blocks)
 
 

@@ -46,6 +46,14 @@ class TestRotation:
             rot = rotation_from_matrix(M)
             assert np.max(np.abs(rotation_from_euler(*rot.euler).matrix - M)) < 1e-12
 
+    @pytest.mark.parametrize("tilt", [10.0 ** -k for k in range(3, 13)] + [0.0])
+    @pytest.mark.parametrize("pole", [0.0, math.pi], ids=["north", "south"])
+    def test_euler_roundtrip_near_poles(self, tilt, pole):
+        # acos(R[2, 2]) and snapping to the pole lose a tilt below ~1e-6
+        R = rotation_from_euler(0.3, abs(pole - tilt), 0.2).matrix
+        rebuilt = rotation_from_euler(*rotation_from_matrix(R).euler)
+        assert np.max(np.abs(rebuilt.matrix - R)) < 1e-14
+
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError):
             rotation_from_matrix(np.diag([1.0, 1.0, -1.0]))  # determinant -1

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from so2frames.cli import main
 from so2frames.graph import build_graph, graph_from_json, sample_molecule
 from so2frames.harness import bench, brute_force_pair_paths, check_equivariance
-from so2frames.hamiltonian import matrix_loads, read_matrix
+from so2frames.hamiltonian import (BlockMatrix, layout_from_degrees, matrix_loads,
+                                   read_matrix, write_matrix)
 from so2frames.model import checkpoint_dumps, default_fit_config, init_params
 from so2frames.so2ops import enumerate_tp_paths
 
@@ -214,6 +216,30 @@ class TestBadInput:
                                        '{"z": 1, "pos": [NaN, 0.0, 1.5]}')
         self._assert_usage_error(["check-equiv", mol, "--trials", "1"], capsys)
 
+    @pytest.mark.parametrize("cutoff", ["NaN", "0.0", "-2.0"])
+    def test_bad_cutoff(self, tmp_path, capsys, cutoff):
+        # a NaN or non-positive cutoff would silently leave every atom isolated
+        path = tmp_path / "bad.json"
+        path.write_text('{"atoms": [{"z": 1, "pos": [0.0, 0.0, 0.0]}, '
+                        '{"z": 1, "pos": [0.0, 0.0, 1.5]}], "cutoff": %s}' % cutoff)
+        self._assert_usage_error(["check-equiv", str(path), "--trials", "1"], capsys)
+
+    @pytest.mark.parametrize("damage", ["trailing", "truncated", "negative"])
+    def test_malformed_binary_matrix(self, tmp_path, capsys, damage):
+        true = tmp_path / "H.json"
+        write_matrix(str(true), BlockMatrix(np.eye(3), layout_from_degrees([(0,), (0,), (0,)])))
+        good = tmp_path / "H.bin"
+        write_matrix(str(good), BlockMatrix(np.eye(3), None))
+        assert main(["metrics", str(good), str(true)]) == 0
+        blob = good.read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes({"trailing": blob + bytes(8), "truncated": blob[:-8],
+                         "negative": blob[:8] + struct.pack("<q", -1)}[damage])
+        capsys.readouterr()
+        assert main(["metrics", str(bad), str(true)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bytes" in err
+
     def test_element_missing_from_checkpoint(self, molecule_file, tmp_path, capsys):
         from so2frames.model import checkpoint_dumps
 
@@ -260,8 +286,17 @@ class TestFrameEdgeCases:
             assert report.checks[name]["max_error"] < 1e-9, name
         assert main(["check-equiv", mol, "--trials", "4"]) == 0
 
-    def test_unsupported_mmax_is_usage_error(self, molecule_file, capsys):
+    def test_unsupported_mmax_is_usage_error(self, molecule_file, tmp_path, capsys):
+        # SO(2) orders always run up to l_max: --mmax is no flag, and a
+        # checkpoint with another m_max is rejected
         assert main(["check-equiv", molecule_file, "--trials", "1", "--mmax", "1"]) == 2
+        assert "unrecognized arguments: --mmax 1" in capsys.readouterr().err
+        config = default_fit_config(graph_from_json(open(molecule_file).read()))
+        doc = json.loads(checkpoint_dumps(config, init_params(config)))
+        doc["config"]["m_max"] = 1
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        assert main(["check-equiv", molecule_file, str(ckpt), "--trials", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "m_max 1" in err and "l_max 2" in err
 
