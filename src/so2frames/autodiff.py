@@ -212,7 +212,8 @@ def einsum(subscripts: str, *operands):
 
     Every index of a differentiated operand must also appear in the output
     or in another operand (no internal traces), which holds for all uses in
-    this package.
+    this package.  Constant operands (CG and Wigner tables) get no cotangent,
+    so their subscripts may lack the ``...`` of a batched output.
     """
     values = [value_of(op) for op in operands]
     out = np.einsum(subscripts, *values)
@@ -222,6 +223,9 @@ def einsum(subscripts: str, *operands):
     def vjp(g):
         grads = []
         for i, spec in enumerate(specs):
+            if not is_var(operands[i]):
+                grads.append(None)
+                continue
             others = [s for j, s in enumerate(specs) if j != i]
             other_vals = [values[j] for j in range(len(values)) if j != i]
             sub = ",".join([out_spec] + others) + "->" + spec
@@ -390,22 +394,3 @@ def segment_sum(values, slots):
         return (grad[:-1],)
 
     return _node(out, (values,), vjp)
-
-
-def paste_blocks(shape, placed):
-    """Compose a dense matrix from (row, col, block) triples.
-
-    Overlapping placements accumulate.  The adjoint slices the cotangent
-    back out per block.
-    """
-    blocks = [b for (_, _, b) in placed]
-    values = [value_of(b) for b in blocks]
-    out = np.zeros(shape)
-    for (r, c, _), v in zip(placed, values):
-        out[r:r + v.shape[0], c:c + v.shape[1]] += v
-
-    def vjp(g):
-        return tuple(g[r:r + v.shape[0], c:c + v.shape[1]]
-                     for (r, c, _), v in zip(placed, values))
-
-    return _node(out, tuple(blocks), vjp)

@@ -315,22 +315,22 @@ def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
 
 
 def expansion(feature: So3Features, w: dict[int, np.ndarray], l1: int, l2: int):
-    """CG expansion of irrep features into a (2*l1+1, 2*l2+1) sub-block.
+    """CG expansion of irrep features into (..., 2*l1+1, 2*l2+1) sub-blocks.
 
-    ``w`` maps degree l3 to per-channel weights of shape ``(mult_l3,)``;
-    degrees in the triangle range missing from the feature or from ``w``
-    contribute zero.  Linear in both the feature and the weights.
+    ``w`` maps degree l3 to per-channel weights ``(..., mult_l3)`` with the
+    batch axes of the feature, so one call expands a batch of items, each
+    with its own weights; degrees in the triangle range missing from the
+    feature or from ``w`` contribute zero.  Linear in both arguments.
     """
-    dim1, dim2 = 2 * l1 + 1, 2 * l2 + 1
     total = None
     for l3 in range(abs(l1 - l2), l1 + l2 + 1):
         if l3 not in w or feature.layout.mult(l3) == 0:
             continue
         C = cg_table(l1, l2, l3)
-        term = ad.einsum("abc,uc,u->ab", C, feature.block(l3), w[l3])
+        term = ad.einsum("abc,...uc,...u->...ab", C, feature.block(l3), w[l3])
         total = term if total is None else ad.add(total, term)
     if total is None:
-        return np.zeros((dim1, dim2))
+        return np.zeros(feature.batch_shape + (2 * l1 + 1, 2 * l2 + 1))
     return total
 
 

@@ -1,5 +1,6 @@
-"""Orbital layouts, Hamiltonian assembly, the block-rotation oracle, the
-generalized eigenproblem, and evaluation metrics.
+"""Orbital layouts, batched Hamiltonian assembly (one CG expansion per
+orbital degree pair for all atoms and edges), the block-rotation oracle,
+the generalized eigenproblem, and evaluation metrics.
 
 A matrix is addressed by (atom i, orbital s, atom j, orbital t) sub
 blocks whose shapes come from the orbital degrees of a per-element basis
@@ -17,11 +18,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 
 import numpy as np
 import scipy.linalg
 
 from . import autodiff as ad
+from .cg import expansion
 from .frames import Rotation, from_local, wigner_d
 from .graph import MoleculeGraph
 from .irreps import So2Features, So3Features
@@ -49,21 +52,21 @@ class OrbitalLayout:
 
 
 def build_orbital_layout(atomic_numbers, basis_config: dict[int, tuple[int, ...]]) -> OrbitalLayout:
-    """Offsets for atoms in input order, orbitals in basis-config order."""
-    degrees = []
-    offsets = []
-    row = 0
+    """Offsets for atoms in input order, orbitals in basis-config order;
+    every atom needs a non-empty list of non-negative integer degrees."""
+    degrees, offsets, row = [], [], 0
     for z in atomic_numbers:
         z = int(z)
         if z not in basis_config:
             raise ValueError(f"element {z} missing from basis configuration")
         orbs = tuple(basis_config[z])
-        starts = []
-        for l in orbs:
-            starts.append(row)
-            row += 2 * l + 1
+        if not orbs or not all(isinstance(l, (int, np.integer)) and l >= 0 for l in orbs):
+            raise ValueError(f"basis entry {z} is not a non-empty list of non-negative "
+                             f"integer degrees: {list(orbs)}")
+        sizes = [2 * l + 1 for l in orbs]
         degrees.append(orbs)
-        offsets.append(tuple(starts))
+        offsets.append(tuple(accumulate(sizes[:-1], initial=row)))
+        row += sum(sizes)
     return OrbitalLayout(tuple(degrees), tuple(offsets), row)
 
 
@@ -95,47 +98,56 @@ class BlockMatrix:
 # assembly
 # ---------------------------------------------------------------------------
 
-def _expand_block(feature: So3Features, params, prefix: str, ls: int, lt: int):
-    from .cg import expansion
-
-    w = {}
-    for l3 in range(abs(ls - lt), ls + lt + 1):
-        key = f"{prefix}/{l3}"
-        if key in params and feature.layout.mult(l3) > 0:
-            w[l3] = params[key]
-    return expansion(feature, w, ls, lt)
-
-
 def assemble(h: So3Features, x_pair: So2Features, prepared, params,
              layout: OrbitalLayout, graph: MoleculeGraph, config) -> BlockMatrix:
-    """Dense matrix from node features (diagonal atom blocks; ``h`` is
-    batched over atoms) and pair features (off-diagonal atom blocks;
-    ``x_pair`` is batched over the edges of the prepared graph and rotated
-    out of their edge frames in one call), followed by symmetrization
-    ``(H + H^T) / 2``.
+    """Dense matrix from node features (diagonal atom blocks) and pair
+    features (off-diagonal atom blocks), symmetrized as ``(H + H^T) / 2``.
 
-    Atom pairs without an edge (beyond cutoff) remain zero blocks.
+    Atoms (i, i) and edges (i, j), with ``x_pair`` rotated out of the edge
+    frames, are one batch of items that differ only in their weight prefix,
+    ``expand/diag/{z}`` or ``expand/off/{z_i}.{z_j}``.  The orbital blocks of
+    all items run as one batched :func:`cg.expansion` per degree pair
+    (l_s, l_t), and one gather through a (dim, dim) index map places them;
+    atom pairs without an edge (beyond cutoff) read a zero.
     """
+    n = graph.n_atoms
     pair = from_local(prepared.frame, x_pair, config.node_layout)
-    placed = []
-    for i in range(graph.n_atoms):
-        z = int(graph.numbers[i])
-        hi = h.map_blocks(lambda block: ad.take(block, i))
-        orbs = layout.degrees[i]
-        for s, ls in enumerate(orbs):
-            for t, lt in enumerate(orbs):
-                block = _expand_block(hi, params, f"expand/diag/{z}/{s}.{t}", ls, lt)
-                placed.append((layout.offsets[i][s], layout.offsets[i][t], block))
-    for e, (i, j) in enumerate(zip(prepared.src, prepared.dst)):
-        zi, zj = int(graph.numbers[i]), int(graph.numbers[j])
-        feats = pair.map_blocks(lambda block: ad.take(block, e))
-        for s, ls in enumerate(layout.degrees[i]):
-            for t, lt in enumerate(layout.degrees[j]):
-                block = _expand_block(feats, params, f"expand/off/{zi}.{zj}/{s}.{t}", ls, lt)
-                placed.append((layout.offsets[i][s], layout.offsets[j][t], block))
-    dense = ad.paste_blocks((layout.dim, layout.dim), placed)
-    sym = ad.mul(ad.add(dense, ad.transpose(dense)), 0.5)
-    return BlockMatrix(sym, layout)
+    items = So3Features(h.layout, [ad.concat([a, b]) for a, b in zip(h.blocks, pair.blocks)])
+    rows, cols = (np.concatenate([np.arange(n), ends]) for ends in (prepared.src, prepared.dst))
+    starts = np.array(list(zip_longest(*layout.offsets, fillvalue=0))).T  # (atom, orbital)
+    # the items of one kind (atom or edge, elements) share their weights, and
+    # add one segment to the group of each (l_s, l_t) of their orbital pairs
+    kinds = np.stack([np.arange(len(rows)) >= n, graph.numbers[rows], graph.numbers[cols]], 1)
+    unique_kinds, kind_of = np.unique(kinds, axis=0, return_inverse=True)
+    groups: dict[tuple[int, int], list] = {}
+    for u, (off, zi, zj) in enumerate(unique_kinds):
+        k = np.flatnonzero(kind_of.ravel() == u)
+        prefix = f"expand/off/{zi}.{zj}" if off else f"expand/diag/{zi}"
+        for s, ls in enumerate(layout.degrees[rows[k[0]]]):
+            for t, lt in enumerate(layout.degrees[cols[k[0]]]):
+                groups.setdefault((ls, lt), []).append(
+                    (f"{prefix}/{s}.{t}", k, starts[rows[k], s], starts[cols[k], t]))
+    # index -1 reads the zero appended to the flattened group outputs
+    index = np.full((layout.dim, layout.dim), -1)
+    outputs, size = [], 0
+    for (ls, lt), segments in groups.items():
+        names, members, r0, c0 = zip(*segments)
+        k, r0, c0 = np.concatenate(members), np.concatenate(r0), np.concatenate(c0)
+        seg = np.repeat(np.arange(len(names)), [len(m) for m in members])
+        w = {}
+        for l3 in range(abs(ls - lt), ls + lt + 1):
+            mult, keys = items.layout.mult(l3), [f"{name}/{l3}" for name in names]
+            if mult and any(key in params for key in keys):
+                stacked = ad.concat([params.get(key, np.zeros(mult)) for key in keys])
+                w[l3] = ad.take(ad.reshape(stacked, (len(keys), mult)), seg)
+        block = expansion(items.map_blocks(lambda b: ad.take(b, k)), w, ls, lt)
+        d1, d2 = 2 * ls + 1, 2 * lt + 1
+        index[r0[:, None, None] + np.arange(d1)[:, None], c0[:, None, None] + np.arange(d2)] = \
+            size + np.arange(len(k) * d1 * d2).reshape(len(k), d1, d2)
+        outputs.append(ad.reshape(block, (-1,)))
+        size += len(k) * d1 * d2
+    dense = ad.take(ad.concat(outputs + [np.zeros(1)]), index)
+    return BlockMatrix(ad.mul(ad.add(dense, ad.transpose(dense)), 0.5), layout)
 
 
 def block_rotate(H: BlockMatrix, g: Rotation) -> BlockMatrix:
@@ -308,6 +320,8 @@ def matrix_loads(text: str) -> BlockMatrix:
     doc = json.loads(text)
     data = np.asarray(doc["data"], dtype=np.float64)
     layout = layout_from_degrees(doc["layout"]) if doc.get("layout") else None
+    if layout is not None and data.shape != (layout.dim, layout.dim):
+        raise ValueError(f"layout of dimension {layout.dim} does not fit a {data.shape} matrix")
     return BlockMatrix(data, layout)
 
 

@@ -324,7 +324,7 @@ def _receiver_slots(src: np.ndarray, n_atoms: int) -> np.ndarray:
     return slots
 
 
-def message_pass(graph: MoleculeGraph, h: So3Features, params, config: ModelConfig,
+def message_pass(h: So3Features, params, config: ModelConfig,
                  prepared: PreparedGraph, layer: int,
                  counter: OpCounter | None = None) -> So3Features:
     """Frame-based message passing, all edges at once.
@@ -360,8 +360,8 @@ def message_pass(graph: MoleculeGraph, h: So3Features, params, config: ModelConf
     return _self_interaction(So3Features(layout, agg), params, f"{p}/self2")
 
 
-def node_update_so2tp(graph: MoleculeGraph, h: So3Features, params,
-                      config: ModelConfig, prepared: PreparedGraph, layer: int,
+def node_update_so2tp(h: So3Features, params, config: ModelConfig,
+                      prepared: PreparedGraph, layer: int,
                       counter: OpCounter | None = None) -> So3Features:
     """v-fold SO(2) tensor-product update in the nearest-neighbor frame.
 
@@ -391,7 +391,7 @@ def node_update_so2tp(graph: MoleculeGraph, h: So3Features, params,
                                 for (l, b), du in zip(h.items(), update.blocks)])
 
 
-def offdiag_update(graph: MoleculeGraph, h: So3Features, x_pair: So2Features, params,
+def offdiag_update(h: So3Features, x_pair: So2Features, params,
                    config: ModelConfig, prepared: PreparedGraph, layer: int,
                    counter: OpCounter | None = None) -> So2Features:
     """Pair-track update: FFN on the frame projections, skip, SO(2) LayerNorm."""
@@ -420,10 +420,10 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
     zeros = So2Features.zeros(reg, prepared.src.shape).blocks
     x_pair = So2Features(reg, [pair_embed(params, s, prepared.rbf)] + list(zeros[1:]))
     for n in range(config.layers):
-        msg = message_pass(graph, h, params, config, prepared, n, counter)
+        msg = message_pass(h, params, config, prepared, n, counter)
         h = so2_layernorm(add_features(h, msg), params, f"L{n}/ln_node")
-        h = node_update_so2tp(graph, h, params, config, prepared, n, counter)
-        x_pair = offdiag_update(graph, h, x_pair, params, config, prepared, n, counter)
+        h = node_update_so2tp(h, params, config, prepared, n, counter)
+        x_pair = offdiag_update(h, x_pair, params, config, prepared, n, counter)
     return h, x_pair
 
 

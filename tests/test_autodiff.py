@@ -24,9 +24,9 @@ TOL = 1e-5
 
 class TestPrimitives:
     @pytest.mark.parametrize("name", [
-        "add", "sub", "mul", "div", "matmul", "einsum", "concat", "take",
-        "sigmoid", "silu", "exp", "sqrt", "absolute", "mean_all", "sum_axis",
-        "segment_sum", "paste", "transpose"])
+        "add", "sub", "mul", "div", "matmul", "einsum", "einsum_const", "concat",
+        "take", "take_indices", "sigmoid", "silu", "exp", "sqrt", "absolute",
+        "mean_all", "sum_axis", "segment_sum", "transpose"])
     def test_vjp_matches_fd(self, name, rng):
         def make(fn, *shapes):
             def loss(leaves):
@@ -37,6 +37,7 @@ class TestPrimitives:
             cot = rng.normal(size=np.shape(probe)) if np.ndim(probe) else 1.0
             return loss, arrays
 
+        table = np.random.default_rng(3).normal(size=(3, 2, 5))
         cases = {
             "add": lambda: make(ad.add, (3, 4), (3, 4)),
             "sub": lambda: make(ad.sub, (3, 4), (1, 4)),
@@ -46,10 +47,16 @@ class TestPrimitives:
             "matmul": lambda: make(ad.matmul, (3, 4), (4, 2)),
             "einsum": lambda: make(lambda a, b: ad.einsum("abc,ua->ubc",
                                                           a, b), (3, 4, 2), (5, 3)),
+            # a constant table without the batch axes of the other operands
+            "einsum_const": lambda: make(lambda a, b: ad.einsum(
+                "abc,...uc,...u->...ab", table, a, b), (4, 2, 5), (4, 2)),
             "concat": lambda: make(lambda a, b: ad.concat([a, b], axis=1),
                                    (3, 2), (3, 4)),
             "take": lambda: make(lambda a: ad.take(a, (slice(1, 3), slice(None))),
                                  (4, 5)),
+            # repeated rows: the adjoint must add every copy's cotangent
+            "take_indices": lambda: make(lambda a: ad.take(a, np.array([2, 0, 2, 3, 0, 2])),
+                                         (4, 5)),
             "sigmoid": lambda: make(ad.sigmoid, (6,)),
             "silu": lambda: make(ad.silu, (6,)),
             "exp": lambda: make(ad.exp, (4,)),
@@ -59,8 +66,6 @@ class TestPrimitives:
             "sum_axis": lambda: make(lambda a: ad.sum_axis(a, axis=1), (3, 5)),
             "segment_sum": lambda: make(lambda a: ad.segment_sum(
                 a, np.array([[0, 2, -1], [1, 3, 4]])), (5, 2, 3)),
-            "paste": lambda: make(lambda a, b: ad.paste_blocks(
-                (5, 5), [(0, 0, a), (2, 1, b)]), (2, 2), (3, 3)),
             "transpose": lambda: make(ad.transpose, (3, 4)),
         }
         rel_errors = []

@@ -215,6 +215,17 @@ class TestExpansion:
                             ref[m1, m2] += (C[m1, m2, m3]
                                             * feats.block(l3)[c, m3] * w[l3][c])
         assert np.max(np.abs(block - ref)) < 1e-13
+        # a batch of items, each with its own weights, gives the per-item
+        # results bit for bit
+        batch = So3Features(layout, [rng.normal(size=(5,) + layout.block_shape(l))
+                                     for l in layout.indices])
+        w_batch = {l3: rng.normal(size=(5, 2)) for l3 in range(3)}
+        got = np.asarray(expansion(batch, w_batch, 1, 1))
+        assert got.shape == (5, 3, 3)
+        for b in range(5):
+            item = So3Features(layout, [block[b] for block in batch.blocks])
+            one = expansion(item, {l3: v[b] for l3, v in w_batch.items()}, 1, 1)
+            assert np.array_equal(got[b], one)
 
     def test_block_equivariance(self, rng):
         from so2frames.frames import rotate_so3
@@ -238,6 +249,11 @@ class TestExpansion:
         got = np.asarray(expansion(feats, w, 1, 1))
         only_l0 = np.asarray(expansion(feats, {0: w[0]}, 1, 1))
         assert np.array_equal(got, only_l0)
+        # with nothing left to contribute, the zero block has the batch shape
+        batch = So3Features(layout, [rng.normal(size=(4, 2) + layout.block_shape(0))])
+        w_batch = {1: rng.normal(size=(4, 2, 2)), 2: rng.normal(size=(4, 2, 2))}
+        zeros = expansion(batch, w_batch, 1, 1)
+        assert zeros.shape == (4, 2, 3, 3) and not np.any(zeros)
 
     def test_decompose_recovers_weighted_features(self, rng):
         layout = so3_layout([(l, 2) for l in range(4)])

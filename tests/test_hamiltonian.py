@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from so2frames.frames import rotation_from_euler, rotation_from_matrix
+from so2frames.cg import expansion
+from so2frames.frames import from_local, rotation_from_euler, rotation_from_matrix
 from so2frames.graph import build_graph
 from so2frames.hamiltonian import (BlockMatrix, block_rotate, build_orbital_layout,
                                    gen_synthetic_target, generalized_eigensolve,
                                    layout_from_degrees, matrix_dumps, matrix_from_bytes,
                                    matrix_loads, matrix_to_bytes, metrics)
-from so2frames.model import default_fit_config, init_params, predict
+from so2frames.irreps import So3Features
+from so2frames.model import default_fit_config, forward, init_params, predict, prepare_graph
 from so2frames.sampling import random_rotation_matrix, stream
 
 BASIS = {1: (0, 0, 1), 8: (0, 0, 0, 1, 1, 2)}
@@ -78,6 +82,41 @@ class TestAssemble:
                                   graph.cutoff)
             H_rot = predict(rotated, params, config)
             assert np.max(np.abs(H_rot.array - block_rotate(H, g).array)) < 1e-10
+
+    def test_matches_per_block_reference(self):
+        # one expansion per orbital block of every atom and edge, written into
+        # its slice: the batched assembly places the same bits; the last atom
+        # lies beyond the cutoff of all the others
+        numbers = [8, 1, 6, 1, 8]
+        positions = [[0.0, 0.0, 0.0], [0.96, 0.1, 0.0], [-0.5, 1.3, 0.2],
+                     [-1.2, 1.9, -0.7], [25.0, 0.0, 0.0]]
+        graph = build_graph(numbers, positions, cutoff=15.0)
+        config = default_fit_config(graph)
+        params = init_params(config)
+        prepared = prepare_graph(graph, config)
+        h, x_pair = forward(graph, params, config, prepared)
+        pair = from_local(prepared.frame, x_pair, config.node_layout)
+        layout = build_orbital_layout(numbers, config.basis_map)
+        dense = np.zeros((layout.dim, layout.dim))
+
+        def place(i, j, blocks, prefix):
+            feats = So3Features(config.node_layout, blocks)
+            for s, ls in enumerate(layout.degrees[i]):
+                for t, lt in enumerate(layout.degrees[j]):
+                    names = {l3: f"{prefix}/{s}.{t}/{l3}"
+                             for l3 in range(abs(ls - lt), ls + lt + 1)}
+                    w = {l3: params[name] for l3, name in names.items() if name in params}
+                    dense[layout.orbital_slice(i, s), layout.orbital_slice(j, t)] = \
+                        expansion(feats, w, ls, lt)
+
+        for i, z in enumerate(numbers):
+            place(i, i, [b[i] for b in h.blocks], f"expand/diag/{z}")
+        for e, (i, j) in enumerate(zip(prepared.src, prepared.dst)):
+            place(i, j, [b[e] for b in pair.blocks], f"expand/off/{numbers[i]}.{numbers[j]}")
+        H = predict(graph, params, config, prepared)
+        assert np.array_equal(H.array, (dense + dense.T) * 0.5)
+        far = layout.atom_slice(4)
+        assert not np.any(H.array[far, :far.start]) and np.any(H.array[far, far])
 
     def test_beyond_cutoff_blocks_zero(self, molecule):
         graph, config, params = molecule
@@ -267,6 +306,14 @@ class TestMatrixFiles:
         back = matrix_from_bytes(matrix_to_bytes(H))
         assert np.array_equal(back.array, H.array)
         assert back.layout is None  # binary format carries the matrix only
+
+    @pytest.mark.parametrize("degrees", [[[0], [], [0]], [[0, 0, 0, -1]], [[0.5]], [[0, 1]]],
+                             ids=["empty", "negative", "non-integer", "dim-mismatch"])
+    def test_malformed_layout_rejected(self, degrees):
+        # the first three would sum to dimension 2, the size of the matrix;
+        # the last is valid but has dimension 4
+        with pytest.raises(ValueError):
+            matrix_loads(json.dumps({"layout": degrees, "data": np.eye(2).tolist()}))
 
     def test_binary_magic_checked(self):
         with pytest.raises(ValueError):

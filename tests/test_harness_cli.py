@@ -240,6 +240,18 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bytes" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"layout": [[0], [], [0]], "data": [[1.0, 0.1], [0.1, 2.0]]},
+        {"layout": [[0, 1]], "data": [[1.0, 0.1], [0.1, 2.0]]},
+    ], ids=["atom-without-orbitals", "layout-dim-mismatch"])
+    def test_malformed_matrix_layout(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        # the reference carries no layout, so the bad one is the only one
+        true = tmp_path / "H.bin"
+        write_matrix(str(true), BlockMatrix(np.eye(2), None))
+        self._assert_usage_error(["metrics", str(bad), str(true)], capsys)
+
     def test_element_missing_from_checkpoint(self, molecule_file, tmp_path, capsys):
         from so2frames.model import checkpoint_dumps
 

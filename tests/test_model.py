@@ -132,7 +132,7 @@ class TestMessagePass:
         lone = build_graph([1], [[0.0, 0.0, 0.0]], cutoff=15.0)
         prepared = prepare_graph(lone, config)
         h = node_embed([1], params, config)
-        out = message_pass(lone, h, params, config, prepared, layer=0)
+        out = message_pass(h, params, config, prepared, layer=0)
         # no edges: the aggregate is just the node's own gated features
         from so2frames.model import _self_interaction
         expected = _self_interaction(
@@ -143,13 +143,13 @@ class TestMessagePass:
         graph, config, params = setup
         prepared = prepare_graph(graph, config)
         h = node_embed(graph.numbers, params, config)
-        base = message_pass(graph, h, params, config, prepared, layer=0)
+        base = message_pass(h, params, config, prepared, layer=0)
         for _ in range(5):
             g = rotation_from_matrix(random_rotation_matrix(rng))
             rot_graph = build_graph(graph.numbers, (g.matrix @ graph.positions.T).T,
                                     graph.cutoff)
             rot_prepared = prepare_graph(rot_graph, config)
-            rot = message_pass(rot_graph, h, params, config, rot_prepared, layer=0)
+            rot = message_pass(h, params, config, rot_prepared, layer=0)
             assert features_dev([rot], [rotate_so3(base, g)]) < 1e-10
 
 
@@ -163,7 +163,7 @@ class TestNodeUpdate:
         for k in range(n_paths):
             modified[f"L0/tp/w/{k}"] = np.zeros_like(params[f"L0/tp/w/{k}"])
         h = random_features(config.node_layout, 3, rng)
-        out = node_update_so2tp(graph, h, modified, config, prepared, layer=0)
+        out = node_update_so2tp(h, modified, config, prepared, layer=0)
         assert features_dev([out], [h]) == 0.0
 
     def test_tie_break_deterministic(self, setup):
@@ -179,8 +179,8 @@ class TestNodeUpdate:
         assert np.array_equal(p1.frame[nearest].rotation.matrix,
                               p2.frame[p2.node_edge[0]].rotation.matrix)
         h = node_embed([1, 1, 1], params, config)
-        a = node_update_so2tp(tie, h, params, config, p1, layer=0)
-        b = node_update_so2tp(tie, h, params, config, p2, layer=0)
+        a = node_update_so2tp(h, params, config, p1, layer=0)
+        b = node_update_so2tp(h, params, config, p2, layer=0)
         assert features_dev([a], [b]) == 0.0
 
 
@@ -250,6 +250,17 @@ class TestMoleculeProperties:
         assert dev <= 1e-9
 
 
+def _tape(outputs):
+    """The Var nodes reachable from ``outputs``."""
+    seen, stack = {}, list(outputs)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ad.Var) and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
 class TestTapeSize:
     def test_forward_tape_independent_of_edges(self, hco_model):
         # every stage runs as array operations over all atoms and edges, so
@@ -260,15 +271,26 @@ class TestTapeSize:
             graph = sample_molecule(n_atoms, n_atoms, [1, 6, 8], 1.4, _CUTOFF)
             leaves = {k: ad.Var(v) for k, v in params.items()}
             h, x_pair = forward(graph, leaves, config)
-            seen, stack = set(), list(h.blocks) + list(x_pair.blocks)
-            while stack:
-                node = stack.pop()
-                if isinstance(node, ad.Var) and id(node) not in seen:
-                    seen.add(id(node))
-                    stack.extend(node.parents)
-            return len(seen), len(graph.edges)
+            return len(_tape(list(h.blocks) + list(x_pair.blocks))), len(graph.edges)
 
         (small, e_small), (large, e_large) = tape_nodes(3), tape_nodes(6)
+        assert e_small < e_large
+        assert small == large
+
+    def test_predict_tape_independent_of_atoms(self, hco_model):
+        # assembly expands the orbital blocks of all atoms and edges together,
+        # one batch per degree pair, so a taped predict records as many
+        # operations for 6 atoms as for 3 when both hold H, C and O
+        config, params = hco_model
+
+        def operations(numbers):
+            positions = sample_molecule(len(numbers), len(numbers), [1], 1.4, _CUTOFF).positions
+            graph = build_graph(numbers, positions, _CUTOFF)
+            leaves = {k: ad.Var(v) for k, v in params.items()}
+            H = predict(graph, leaves, config)
+            return sum(1 for node in _tape([H.data]) if node.parents), len(graph.edges)
+
+        (small, e_small), (large, e_large) = operations([1, 6, 8]), operations([8, 1, 6, 6, 8, 1])
         assert e_small < e_large
         assert small == large
 
@@ -449,7 +471,7 @@ class TestFitDemo:
         layout = config.node_layout
         leaves = {k: ad.Var(v) for k, v in params.items()}
         h = random_features(layout, 3, rng)
-        out = message_pass(graph, h, leaves, config, prepared, layer=0)
+        out = message_pass(h, leaves, config, prepared, layer=0)
         total = None
         for block in out.blocks:
             term = ad.sum_all(ad.mul(block, np.ones(block.shape)))
@@ -558,7 +580,7 @@ class TestOffdiagUpdate:
         reg = so2_layout_of(layout)
         h = random_features(layout, 3, rng)
         zeros = So2Features.zeros(reg, prepared.src.shape)
-        out = offdiag_update(graph, h, zeros, params, config, prepared, layer=0)
+        out = offdiag_update(h, zeros, params, config, prepared, layer=0)
         # with a zero pair state the skip is the identity on the FFN output,
         # and each edge's result is that of the edge on its own
         for e, (i, j) in enumerate(zip(prepared.src, prepared.dst)):
