@@ -27,7 +27,7 @@ import sys
 from dataclasses import replace
 
 from .graph import graph_from_json, sample_molecule
-from .hamiltonian import (BlockMatrix, build_orbital_layout, gen_synthetic_target,
+from .hamiltonian import (build_orbital_layout, checked_matrix, gen_synthetic_target,
                           metrics, read_matrix, write_matrix)
 from .harness import RunReport, bench, check_equivariance
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
@@ -131,8 +131,8 @@ def cmd_fit(args) -> int:
     graph = _load_graph(args.molecule)
     config = _config_from_args(args, default_fit_config(graph))
     if graph.hamiltonian is not None:
-        target = BlockMatrix(graph.hamiltonian,
-                             build_orbital_layout(graph.numbers, config.basis_map))
+        target = checked_matrix(graph.hamiltonian,
+                                build_orbital_layout(graph.numbers, config.basis_map))
     else:
         target, _ = gen_synthetic_target(graph, args.seed, config=config)
     losses, params = fit_demo(graph, target, args.steps, args.seed, config=config,

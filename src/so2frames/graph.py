@@ -1,53 +1,38 @@
 """Molecular graphs: atoms, radius-cutoff edges, and synthetic geometry.
 
 Positions are in Bohr.  The edge relation is symmetric: both (i, j) and
-(j, i) are stored, each with its own unit direction ``r_hat = (pos_j -
-pos_i) / d`` and distance.  Only relative positions ever enter the edge
-quantities, which is what makes the model translation invariant.
+(j, i) are stored, in (i, j) order, with unit directions ``r_hat = (pos_j
+- pos_i) / d`` and distances as arrays.  Only relative positions enter the
+edge quantities, which is what makes the model translation invariant.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .sampling import stream
 
 
-@dataclass(frozen=True)
-class Edge:
-    i: int
-    j: int
-    direction: np.ndarray  # unit vector from i to j
-    distance: float
-
-
 @dataclass
 class MoleculeGraph:
+    """Atoms and their directed edges, as arrays in (i, j) order."""
+
     numbers: np.ndarray       # (n,) atomic numbers
     positions: np.ndarray     # (n, 3) Bohr
     cutoff: float
-    edges: list[Edge] = field(default_factory=list)
+    edges: np.ndarray         # (E, 2) atom pairs (i, j) within the cutoff
+    directions: np.ndarray    # (E, 3) unit vectors from i to j
+    distances: np.ndarray     # (E,) Bohr
     overlap: np.ndarray | None = None
     hamiltonian: np.ndarray | None = None
 
     @property
     def n_atoms(self) -> int:
         return len(self.numbers)
-
-    def neighbors(self, i: int) -> list[Edge]:
-        """Edges leaving atom i, ascending neighbor index."""
-        return sorted((e for e in self.edges if e.i == i), key=lambda e: e.j)
-
-    def nearest_neighbor(self, i: int) -> Edge | None:
-        """Closest neighbor of i; ties broken by smallest neighbor index."""
-        best = None
-        for e in self.neighbors(i):
-            if best is None or (e.distance, e.j) < (best.distance, best.j):
-                best = e
-        return best
 
     def to_json(self) -> str:
         doc = {
@@ -64,27 +49,28 @@ class MoleculeGraph:
 
 def build_graph(numbers, positions, cutoff: float,
                 overlap=None, hamiltonian=None) -> MoleculeGraph:
+    """Every ordered atom pair (i, j) within the cutoff, in one array pass;
+    raises ValueError for bad geometry or cutoff, naming the first coincident pair."""
     numbers = np.asarray(numbers, dtype=np.int64)
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (len(numbers), 3):
-        raise ValueError(f"positions shape {positions.shape} does not match "
-                         f"{len(numbers)} atoms")
+        raise ValueError(f"positions shape {positions.shape} does not match {len(numbers)} atoms")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite (found NaN or inf)")
-    if not cutoff > 0.0:  # also false for NaN
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    graph = MoleculeGraph(numbers, positions, float(cutoff))
-    n = len(numbers)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            delta = positions[j] - positions[i]
-            d = float(np.linalg.norm(delta))
-            if d <= 0.0:
-                raise ValueError(f"atoms {i} and {j} coincide")
-            if d <= cutoff:
-                graph.edges.append(Edge(i, j, delta / d, d))
+    # NaN fails the comparison; a bool would pass as 1, a string would raise TypeError
+    if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not cutoff > 0.0:
+        raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
+    i, j = np.nonzero(~np.eye(len(numbers), dtype=bool))
+    delta = positions[j] - positions[i]
+    # per-pair dot products match np.linalg.norm bit for bit (norm(axis=-1) does not)
+    distance = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+    if np.any(distance <= 0.0):
+        k = np.argmax(distance <= 0.0)
+        raise ValueError(f"atoms {i[k]} and {j[k]} coincide")
+    keep = distance <= cutoff
+    graph = MoleculeGraph(numbers, positions, float(cutoff),
+                          np.stack([i[keep], j[keep]], axis=1),
+                          delta[keep] / distance[keep, None], distance[keep])
     if overlap is not None:
         graph.overlap = np.asarray(overlap, dtype=np.float64)
     if hamiltonian is not None:
@@ -93,10 +79,14 @@ def build_graph(numbers, positions, cutoff: float,
 
 
 def graph_from_json(text: str) -> MoleculeGraph:
+    """Molecule from its JSON file; :func:`build_graph` checks the geometry."""
     doc = json.loads(text)
-    numbers = [a["z"] for a in doc["atoms"]]
-    positions = [a["pos"] for a in doc["atoms"]]
-    return build_graph(numbers, positions, doc.get("cutoff", 15.0),
+    atoms = doc.get("atoms") if isinstance(doc, dict) else None
+    if not isinstance(atoms, list) or not all(isinstance(a, dict) and type(a.get("z")) is int
+                                              for a in atoms):
+        raise ValueError('a molecule must be a JSON object with an "atoms" list of objects '
+                         'with an integer "z"')
+    return build_graph([a["z"] for a in atoms], [a["pos"] for a in atoms], doc.get("cutoff", 15.0),
                        overlap=doc.get("overlap"), hamiltonian=doc.get("hamiltonian"))
 
 

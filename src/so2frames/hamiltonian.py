@@ -316,13 +316,18 @@ def matrix_dumps(H: BlockMatrix) -> str:
     })
 
 
-def matrix_loads(text: str) -> BlockMatrix:
-    doc = json.loads(text)
-    data = np.asarray(doc["data"], dtype=np.float64)
-    layout = layout_from_degrees(doc["layout"]) if doc.get("layout") else None
+def checked_matrix(data, layout: OrbitalLayout | None) -> BlockMatrix:
+    """BlockMatrix of outside data; ValueError unless it is (dim, dim) for the layout."""
+    data = np.asarray(data, dtype=np.float64)
     if layout is not None and data.shape != (layout.dim, layout.dim):
         raise ValueError(f"layout of dimension {layout.dim} does not fit a {data.shape} matrix")
     return BlockMatrix(data, layout)
+
+
+def matrix_loads(text: str) -> BlockMatrix:
+    doc = json.loads(text)
+    return checked_matrix(doc["data"],
+                          layout_from_degrees(doc["layout"]) if doc.get("layout") else None)
 
 
 def matrix_to_bytes(H: BlockMatrix) -> bytes:

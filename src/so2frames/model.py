@@ -7,7 +7,7 @@ inside SO(2) local frames:
   Linear + Gate inside the edge frame and scaled by an invariant MLP of
   pair geometry, order-independent aggregation, gated self-interaction,
   skip, norm-based equivariant LayerNorm, then a v-fold SO(2)
-  tensor-product update inside the nearest-neighbor frame.
+  tensor-product update averaged over the atom's nearest-edge frames.
 * pair track: per-edge SO(2) features kept in their own edge frame,
   updated by an SO(2) feed-forward block on the frame projections of the
   two endpoint features, with skip connection and SO(2) LayerNorm.
@@ -22,10 +22,10 @@ gradient bookkeeping, and the optimizer stay trivial.  The forward pass
 runs on plain ndarrays for inference and on autodiff Vars for training;
 model code never branches on which.
 
-Each item's result depends only on that item, and messages are added by
-a sorted segment sum (:func:`autodiff.segment_sum`), so atom relabeling
-permutes outputs bit-for-bit; only relative positions are consumed, so
-rigid translations leave outputs unchanged.
+Each item's result depends only on that item, and messages and node-frame
+updates are added by a sorted segment sum (:func:`autodiff.segment_sum`),
+so atom relabeling permutes outputs bit-for-bit; only relative positions
+are consumed, so rigid translations leave outputs unchanged.
 """
 
 from __future__ import annotations
@@ -128,6 +128,9 @@ class ModelConfig:
 # geometry preparation (parameter independent, cached per graph)
 # ---------------------------------------------------------------------------
 
+TAU = 1e-9  # relative tie tolerance: far above rotation rounding, far below bond-length gaps
+
+
 @dataclass
 class PreparedGraph:
     """Per-graph geometry as arrays over the directed edges in (i, j) order.
@@ -135,16 +138,21 @@ class PreparedGraph:
     ``src`` and ``dst`` (E,) are the endpoints of each edge; ``frame`` is
     the batched frame of the edge directions, ``d_in[l]`` of shape
     (E, 2l+1, 2l+1); ``rbf`` (E, K) holds the radial features of the edge
-    lengths; ``node_edge`` (N,) is the index of each atom's nearest-neighbor
-    edge (ties go to the smaller neighbor index), or -1 for an atom without
-    neighbors.
+    lengths; ``receivers`` (N, 1 + max degree) lists each atom's rows of
+    [own features (N); messages (E)].  The node-frame items ``node_atom``,
+    ``node_edge`` (I,) pair each atom with its edges within a relative TAU
+    of its shortest, or with edge -1 (the identity frame) if it has none,
+    and ``node_slots`` (N, T) lists each atom's items.
     """
 
     src: np.ndarray
     dst: np.ndarray
     frame: Frame
     rbf: np.ndarray
+    receivers: np.ndarray
+    node_atom: np.ndarray
     node_edge: np.ndarray
+    node_slots: np.ndarray
 
 
 def rbf(distance, config: ModelConfig) -> np.ndarray:
@@ -167,19 +175,29 @@ def rbf(distance, config: ModelConfig) -> np.ndarray:
     return envelope[..., None] * np.exp(-((d[..., None] - centers) ** 2) / (2.0 * width * width))
 
 
+def _slots(owner: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Row n lists the items owned by atom n in item order, padded with -1."""
+    counts = np.bincount(owner, minlength=n_atoms)
+    order = np.argsort(owner, kind="stable")
+    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner[order]]
+    slots = np.full((n_atoms, counts.max(initial=0)), -1)
+    slots[owner[order], rank] = order
+    return slots
+
+
 def prepare_graph(graph: MoleculeGraph, config: ModelConfig) -> PreparedGraph:
-    edges = sorted(graph.edges, key=lambda e: (e.i, e.j))
-    src = np.array([e.i for e in edges], dtype=np.int64)
-    dst = np.array([e.j for e in edges], dtype=np.int64)
-    directions = np.array([e.direction for e in edges]).reshape(-1, 3)
-    distance = np.array([e.distance for e in edges])
-    # each atom's nearest neighbor is its first edge by (distance, j)
-    order = np.lexsort((dst, distance, src))
-    atoms, first = np.unique(src[order], return_index=True)
-    node_edge = np.full(graph.n_atoms, -1)
-    node_edge[atoms] = order[first]
-    return PreparedGraph(src, dst, frames_from_directions(directions, config.l_max),
-                         rbf(distance, config), node_edge)
+    n = graph.n_atoms
+    src, dst = graph.edges.T
+    nearest = np.full(n, np.inf)
+    np.minimum.at(nearest, src, graph.distances)
+    tied = np.flatnonzero(graph.distances <= nearest[src] * (1.0 + TAU))
+    isolated = np.flatnonzero(np.isinf(nearest))
+    node_atom = np.concatenate([src[tied], isolated])
+    node_edge = np.concatenate([tied, np.full(len(isolated), -1)])
+    return PreparedGraph(src, dst, frames_from_directions(graph.directions, config.l_max),
+                         rbf(graph.distances, config),
+                         _slots(np.concatenate([np.arange(n), src]), n),  # own row first
+                         node_atom, node_edge, _slots(node_atom, n))
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +328,6 @@ def pair_embed(params, s_ij, rbf_vec):
     return _invariant_mix(params, "pair0", s_ij, rbf_vec)
 
 
-def _receiver_slots(src: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Where each atom's aggregation terms sit in the rows of
-    [own features (N); messages (E)]: slot 0 is the atom's own row, then
-    its edges in order, and -1 pads every atom to 1 + the largest degree.
-    ``src`` must be sorted."""
-    counts = np.bincount(src, minlength=n_atoms)
-    first = np.cumsum(counts) - counts
-    slots = np.full((n_atoms, 1 + counts.max(initial=0)), -1)
-    slots[:, 0] = np.arange(n_atoms)
-    edges = np.arange(len(src))
-    slots[src, 1 + edges - first[src]] = n_atoms + edges
-    return slots
-
-
 def message_pass(h: So3Features, params, config: ModelConfig,
                  prepared: PreparedGraph, layer: int,
                  counter: OpCounter | None = None) -> So3Features:
@@ -354,8 +358,7 @@ def message_pass(h: So3Features, params, config: ModelConfig,
         start = sum(c for l, c in layout.entries if l < m)
         scaled.append(ad.mul(block, ad.take(scale, (..., slice(start, None), slice(None)))))
     msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout, counter)
-    slots = _receiver_slots(src, len(prepared.node_edge))
-    agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), slots)
+    agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), prepared.receivers)
            for own, incoming in zip(g1.blocks, msg.blocks)]
     return _self_interaction(So3Features(layout, agg), params, f"{p}/self2")
 
@@ -363,31 +366,33 @@ def message_pass(h: So3Features, params, config: ModelConfig,
 def node_update_so2tp(h: So3Features, params, config: ModelConfig,
                       prepared: PreparedGraph, layer: int,
                       counter: OpCounter | None = None) -> So3Features:
-    """v-fold SO(2) tensor-product update in the nearest-neighbor frame.
+    """v-fold SO(2) tensor-product update, averaged over the frames of each
+    atom's nearest edges (ties rotate with the molecule as a set, so the
+    mean does not depend on rounding or atom labels).
 
-    The regrouped frame features are first projected to a uniform-width
-    order layout (the channel-wise fusion paths need equal channel counts
-    at every order), contracted over all fusion paths, projected back,
-    and added to the input (skip connection).
+    Per (atom, edge) item, the regrouped frame features are projected to a
+    uniform-width order layout (the channel-wise fusion paths need equal
+    channel counts at every order), contracted over all fusion paths,
+    projected back, and the atom's mean is added to the input (skip).
 
-    An atom without neighbors has no reference direction, and its
-    features are invariant (degree 0 only).  Its update is computed in the
-    target-axis frame and only the degree-0 block is added: that block is
-    the same in every frame, while the higher degrees would point along
-    an axis that does not rotate with the molecule.
+    An atom without neighbors (invariant features, degree 0 only) adds
+    only the degree-0 update of the target-axis frame: that block is the
+    same in every frame, while higher degrees would not rotate with it.
     """
     p = f"L{layer}"
     layout = config.node_layout
     paths = enumerate_tp_paths(config.l_max, config.tp_arity)
     weights = [params[f"{p}/tp/w/{k}"] for k in range(len(paths))]
     frame = prepared.frame.take(prepared.node_edge)
-    local = to_local(frame, h, counter)
+    local = to_local(frame, gather(h, prepared.node_atom), counter)
     u = so2_linear(local, params, f"{p}/tp/pre", counter)
     fused = so2_tp_contract([u] * config.tp_arity, paths, weights, counter)
     y = so2_linear(fused, params, f"{p}/tp/post", counter)
     update = from_local(frame, y, layout, counter)
-    connected = (prepared.node_edge >= 0).astype(np.float64)[:, None, None]
-    return So3Features(layout, [ad.add(b, du if l == 0 else ad.mul(du, connected))
+    count = np.sum(prepared.node_slots >= 0, axis=1)[:, None, None]
+    connected = (prepared.node_edge[prepared.node_slots[:, 0]] >= 0)[:, None, None]
+    return So3Features(layout, [ad.add(b, ad.mul(ad.segment_sum(du, prepared.node_slots),
+                                                 (1.0 if l == 0 else connected) / count))
                                 for (l, b), du in zip(h.items(), update.blocks)])
 
 

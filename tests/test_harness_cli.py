@@ -32,7 +32,7 @@ class TestGen:
 
     def test_two_atoms_single_symmetric_pair(self):
         graph = sample_molecule(1, 2, [1], 1.4, 15.0)
-        assert {(e.i, e.j) for e in graph.edges} == {(0, 1), (1, 0)}
+        assert graph.edges.tolist() == [[0, 1], [1, 0]]
 
     def test_min_dist_respected(self):
         graph = sample_molecule(5, 6, [1], 1.3, 15.0)
@@ -211,6 +211,24 @@ class TestBadInput:
                                        '{"z": 1, "pos": [0.0, 0.0, 0.0]}')
         self._assert_usage_error(["check-equiv", mol, "--trials", "1"], capsys)
 
+    @pytest.mark.parametrize("text", [
+        '{"atoms": [{"z": 1.7, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
+        '{"atoms": [{"z": true, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
+        '{"atoms": [{"z": 1, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}], '
+        '"cutoff": "15"}',
+        '[{"z": 1, "pos": [0.0, 0.0, 0.0]}]',
+        '{"atoms": [[1, 0.0, 0.0, 0.0]]}',
+        # H2 has 10 orbital rows
+        '{"atoms": [{"z": 1, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}], '
+        '"hamiltonian": [[0.1]]}',
+    ], ids=["fractional-z", "boolean-z", "string-cutoff", "top-level-list", "atom-not-object",
+            "hamiltonian-shape"])
+    def test_malformed_molecule_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        self._assert_usage_error(["fit", str(path), "--steps", "1",
+                                  "--out-checkpoint", str(tmp_path / "ckpt.json")], capsys)
+
     def test_nan_coordinates(self, tmp_path, capsys):
         mol = self._molecule(tmp_path, '{"z": 1, "pos": [0.0, 0.0, 0.0]}, '
                                        '{"z": 1, "pos": [NaN, 0.0, 1.5]}')
@@ -290,13 +308,22 @@ class TestFrameEdgeCases:
     def test_isolated_atoms_equivariant(self, tmp_path, positions):
         mol = self._molecule(tmp_path, positions, [8] + [1] * (len(positions) - 1))
         graph = graph_from_json(open(mol).read())
-        assert not graph.edges
+        assert len(graph.edges) == 0
         config = default_fit_config(graph)
         report = check_equivariance(graph, init_params(config), config, trials=6, seed=2)
         for name in ("node_track_equivariance", "pair_track_equivariance",
                      "block_equivariance"):
             assert report.checks[name]["max_error"] < 1e-9, name
         assert main(["check-equiv", mol, "--trials", "4"]) == 0
+
+    @pytest.mark.parametrize("numbers, positions", [
+        ([8, 1, 1], [[0.0, 0.0, 0.0], [1.8, 0.0, 0.3], [-1.8, 0.0, 0.3]]),
+        ([1, 1, 1], [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+        ([1, 1, 1], [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [2.0, 0.0, 0.0]]),
+    ], ids=["water", "right-angle", "right-angle-relabelled"])
+    def test_tied_nearest_neighbors(self, tmp_path, numbers, positions):
+        # atom 0's two nearest neighbors are exactly equidistant
+        assert main(["check-equiv", self._molecule(tmp_path, positions, numbers)]) == 0
 
     def test_unsupported_mmax_is_usage_error(self, molecule_file, tmp_path, capsys):
         # SO(2) orders always run up to l_max: --mmax is no flag, and a

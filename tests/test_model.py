@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from so2frames import autodiff as ad
@@ -166,22 +168,55 @@ class TestNodeUpdate:
         out = node_update_so2tp(h, modified, config, prepared, layer=0)
         assert features_dev([out], [h]) == 0.0
 
-    def test_tie_break_deterministic(self, setup):
+    def test_tie_break_deterministic(self, setup, rng):
         graph, config, params = setup
-        # two neighbors at exactly equal distance from atom 0
+        # two neighbors at exactly equal distance from atom 0: both edges
+        # are its frame items, and its update is the mean of theirs
         pos = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         tie = build_graph([1, 1, 1], pos, cutoff=15.0)
         p1 = prepare_graph(tie, config)
         p2 = prepare_graph(tie, config)
-        assert tie.nearest_neighbor(0).j == 1  # smallest index wins
-        nearest = p1.node_edge[0]
-        assert (p1.src[nearest], p1.dst[nearest]) == (0, 1)
-        assert np.array_equal(p1.frame[nearest].rotation.matrix,
-                              p2.frame[p2.node_edge[0]].rotation.matrix)
-        h = node_embed([1, 1, 1], params, config)
+        items = p1.node_edge[p1.node_atom == 0]
+        assert tie.edges[items].tolist() == [[0, 1], [0, 2]]
+        h = random_features(config.node_layout, 3, rng)
         a = node_update_so2tp(h, params, config, p1, layer=0)
         b = node_update_so2tp(h, params, config, p2, layer=0)
         assert features_dev([a], [b]) == 0.0
+        single = []
+        for edge in items:
+            keep = (p1.node_atom != 0) | (p1.node_edge == edge)
+            one = replace(p1, node_atom=p1.node_atom[keep], node_edge=p1.node_edge[keep],
+                          node_slots=np.arange(3)[:, None])
+            single.append(node_update_so2tp(h, params, config, one, layer=0))
+        mean = So3Features(a.layout, [0.5 * (x + y) for x, y in
+                                      zip(single[0].as_arrays(), single[1].as_arrays())])
+        assert features_dev([a], [mean]) < 1e-12
+        for x, y in zip(a.as_arrays(), single[0].as_arrays()):
+            assert np.array_equal(x[1:], y[1:])  # atoms 1 and 2 have one nearest edge
+
+    @pytest.mark.parametrize("numbers, positions", [
+        ([8, 1, 1], [[0.0, 0.0, 0.0], [1.8, 0.0, 0.3], [-1.8, 0.0, 0.3]]),
+        ([1, 1, 1], [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+    ], ids=["water", "right-angle"])
+    def test_tied_frames_equivariant(self, numbers, positions):
+        # atom 0's two nearest neighbors are exactly equidistant, so a
+        # rotation or a relabelling must not change which frame it uses
+        from so2frames.harness import check_equivariance
+
+        graph = build_graph(numbers, positions, cutoff=15.0)
+        config = default_fit_config(graph)
+        params = init_params(config)
+        report = check_equivariance(graph, params, config, trials=20, seed=0)
+        for name in ("node_track_equivariance", "pair_track_equivariance",
+                     "block_equivariance"):
+            assert report.checks[name]["max_error"] < 1e-9, name
+        perm = [0, 2, 1]
+        H = predict(graph, params, config)
+        relabelled = build_graph(np.array(numbers)[perm], np.array(positions)[perm], 15.0)
+        rows = np.concatenate([np.arange(H.layout.atom_slice(k).start,
+                                         H.layout.atom_slice(k).stop) for k in perm])
+        assert np.array_equal(predict(relabelled, params, config).array,
+                              H.array[np.ix_(rows, rows)])
 
 
 # H/C/O atoms on a dyadic grid, so that integer translations leave every
@@ -196,12 +231,22 @@ def _molecules(draw):
     atoms = draw(st.lists(_ATOM, min_size=1, max_size=5, unique_by=lambda a: a[1:]))
     numbers = [a[0] for a in atoms]
     positions = np.array([a[1:] for a in atoms])
-    if len(atoms) > 1 and draw(st.booleans()):
+    tilted = len(atoms) > 1 and draw(st.booleans())
+    if tilted:
         # a bond tilted 2^-k off +z or -z
         tilt = 2.0 ** -draw(st.integers(20, 40))
         positions[1] = positions[0] + [tilt, 0.0, draw(st.sampled_from([1.5, -1.5]))]
     if len(atoms) > 1 and draw(st.booleans()):
         positions[-1] += [4.0 * _CUTOFF, 0.0, 0.0]  # disconnected from the rest
+    grid = range(1 + tilted, len(atoms))
+    if grid and draw(st.booleans()):
+        # mirror atom 0's nearest grid atom through the plane x = x0 of atom 0,
+        # so that atom 0 has two nearest neighbors at exactly one distance (not
+        # the tilted atom: its image would land twice the tilt away from it)
+        k = min(grid, key=lambda k: np.sum((positions[k] - positions[0]) ** 2))
+        numbers.append(numbers[k])
+        image = positions[k] * [-1.0, 1.0, 1.0] + [2.0 * positions[0, 0], 0.0, 0.0]
+        positions = np.vstack([positions, image])
     return numbers, positions
 
 
@@ -212,6 +257,12 @@ def hco_model():
 
 
 class TestMoleculeProperties:
+    # symmetric water (on the grid) and the H3 right angle: atom 0's two
+    # nearest neighbors are equidistant, and the shuffle swaps them
+    @example(([8, 1, 1], np.array([[0.0, 0.0, 0.0], [1.75, 0.0, 0.25], [-1.75, 0.0, 0.25]])),
+             random.Random(0), (1, -2, 3), 1)
+    @example(([1, 1, 1], np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])),
+             random.Random(0), (1, -2, 3), 1)
     @settings(max_examples=50, deadline=None)
     @given(_molecules(), st.randoms(use_true_random=False),
            st.tuples(*[st.integers(-8, 8)] * 3), st.integers(0, 2 ** 32 - 1))
@@ -222,14 +273,7 @@ class TestMoleculeProperties:
         try:
             graph = build_graph(numbers, positions, cutoff=_CUTOFF)
         except ValueError:
-            assume(False)  # the tilted bond landed on another atom
-        # Each atom's frame is its nearest neighbor's, with ties going to the
-        # smaller index, so a tie (or a near tie, which a rotation can flip)
-        # makes the frame, and so the prediction, depend on the labels.  That
-        # is a known limitation of the frame choice, not what this checks.
-        for i in range(graph.n_atoms):
-            d = sorted(e.distance for e in graph.neighbors(i))
-            assume(len(d) < 2 or d[1] - d[0] > 1e-9 * d[0])
+            assume(False)  # the tilted bond or a mirror image landed on another atom
         H = predict(graph, params, config)
         layout = H.layout
 
