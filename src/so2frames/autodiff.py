@@ -82,7 +82,7 @@ def is_var(x) -> bool:
 
 
 def value_of(x) -> np.ndarray:
-    return x.value if is_var(x) else np.asarray(x, dtype=np.float64)
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -100,7 +100,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _node(value, parents, vjp):
     """Create a Var if any parent is a Var, else return the raw value."""
-    if any(is_var(p) for p in parents):
+    if Var in map(type, parents):  # Var has no subclasses; a concat may have hundreds of parents
         return Var(value, tuple(parents), vjp)
     return value
 
@@ -256,11 +256,11 @@ def reshape(a, shape):
 
 
 def concat(parts, axis=0):
-    values = [value_of(p) for p in parts]
-    out = np.concatenate(values, axis=axis)
-    sizes = [v.shape[axis] for v in values]
+    values = [p.value if isinstance(p, Var) else p for p in parts]
+    out = np.concatenate(values, axis=axis, dtype=np.float64)
 
     def vjp(g):
+        sizes = [np.shape(v)[axis] for v in values]
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _node(out, tuple(parts), vjp)

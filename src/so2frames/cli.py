@@ -26,7 +26,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .graph import graph_from_json, sample_molecule
+from .graph import build_graph, graph_from_json, sample_molecule
 from .hamiltonian import (build_orbital_layout, checked_matrix, gen_synthetic_target,
                           metrics, read_matrix, write_matrix)
 from .harness import RunReport, bench, check_equivariance
@@ -49,6 +49,19 @@ def _load_graph(path: str):
             return graph_from_json(f.read())
     except (OSError, json.JSONDecodeError, KeyError) as err:
         raise UsageError(f"cannot read molecule file {path}: {err}") from err
+
+
+def _at_cutoff(graph, cutoff):
+    """The molecule with its edges at a model's cutoff, not at its file's."""
+    return build_graph(graph.numbers, graph.positions, cutoff, graph.overlap, graph.hamiltonian)
+
+
+def _load_checkpoint(path: str):
+    try:
+        with open(path) as f:
+            return checkpoint_loads(f.read())
+    except (OSError, json.JSONDecodeError, KeyError) as err:
+        raise UsageError(f"cannot read checkpoint {path}: {err}") from err
 
 
 def _config_from_args(args, base: ModelConfig) -> ModelConfig:
@@ -103,18 +116,14 @@ def cmd_gen(args) -> int:
 def cmd_check_equiv(args) -> int:
     graph = _load_graph(args.molecule)
     if args.checkpoint:
-        try:
-            with open(args.checkpoint) as f:
-                config, params = checkpoint_loads(f.read())
-        except (OSError, json.JSONDecodeError, KeyError) as err:
-            raise UsageError(f"cannot read checkpoint {args.checkpoint}: {err}") from err
+        config, params = _load_checkpoint(args.checkpoint)
         config = _config_from_args(args, config)
     else:
         config = _config_from_args(args, default_fit_config(graph))
         config = replace(config, seed=args.seed)
         params = init_params(config)
-    report = check_equivariance(graph, params, config, trials=args.trials,
-                                tolerance=args.tolerance, seed=args.seed,
+    report = check_equivariance(_at_cutoff(graph, config.cutoff), params, config,
+                                trials=args.trials, tolerance=args.tolerance, seed=args.seed,
                                 corrupt_wigner=args.corrupt_wigner)
     return _emit_report(report, args)
 
@@ -130,6 +139,7 @@ def cmd_bench(args) -> int:
 def cmd_fit(args) -> int:
     graph = _load_graph(args.molecule)
     config = _config_from_args(args, default_fit_config(graph))
+    graph = _at_cutoff(graph, config.cutoff)
     if graph.hamiltonian is not None:
         target = checked_matrix(graph.hamiltonian,
                                 build_orbital_layout(graph.numbers, config.basis_map))
@@ -152,12 +162,8 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     graph = _load_graph(args.molecule)
-    try:
-        with open(args.checkpoint) as f:
-            config, params = checkpoint_loads(f.read())
-    except (OSError, json.JSONDecodeError, KeyError) as err:
-        raise UsageError(f"cannot read checkpoint {args.checkpoint}: {err}") from err
-    H = predict(graph, params, config)
+    config, params = _load_checkpoint(args.checkpoint)
+    H = predict(_at_cutoff(graph, config.cutoff), params, config)
     write_matrix(args.out, H)
     print(f"wrote {args.out}: dim {H.array.shape[0]}")
     return 0

@@ -78,14 +78,20 @@ def build_graph(numbers, positions, cutoff: float,
     return graph
 
 
+def _is_point(pos) -> bool:
+    """A list of three real numbers; a JSON boolean is no number."""
+    return (isinstance(pos, list) and len(pos) == 3
+            and all(isinstance(x, Real) and not isinstance(x, bool) for x in pos))
+
+
 def graph_from_json(text: str) -> MoleculeGraph:
     """Molecule from its JSON file; :func:`build_graph` checks the geometry."""
     doc = json.loads(text)
     atoms = doc.get("atoms") if isinstance(doc, dict) else None
     if not isinstance(atoms, list) or not all(isinstance(a, dict) and type(a.get("z")) is int
-                                              for a in atoms):
+                                              and _is_point(a.get("pos")) for a in atoms):
         raise ValueError('a molecule must be a JSON object with an "atoms" list of objects '
-                         'with an integer "z"')
+                         'with an integer "z" and a "pos" of three numbers')
     return build_graph([a["z"] for a in atoms], [a["pos"] for a in atoms], doc.get("cutoff", 15.0),
                        overlap=doc.get("overlap"), hamiltonian=doc.get("hamiltonian"))
 

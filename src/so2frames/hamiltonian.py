@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, zip_longest
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import autodiff as ad
 from .cg import expansion
 from .frames import Rotation, from_local, wigner_d
 from .graph import MoleculeGraph
-from .irreps import So2Features, So3Features
+from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so3_layout
 
 
 @dataclass(frozen=True)
@@ -98,56 +99,149 @@ class BlockMatrix:
 # assembly
 # ---------------------------------------------------------------------------
 
-def assemble(h: So3Features, x_pair: So2Features, prepared, params,
-             layout: OrbitalLayout, graph: MoleculeGraph, config) -> BlockMatrix:
+@dataclass(frozen=True)
+class AssemblyGroup:
+    """The orbital blocks of one degree pair (l_s, l_t).
+
+    Block b expands item ``k[b]`` (atoms, then edges); ``layout`` holds the
+    node degrees l3 that the expansion reads.  ``weights[l3]`` is the pair
+    (names, index): the weight keys of the group's segments, where a
+    segment is one orbital pair (s, t) of one kind of item, and the
+    (blocks, mult_l3) index of each block's weights into the plan's stacked
+    weights.
+    """
+
+    ls: int
+    lt: int
+    layout: IrrepsLayout
+    k: np.ndarray
+    weights: dict[int, tuple[tuple[str, ...], np.ndarray]]
+
+
+@dataclass(frozen=True)
+class AssemblyPlan:
+    """Everything of an assembly that does not depend on the parameters.
+
+    ``keys`` are the weight keys that the molecule's kinds read, in the
+    order they are stacked, each with a ``zeros`` array of its size (read
+    when the key is missing); ``index`` maps every entry of the (dim, dim)
+    matrix into the flattened group outputs, where -1 reads a zero (atoms
+    beyond the cutoff).
+    """
+
+    groups: tuple[AssemblyGroup, ...]
+    keys: tuple[str, ...]
+    zeros: tuple[np.ndarray, ...]
+    index: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
+    """The segments of a set of item kinds, grouped by degree pair (l_s, l_t).
+
+    A kind is (edge, z_i, z_j): an atom z is (False, z, z).  A segment is
+    one orbital pair (s, t) of one kind; a group lists its segments kind by
+    kind, then (s, t) row-major.  Returns the groups that read a node
+    degree l3, each as (l_s, l_t, the layout of those degrees, each
+    segment's kind index, s and t, the segments' weight keys per l3), then
+    all their keys in stacking order (group, l3, segment) and their zeros.
+    """
+    orbitals, node_layout = dict(basis), layout_parse(node_irreps)
+    found: dict[tuple[int, int], list] = {}
+    for u, (edge, zi, zj) in enumerate(kinds):
+        prefix = f"expand/off/{zi}.{zj}" if edge else f"expand/diag/{zi}"
+        for s, ls in enumerate(orbitals[zi]):
+            for t, lt in enumerate(orbitals[zj]):
+                found.setdefault((ls, lt), []).append((u, s, t, prefix))
+    groups, keys, zeros = [], [], []
+    for (ls, lt), segments in sorted(found.items()):
+        degrees = so3_layout([(l3, node_layout.mult(l3)) for l3 in range(abs(ls - lt), ls + lt + 1)
+                              if node_layout.mult(l3)])
+        if not degrees.entries:  # the group's blocks stay zero
+            continue
+        names = {l3: tuple(f"{prefix}/{s}.{t}/{l3}" for _, s, t, prefix in segments)
+                 for l3 in degrees.indices}
+        for l3, mult in degrees.entries:
+            keys += names[l3]
+            zeros += [np.zeros(mult)] * len(segments)
+            zeros[-1].flags.writeable = False  # all plans of these kinds share the arrays
+        table = np.array([segment[:3] for segment in segments])
+        table.flags.writeable = False
+        groups.append((ls, lt, degrees, *table.T, names))
+    return tuple(groups), tuple(keys), tuple(zeros)
+
+
+def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyPlan:
+    """The assembly plan of a molecule with directed edges (src, dst).
+
+    Items are the atoms (i, i), then the edges (i, j).  Each group lists
+    its segments in ascending kind (atoms before edges, then z_i, z_j),
+    then (s, t) row-major, and the items of a segment in ascending order.
+    The segments and weight keys come from a cache keyed on the basis, the
+    node irreps and the kinds present, so a graph costs a few array
+    operations per group.
+    """
+    numbers = np.asarray(numbers)
+    n = len(numbers)
+    rows, cols = (np.concatenate([np.arange(n), ends]) for ends in (src, dst))
+    base = int(numbers.max(initial=0)) + 1
+    codes, kind_of = np.unique((np.arange(len(rows)) >= n) * base * base
+                               + numbers[rows] * base + numbers[cols], return_inverse=True)
+    kinds = tuple((bool(c // base // base), int(c // base % base), int(c % base)) for c in codes)
+    counts = np.bincount(kind_of, minlength=len(codes))
+    by_kind = np.argsort(kind_of, kind="stable")
+    first = np.cumsum(counts) - counts          # each kind's start in by_kind
+    starts = np.array(list(zip_longest(*layout.offsets, fillvalue=0))).T  # (atom, orbital)
+    segment_groups, keys, zeros = _segments(config.basis, config.node_irreps, kinds)
+    index = np.full(layout.dim * layout.dim, -1)
+    groups, stacked, placed = [], 0, 0
+    for ls, lt, degrees, kind, s, t, names in segment_groups:
+        # one block per segment and item of its kind
+        width = counts[kind]
+        seg = np.repeat(np.arange(len(kind)), width)
+        shift = first[kind] - (np.cumsum(width) - width)  # segment start -> its kind's start
+        k = by_kind[np.arange(len(seg)) + np.repeat(shift, width)]
+        weights = {}
+        for l3, mult in degrees.entries:
+            weights[l3] = names[l3], (seg * mult)[:, None] + (stacked + np.arange(mult))
+            stacked += len(kind) * mult
+        groups.append(AssemblyGroup(ls, lt, degrees, k, weights))
+        # the flat matrix position of each block entry, row-major per block
+        corner = starts[rows[k], s[seg]] * layout.dim + starts[cols[k], t[seg]]
+        entry = np.arange(2 * ls + 1)[:, None] * layout.dim + np.arange(2 * lt + 1)
+        position = (corner[:, None] + entry.ravel()).ravel()
+        index[position] = np.arange(placed, placed + len(position))
+        placed += len(position)
+    return AssemblyPlan(tuple(groups), keys, zeros, index.reshape(layout.dim, layout.dim))
+
+
+def assemble(h: So3Features, x_pair: So2Features, prepared, params, config) -> BlockMatrix:
     """Dense matrix from node features (diagonal atom blocks) and pair
     features (off-diagonal atom blocks), symmetrized as ``(H + H^T) / 2``.
 
     Atoms (i, i) and edges (i, j), with ``x_pair`` rotated out of the edge
     frames, are one batch of items that differ only in their weight prefix,
-    ``expand/diag/{z}`` or ``expand/off/{z_i}.{z_j}``.  The orbital blocks of
-    all items run as one batched :func:`cg.expansion` per degree pair
-    (l_s, l_t), and one gather through a (dim, dim) index map places them;
-    atom pairs without an edge (beyond cutoff) read a zero.
+    ``expand/diag/{z}`` or ``expand/off/{z_i}.{z_j}``.  Following the
+    per-graph ``prepared.plan``, the weights of the molecule's kinds are
+    stacked once (a key missing from ``params`` reads zero; a degree l3 none
+    of whose keys a group finds adds nothing); each degree pair (l_s, l_t)
+    gathers its weights and items and runs one batched
+    :func:`cg.expansion`, and one gather through the plan's index map
+    places every block.
     """
-    n = graph.n_atoms
+    plan = prepared.plan
     pair = from_local(prepared.frame, x_pair, config.node_layout)
-    items = So3Features(h.layout, [ad.concat([a, b]) for a, b in zip(h.blocks, pair.blocks)])
-    rows, cols = (np.concatenate([np.arange(n), ends]) for ends in (prepared.src, prepared.dst))
-    starts = np.array(list(zip_longest(*layout.offsets, fillvalue=0))).T  # (atom, orbital)
-    # the items of one kind (atom or edge, elements) share their weights, and
-    # add one segment to the group of each (l_s, l_t) of their orbital pairs
-    kinds = np.stack([np.arange(len(rows)) >= n, graph.numbers[rows], graph.numbers[cols]], 1)
-    unique_kinds, kind_of = np.unique(kinds, axis=0, return_inverse=True)
-    groups: dict[tuple[int, int], list] = {}
-    for u, (off, zi, zj) in enumerate(unique_kinds):
-        k = np.flatnonzero(kind_of.ravel() == u)
-        prefix = f"expand/off/{zi}.{zj}" if off else f"expand/diag/{zi}"
-        for s, ls in enumerate(layout.degrees[rows[k[0]]]):
-            for t, lt in enumerate(layout.degrees[cols[k[0]]]):
-                groups.setdefault((ls, lt), []).append(
-                    (f"{prefix}/{s}.{t}", k, starts[rows[k], s], starts[cols[k], t]))
+    blocks = {l: ad.concat([a, b]) for (l, a), b in zip(h.items(), pair.blocks)}
+    stacked = ad.concat(list(map(params.get, plan.keys, plan.zeros)))
+    outputs = []
+    for group in plan.groups:
+        w = {l3: ad.take(stacked, index) for l3, (names, index) in group.weights.items()
+             if not params.keys().isdisjoint(names)}
+        items = So3Features(group.layout, [ad.take(blocks[l3], group.k) for l3 in group.weights])
+        outputs.append(ad.reshape(expansion(items, w, group.ls, group.lt), (-1,)))
     # index -1 reads the zero appended to the flattened group outputs
-    index = np.full((layout.dim, layout.dim), -1)
-    outputs, size = [], 0
-    for (ls, lt), segments in groups.items():
-        names, members, r0, c0 = zip(*segments)
-        k, r0, c0 = np.concatenate(members), np.concatenate(r0), np.concatenate(c0)
-        seg = np.repeat(np.arange(len(names)), [len(m) for m in members])
-        w = {}
-        for l3 in range(abs(ls - lt), ls + lt + 1):
-            mult, keys = items.layout.mult(l3), [f"{name}/{l3}" for name in names]
-            if mult and any(key in params for key in keys):
-                stacked = ad.concat([params.get(key, np.zeros(mult)) for key in keys])
-                w[l3] = ad.take(ad.reshape(stacked, (len(keys), mult)), seg)
-        block = expansion(items.map_blocks(lambda b: ad.take(b, k)), w, ls, lt)
-        d1, d2 = 2 * ls + 1, 2 * lt + 1
-        index[r0[:, None, None] + np.arange(d1)[:, None], c0[:, None, None] + np.arange(d2)] = \
-            size + np.arange(len(k) * d1 * d2).reshape(len(k), d1, d2)
-        outputs.append(ad.reshape(block, (-1,)))
-        size += len(k) * d1 * d2
-    dense = ad.take(ad.concat(outputs + [np.zeros(1)]), index)
-    return BlockMatrix(ad.mul(ad.add(dense, ad.transpose(dense)), 0.5), layout)
+    dense = ad.take(ad.concat(outputs + [np.zeros(1)]), plan.index)
+    return BlockMatrix(ad.mul(ad.add(dense, ad.transpose(dense)), 0.5), prepared.layout)
 
 
 def block_rotate(H: BlockMatrix, g: Rotation) -> BlockMatrix:

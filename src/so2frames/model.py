@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from . import autodiff as ad
 from .counters import OpCounter
 from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
 from .graph import MoleculeGraph
+from .hamiltonian import (AssemblyPlan, OrbitalLayout, assemble, assembly_plan,
+                          build_orbital_layout)
 from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so2_layout
 from .sampling import stream
 from .so2ops import (enumerate_tp_paths, init_mlp, init_so2_ffn, init_so2_gate,
@@ -133,7 +136,9 @@ TAU = 1e-9  # relative tie tolerance: far above rotation rounding, far below bon
 
 @dataclass
 class PreparedGraph:
-    """Per-graph geometry as arrays over the directed edges in (i, j) order.
+    """Per-graph geometry as arrays over the directed edges in (i, j) order,
+    and everything else of a forward pass that does not depend on the
+    parameters.
 
     ``src`` and ``dst`` (E,) are the endpoints of each edge; ``frame`` is
     the batched frame of the edge directions, ``d_in[l]`` of shape
@@ -141,8 +146,11 @@ class PreparedGraph:
     lengths; ``receivers`` (N, 1 + max degree) lists each atom's rows of
     [own features (N); messages (E)].  The node-frame items ``node_atom``,
     ``node_edge`` (I,) pair each atom with its edges within a relative TAU
-    of its shortest, or with edge -1 (the identity frame) if it has none,
-    and ``node_slots`` (N, T) lists each atom's items.
+    of its shortest, or with edge -1 (the identity frame) if it has none;
+    ``node_frame`` holds their frames, gathered on first use, and
+    ``node_slots`` (N, T) lists each atom's items.  ``layout`` is the
+    orbital layout of the atoms and ``plan`` the
+    :class:`hamiltonian.AssemblyPlan` of :func:`hamiltonian.assemble`.
     """
 
     src: np.ndarray
@@ -153,6 +161,12 @@ class PreparedGraph:
     node_atom: np.ndarray
     node_edge: np.ndarray
     node_slots: np.ndarray
+    layout: OrbitalLayout
+    plan: AssemblyPlan
+
+    @cached_property
+    def node_frame(self) -> Frame:
+        return self.frame.take(self.node_edge)
 
 
 def rbf(distance, config: ModelConfig) -> np.ndarray:
@@ -194,10 +208,12 @@ def prepare_graph(graph: MoleculeGraph, config: ModelConfig) -> PreparedGraph:
     isolated = np.flatnonzero(np.isinf(nearest))
     node_atom = np.concatenate([src[tied], isolated])
     node_edge = np.concatenate([tied, np.full(len(isolated), -1)])
+    layout = build_orbital_layout(graph.numbers, config.basis_map)
     return PreparedGraph(src, dst, frames_from_directions(graph.directions, config.l_max),
                          rbf(graph.distances, config),
                          _slots(np.concatenate([np.arange(n), src]), n),  # own row first
-                         node_atom, node_edge, _slots(node_atom, n))
+                         node_atom, node_edge, _slots(node_atom, n),
+                         layout, assembly_plan(graph.numbers, src, dst, layout, config))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +399,7 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
     layout = config.node_layout
     paths = enumerate_tp_paths(config.l_max, config.tp_arity)
     weights = [params[f"{p}/tp/w/{k}"] for k in range(len(paths))]
-    frame = prepared.frame.take(prepared.node_edge)
+    frame = prepared.node_frame
     local = to_local(frame, gather(h, prepared.node_atom), counter)
     u = so2_linear(local, params, f"{p}/tp/pre", counter)
     fused = so2_tp_contract([u] * config.tp_arity, paths, weights, counter)
@@ -436,13 +452,10 @@ def predict(graph: MoleculeGraph, params, config: ModelConfig,
             prepared: PreparedGraph | None = None,
             counter: OpCounter | None = None):
     """Forward pass plus matrix assembly; returns a BlockMatrix."""
-    from .hamiltonian import assemble, build_orbital_layout
-
     if prepared is None:
         prepared = prepare_graph(graph, config)
     h, x_pair = forward(graph, params, config, prepared, counter)
-    layout = build_orbital_layout(graph.numbers, config.basis_map)
-    return assemble(h, x_pair, prepared, params, layout, graph, config)
+    return assemble(h, x_pair, prepared, params, config)
 
 
 # ---------------------------------------------------------------------------

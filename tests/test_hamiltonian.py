@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from so2frames import autodiff as ad
 from so2frames.cg import expansion
 from so2frames.frames import from_local, rotation_from_euler, rotation_from_matrix
 from so2frames.graph import build_graph
@@ -12,7 +14,8 @@ from so2frames.hamiltonian import (BlockMatrix, block_rotate, build_orbital_layo
                                    layout_from_degrees, matrix_dumps, matrix_from_bytes,
                                    matrix_loads, matrix_to_bytes, metrics)
 from so2frames.irreps import So3Features
-from so2frames.model import default_fit_config, forward, init_params, predict, prepare_graph
+from so2frames.model import (ModelConfig, default_fit_config, forward, init_params, predict,
+                             prepare_graph)
 from so2frames.sampling import random_rotation_matrix, stream
 
 BASIS = {1: (0, 0, 1), 8: (0, 0, 0, 1, 1, 2)}
@@ -83,15 +86,21 @@ class TestAssemble:
             H_rot = predict(rotated, params, config)
             assert np.max(np.abs(H_rot.array - block_rotate(H, g).array)) < 1e-10
 
-    def test_matches_per_block_reference(self):
+    @pytest.mark.parametrize("numbers, positions, far", [
+        # the last atom lies beyond the cutoff of all the others
+        ([8, 1, 6, 1, 8], [[0.0, 0.0, 0.0], [0.96, 0.1, 0.0], [-0.5, 1.3, 0.2],
+                           [-1.2, 1.9, -0.7], [25.0, 0.0, 0.0]], 4),
+        # one C and one O: no C-C or O-O edges
+        ([6, 8], [[0.0, 0.0, 0.0], [1.2, 0.3, -0.4]], None),
+    ], ids=["far-atom", "unlike-pair"])
+    @pytest.mark.parametrize("make_config", [default_fit_config,
+                                             lambda graph: ModelConfig(elements=(1, 6, 8))],
+                             ids=["fit-config", "lmax4-config"])
+    def test_matches_per_block_reference(self, numbers, positions, far, make_config):
         # one expansion per orbital block of every atom and edge, written into
-        # its slice: the batched assembly places the same bits; the last atom
-        # lies beyond the cutoff of all the others
-        numbers = [8, 1, 6, 1, 8]
-        positions = [[0.0, 0.0, 0.0], [0.96, 0.1, 0.0], [-0.5, 1.3, 0.2],
-                     [-1.2, 1.9, -0.7], [25.0, 0.0, 0.0]]
+        # its slice: the batched assembly places the same bits
         graph = build_graph(numbers, positions, cutoff=15.0)
-        config = default_fit_config(graph)
+        config = make_config(graph)
         params = init_params(config)
         prepared = prepare_graph(graph, config)
         h, x_pair = forward(graph, params, config, prepared)
@@ -114,9 +123,34 @@ class TestAssemble:
         for e, (i, j) in enumerate(zip(prepared.src, prepared.dst)):
             place(i, j, [b[e] for b in pair.blocks], f"expand/off/{numbers[i]}.{numbers[j]}")
         H = predict(graph, params, config, prepared)
-        assert np.array_equal(H.array, (dense + dense.T) * 0.5)
-        far = layout.atom_slice(4)
-        assert not np.any(H.array[far, :far.start]) and np.any(H.array[far, far])
+        assert H.array.tobytes() == ((dense + dense.T) * 0.5).tobytes()
+        if far is not None:
+            far = layout.atom_slice(far)
+            assert not np.any(H.array[far, :far.start]) and np.any(H.array[far, far])
+
+    def test_prepared_graph_serves_many_params(self):
+        # the assembly plan depends only on the graph: reused with other
+        # parameters, it gives the bits of a fresh predict
+        graph = build_graph([8, 1, 6, 1], [[0.0, 0.0, 0.0], [0.96, 0.1, 0.0],
+                                           [-0.5, 1.3, 0.2], [-1.2, 1.9, -0.7]], cutoff=15.0)
+        config = default_fit_config(graph)
+        prepared = prepare_graph(graph, config)
+        for seed in (1, 2):
+            params = init_params(replace(config, seed=seed))
+            assert (predict(graph, params, config, prepared).array.tobytes()
+                    == predict(graph, params, config).array.tobytes())
+
+    def test_absent_kinds_get_no_gradient(self):
+        # C-O has no C-C, O-O or hydrogen kinds: their weights never enter the tape
+        graph = build_graph([6, 8], [[0.0, 0.0, 0.0], [1.2, 0.3, -0.4]], cutoff=15.0)
+        config = ModelConfig(elements=(1, 6, 8), layers=1, tp_arity=2)
+        leaves = {k: ad.Var(v) for k, v in init_params(config).items()}
+        ad.backward(ad.mean_all(ad.absolute(predict(graph, leaves, config).data)))
+        present = ("expand/diag/6/", "expand/diag/8/", "expand/off/6.8/", "expand/off/8.6/")
+        expand = {k: leaf.grad for k, leaf in leaves.items() if k.startswith("expand/")}
+        assert all(grad is not None for k, grad in expand.items() if k.startswith(present))
+        absent = [k for k in expand if not k.startswith(present)]
+        assert absent and all(expand[k] is None for k in absent)
 
     def test_beyond_cutoff_blocks_zero(self, molecule):
         graph, config, params = molecule

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from so2frames.graph import build_graph, graph_from_json, sample_molecule
 from so2frames.harness import bench, brute_force_pair_paths, check_equivariance
 from so2frames.hamiltonian import (BlockMatrix, layout_from_degrees, matrix_loads,
                                    read_matrix, write_matrix)
-from so2frames.model import checkpoint_dumps, default_fit_config, init_params
+from so2frames.model import checkpoint_dumps, default_fit_config, init_params, predict
 from so2frames.so2ops import enumerate_tp_paths
 
 
@@ -221,8 +222,11 @@ class TestBadInput:
         # H2 has 10 orbital rows
         '{"atoms": [{"z": 1, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}], '
         '"hamiltonian": [[0.1]]}',
+        '{"atoms": [{"z": 1, "pos": [true, 0, 0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
+        '{"atoms": [{"z": 1, "pos": ["1", 0, 0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
+        '{"atoms": [{"z": 1, "pos": [0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
     ], ids=["fractional-z", "boolean-z", "string-cutoff", "top-level-list", "atom-not-object",
-            "hamiltonian-shape"])
+            "hamiltonian-shape", "boolean-pos", "string-pos", "two-element-pos"])
     def test_malformed_molecule_file(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -281,6 +285,37 @@ class TestBadInput:
                                        '{"z": 8, "pos": [0.0, 0.0, 1.8]}')
         self._assert_usage_error(["predict", mol, str(ckpt), "--out",
                                   str(tmp_path / "H.json")], capsys)
+
+
+class TestCheckpointCutoff:
+    """predict and check-equiv build the graph at the checkpoint's cutoff,
+    not at the molecule file's."""
+
+    def _files(self, tmp_path, distance, file_cutoff):
+        mol = tmp_path / "mol.json"
+        mol.write_text(build_graph([1, 1], [[0.0, 0.0, 0.0], [0.0, 0.0, distance]],
+                                   file_cutoff).to_json())
+        config = replace(default_fit_config(graph_from_json(mol.read_text())), cutoff=5.0)
+        params = init_params(config)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(checkpoint_dumps(config, params))
+        return str(mol), str(ckpt), config, params
+
+    def test_atoms_beyond_checkpoint_cutoff(self, tmp_path):
+        mol, ckpt, _, _ = self._files(tmp_path, 6.0, 15.0)
+        out = tmp_path / "H.json"
+        assert main(["predict", mol, ckpt, "--out", str(out)]) == 0
+        H = read_matrix(str(out))
+        assert not np.any(H.array[H.layout.atom_slice(0), H.layout.atom_slice(1)])
+        assert main(["check-equiv", mol, ckpt, "--trials", "2"]) == 0
+
+    def test_edges_within_checkpoint_cutoff(self, tmp_path):
+        mol, ckpt, config, params = self._files(tmp_path, 4.0, 3.0)
+        out = tmp_path / "H.bin"
+        assert main(["predict", mol, ckpt, "--out", str(out)]) == 0
+        graph = build_graph([1, 1], [[0.0, 0.0, 0.0], [0.0, 0.0, 4.0]], 5.0)
+        assert read_matrix(str(out)).array.tobytes() == \
+            predict(graph, params, config).array.tobytes()
 
 
 class TestFrameEdgeCases:
