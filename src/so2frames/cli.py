@@ -57,11 +57,24 @@ def _at_cutoff(graph, cutoff):
 
 
 def _load_checkpoint(path: str):
+    """Config and parameters of a checkpoint whose parameter names and
+    shapes are those :func:`init_params` gives its config."""
     try:
         with open(path) as f:
-            return checkpoint_loads(f.read())
+            config, params = checkpoint_loads(f.read())
     except (OSError, json.JSONDecodeError, KeyError) as err:
         raise UsageError(f"cannot read checkpoint {path}: {err}") from err
+    expected = init_params(config)
+    for name, array in expected.items():
+        if name not in params:
+            raise UsageError(f"checkpoint {path} lacks parameter {name}")
+        if params[name].shape != array.shape:
+            raise UsageError(f"checkpoint {path}: parameter {name} has shape "
+                             f"{params[name].shape}, the config needs {array.shape}")
+    unknown = sorted(params.keys() - expected.keys())
+    if unknown:
+        raise UsageError(f"checkpoint {path} has unknown parameter {unknown[0]}")
+    return config, params
 
 
 def _config_from_args(args, base: ModelConfig) -> ModelConfig:

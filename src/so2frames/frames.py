@@ -333,29 +333,55 @@ def to_local(frame: Frame, x: So3Features, counter: OpCounter | None = None) -> 
 
     ``x'_l = D_l(h^{-1}) x_l`` per degree, then order m gathers the
     ``(x_{-m}, x_{+m})`` column pairs of every degree l >= m (ascending l).
-    A batch of frames rotates a batch of features item by item.
+    A batch of frames rotates a batch of features item by item.  Each
+    output order is one fused autodiff primitive whose parents are the
+    degree blocks it reads.
     """
     if x.layout.max_index > frame.l_max:
         raise ValueError(
             f"feature degree {x.layout.max_index} exceeds frame cache l_max {frame.l_max}")
     rotated = {}
     for l, block in x.items():
-        rotated[l] = ad.matmul(block, np.swapaxes(frame.d_in[l], -1, -2))
+        rotated[l] = ad.value_of(block) @ np.swapaxes(frame.d_in[l], -1, -2)
         if counter is not None:
             counter.add("frame_rotation", x.layout.mult(l) * l * l * batch_size(rotated[l]))
     out_layout = so2_layout_of(x.layout)
     blocks = []
     for m in out_layout.indices:
+        degrees = [l for l in x.layout.indices if l >= m]
         # components l - m and l + m (one component l for m = 0)
-        cols = [ad.take(rotated[l], (..., slice(l - m, l + m + 1, max(2 * m, 1))))
-                for l in x.layout.indices if l >= m]
-        blocks.append(cols[0] if len(cols) == 1 else ad.concat(cols, axis=-2))
+        cols = [slice(l - m, l + m + 1, max(2 * m, 1)) for l in degrees]
+        parts = [rotated[l][..., c] for l, c in zip(degrees, cols)]
+        value = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2,
+                                                                 dtype=np.float64)
+        parents = tuple(x.block(l) for l in degrees)
+        blocks.append(ad.primitive(value, parents, _to_local_vjp(frame, degrees, cols, parents)))
     return So2Features(out_layout, blocks)
+
+
+def _to_local_vjp(frame: Frame, degrees, cols, parents):
+    """Adjoint of one order of :func:`to_local`: each degree's channel rows
+    of the cotangent times the rows of ``D_l`` its columns came from."""
+    def vjp(g):
+        grads = []
+        offset = 0
+        for l, c, block in zip(degrees, cols, parents):
+            mult = block.shape[-2]
+            part = g[..., offset:offset + mult, :]
+            offset += mult
+            grads.append(ad.unbroadcast(part @ frame.d_in[l][..., c, :], block.shape))
+        return grads
+
+    return vjp
 
 
 def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout,
                counter: OpCounter | None = None) -> So3Features:
-    """Exact inverse of :func:`to_local` for the given SO(3) layout."""
+    """Exact inverse of :func:`to_local` for the given SO(3) layout.
+
+    Each output degree is one fused autodiff primitive whose parents are
+    the order blocks 0..l.
+    """
     if so2_layout_of(so3_layout) != x.layout:
         raise ValueError("SO(2) layout is not the regrouping of the SO(3) layout")
     order_offsets = {m: 0 for m in x.layout.indices}
@@ -364,17 +390,35 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout,
         mult = so3_layout.mult(l)
         # the degree-l rows of orders 0..l hold its components in the
         # order-aligned basis, which the permutation maps back
-        parts = []
+        rows = []
         for m in range(l + 1):
-            off = order_offsets[m]
-            parts.append(ad.take(x.block(m), (..., slice(off, off + mult), slice(None))))
-            order_offsets[m] = off + mult
-        aligned = parts[0] if l == 0 else ad.concat(parts, axis=-1)
-        block = ad.matmul(aligned, order_alignment_permutation(l) @ frame.d_in[l])
-        blocks.append(block)
+            rows.append(slice(order_offsets[m], order_offsets[m] + mult))
+            order_offsets[m] += mult
+        parents = tuple(x.block(m) for m in range(l + 1))
+        parts = [ad.value_of(p)[..., r, :] for p, r in zip(parents, rows)]
+        aligned = parts[0] if l == 0 else np.concatenate(parts, axis=-1, dtype=np.float64)
+        rotation = order_alignment_permutation(l) @ frame.d_in[l]
+        block = aligned @ rotation
+        blocks.append(ad.primitive(block, parents,
+                                   _from_local_vjp(rotation, aligned.shape, rows, parents)))
         if counter is not None:
             counter.add("frame_rotation", mult * l * l * batch_size(block))
     return So3Features(so3_layout, blocks)
+
+
+def _from_local_vjp(rotation, aligned_shape, rows, parents):
+    """Adjoint of one degree of :func:`from_local`: the cotangent rotated
+    back, with each order's columns scattered into its channel rows."""
+    def vjp(g):
+        aligned = ad.unbroadcast(g @ np.swapaxes(rotation, -1, -2), aligned_shape)
+        grads = []
+        for m, (r, block) in enumerate(zip(rows, parents)):
+            grad = np.zeros(block.shape)
+            grad[..., r, :] = aligned[..., max(2 * m - 1, 0):2 * m + 1]
+            grads.append(grad)
+        return grads
+
+    return vjp
 
 
 def rotate_so3(features: So3Features, rotation: Rotation) -> So3Features:

@@ -29,6 +29,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,12 +101,14 @@ class IrrepsLayout:
         return self.format()
 
 
+@lru_cache(maxsize=256)
 def layout_parse(spec: str) -> IrrepsLayout:
     """Parse a layout spec like ``"4x0e+2x1e"`` into a canonical layout.
 
     Raises :class:`LayoutError` on malformed tokens, duplicate indices, or
     mixed ``e``/``m`` suffixes.  The result is sorted ascending and
-    round-trips through :meth:`IrrepsLayout.format`.
+    round-trips through :meth:`IrrepsLayout.format`.  Layouts are frozen,
+    so each spec is parsed once and its layout shared.
     """
     tokens = spec.replace(" ", "").split("+")
     entries: dict[int, int] = {}

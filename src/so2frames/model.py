@@ -464,32 +464,45 @@ def predict(graph: MoleculeGraph, params, config: ModelConfig,
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Adam moments as flat vectors in the order of the parameter buffer."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+def adam_step(params: np.ndarray, grad: np.ndarray, live: np.ndarray, state: AdamState,
+              lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
               clip: float = 1.0) -> None:
-    """One constant-rate Adam update with per-entry update clipping.
+    """One constant-rate Adam update with per-entry update clipping, in place.
 
-    The bias-corrected ratio m / sqrt(v) is clamped to [-clip, clip], so a
+    ``params``, ``grad`` and the boolean ``live`` are flat vectors over all
+    parameter entries; entries outside ``live`` (parameters that got no
+    gradient) keep their value and both moments bit for bit.  The
+    bias-corrected ratio m / sqrt(v) is clamped to [-clip, clip], so a
     single update never moves a parameter by more than lr * clip; this
     suppresses the transient blow-ups Adam exhibits on kinked losses when
     a gradient reappears after its second moment has decayed.
     """
     state.t += 1
     t = state.t
-    for name, g in grads.items():
-        if g is None:
-            continue
-        m = state.m[name] = beta1 * state.m.get(name, 0.0) + (1 - beta1) * g
-        v = state.v[name] = beta2 * state.v.get(name, 0.0) + (1 - beta2) * (g * g)
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        update = np.clip(m_hat / (np.sqrt(v_hat) + eps), -clip, clip)
-        params[name] = params[name] - lr * update
+    m = beta1 * state.m + (1 - beta1) * grad
+    v = beta2 * state.v + (1 - beta2) * (grad * grad)
+    np.copyto(state.m, m, where=live)
+    np.copyto(state.v, v, where=live)
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    update = np.clip(m_hat / (np.sqrt(v_hat) + eps), -clip, clip)
+    np.subtract(params, lr * update, out=params, where=live)
+
+
+def _views(buffer: np.ndarray, like: dict) -> dict:
+    """Named views into a flat buffer laid out in the dict order of ``like``."""
+    views, offset = {}, 0
+    for name, array in like.items():
+        views[name] = buffer[offset:offset + array.size].reshape(array.shape)
+        offset += array.size
+    return views
 
 
 def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
@@ -502,18 +515,34 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     demo returns and whose MAE the trajectory reports, which removes the
     kink chatter a constant learning rate leaves in the raw iterates.
 
+    The parameters of :func:`init_params` are held in one flat float64
+    buffer in dict order, and the named entries are views into it; the
+    Polyak average is a second buffer.  Each step concatenates the leaf
+    gradients into one vector with a mask of the parameters that got one,
+    so :func:`adam_step` and the average are each one array expression.
+
     Returns ``(losses, params)`` where ``losses[k]`` is the averaged
     model's MAE after k updates (``losses[0]`` is the untrained error and
-    the array has ``steps + 1`` entries).  Deterministic given the seed.
-    Aborts with RuntimeError if the loss goes non-finite.
+    the array has ``steps + 1`` entries), and ``params`` holds copies of
+    the averaged parameters.  Deterministic given the seed.  Raises
+    ValueError for negative ``steps`` or a learning rate that is not a
+    finite positive number, and RuntimeError if the loss goes non-finite.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"learning rate must be a finite positive number, got {lr}")
     config = default_fit_config(graph) if config is None else config
     config = replace(config, seed=seed)
-    params = init_params(config)
-    averaged = {k: v.copy() for k, v in params.items()}
+    init = init_params(config)
+    flat = np.concatenate([array.ravel() for array in init.values()])
+    sizes = [array.size for array in init.values()]
+    params = _views(flat, init)
+    average = flat.copy()
+    averaged = _views(average, init)
     prepared = prepare_graph(graph, config)
     target_data = np.asarray(getattr(target, "data", target), dtype=np.float64)
-    state = AdamState({}, {})
+    state = AdamState(np.zeros(flat.size), np.zeros(flat.size))
     losses = []
     for step in range(steps + 1):
         pred = predict(graph, averaged, config, prepared)
@@ -529,12 +558,13 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
         if not math.isfinite(float(loss.value)):
             raise RuntimeError(f"non-finite training loss at step {step}")
         ad.backward(loss)
-        grads = {k: leaves[k].grad for k in params}
-        adam_step(params, grads, state, lr)
+        grads = [leaf.grad for leaf in leaves.values()]
+        grad = np.concatenate([np.zeros(n) if g is None else g.ravel()
+                               for g, n in zip(grads, sizes)])
+        adam_step(flat, grad, np.repeat([g is not None for g in grads], sizes), state, lr)
         w = min(average_decay, (step + 1.0) / (step + 2.0))
-        for k in averaged:
-            averaged[k] = w * averaged[k] + (1.0 - w) * params[k]
-    return np.array(losses), averaged
+        average[:] = w * average + (1.0 - w) * flat
+    return np.array(losses), {k: v.copy() for k, v in averaged.items()}
 
 
 def default_fit_config(graph: MoleculeGraph) -> ModelConfig:

@@ -4,13 +4,19 @@ composition.
 
 Every operation commutes with per-order planar rotations and is built on
 the autodiff primitives, so gradients with respect to inputs and
-parameters come from the same code path.  Blocks follow the container
-conventions of :mod:`so2frames.irreps`: order m > 0 pairs are
-``(x_{-m}, x_{+m})`` read as the complex number ``x_{+m} + i x_{-m}``.
-Blocks may carry leading batch axes: every operation indexes components
-on axis -1 and channels on axis -2, so one call acts on all nodes or all
-edges at once, and each item's result depends only on that item.  Counter
-increments scale with the number of items.
+parameters come from the same code path.  LayerNorm (one primitive per
+block) and the small MLP (one per call) are fused autodiff primitives
+with hand-written VJPs: their forward passes run the numpy expressions
+of the primitive chains they replace, in the same order, so values are
+unchanged while the tape records far fewer nodes.
+
+Blocks follow the container conventions of :mod:`so2frames.irreps`:
+order m > 0 pairs are ``(x_{-m}, x_{+m})`` read as the complex number
+``x_{+m} + i x_{-m}``.  Blocks may carry leading batch axes: every
+operation indexes components on axis -1 and channels on axis -2, so one
+call acts on all nodes or all edges at once, and each item's result
+depends only on that item.  Counter increments scale with the number of
+items.
 
 Weights live in a flat ``{name: array}`` dict: each operation reads its
 own under a name prefix, and the ``init_*`` helpers write them there.
@@ -98,18 +104,39 @@ def mlp(v, params: dict, prefix: str):
     """Fully connected net ``{prefix}/{k}/W|b``: SiLU on hidden layers, linear output.
 
     ``v`` holds its features on axis -2 as a column, ``(..., in, 1)``, and
-    the result is ``(..., out, 1)``.
+    the result is ``(..., out, 1)``.  One fused autodiff primitive whose
+    parents are ``v`` and every weight and bias.
     """
     n = 0
     while f"{prefix}/{n}/W" in params:
         n += 1
-    out = v
+    weights = [params[f"{prefix}/{k}/{w}"] for k in range(n) for w in ("W", "b")]
+    values = [ad.value_of(w) for w in weights]
+    inputs, hidden = [], []
+    out = ad.value_of(v)
     for k in range(n):
-        bias = ad.reshape(params[f"{prefix}/{k}/b"], (-1, 1))
-        out = ad.add(ad.matmul(params[f"{prefix}/{k}/W"], out), bias)
+        inputs.append(out)
+        out = values[2 * k] @ out + values[2 * k + 1].reshape(-1, 1)
         if k != n - 1:
-            out = ad.silu(out)
-    return out
+            sig = 1.0 / (1.0 + np.exp(-out))
+            hidden.append((out, sig))
+            out = out * sig
+
+    def vjp(g):
+        grads = [None] * (2 * n + 1)
+        for k in reversed(range(n)):
+            if k != n - 1:
+                pre, sig = hidden[k]
+                g = g * sig * (1.0 + pre * (1.0 - sig))
+            a = inputs[k]
+            rows = np.swapaxes(g, -1, -2).reshape(-1, g.shape[-2])
+            grads[2 * k + 1] = rows.T @ np.swapaxes(a, -1, -2).reshape(-1, a.shape[-2])
+            grads[2 * k + 2] = rows.sum(axis=0)
+            g = np.swapaxes(values[2 * k], -1, -2) @ g
+        grads[0] = g
+        return grads
+
+    return ad.primitive(out, (v, *weights), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +226,57 @@ def so2_layernorm(x, params: dict, prefix: str):
     rescaled: ``x / norm * ((norm - mean) / std * g + b)``.  The
     stabilizer enters as eps^2 under the square roots, so unit-variance
     and scale-invariance hold to near machine precision for O(1) inputs.
+    Each block is one fused autodiff primitive.
+    """
+    blocks = [_layernorm_block(block, params[f"{prefix}/{m}/g"], params[f"{prefix}/{m}/b"],
+                               x.layout.mult(m), m > 0)
+              for m, block in x.items()]
+    return type(x)(x.layout, blocks)
+
+
+def _layernorm_block(block, g, b, c: int, directional: bool):
+    """One block of :func:`so2_layernorm` with parents ``(block, g, b)``.
+
+    The standardized quantity ``y`` is the block itself (m = 0) or its
+    per-channel norm (m > 0).  The adjoint takes the chain rule through
+    the forward steps one by one, in reverse.  With two channels the
+    standardized values hardly depend on the input, so the adjoint is a
+    difference of nearly equal terms; the step-by-step chain keeps its
+    rounding close to that of the unfused tape.
     """
     eps = LN_EPS
-    blocks = []
-    for m, block in x.items():
-        g = params[f"{prefix}/{m}/g"]
-        b = params[f"{prefix}/{m}/b"]
-        c = x.layout.mult(m)
-        if m == 0:
-            mu = ad.mean_axis(block, axis=-2, keepdims=True)
-            centered = ad.sub(block, mu)
-            var = ad.mean_axis(ad.mul(centered, centered), axis=-2, keepdims=True)
-            normed = ad.div(centered, ad.sqrt(ad.add(var, eps * eps)))
-            out = ad.add(ad.mul(normed, ad.reshape(g, (c, 1))),
-                         ad.reshape(b, (c, 1)))
-        else:
-            sq = ad.sum_axis(ad.mul(block, block), axis=-1, keepdims=True)
-            norm = ad.sqrt(ad.add(sq, eps * eps))           # (..., C, 1)
-            direction = ad.div(block, norm)
-            mu = ad.mean_axis(norm, axis=-2, keepdims=True)
-            centered = ad.sub(norm, mu)
-            var = ad.mean_axis(ad.mul(centered, centered), axis=-2, keepdims=True)
-            scaled = ad.div(centered, ad.sqrt(ad.add(var, eps * eps)))
-            affine = ad.add(ad.mul(scaled, ad.reshape(g, (c, 1))),
-                            ad.reshape(b, (c, 1)))
-            out = ad.mul(direction, affine)
-        blocks.append(out)
-    return type(x)(x.layout, blocks)
+    vx = ad.value_of(block)
+    g_col, b_col = ad.value_of(g).reshape(c, 1), ad.value_of(b).reshape(c, 1)
+    if directional:
+        norm = np.sqrt((vx * vx).sum(axis=-1, keepdims=True) + eps * eps)   # (..., C, 1)
+        direction = vx / norm
+        y = norm
+    else:
+        y = vx
+    centered = y - y.mean(axis=-2, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-2, keepdims=True) + eps * eps)
+    scaled = centered / std
+    affine = scaled * g_col + b_col
+    out = direction * affine if directional else affine
+
+    def vjp(grad):
+        if directional:
+            d_dir = grad * affine
+            grad = (grad * direction).sum(axis=-1, keepdims=True)
+        axes = tuple(range(grad.ndim - 2)) + (grad.ndim - 1,)
+        d_g, d_b = (grad * scaled).sum(axis=axes), grad.sum(axis=axes)
+        d_scaled = grad * g_col
+        d_var = (-d_scaled * centered / (std * std)).sum(axis=-2, keepdims=True) / (2.0 * std)
+        from_var = d_var / c * centered   # reaches centered twice, through centered**2
+        d_centered = d_scaled / std + from_var + from_var
+        d_y = d_centered - d_centered.sum(axis=-2, keepdims=True) / c
+        if not directional:
+            return d_y, d_g, d_b
+        d_norm = d_y + (-d_dir * vx / (norm * norm)).sum(axis=-1, keepdims=True)
+        from_sq = d_norm / (2.0 * norm) * vx   # likewise, through vx**2
+        return d_dir / norm + from_sq + from_sq, d_g, d_b
+
+    return ad.primitive(out, (block, g, b), vjp)
 
 
 # ---------------------------------------------------------------------------

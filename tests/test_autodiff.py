@@ -11,10 +11,11 @@ import pytest
 from conftest import directional_vjp_check
 from so2frames import autodiff as ad
 from so2frames.cg import PathWeights, expansion, so3_tensor_product, valid_paths
-from so2frames.frames import frame_from_direction, from_local, to_local
+from so2frames.frames import (frame_from_direction, frames_from_directions, from_local,
+                              so2_layout_of, to_local)
 from so2frames.irreps import So2Features, So3Features, real_spherical_harmonics, so2_layout, so3_layout
 from so2frames.sampling import random_unit_vector, stream
-from so2frames.so2ops import (enumerate_tp_paths, init_so2_ffn, init_so2_gate,
+from so2frames.so2ops import (enumerate_tp_paths, init_so2_ffn, init_so2_gate, mlp,
                               so2_ffn, so2_gate, so2_layernorm, so2_linear,
                               so2_tp_contract, so2_tp_pair)
 
@@ -136,8 +137,8 @@ class TestOperationVjps:
             return loss
         self._run(build_loss, arrays_fn, rng)
 
-    def _feature_loss(self, op, n_blocks, layout):
-        cots = [np.random.default_rng(1).normal(size=layout.block_shape(m))
+    def _feature_loss(self, op, n_blocks, layout, batch=()):
+        cots = [np.random.default_rng(1).normal(size=batch + layout.block_shape(m))
                 for m in layout.indices]
 
         def build_loss(arrays):
@@ -259,6 +260,62 @@ class TestOperationVjps:
             return loss
         self._run(build_loss,
                   lambda: [rng.normal(size=self.so3.block_shape(l))
+                           for l in self.so3.indices], rng)
+
+    @pytest.mark.parametrize("kind", ["so2", "so3"])
+    def test_batched_so2_layernorm(self, kind, rng):
+        # the fused LayerNorm with a leading (4,) item axis, on SO(2)
+        # orders and on SO(3) degrees
+        layout = self.layout if kind == "so2" else self.so3
+        features = So2Features if kind == "so2" else So3Features
+        n = len(layout.entries)
+
+        def arrays_fn():
+            return ([rng.normal(size=(4,) + layout.block_shape(i)) for i in layout.indices]
+                    + [1.0 + 0.2 * rng.normal(size=layout.mult(i)) for i in layout.indices]
+                    + [0.1 * rng.normal(size=layout.mult(i)) for i in layout.indices])
+
+        def op(leaves):
+            params = {}
+            for k, i in enumerate(layout.indices):
+                params[f"ln/{i}/g"] = leaves[n + k]
+                params[f"ln/{i}/b"] = leaves[2 * n + k]
+            return so2_layernorm(features(layout, leaves[:n]), params, "ln")
+
+        self._run(self._feature_loss(op, n, layout, (4,)), arrays_fn, rng)
+
+    def test_batched_mlp(self, rng):
+        # the fused MLP on a (4, in, 1) column batch, input and weights
+        sizes = [3, 5, 5, 2]
+        cot = np.random.default_rng(9).normal(size=(4, 2, 1))
+
+        def arrays_fn():
+            return ([rng.normal(size=(4, 3, 1))]
+                    + [rng.normal(size=(o, i)) * 0.7 for i, o in zip(sizes, sizes[1:])]
+                    + [rng.normal(size=o) * 0.1 for o in sizes[1:]])
+
+        def build_loss(arrays):
+            def loss(leaves):
+                params = {}
+                for k in range(3):
+                    params[f"mlp/{k}/W"] = leaves[1 + k]
+                    params[f"mlp/{k}/b"] = leaves[4 + k]
+                return ad.sum_all(ad.mul(mlp(leaves[0], params, "mlp"), cot))
+            return loss
+        self._run(build_loss, arrays_fn, rng)
+
+    def test_batched_to_local_from_local(self, rng):
+        # the fused rotations through a batch of three frames, item by item
+        frame = frames_from_directions(
+            [random_unit_vector(stream(k, "vjp-frames")) for k in range(3)], 2)
+        reg = so2_layout_of(self.so3)
+
+        def op(leaves):
+            local = to_local(frame, So3Features(self.so3, leaves))
+            return to_local(frame, from_local(frame, local, self.so3))
+
+        self._run(self._feature_loss(op, 3, reg, (3,)),
+                  lambda: [rng.normal(size=(3,) + self.so3.block_shape(l))
                            for l in self.so3.indices], rng)
 
     def test_expansion(self, rng):

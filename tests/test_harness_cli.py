@@ -274,6 +274,33 @@ class TestBadInput:
         write_matrix(str(true), BlockMatrix(np.eye(2), None))
         self._assert_usage_error(["metrics", str(bad), str(true)], capsys)
 
+    @pytest.mark.parametrize("flags", [["--steps", "-1"], ["--lr", "nan"], ["--lr", "0"],
+                                       ["--lr", "-0.001"], ["--lr", "inf"]],
+                             ids=["negative-steps", "nan-lr", "zero-lr", "negative-lr", "inf-lr"])
+    def test_bad_fit_steps_or_learning_rate(self, molecule_file, tmp_path, capsys, flags):
+        self._assert_usage_error(["fit", molecule_file, "--out-checkpoint",
+                                  str(tmp_path / "ckpt.json")] + flags, capsys)
+
+    @pytest.mark.parametrize("damage", ["missing", "mis-shaped", "unknown"])
+    def test_checkpoint_parameter_mismatch(self, molecule_file, tmp_path, capsys, damage):
+        # a checkpoint must hold exactly the parameters its config needs,
+        # with their shapes; the error names the first that differs
+        config = default_fit_config(graph_from_json(open(molecule_file).read()))
+        doc = json.loads(checkpoint_dumps(config, init_params(config)))
+        name = {"missing": "L0/ffn/gate/mlp/2/b", "mis-shaped": "L0/ln_node/1/g",
+                "unknown": "L0/extra/w"}[damage]
+        if damage == "missing":
+            del doc["params"][name]
+        else:
+            doc["params"][name] = [0.5] * 3
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        for argv in (["predict", molecule_file, str(ckpt), "--out", str(tmp_path / "H.json")],
+                     ["check-equiv", molecule_file, str(ckpt), "--trials", "1"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and name in err
+
     def test_element_missing_from_checkpoint(self, molecule_file, tmp_path, capsys):
         from so2frames.model import checkpoint_dumps
 

@@ -13,8 +13,8 @@ from so2frames import autodiff as ad
 from so2frames.frames import rotate_so3, rotation_from_matrix
 from so2frames.graph import build_graph, sample_molecule
 from so2frames.hamiltonian import block_rotate, gen_synthetic_target
-from so2frames.model import (DEFAULT_BASIS, ModelConfig, checkpoint_dumps,
-                             checkpoint_loads, default_fit_config,
+from so2frames.model import (DEFAULT_BASIS, AdamState, ModelConfig, adam_step,
+                             checkpoint_dumps, checkpoint_loads, default_fit_config,
                              degree_inner_products, fit_demo, forward, init_params, message_pass,
                              node_embed, node_update_so2tp, prepare_graph, predict,
                              rbf)
@@ -338,6 +338,16 @@ class TestTapeSize:
         assert e_small < e_large
         assert small == large
 
+    def test_fit_step_tape_size(self, setup):
+        # the LayerNorm, MLP and frame rotations are fused primitives, so a
+        # fit step's taped predict on the fit-demo molecule stays small
+        graph, config, params = setup
+        target, _ = gen_synthetic_target(graph, seed=11, config=config)
+        leaves = {k: ad.Var(v) for k, v in params.items()}
+        pred = predict(graph, leaves, config)
+        loss = ad.mean_all(ad.absolute(ad.sub(pred.data, target.array)))
+        assert len(_tape([loss])) <= 380
+
 
 class TestEquivariantLayerNorm:
     def test_forced_statistics(self, rng):
@@ -444,6 +454,42 @@ class TestFitDemo:
         untrained = predict(graph, fresh, config)
         assert losses[0] == pytest.approx(
             float(np.mean(np.abs(untrained.array - target.array))), abs=0.0)
+
+    def test_zero_steps_returns_separate_copies(self, setup):
+        # the parameters live in one flat buffer during the fit; the
+        # returned arrays are copies that share no memory
+        graph, config, _ = setup
+        target, _ = gen_synthetic_target(graph, seed=11, config=config)
+        _, params = fit_demo(graph, target, steps=0, seed=5, config=config)
+        fresh = init_params(replace(config, seed=5))
+        assert list(params) == list(fresh)
+        for k in params:
+            assert params[k].shape == fresh[k].shape
+            assert params[k].tobytes() == fresh[k].tobytes()
+        arrays = list(params.values())
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    def test_adam_step_keeps_entries_without_gradient(self, rng):
+        # entries outside the live mask keep value and moments bit for bit;
+        # live ones follow the per-array update the flat step replaced
+        params = rng.normal(size=12)
+        state = AdamState(rng.normal(size=12), rng.uniform(0.1, 1.0, size=12), t=3)
+        live = np.arange(12) % 3 != 1
+        grad = np.where(live, rng.normal(size=12), 0.0)
+        before, m0, v0 = params.copy(), state.m.copy(), state.v.copy()
+        adam_step(params, grad, live, state, lr=1e-2)
+        dead = ~live
+        assert params[dead].tobytes() == before[dead].tobytes()
+        assert state.m[dead].tobytes() == m0[dead].tobytes()
+        assert state.v[dead].tobytes() == v0[dead].tobytes()
+        g = grad[live]
+        m = 0.9 * m0[live] + (1 - 0.9) * g
+        v = 0.999 * v0[live] + (1 - 0.999) * (g * g)
+        update = np.clip((m / (1 - 0.9 ** 4)) / (np.sqrt(v / (1 - 0.999 ** 4)) + 1e-8), -1.0, 1.0)
+        assert params[live].tobytes() == (before[live] - 1e-2 * update).tobytes()
+        assert state.m[live].tobytes() == m.tobytes() and state.v[live].tobytes() == v.tobytes()
+        assert state.t == 4
 
     def test_short_run_is_finite_and_reproducible(self, setup):
         graph, config, _ = setup
