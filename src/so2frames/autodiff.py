@@ -18,12 +18,13 @@ Fused primitives: an operation that would otherwise record a chain of
 small nodes can be one node of its own.  It computes its value with plain
 numpy, keeps what its adjoint needs in a closure and returns
 ``primitive(value, parents, vjp)``, where ``vjp`` maps the output
-cotangent to one cotangent (or None) per parent.  The LayerNorm and MLP of
-:mod:`so2frames.so2ops` and the frame rotations of
+cotangent to one cotangent (or None) per parent.  The LayerNorm, MLP,
+Linear and gate of :mod:`so2frames.so2ops` and the frame rotations of
 :mod:`so2frames.frames` are fused this way: each runs the numpy
 expressions of its former chain in the same order, so its values are
 unchanged, and its tape records one node per block instead of up to a
-dozen.
+dozen.  The SO(2) tensor product is one node for all its fusion paths,
+whose output blocks are :func:`take` slices of it.
 """
 
 from __future__ import annotations
@@ -274,20 +275,31 @@ def concat(parts, axis=0):
     out = np.concatenate(values, axis=axis, dtype=np.float64)
 
     def vjp(g):
-        sizes = [np.shape(v)[axis] for v in values]
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+        index = [slice(None)] * g.ndim
+        grads, start = [], 0
+        for v in values:
+            index[axis] = slice(start, start + np.shape(v)[axis])
+            grads.append(g[tuple(index)])
+            start = index[axis].stop
+        return grads
 
     return primitive(out, tuple(parts), vjp)
 
 
 def take(a, key):
-    """Slice/index view with scatter-add adjoint."""
+    """Slice/index view.  The adjoint assigns into zeros for a basic key
+    (slices, integers, ``...``), which reads each entry once, and
+    scatter-adds for index arrays, which may repeat entries."""
     va = value_of(a)
     out = va[key]
 
     def vjp(g):
         full = np.zeros_like(va)
-        np.add.at(full, key, g)
+        parts = key if isinstance(key, tuple) else (key,)
+        if all(k is Ellipsis or isinstance(k, (slice, int)) for k in parts):
+            full[key] = g
+        else:
+            np.add.at(full, key, g)
         return (full,)
 
     return primitive(out, (a,), vjp)

@@ -39,7 +39,10 @@ class UsageError(Exception):
 
 
 def _parse_range(text: str) -> range:
+    """``lo:hi``, both ends included; a slope fit needs lo < hi."""
     lo, hi = text.split(":")
+    if int(hi) <= int(lo):
+        raise ValueError(f"range {text} must ascend: a slope needs two or more points")
     return range(int(lo), int(hi) + 1)
 
 

@@ -313,6 +313,7 @@ def frame_from_direction(direction, l_max: int = 4) -> Frame:
     return frames_from_directions(np.reshape(direction, (1, 3)), l_max)[0]
 
 
+@lru_cache(maxsize=256)
 def so2_layout_of(so3: IrrepsLayout) -> IrrepsLayout:
     """The SO(2) layout produced by regrouping an SO(3) layout by order.
 

@@ -105,6 +105,8 @@ def sample_molecule(seed: int, n_atoms: int, elements, min_dist: float,
     Deterministic given the seed.  Raises RuntimeError if max_tries
     placements fail.
     """
+    if n_atoms < 1:
+        raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
     if min_dist <= 0:
         raise ValueError("min_dist must be positive")
     elements = list(elements)

@@ -9,6 +9,7 @@ artifacts; timing medians are printed for information but never stored.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -82,6 +83,10 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     matrix of the first edge frame to prove the audit detects broken
     rotations.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     report = RunReport("check-equiv", config.to_json_obj(), seed)
     rng = stream(seed, "check-equiv")
     prepared = prepare_graph(graph, config)

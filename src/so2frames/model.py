@@ -74,6 +74,10 @@ class ModelConfig:
     basis: tuple[tuple[int, tuple[int, ...]], ...] = tuple(sorted(DEFAULT_BASIS.items()))
     seed: int = 0
 
+    def __post_init__(self):
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
+
     @property
     def node_layout(self) -> IrrepsLayout:
         return layout_parse(self.node_irreps)
@@ -570,6 +574,9 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
 def default_fit_config(graph: MoleculeGraph) -> ModelConfig:
     """Small configuration sized for the desk-scale fitting demo."""
     elements = tuple(sorted({int(z) for z in graph.numbers}))
+    for z in elements:
+        if z not in DEFAULT_BASIS:
+            raise ValueError(f"element {z} has no default basis (known: {sorted(DEFAULT_BASIS)})")
     basis = tuple((z, DEFAULT_BASIS[z]) for z in elements)
     l_orb = max(l for _, orbs in basis for l in orbs)
     l_max = min(2 * l_orb, 4) if l_orb > 0 else 1

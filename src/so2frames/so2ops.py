@@ -5,10 +5,20 @@ composition.
 Every operation commutes with per-order planar rotations and is built on
 the autodiff primitives, so gradients with respect to inputs and
 parameters come from the same code path.  LayerNorm (one primitive per
-block) and the small MLP (one per call) are fused autodiff primitives
-with hand-written VJPs: their forward passes run the numpy expressions
-of the primitive chains they replace, in the same order, so values are
+block), the small MLP (one per call), Linear (one per order) and the
+gate (one per gated order) are fused autodiff primitives with
+hand-written VJPs: their forward passes run the numpy expressions of the
+primitive chains they replace, in the same order, so values are
 unchanged while the tape records far fewer nodes.
+
+The v-fold tensor product runs all its fusion paths at once: index
+tables built once per path list (and cached with
+:func:`enumerate_tp_paths`) gather every path's factors into a path
+axis, conjugation enters as constant sign masks, and the weighted path
+products are added into their output orders in path order.  It records
+one tape node plus one slice per output order, whatever the number of
+paths, and its values are those of the pairwise chain of
+:func:`so2_tp_pair` products.
 
 Blocks follow the container conventions of :mod:`so2frames.irreps`:
 order m > 0 pairs are ``(x_{-m}, x_{+m})`` read as the complex number
@@ -158,7 +168,8 @@ def so2_linear(x: So2Features, params: dict, prefix: str,
         z_{-m} = w1 x_{-m} + w2 x_{+m}
         z_{+m} = -w2 x_{-m} + w1 x_{+m}
 
-    i.e. the complex product (w1 + i w2)(x_{+m} + i x_{-m}).
+    i.e. the complex product (w1 + i w2)(x_{+m} + i x_{-m}).  Each order
+    is one tape node: a matmul for m = 0, a fused primitive for m > 0.
     """
     entries = []
     blocks = []
@@ -172,17 +183,28 @@ def so2_linear(x: So2Features, params: dict, prefix: str,
                              f"input has {x.layout.mult(m)}")
         if m == 0:
             out = ad.matmul(w1, block)
-            if counter is not None:
-                counter.add("so2_linear", c_out * c_in * batch_size(block))
         else:
-            # (w1 + i w2) x = w1 x + w2 (i x)
-            turned = ad.matmul(block, _TURN)
-            out = ad.add(ad.matmul(w1, block), ad.matmul(params[f"{prefix}/{m}/w2"], turned))
-            if counter is not None:
-                counter.add("so2_linear", 4 * c_out * c_in * batch_size(block))
+            out = _linear_order(block, w1, params[f"{prefix}/{m}/w2"])
+        if counter is not None:
+            counter.add("so2_linear", (4 if m > 0 else 1) * c_out * c_in * batch_size(block))
         entries.append((m, c_out))
         blocks.append(out)
     return So2Features(so2_layout(entries), blocks)
+
+
+def _linear_order(block, w1, w2):
+    """One order m > 0 of :func:`so2_linear`, ``w1 x + w2 (x _TURN)``, as a
+    primitive with parents ``(block, w1, w2)``."""
+    vx, v1, v2 = ad.value_of(block), ad.value_of(w1), ad.value_of(w2)
+    turned = vx @ _TURN   # (w1 + i w2) x = w1 x + w2 (i x)
+    out = v1 @ vx + v2 @ turned
+
+    def vjp(g):
+        d_x = v1.T @ g + (v2.T @ g) @ _TURN.T
+        return (d_x, ad.unbroadcast(g @ np.swapaxes(vx, -1, -2), v1.shape),
+                ad.unbroadcast(g @ np.swapaxes(turned, -1, -2), v2.shape))
+
+    return ad.primitive(out, (block, w1, w2), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +219,8 @@ def so2_gate(x, params: dict, prefix: str):
     The MLP ``{prefix}/mlp`` sees every m = 0 channel (whatever degree it
     came from), emits the new m = 0 features and one pre-sigmoid gate
     scalar per m > 0 channel; each m > 0 channel is scaled by its sigmoid
-    gate.
+    gate.  The tape records the MLP, the slice of the new m = 0 features
+    and one fused primitive per gated order.
     """
     c0 = x.layout.mult(0)
     out = mlp(x.block(0), params, f"{prefix}/mlp")
@@ -205,13 +228,26 @@ def so2_gate(x, params: dict, prefix: str):
     if ad.value_of(out).shape[-2] != c0 + sum(c for _, c in gated):
         raise ValueError("gate MLP output width mismatch")
     blocks = [ad.take(out, (..., slice(0, c0), slice(None)))]
-    gates = ad.sigmoid(ad.take(out, (..., slice(c0, None), slice(None))))
-    offset = 0
+    sig = 1.0 / (1.0 + np.exp(-ad.value_of(out)))
+    offset = c0
     for m, c in gated:
-        blocks.append(ad.mul(x.block(m), ad.take(gates, (..., slice(offset, offset + c),
-                                                         slice(None)))))
+        blocks.append(_gate_order(x.block(m), out, sig, slice(offset, offset + c)))
         offset += c
     return type(x)(x.layout, blocks)
+
+
+def _gate_order(block, out, sig, rows: slice):
+    """``block * sig[..., rows, :]``, where ``sig`` is the sigmoid of
+    ``out``, as a primitive with parents ``(block, out)``."""
+    vx, gate = ad.value_of(block), sig[..., rows, :]
+    value = vx * gate
+
+    def vjp(g):
+        d_out = np.zeros_like(sig)
+        d_out[..., rows, :] = (g * vx).sum(axis=-1, keepdims=True) * gate * (1.0 - gate)
+        return g * gate, d_out
+
+    return ad.primitive(value, (block, out), vjp)
 
 
 LN_EPS = 1e-8
@@ -337,7 +373,8 @@ class So2TpPath:
     m_out: int
 
 
-def enumerate_tp_paths(m_max: int, v: int) -> list[So2TpPath]:
+@functools.lru_cache(maxsize=None)
+def enumerate_tp_paths(m_max: int, v: int) -> tuple[So2TpPath, ...]:
     """All valid fusion paths for v feature sets with orders <= m_max.
 
     Paths chain left to right; each step either adds (sum path) or
@@ -346,9 +383,10 @@ def enumerate_tp_paths(m_max: int, v: int) -> list[So2TpPath]:
     form (the conjugate of a real scalar is itself), so their sign is
     fixed to +1; steps whose two nonzero orders would cancel exactly are
     excluded (the pairwise products cannot produce them), as are
-    intermediate orders above m_max.  The list is deterministic
+    intermediate orders above m_max.  The tuple is deterministic
     lexicographic in (orders, signs) with +1 before -1, and free of
-    duplicates by construction.
+    duplicates by construction.  It is built once per (m_max, v), and
+    :func:`so2_tp_contract` keeps its index tables with it.
     """
     if v < 2:
         raise ValueError(f"tensor product arity must be >= 2, got {v}")
@@ -370,17 +408,102 @@ def enumerate_tp_paths(m_max: int, v: int) -> list[So2TpPath]:
                 extend(k + 1, e, signs + [s], inters + [abs(e)])
 
         extend(1, orders[0], [+1], [orders[0]])
-    return paths
+    return tuple(paths)
+
+
+@dataclass(frozen=True)
+class _TpTables:
+    """Index tables of P paths of arity v into orders 0..M.
+
+    Blocks of orders 0..M concatenated on the last axis give ``2M + 1``
+    columns ``(x_0, x_{-1}, x_{+1}, ...)``; a zero column ``2M + 1`` is
+    the imaginary part of order 0.  Factor k of path p reads input k's
+    real part from column ``cols[k, p]`` and its imaginary part from
+    ``cols[k, P + p]``, times ``conj[k, p]`` (-1 where step k subtracts);
+    ``scatter[k]`` is the one-hot map of ``cols[k]``.  ``final[p]`` is -1
+    where the signed exponent ends negative: the path's block is then the
+    conjugate of its product.  Weighted path terms sit in columns
+    ``(re_0 .. re_{P-1}, im_0 .. im_{P-1}, 0)``: output column j adds the
+    columns ``slots[:, j]`` (paths in path order, padded with the zero
+    column 2P), and ``out_cols`` reads back each term's output column.
+    ``multiplies`` is the "so2_tp" count per channel and item.
+    """
+
+    paths: tuple
+    cols: np.ndarray
+    scatter: np.ndarray
+    conj: np.ndarray
+    final: np.ndarray
+    slots: np.ndarray
+    out_cols: np.ndarray
+    multiplies: int
+
+
+def _tp_tables(paths, m_max: int, arity: int) -> _TpTables:
+    n, zero = len(paths), 2 * m_max + 1
+    orders = np.zeros((arity, n), dtype=np.int64)
+    conj = np.ones((arity, n))
+    final = np.ones(n)
+    m_out = np.zeros(n, dtype=np.int64)
+    multiplies = 0
+    for p, path in enumerate(paths):
+        if len(path.orders) != arity:
+            raise ValueError(f"path arity {len(path.orders)} != {arity} inputs")
+        if max(path.orders) > m_max:
+            raise ValueError(f"path order {max(path.orders)} above the layout's {m_max}")
+        exponent = path.orders[0]
+        for k in range(1, arity):
+            m, s = path.orders[k], (+1 if path.signs[k] == +1 else -1)
+            # one pair product: scalar x scalar 1, scalar x pair 2, pair x pair 4
+            multiplies += 1 if exponent == 0 and m == 0 else 2 if exponent == 0 or m == 0 else 4
+            conj[k, p] = s
+            exponent += s * m
+        if abs(exponent) != path.m_out or path.m_out > m_max:
+            raise ValueError(f"path {path} ends at order {abs(exponent)}")
+        orders[:, p] = path.orders
+        final[p] = -1.0 if exponent < 0 else 1.0
+        m_out[p] = path.m_out
+        multiplies += 2 if path.m_out > 0 else 1   # the channel weight
+
+    def columns(m):   # real and imaginary column of orders m
+        return np.concatenate([2 * m, np.where(m > 0, 2 * m - 1, zero)], axis=-1)
+
+    cols, out_cols = columns(orders), columns(m_out)
+    terms = [np.flatnonzero(out_cols == j) for j in range(zero)]
+    slots = np.full((max(1, *map(len, terms)), zero), 2 * n)
+    for j, idx in enumerate(terms):
+        slots[:len(idx), j] = idx
+    scatter = (cols[..., None] == np.arange(zero + 1)).astype(np.float64)
+    return _TpTables(tuple(paths), cols, scatter, conj, final, slots, out_cols, multiplies)
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_tables(m_max: int, arity: int) -> _TpTables:
+    return _tp_tables(enumerate_tp_paths(m_max, arity), m_max, arity)
 
 
 def so2_tp_contract(features, paths, weights,
                     counter: OpCounter | None = None) -> So2Features:
     """Weighted sum of chained pairwise products over the given paths.
 
-    ``features`` is a sequence of v So2Features sharing one layout with a
-    uniform channel count; ``weights`` is a sequence of per-path channel
-    weight arrays of shape (C,).  Path outputs accumulate by final order;
-    the result keeps the shared layout.
+    ``features`` is a sequence of v So2Features sharing one layout with
+    orders 0..M and a uniform channel count; ``weights`` is a sequence of
+    per-path channel weight arrays of shape (C,).  Path outputs accumulate
+    by final order; the result keeps the shared layout.
+
+    All paths run at once, as one tape node plus one slice per output
+    order, whatever their number P.  A path's running block holds its
+    product ``w`` for a non-negative signed exponent and ``conj(w)`` for a
+    negative one, where ``w`` multiplies input k's block of order m_k
+    (read as ``x_{+m} + i x_{-m}``), or its conjugate where step k
+    subtracts.  So every factor is gathered into a path axis (conjugation
+    is a constant sign on the imaginary part), the v - 1 complex products
+    are chained elementwise, paths ending at a negative exponent are
+    conjugated, and each is weighted by its channel weights and added into
+    its output order, in path order.  The products and sums are those of
+    the pairwise chain (:func:`so2_tp_pair`) up to the sign of zeros.  The
+    index tables come from the paths and are cached with
+    :func:`enumerate_tp_paths`'s; other path lists get them per call.
     """
     features = list(features)
     layout = features[0].layout
@@ -390,48 +513,64 @@ def so2_tp_contract(features, paths, weights,
     mults = {c for _, c in layout.entries}
     if len(mults) != 1:
         raise ValueError("tensor product layout must have uniform multiplicity")
+    if layout.indices != tuple(range(layout.max_index + 1)):
+        raise ValueError("tensor product layout must hold every order from 0 up")
     channels = mults.pop()
     batch = features[0].batch_shape
     if len(weights) != len(paths):
         raise ValueError(f"{len(paths)} paths but {len(weights)} weight arrays")
-    arity = len(features)
-    acc: dict[int, list] = {m: [] for m in layout.indices}
-    for path, w in zip(paths, weights):
-        if len(path.orders) != arity:
-            raise ValueError(f"path arity {len(path.orders)} != {arity} inputs")
-        block = features[0].block(path.orders[0])
-        exponent = path.orders[0]
-        for k in range(1, arity):
-            m = path.orders[k]
-            s = path.signs[k]
-            other = features[k].block(m)
-            if s == +1:
-                if exponent >= 0:
-                    block, _ = so2_tp_pair(block, exponent, other, m, +1, counter)
-                elif -exponent > m:
-                    block, _ = so2_tp_pair(block, -exponent, other, m, -1, counter)
-                else:
-                    block, _ = so2_tp_pair(other, m, block, -exponent, -1, counter)
-                exponent += m
+    m_max, arity, n = layout.max_index, len(features), len(paths)
+    if arity < 2:
+        raise ValueError(f"tensor product arity must be >= 2, got {arity}")
+    tables = _enumerated_tables(m_max, arity)
+    if paths is not tables.paths:
+        tables = _tp_tables(paths, m_max, arity)
+
+    # distinct inputs are read once ([u] * v passes one input v times)
+    distinct = {id(f): f for f in features}
+    position = {key: i for i, key in enumerate(distinct)}
+    which = [position[id(f)] for f in features]
+    zero = np.zeros(batch + (channels, 1))
+    columns = [np.concatenate([ad.value_of(b) for b in f.blocks] + [zero], axis=-1)
+               for f in distinct.values()]
+    factors = []
+    for k in range(arity):
+        gathered = columns[which[k]][..., tables.cols[k]]
+        factors.append((gathered[..., :n], gathered[..., n:] * tables.conj[k]))
+    prefix = [factors[0]]
+    for br, bi in factors[1:]:
+        ar, ai = prefix[-1]
+        prefix.append((ar * br - ai * bi, ar * bi + ai * br))
+    wr, wi = prefix[-1]
+    wi = wi * tables.final
+    w = np.array([ad.value_of(x) for x in weights]).reshape(n, channels).T
+    terms = np.concatenate([wr * w, wi * w, zero], axis=-1)
+    value = np.add.accumulate(terms[..., tables.slots], axis=-2)[..., -1, :]
+    if counter is not None:
+        counter.add("so2_tp", tables.multiplies * channels * math.prod(batch))
+
+    def vjp(g):
+        g_terms = np.concatenate([g, zero], axis=-1)[..., tables.out_cols]
+        gr, gi = g_terms[..., :n], g_terms[..., n:]
+        d_w = (gr * wr + gi * wi).sum(axis=tuple(range(len(batch))))
+        gr, gi = gr * w, gi * w * tables.final
+        d_columns = [np.zeros_like(c) for c in columns]
+        for k in range(arity - 1, -1, -1):
+            if k:
+                (ar, ai), (br, bi) = prefix[k - 1], factors[k]
+                d_r, d_i = gr * ar + gi * ai, gi * ar - gr * ai
+                gr, gi = gr * br + gi * bi, gi * br - gr * bi
             else:
-                if exponent >= 0:
-                    if exponent > m:
-                        block, _ = so2_tp_pair(block, exponent, other, m, -1, counter)
-                    else:
-                        block, _ = so2_tp_pair(other, m, block, exponent, -1, counter)
-                else:
-                    block, _ = so2_tp_pair(block, -exponent, other, m, +1, counter)
-                exponent -= m
-        m_out = abs(exponent)
-        if m_out != path.m_out:
-            raise AssertionError("path bookkeeping mismatch")
-        weighted = ad.mul(block, ad.reshape(w, (channels, 1)))
-        if counter is not None:
-            counter.add("so2_tp", channels * (2 if m_out > 0 else 1) * math.prod(batch))
-        acc[m_out].append(weighted)
-    return So2Features(layout, [functools.reduce(ad.add, acc[m]) if acc[m]
-                                else np.zeros(batch + layout.block_shape(m))
-                                for m in layout.indices])
+                d_r, d_i = gr, gi
+            d_columns[which[k]] += np.tensordot(
+                np.concatenate([d_r, d_i * tables.conj[k]], axis=-1), tables.scatter[k], axes=1)
+        return [d[..., max(0, 2 * m - 1):2 * m + 1]
+                for d in d_columns for m in range(m_max + 1)] + list(d_w.T)
+
+    out = ad.primitive(value, [b for f in distinct.values() for b in f.blocks] + list(weights),
+                       vjp)
+    return So2Features(layout, [ad.take(out, (..., slice(max(0, 2 * m - 1), 2 * m + 1)))
+                                for m in range(m_max + 1)])
 
 
 # ---------------------------------------------------------------------------

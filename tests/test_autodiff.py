@@ -284,6 +284,62 @@ class TestOperationVjps:
 
         self._run(self._feature_loss(op, n, layout, (4,)), arrays_fn, rng)
 
+    def test_batched_so2_linear(self, rng):
+        # the fused per-order linear map with a leading (4,) item axis
+        out_layout = so2_layout([(0, 2), (1, 3), (2, 1)])
+        n = len(self.layout.entries)
+        shapes = ([(out_layout.mult(m), self.layout.mult(m)) for m in out_layout.indices]
+                  + [(out_layout.mult(m), self.layout.mult(m)) for m in (1, 2)])
+
+        def arrays_fn():
+            return ([rng.normal(size=(4,) + self.layout.block_shape(m))
+                     for m in self.layout.indices] + [rng.normal(size=s) for s in shapes])
+
+        def op(leaves):
+            w = {f"lin/{m}/w1": leaves[n + m] for m in out_layout.indices}
+            w.update({f"lin/{m}/w2": leaves[2 * n + m - 1] for m in (1, 2)})
+            return so2_linear(So2Features(self.layout, leaves[:n]), w, "lin")
+
+        self._run(self._feature_loss(op, n, out_layout, (4,)), arrays_fn, rng)
+
+    @pytest.mark.parametrize("kind", ["so2", "so3"])
+    def test_batched_so2_gate(self, kind, rng):
+        # the MLP and the fused per-order gates with a leading (4,) item
+        # axis, on SO(2) orders and on SO(3) degrees
+        layout = self.layout if kind == "so2" else self.so3
+        features = So2Features if kind == "so2" else So3Features
+        proto = init_so2_gate({}, "gate", layout, rng)
+        names = sorted(proto)
+        n = len(layout.entries)
+
+        def arrays_fn():
+            return ([rng.normal(size=(4,) + layout.block_shape(i)) for i in layout.indices]
+                    + [0.5 * rng.normal(size=proto[name].shape) for name in names])
+
+        def op(leaves):
+            params = dict(zip(names, leaves[n:]))
+            return so2_gate(features(layout, leaves[:n]), params, "gate")
+
+        self._run(self._feature_loss(op, n, layout, (4,)), arrays_fn, rng)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_batched_so2_tp_contract(self, arity, rng):
+        # the path-batched contraction over a (4,) item axis; at arity 3
+        # the first input is passed twice, so its cotangents add up
+        layout = so2_layout([(m, 2) for m in range(4)])
+        paths = enumerate_tp_paths(3, arity)
+
+        def arrays_fn():
+            return ([rng.normal(size=(4,) + layout.block_shape(m))
+                     for _ in range(2) for m in layout.indices]
+                    + [rng.normal(size=2) for _ in paths])
+
+        def op(leaves):
+            a, b = So2Features(layout, leaves[:4]), So2Features(layout, leaves[4:8])
+            return so2_tp_contract([a, b] if arity == 2 else [a, b, a], paths, leaves[8:])
+
+        self._run(self._feature_loss(op, 8, layout, (4,)), arrays_fn, rng)
+
     def test_batched_mlp(self, rng):
         # the fused MLP on a (4, in, 1) column batch, input and weights
         sizes = [3, 5, 5, 2]

@@ -281,6 +281,26 @@ class TestBadInput:
         self._assert_usage_error(["fit", molecule_file, "--out-checkpoint",
                                   str(tmp_path / "ckpt.json")] + flags, capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n-atoms", "-2"],
+        ["gen", "--n-atoms", "0"],
+        ["gen", "--elements", "99"],
+        ["bench", "--lmax-range", "5:2"],
+        ["bench", "--mmax-range", "4:4"],
+    ], ids=["negative-atoms", "zero-atoms", "element-without-basis", "descending-range",
+            "one-point-range"])
+    def test_bad_gen_or_bench_flags(self, tmp_path, capsys, argv):
+        self._assert_usage_error(argv + ["--out", str(tmp_path / "out.json")], capsys)
+
+    @pytest.mark.parametrize("flags", [["--layers", "-1"], ["--trials", "0"],
+                                       ["--trials", "-3"], ["--tolerance", "nan"],
+                                       ["--tolerance=-1e-9"], ["--tolerance", "inf"]],
+                             ids=["negative-layers", "zero-trials", "negative-trials",
+                                  "nan-tolerance", "negative-tolerance", "inf-tolerance"])
+    def test_bad_check_equiv_flags(self, molecule_file, capsys, flags):
+        # a verdict needs at least one trial against a finite bound
+        self._assert_usage_error(["check-equiv", molecule_file] + flags, capsys)
+
     @pytest.mark.parametrize("damage", ["missing", "mis-shaped", "unknown"])
     def test_checkpoint_parameter_mismatch(self, molecule_file, tmp_path, capsys, damage):
         # a checkpoint must hold exactly the parameters its config needs,

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from so2frames import autodiff as ad
 from so2frames.counters import OpCounter
 from so2frames.irreps import So2Features, rotate_so2, so2_layout
 from so2frames.sampling import stream
@@ -342,6 +344,99 @@ class TestSo2TpContract:
         feats = [random_so2(self.layout, rng) for _ in range(2)]
         with pytest.raises(ValueError):
             so2_tp_contract(feats, paths, [np.ones(2)] * len(paths))
+
+
+def loop_tp_contract(features, paths, weights, counter=None):
+    """The per-path pairwise chain that :func:`so2_tp_contract` batches:
+    the reference its bits are held to."""
+    layout = features[0].layout
+    channels = layout.entries[0][1]
+    batch = features[0].batch_shape
+    acc = {m: [] for m in layout.indices}
+    for path, w in zip(paths, weights):
+        block = features[0].block(path.orders[0])
+        exponent = path.orders[0]
+        for k in range(1, len(features)):
+            m, s = path.orders[k], path.signs[k]
+            other = features[k].block(m)
+            if s == +1:
+                if exponent >= 0:
+                    block, _ = so2_tp_pair(block, exponent, other, m, +1, counter)
+                elif -exponent > m:
+                    block, _ = so2_tp_pair(block, -exponent, other, m, -1, counter)
+                else:
+                    block, _ = so2_tp_pair(other, m, block, -exponent, -1, counter)
+                exponent += m
+            else:
+                if exponent >= 0:
+                    if exponent > m:
+                        block, _ = so2_tp_pair(block, exponent, other, m, -1, counter)
+                    else:
+                        block, _ = so2_tp_pair(other, m, block, exponent, -1, counter)
+                else:
+                    block, _ = so2_tp_pair(block, -exponent, other, m, +1, counter)
+                exponent -= m
+        assert abs(exponent) == path.m_out
+        if counter is not None:
+            counter.add("so2_tp", channels * (2 if path.m_out > 0 else 1) * math.prod(batch))
+        acc[path.m_out].append(block * np.reshape(w, (channels, 1)))
+    return So2Features(layout, [functools.reduce(np.add, acc[m]) if acc[m]
+                                else np.zeros(batch + layout.block_shape(m))
+                                for m in layout.indices])
+
+
+class TestBatchedTpMatchesLoop:
+    @pytest.mark.parametrize("m_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_same_bits_and_counts(self, m_max, arity, rng):
+        # two distinct input sets, and one set passed arity times, on a
+        # batch of five items
+        layout = so2_layout([(m, 3) for m in range(m_max + 1)])
+        paths = enumerate_tp_paths(m_max, arity)
+        weights = [rng.normal(size=3) for _ in paths]
+        distinct = [So2Features(layout, [rng.normal(size=(5,) + layout.block_shape(m))
+                                         for m in layout.indices]) for _ in range(arity)]
+        for feats in (distinct, [distinct[0]] * arity):
+            counts = OpCounter(), OpCounter()
+            got = so2_tp_contract(feats, paths, weights, counts[0])
+            ref = loop_tp_contract(feats, paths, weights, counts[1])
+            for a, b in zip(got.blocks, ref.blocks):
+                assert np.asarray(a).tobytes() == b.tobytes()
+            assert counts[0].get("so2_tp") == counts[1].get("so2_tp") > 0
+
+    def test_caller_built_paths(self, rng):
+        # a path list that is not enumerate_tp_paths' gets its tables per call
+        layout = so2_layout([(m, 2) for m in range(4)])
+        paths = [p for p in enumerate_tp_paths(3, 3) if p.m_out in (1, 3)][::3]
+        weights = [rng.normal(size=2) for _ in paths]
+        feats = [random_so2(layout, rng) for _ in range(3)]
+        got = so2_tp_contract(feats, paths, weights)
+        ref = loop_tp_contract(feats, paths, weights)
+        for a, b in zip(got.blocks, ref.blocks):
+            assert np.asarray(a).tobytes() == b.tobytes()
+        assert not np.any(np.asarray(got.block(0))) and not np.any(np.asarray(got.block(2)))
+
+    def test_tape_nodes_independent_of_path_count(self, rng):
+        # behind the one output block per order, the tape holds the same
+        # nodes whatever the number of paths: 9 to 153 here
+        def inner_nodes(m_max, arity):
+            layout = so2_layout([(m, 2) for m in range(m_max + 1)])
+            paths = enumerate_tp_paths(m_max, arity)
+            leaves = [ad.Var(rng.normal(size=(3,) + layout.block_shape(m)))
+                      for m in layout.indices]
+            out = so2_tp_contract([So2Features(layout, leaves)] * arity, paths,
+                                  [ad.Var(rng.normal(size=2)) for _ in paths])
+            seen, stack = set(), [p for b in out.blocks for p in b.parents]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ad.Var) and node.parents and id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node.parents)
+            return len(seen), len(paths)
+
+        counts = [inner_nodes(m_max, arity) for m_max in (2, 4) for arity in (2, 3)]
+        assert len({p for _, p in counts}) == 4
+        assert {n for n, _ in counts} == {1}
 
 
 class TestSo2Ffn:
