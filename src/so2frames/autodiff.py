@@ -1,7 +1,11 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Every differentiable operation in this package is built from the
-primitives below.  A :class:`Var` records its parents and a closure
+primitives below: :func:`add`, :func:`sub`, :func:`mul`, :func:`matmul`,
+:func:`einsum`, :func:`transpose`, :func:`reshape`, :func:`concat`,
+:func:`take`, :func:`sum_all`, :func:`sum_axis`, :func:`mean_all`,
+:func:`absolute` and :func:`segment_sum`, plus the fused operations made
+with :func:`primitive`.  A :class:`Var` records its parents and a closure
 computing the vector-Jacobian product; :func:`backward` replays the tape
 in reverse topological order.  There is deliberately no broadcasting
 magic beyond what the primitives need and no higher-order gradients.
@@ -54,40 +58,6 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
 
-    # operator sugar; mixed Var/ndarray operands are fine
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def is_var(x) -> bool:
     return isinstance(x, Var)
@@ -120,10 +90,10 @@ def primitive(value, parents, vjp):
     return value
 
 
-def backward(out: Var, seed=None) -> None:
-    """Accumulate gradients of ``out`` into ``.grad`` of every ancestor.
+def backward(out: Var) -> None:
+    """Accumulate gradients of ``out`` into ``.grad`` of every ancestor,
+    seeded with ones (use a scalar output for a plain gradient).
 
-    ``seed`` defaults to ones (use a scalar output for a plain gradient).
     Existing ``.grad`` fields in the subgraph are reset first.
     """
     if not is_var(out):
@@ -145,7 +115,7 @@ def backward(out: Var, seed=None) -> None:
                 stack.append((parent, False))
     for node in order:
         node.grad = None
-    out.grad = np.ones_like(out.value) if seed is None else np.asarray(seed, dtype=np.float64)
+    out.grad = np.ones_like(out.value)
     for node in reversed(order):
         if node.grad is None or node.vjp is None:
             continue
@@ -189,17 +159,6 @@ def mul(a, b):
 
     def vjp(g):
         return unbroadcast(g * vb, va.shape), unbroadcast(g * va, vb.shape)
-
-    return primitive(out, (a, b), vjp)
-
-
-def div(a, b):
-    va, vb = value_of(a), value_of(b)
-    out = va / vb
-
-    def vjp(g):
-        return (unbroadcast(g / vb, va.shape),
-                unbroadcast(-g * va / (vb * vb), vb.shape))
 
     return primitive(out, (a, b), vjp)
 
@@ -315,13 +274,12 @@ def sum_all(a):
     return primitive(out, (a,), vjp)
 
 
-def sum_axis(a, axis, keepdims=False):
+def sum_axis(a, axis):
     va = value_of(a)
-    out = va.sum(axis=axis, keepdims=keepdims)
+    out = va.sum(axis=axis)
 
     def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, va.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), va.shape).copy(),)
 
     return primitive(out, (a,), vjp)
 
@@ -333,47 +291,6 @@ def mean_all(a):
 
     def vjp(g):
         return (np.broadcast_to(g / n, va.shape).copy(),)
-
-    return primitive(out, (a,), vjp)
-
-
-def sigmoid(a):
-    va = value_of(a)
-    out = 1.0 / (1.0 + np.exp(-va))
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return primitive(out, (a,), vjp)
-
-
-def silu(a):
-    va = value_of(a)
-    sig = 1.0 / (1.0 + np.exp(-va))
-    out = va * sig
-
-    def vjp(g):
-        return (g * sig * (1.0 + va * (1.0 - sig)),)
-
-    return primitive(out, (a,), vjp)
-
-
-def exp(a):
-    va = value_of(a)
-    out = np.exp(va)
-
-    def vjp(g):
-        return (g * out,)
-
-    return primitive(out, (a,), vjp)
-
-
-def sqrt(a):
-    va = value_of(a)
-    out = np.sqrt(va)
-
-    def vjp(g):
-        return (g / (2.0 * out),)
 
     return primitive(out, (a,), vjp)
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .counters import OpCounter
-from .frames import from_local, to_local
+from .frames import _u_matrix, frame_from_direction, from_local, so2_layout_of, to_local
 from .irreps import DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, so3_layout
+from .so2ops import so2_linear
 
 _TABLES: dict[tuple[int, int, int], np.ndarray] = {}
 _TABLES_LOCK = threading.Lock()
@@ -81,10 +82,8 @@ def cg_table(l1: int, l2: int, l3: int) -> np.ndarray:
         table = _TABLES.get(key)
         if table is not None:
             return table
-        from .frames import _u_matrix  # same basis change as wigner_d
-
         Cc = _cg_complex(l1, l2, l3)
-        U1, U2, U3 = _u_matrix(l1), _u_matrix(l2), _u_matrix(l3)
+        U1, U2, U3 = _u_matrix(l1), _u_matrix(l2), _u_matrix(l3)  # as in wigner_d
         T = np.einsum("abc,ma,nb,kc->mnk", Cc, np.conj(U1), np.conj(U2), U3)
         re, im = np.max(np.abs(T.real)), np.max(np.abs(T.imag))
         if im > re:
@@ -234,8 +233,6 @@ def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
     slot (li, c) via ``escn_weights_from_paths``.  Returns the flat
     ``{prefix}/{m}/w1|w2`` dict that :func:`so2ops.so2_linear` reads.
     """
-    from .frames import so2_layout_of
-
     mults = {c for _, c in in_layout.entries}
     if len(mults) != 1:
         raise ValueError("uniform multiplicity required")
@@ -288,9 +285,6 @@ def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
     Equals ``so3_tensor_product(x, Y(direction), weights)`` for paths with
     a spherical-harmonic filter.
     """
-    from .frames import frame_from_direction
-    from .so2ops import so2_linear
-
     out_degrees = sorted(out_degrees)
     cap = l_max if l_max is not None else max(x.layout.max_index, out_degrees[-1])
     frame = frame_from_direction(direction, cap)
@@ -302,8 +296,7 @@ def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
     mixed = so2_linear(local, lin, "escn", counter=counter)
     # orders the input cannot reach stay zero but must exist for the
     # inverse mapping
-    from .frames import so2_layout_of as regroup
-    full = regroup(out_layout)
+    full = so2_layout_of(out_layout)
     blocks = []
     for m in full.indices:
         if mixed.layout.mult(m):

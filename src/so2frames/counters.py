@@ -40,10 +40,3 @@ class OpCounter:
 
     def get(self, kernel: str) -> int:
         return self.counts.get(kernel, 0)
-
-    @property
-    def multiply_count(self) -> int:
-        return sum(self.counts.values())
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(sorted(self.counts.items()))

@@ -29,6 +29,7 @@ from .cg import expansion
 from .frames import Rotation, from_local, wigner_d
 from .graph import MoleculeGraph
 from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so3_layout
+from .so2ops import uniform_init
 
 
 @dataclass(frozen=True)
@@ -99,14 +100,36 @@ class BlockMatrix:
 # assembly
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def expansion_degrees(ls: int, lt: int, node_layout: IrrepsLayout) -> IrrepsLayout:
+    """The node degrees l3 that expand an (l_s, l_t) orbital block: the
+    triangle range |l_s - l_t| .. l_s + l_t cut to the degrees of the node
+    layout, with their multiplicities.  Each orbital pair (s, t) of an item
+    kind has one weight ``{prefix}/{s}.{t}/{l3}`` per degree."""
+    return so3_layout([(l3, node_layout.mult(l3)) for l3 in range(abs(ls - lt), ls + lt + 1)
+                       if node_layout.mult(l3)])
+
+
+def init_expansion(params: dict, config, rng) -> None:
+    """Draw the expansion weights of every configured element (``expand/diag/{z}``)
+    and ordered element pair (``expand/off/{z_i}.{z_j}``), in that order,
+    each over (s, t, l3), scaled by 1 / (number of orbitals of z_i)."""
+    basis, layout = config.basis_map, config.node_layout
+    kinds = [(f"expand/diag/{z}", z, z) for z in config.elements]
+    kinds += [(f"expand/off/{zi}.{zj}", zi, zj) for zi in config.elements for zj in config.elements]
+    for prefix, zi, zj in kinds:
+        for s, ls in enumerate(basis[zi]):
+            for t, lt in enumerate(basis[zj]):
+                for l3, mult in expansion_degrees(ls, lt, layout).entries:
+                    params[f"{prefix}/{s}.{t}/{l3}"] = uniform_init(rng, (mult,)) / len(basis[zi])
+
+
 @dataclass(frozen=True)
 class AssemblyGroup:
     """The orbital blocks of one degree pair (l_s, l_t).
 
     Block b expands item ``k[b]`` (atoms, then edges); ``layout`` holds the
-    node degrees l3 that the expansion reads.  ``weights[l3]`` is the pair
-    (names, index): the weight keys of the group's segments, where a
-    segment is one orbital pair (s, t) of one kind of item, and the
+    node degrees l3 that the expansion reads.  ``weights[l3]`` is the
     (blocks, mult_l3) index of each block's weights into the plan's stacked
     weights.
     """
@@ -115,7 +138,7 @@ class AssemblyGroup:
     lt: int
     layout: IrrepsLayout
     k: np.ndarray
-    weights: dict[int, tuple[tuple[str, ...], np.ndarray]]
+    weights: dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -123,15 +146,13 @@ class AssemblyPlan:
     """Everything of an assembly that does not depend on the parameters.
 
     ``keys`` are the weight keys that the molecule's kinds read, in the
-    order they are stacked, each with a ``zeros`` array of its size (read
-    when the key is missing); ``index`` maps every entry of the (dim, dim)
+    order they are stacked; ``index`` maps every entry of the (dim, dim)
     matrix into the flattened group outputs, where -1 reads a zero (atoms
     beyond the cutoff).
     """
 
     groups: tuple[AssemblyGroup, ...]
     keys: tuple[str, ...]
-    zeros: tuple[np.ndarray, ...]
     index: np.ndarray
 
 
@@ -143,8 +164,8 @@ def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
     one orbital pair (s, t) of one kind; a group lists its segments kind by
     kind, then (s, t) row-major.  Returns the groups that read a node
     degree l3, each as (l_s, l_t, the layout of those degrees, each
-    segment's kind index, s and t, the segments' weight keys per l3), then
-    all their keys in stacking order (group, l3, segment) and their zeros.
+    segment's kind index, s and t), then the weight keys of their segments
+    in stacking order (group, l3, segment).
     """
     orbitals, node_layout = dict(basis), layout_parse(node_irreps)
     found: dict[tuple[int, int], list] = {}
@@ -153,22 +174,17 @@ def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
         for s, ls in enumerate(orbitals[zi]):
             for t, lt in enumerate(orbitals[zj]):
                 found.setdefault((ls, lt), []).append((u, s, t, prefix))
-    groups, keys, zeros = [], [], []
+    groups, keys = [], []
     for (ls, lt), segments in sorted(found.items()):
-        degrees = so3_layout([(l3, node_layout.mult(l3)) for l3 in range(abs(ls - lt), ls + lt + 1)
-                              if node_layout.mult(l3)])
+        degrees = expansion_degrees(ls, lt, node_layout)
         if not degrees.entries:  # the group's blocks stay zero
             continue
-        names = {l3: tuple(f"{prefix}/{s}.{t}/{l3}" for _, s, t, prefix in segments)
-                 for l3 in degrees.indices}
-        for l3, mult in degrees.entries:
-            keys += names[l3]
-            zeros += [np.zeros(mult)] * len(segments)
-            zeros[-1].flags.writeable = False  # all plans of these kinds share the arrays
+        for l3 in degrees.indices:
+            keys += [f"{prefix}/{s}.{t}/{l3}" for _, s, t, prefix in segments]
         table = np.array([segment[:3] for segment in segments])
         table.flags.writeable = False
-        groups.append((ls, lt, degrees, *table.T, names))
-    return tuple(groups), tuple(keys), tuple(zeros)
+        groups.append((ls, lt, degrees, *table.T))
+    return tuple(groups), tuple(keys)
 
 
 def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyPlan:
@@ -192,10 +208,10 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
     by_kind = np.argsort(kind_of, kind="stable")
     first = np.cumsum(counts) - counts          # each kind's start in by_kind
     starts = np.array(list(zip_longest(*layout.offsets, fillvalue=0))).T  # (atom, orbital)
-    segment_groups, keys, zeros = _segments(config.basis, config.node_irreps, kinds)
+    segment_groups, keys = _segments(config.basis, config.node_irreps, kinds)
     index = np.full(layout.dim * layout.dim, -1)
     groups, stacked, placed = [], 0, 0
-    for ls, lt, degrees, kind, s, t, names in segment_groups:
+    for ls, lt, degrees, kind, s, t in segment_groups:
         # one block per segment and item of its kind
         width = counts[kind]
         seg = np.repeat(np.arange(len(kind)), width)
@@ -203,7 +219,7 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
         k = by_kind[np.arange(len(seg)) + np.repeat(shift, width)]
         weights = {}
         for l3, mult in degrees.entries:
-            weights[l3] = names[l3], (seg * mult)[:, None] + (stacked + np.arange(mult))
+            weights[l3] = (seg * mult)[:, None] + (stacked + np.arange(mult))
             stacked += len(kind) * mult
         groups.append(AssemblyGroup(ls, lt, degrees, k, weights))
         # the flat matrix position of each block entry, row-major per block
@@ -212,7 +228,7 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
         position = (corner[:, None] + entry.ravel()).ravel()
         index[position] = np.arange(placed, placed + len(position))
         placed += len(position)
-    return AssemblyPlan(tuple(groups), keys, zeros, index.reshape(layout.dim, layout.dim))
+    return AssemblyPlan(tuple(groups), keys, index.reshape(layout.dim, layout.dim))
 
 
 def assemble(h: So3Features, x_pair: So2Features, prepared, params, config) -> BlockMatrix:
@@ -223,20 +239,17 @@ def assemble(h: So3Features, x_pair: So2Features, prepared, params, config) -> B
     frames, are one batch of items that differ only in their weight prefix,
     ``expand/diag/{z}`` or ``expand/off/{z_i}.{z_j}``.  Following the
     per-graph ``prepared.plan``, the weights of the molecule's kinds are
-    stacked once (a key missing from ``params`` reads zero; a degree l3 none
-    of whose keys a group finds adds nothing); each degree pair (l_s, l_t)
-    gathers its weights and items and runs one batched
-    :func:`cg.expansion`, and one gather through the plan's index map
-    places every block.
+    stacked once; each degree pair (l_s, l_t) gathers its weights and items
+    and runs one batched :func:`cg.expansion`, and one gather through the
+    plan's index map places every block.
     """
     plan = prepared.plan
     pair = from_local(prepared.frame, x_pair, config.node_layout)
     blocks = {l: ad.concat([a, b]) for (l, a), b in zip(h.items(), pair.blocks)}
-    stacked = ad.concat(list(map(params.get, plan.keys, plan.zeros)))
+    stacked = ad.concat([params[key] for key in plan.keys])
     outputs = []
     for group in plan.groups:
-        w = {l3: ad.take(stacked, index) for l3, (names, index) in group.weights.items()
-             if not params.keys().isdisjoint(names)}
+        w = {l3: ad.take(stacked, index) for l3, index in group.weights.items()}
         items = So3Features(group.layout, [ad.take(blocks[l3], group.k) for l3 in group.weights])
         outputs.append(ad.reshape(expansion(items, w, group.ls, group.lt), (-1,)))
     # index -1 reads the zero appended to the flattened group outputs

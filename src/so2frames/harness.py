@@ -19,9 +19,9 @@ from .counters import OpCounter
 from .cg import PathWeights, escn_reference_apply, so3_tensor_product, valid_paths
 from .frames import from_local, rotate_so3, rotation_from_matrix
 from .graph import MoleculeGraph, build_graph
-from .hamiltonian import block_rotate
+from .hamiltonian import assemble, block_rotate
 from .irreps import So3Features, real_spherical_harmonics, so3_layout
-from .model import ModelConfig, forward, predict, prepare_graph
+from .model import ModelConfig, forward, prepare_graph
 from .sampling import random_rotation_matrix, random_unit_vector, stream
 from .so2ops import enumerate_tp_paths
 
@@ -95,7 +95,7 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
         d1[:1] += 0.05
         prepared.frame.d_in[1] = d1
     h0, x0 = forward(graph, params, config, prepared)
-    H0 = predict(graph, params, config, prepared)
+    H0 = assemble(h0, x0, prepared, params, config)
     pair0 = from_local(prepared.frame, x0, config.node_layout)
     node_dev = pair_dev = block_dev = 0.0
     identity_dev = None
@@ -111,7 +111,7 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
         pair1 = from_local(rot_prepared.frame, x1, config.node_layout)
         trial_pair = _max_feature_dev(pair1, rotate_so3(pair0, R))
         pair_dev = max(pair_dev, trial_pair)
-        H1 = predict(rot_graph, params, config, rot_prepared)
+        H1 = assemble(h1, x1, rot_prepared, params, config)
         trial_block = float(np.max(np.abs(H1.array - block_rotate(H0, R).array)))
         block_dev = max(block_dev, trial_block)
         if trial == 0:

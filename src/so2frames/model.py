@@ -42,7 +42,7 @@ from .counters import OpCounter
 from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
 from .graph import MoleculeGraph
 from .hamiltonian import (AssemblyPlan, OrbitalLayout, assemble, assembly_plan,
-                          build_orbital_layout)
+                          build_orbital_layout, init_expansion)
 from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so2_layout
 from .sampling import stream
 from .so2ops import (enumerate_tp_paths, init_mlp, init_so2_ffn, init_so2_gate,
@@ -265,22 +265,7 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
         init_so2_ffn(params, f"{p}/ffn", reg, ffn_layout, reg, rng)
         init_so2_layernorm(params, f"{p}/ln_pair", reg)
 
-    basis = config.basis_map
-    l_max = config.l_max
-    for z in config.elements:
-        orbs = basis[z]
-        for s, ls in enumerate(orbs):
-            for t, lt in enumerate(orbs):
-                for l3 in range(abs(ls - lt), min(ls + lt, l_max) + 1):
-                    params[f"expand/diag/{z}/{s}.{t}/{l3}"] = \
-                        uniform_init(rng, (layout.mult(l3),)) / len(orbs)
-    for zi in config.elements:
-        for zj in config.elements:
-            for s, ls in enumerate(basis[zi]):
-                for t, lt in enumerate(basis[zj]):
-                    for l3 in range(abs(ls - lt), min(ls + lt, l_max) + 1):
-                        params[f"expand/off/{zi}.{zj}/{s}.{t}/{l3}"] = \
-                            uniform_init(rng, (layout.mult(l3),)) / len(basis[zi])
+    init_expansion(params, config, rng)
     return params
 
 

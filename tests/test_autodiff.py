@@ -25,9 +25,9 @@ TOL = 1e-5
 
 class TestPrimitives:
     @pytest.mark.parametrize("name", [
-        "add", "sub", "mul", "div", "matmul", "einsum", "einsum_const", "concat",
-        "take", "take_indices", "sigmoid", "silu", "exp", "sqrt", "absolute",
-        "mean_all", "sum_axis", "segment_sum", "transpose"])
+        "add", "sub", "mul", "matmul", "einsum", "einsum_const", "concat",
+        "take", "take_indices", "absolute", "mean_all", "sum_axis", "segment_sum",
+        "transpose"])
     def test_vjp_matches_fd(self, name, rng):
         def make(fn, *shapes):
             def loss(leaves):
@@ -43,8 +43,6 @@ class TestPrimitives:
             "add": lambda: make(ad.add, (3, 4), (3, 4)),
             "sub": lambda: make(ad.sub, (3, 4), (1, 4)),
             "mul": lambda: make(ad.mul, (3, 4), (3, 1)),
-            "div": lambda: make(lambda a, b: ad.div(a, ad.add(ad.mul(b, b), 1.0)),
-                                (3, 4), (3, 4)),
             "matmul": lambda: make(ad.matmul, (3, 4), (4, 2)),
             "einsum": lambda: make(lambda a, b: ad.einsum("abc,ua->ubc",
                                                           a, b), (3, 4, 2), (5, 3)),
@@ -58,10 +56,6 @@ class TestPrimitives:
             # repeated rows: the adjoint must add every copy's cotangent
             "take_indices": lambda: make(lambda a: ad.take(a, np.array([2, 0, 2, 3, 0, 2])),
                                          (4, 5)),
-            "sigmoid": lambda: make(ad.sigmoid, (6,)),
-            "silu": lambda: make(ad.silu, (6,)),
-            "exp": lambda: make(ad.exp, (4,)),
-            "sqrt": lambda: make(lambda a: ad.sqrt(ad.add(ad.mul(a, a), 0.5)), (4,)),
             "absolute": lambda: make(ad.absolute, (7,)),
             "mean_all": lambda: make(ad.mean_all, (3, 5)),
             "sum_axis": lambda: make(lambda a: ad.sum_axis(a, axis=1), (3, 5)),

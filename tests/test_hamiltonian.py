@@ -19,6 +19,8 @@ from so2frames.model import (ModelConfig, default_fit_config, forward, init_para
 from so2frames.sampling import random_rotation_matrix, stream
 
 BASIS = {1: (0, 0, 1), 8: (0, 0, 0, 1, 1, 2)}
+# node features without degree 1: blocks that only degree 1 expands get no weights
+GAP_CONFIG = ModelConfig(node_irreps="8x0e+4x2e", elements=(1,))
 
 
 class TestOrbitalLayout:
@@ -127,6 +129,26 @@ class TestAssemble:
         if far is not None:
             far = layout.atom_slice(far)
             assert not np.any(H.array[far, :far.start]) and np.any(H.array[far, far])
+
+    def test_init_params_with_degree_gap(self):
+        params = init_params(GAP_CONFIG)
+        assert params["expand/diag/1/2.2/2"].shape == (4,)
+        assert not any(k.startswith("expand/") and k.endswith("/1") for k in params)
+
+    @pytest.mark.parametrize("numbers, make_config", [
+        ([1, 6, 8, 1, 6, 8], default_fit_config),
+        ([1, 6, 8, 1, 6, 8], lambda graph: ModelConfig(elements=(1, 6, 8))),
+        ([1, 1, 1], lambda graph: GAP_CONFIG),
+    ], ids=["fit-config", "lmax4-config", "gap-config"])
+    def test_plan_reads_every_initialized_weight(self, numbers, make_config):
+        # two atoms of each configured element give every atom and edge kind,
+        # so the plan reads exactly the expansion weights init_params draws
+        positions = stream(5, "plan-keys").uniform(-2.0, 2.0, size=(len(numbers), 3))
+        graph = build_graph(numbers, positions, cutoff=15.0)
+        config = make_config(graph)
+        keys = prepare_graph(graph, config).plan.keys
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {k for k in init_params(config) if k.startswith("expand/")}
 
     def test_prepared_graph_serves_many_params(self):
         # the assembly plan depends only on the graph: reused with other

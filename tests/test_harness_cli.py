@@ -11,7 +11,8 @@ from so2frames.graph import build_graph, graph_from_json, sample_molecule
 from so2frames.harness import bench, brute_force_pair_paths, check_equivariance
 from so2frames.hamiltonian import (BlockMatrix, layout_from_degrees, matrix_loads,
                                    read_matrix, write_matrix)
-from so2frames.model import checkpoint_dumps, default_fit_config, init_params, predict
+from so2frames.model import (ModelConfig, checkpoint_dumps, default_fit_config, init_params,
+                             predict)
 from so2frames.so2ops import enumerate_tp_paths
 
 
@@ -74,6 +75,16 @@ class TestCheckEquiv:
         assert main(["check-equiv", molecule_file, "--trials", "3",
                      "--corrupt-wigner"]) == 1
         assert main(["check-equiv", str(tmp_path / "missing.json")]) == 2
+
+    def test_cli_config_with_degree_gap(self, molecule_file, tmp_path, capsys):
+        # node irreps without degree 1 still give a full, equivariant model
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            ModelConfig(node_irreps="8x0e+4x2e", elements=(1,)).to_json_obj()))
+        capsys.readouterr()
+        assert main(["check-equiv", molecule_file, "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] block_equivariance" in out and "tolerance=1.000e-09" in out
 
     def test_report_bit_identical_across_runs(self, molecule_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
