@@ -10,7 +10,7 @@ scale like L^6 in the maximum degree, the frame route like L^3.
 
 import numpy as np
 
-from so2frames import (OpCounter, PathWeights, escn_reference_apply,
+from so2frames import (OpCounter, PathWeights, counting, escn_reference_apply,
                        real_spherical_harmonics, so3_tensor_product, valid_paths)
 from so2frames.irreps import So3Features, so3_layout
 from so2frames.sampling import random_unit_vector, stream
@@ -44,8 +44,10 @@ for L in Ls:
                                  for l in degrees])
     d = random_unit_vector(rng)
     c1, c2 = OpCounter(), OpCounter()
-    so3_tensor_product(feats, real_spherical_harmonics(L, d), w, c1)
-    escn_reference_apply(feats, d, w, degrees, l_max=L, counter=c2)
+    with counting(c1):
+        so3_tensor_product(feats, real_spherical_harmonics(L, d), w)
+    with counting(c2):
+        escn_reference_apply(feats, d, w, degrees, l_max=L)
     tp_counts.append(c1.get("so3_tp"))
     rot_counts.append(c2.get("frame_rotation") + c2.get("so2_linear"))
     print(f"{L:>3} {tp_counts[-1]:>15} {rot_counts[-1]:>12}")

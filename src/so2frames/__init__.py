@@ -10,7 +10,7 @@ metrics (:mod:`.hamiltonian`); and the verification harness
 (:mod:`.harness`) behind the ``so2frames`` command line.
 """
 
-from .counters import OpCounter
+from .counters import OpCounter, counting
 from .irreps import (IrrepsLayout, LayoutError, So2Features, So3Features,
                      circular_harmonics, layout_parse, real_spherical_harmonics,
                      rotate_so2, so2_rotation_matrix)
@@ -41,7 +41,7 @@ __all__ = [
     "RunReport", "So2TpPath", "So2Features", "So3Features", "TARGET_AXIS",
     "assemble", "bench", "block_rotate", "build_graph", "build_orbital_layout",
     "cg_table", "check_equivariance", "checkpoint_dumps", "checkpoint_loads",
-    "circular_harmonics", "default_fit_config", "enumerate_tp_paths",
+    "circular_harmonics", "counting", "default_fit_config", "enumerate_tp_paths",
     "escn_reference_apply", "escn_weights_from_paths", "expansion",
     "expansion_decompose", "fit_demo", "forward", "frame_average_check",
     "frame_from_direction", "frames_from_directions", "from_local", "gen_synthetic_target",

@@ -19,6 +19,7 @@ Tables satisfy sum_{m1,m2} C[m1,m2,m3] C[m1,m2,m3'] = delta_{m3,m3'}
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import autodiff as ad
-from .counters import OpCounter
+from .counters import count
 from .frames import _u_matrix, frame_from_direction, from_local, so2_layout_of, to_local
 from .irreps import DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, so3_layout
 from .so2ops import so2_linear
@@ -135,8 +136,7 @@ class PathWeights:
         return self.weights[path]
 
 
-def so3_tensor_product(x: So3Features, sh: So3Features, weights: PathWeights,
-                       counter: OpCounter | None = None) -> So3Features:
+def so3_tensor_product(x: So3Features, sh: So3Features, weights: PathWeights) -> So3Features:
     """Full CG tensor product of features with a single-channel filter.
 
     Computes, per path (l_i, l_f, l_o) and channel c,
@@ -145,9 +145,8 @@ def so3_tensor_product(x: So3Features, sh: So3Features, weights: PathWeights,
 
     summed over all paths in ``weights``.  The output layout carries every
     degree reachable by some path, with the channel count of its inputs.
-    The counter (if given) is incremented by the exact multiply count of
-    the defining sums: 2 per (m1, m2, m3, c) term plus the path-weight
-    products.
+    Counts ``so3_tp`` multiplies in the degree-based model of
+    :mod:`.counters`.
     """
     mults = {c for _, c in x.layout.entries}
     if len(mults) != 1:
@@ -164,16 +163,9 @@ def so3_tensor_product(x: So3Features, sh: So3Features, weights: PathWeights,
         raw = ad.einsum("abc,ua,b->uc", C, x.block(li),
                         ad.reshape(sh.block(lf), (2 * lf + 1,)))
         acc[lo].append(ad.mul(raw, ad.reshape(w, (channels, 1))))
-        if counter is not None:
-            counter.add("so3_tp", channels * max(1, li * lf * lo))
+        count("so3_tp", channels * max(1, li * lf * lo))
     layout = so3_layout([(lo, channels) for lo in out_degrees])
-    blocks = []
-    for lo in out_degrees:
-        total = acc[lo][0]
-        for term in acc[lo][1:]:
-            total = ad.add(total, term)
-        blocks.append(total)
-    return So3Features(layout, blocks)
+    return So3Features(layout, [functools.reduce(ad.add, acc[lo]) for lo in out_degrees])
 
 
 def filter_pole_amplitude(lf: int) -> float:
@@ -278,8 +270,7 @@ def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
 
 
 def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
-                         out_degrees, l_max: int | None = None,
-                         counter: OpCounter | None = None) -> So3Features:
+                         out_degrees, l_max: int | None = None) -> So3Features:
     """rotate -> SO(2) linear -> rotate back, the O(L^3) route.
 
     Equals ``so3_tensor_product(x, Y(direction), weights)`` for paths with
@@ -289,22 +280,14 @@ def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
     cap = l_max if l_max is not None else max(x.layout.max_index, out_degrees[-1])
     frame = frame_from_direction(direction, cap)
     lin = escn_so2_linear_weights(weights, x.layout, out_degrees, "escn")
-    mults = {c for _, c in x.layout.entries}
-    channels = mults.pop()
-    out_layout = so3_layout([(lo, channels) for lo in out_degrees])
-    local = to_local(frame, x, counter=counter)
-    mixed = so2_linear(local, lin, "escn", counter=counter)
+    out_layout = so3_layout([(lo, x.layout.entries[0][1]) for lo in out_degrees])
+    mixed = so2_linear(to_local(frame, x), lin, "escn")
     # orders the input cannot reach stay zero but must exist for the
     # inverse mapping
     full = so2_layout_of(out_layout)
-    blocks = []
-    for m in full.indices:
-        if mixed.layout.mult(m):
-            blocks.append(mixed.block(m))
-        else:
-            blocks.append(np.zeros(full.block_shape(m)))
-    padded = So2Features(full, blocks)
-    return from_local(frame, padded, out_layout, counter=counter)
+    padded = So2Features(full, [mixed.block(m) if mixed.layout.mult(m)
+                                else np.zeros(full.block_shape(m)) for m in full.indices])
+    return from_local(frame, padded, out_layout)
 
 
 def expansion(feature: So3Features, w: dict[int, np.ndarray], l1: int, l2: int):

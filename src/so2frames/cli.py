@@ -31,7 +31,7 @@ from .hamiltonian import (build_orbital_layout, checked_matrix, gen_synthetic_ta
                           metrics, read_matrix, write_matrix)
 from .harness import RunReport, bench, check_equivariance
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
-                    default_fit_config, fit_demo, init_params, predict)
+                    default_fit_config, fit_demo, fit_node_irreps, init_params, predict)
 
 
 class UsageError(Exception):
@@ -81,23 +81,16 @@ def _load_checkpoint(path: str):
 
 
 def _config_from_args(args, base: ModelConfig) -> ModelConfig:
-    if getattr(args, "config", None):
+    """``base``, or the ``--config`` file, with the model flags given."""
+    if args.config:
         try:
             with open(args.config) as f:
                 base = ModelConfig.from_json_obj(json.load(f))
         except (OSError, json.JSONDecodeError, KeyError) as err:
             raise UsageError(f"cannot read config {args.config}: {err}") from err
-    updates = {}
-    if getattr(args, "lmax", None) is not None:
-        parts = [f"{max(8 // (2 ** l), 2)}x{l}e" for l in range(args.lmax + 1)]
-        updates["node_irreps"] = "+".join(parts)
-    if getattr(args, "v", None) is not None:
-        updates["tp_arity"] = args.v
-    if getattr(args, "layers", None) is not None:
-        updates["layers"] = args.layers
-    if getattr(args, "cutoff", None) is not None:
-        updates["cutoff"] = args.cutoff
-    return replace(base, **updates) if updates else base
+    updates = {"tp_arity": args.v, "layers": args.layers, "cutoff": args.cutoff,
+               "node_irreps": None if args.lmax is None else fit_node_irreps(args.lmax)}
+    return replace(base, **{k: v for k, v in updates.items() if v is not None})
 
 
 def _emit_report(report: RunReport, args) -> int:

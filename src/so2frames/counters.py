@@ -20,10 +20,17 @@ quantify (l^2 to rotate a degree-l irrep, hence L^3 summed; L^6 for the
 full tensor product); counting dense (2l+1)-dimensional matrix products
 instead only shifts every count by bounded constants without changing
 the asymptotics.
+
+Counting is ambient: kernels call :func:`count`, which adds to the counter
+of the innermost ``with counting(counter):`` block and does nothing outside
+one.  The active counter is a :class:`contextvars.ContextVar`, so threads
+count apart and an uncounted kernel call costs one context lookup.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 
@@ -40,3 +47,24 @@ class OpCounter:
 
     def get(self, kernel: str) -> int:
         return self.counts.get(kernel, 0)
+
+
+_active: ContextVar[OpCounter | None] = ContextVar("so2frames_counter", default=None)
+
+
+@contextmanager
+def counting(counter: OpCounter | None):
+    """Count the kernels run inside the block into ``counter`` (None counts
+    nothing); the enclosing counter is restored on exit."""
+    token = _active.set(counter)
+    try:
+        yield
+    finally:
+        _active.reset(token)
+
+
+def count(kernel: str, n: int) -> None:
+    """Add ``n`` multiplies of ``kernel`` to the active counter, if any."""
+    active = _active.get()
+    if active is not None:
+        active.add(kernel, n)

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import autodiff as ad
-from .counters import OpCounter
+from .counters import count
 from .irreps import (DEFAULT_L_CAP, SO3, IrrepsLayout, So2Features,
                      So3Features, batch_size, rotate_so2, so2_layout)
 
@@ -231,21 +231,19 @@ def order_alignment_permutation(l: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Frame:
-    """Minimal-angle canonicalization of one reference direction or a batch.
+    """Minimal-angle canonicalization of one direction or a batch.
 
-    ``rotation`` is h with ``h^{-1} reference = TARGET_AXIS``; ``d_in[l]``
-    holds ``D_l(h^{-1})`` for every degree up to ``l_max``.  The same
-    matrix maps out of the frame, transposed, since ``D(h) = D(h^{-1})^T``.
-    A batch of E frames keeps the frame index as a leading axis:
-    ``reference`` is (E, 3), ``matrix`` (E, 3, 3), ``euler`` the ZYZ angles
-    of h as (E, 3), and ``d_in[l]`` is (E, 2l+1, 2l+1).  ``frames[k]`` is
+    ``rotation`` is h with ``h^{-1} r = TARGET_AXIS`` for the unit
+    direction r; ``d_in[l]`` holds ``D_l(h^{-1})`` for every degree up to
+    ``l_max``.  The same matrix maps out of the frame, transposed, since
+    ``D(h) = D(h^{-1})^T``.  A batch of E frames keeps the frame index as a
+    leading axis: ``matrix`` is (E, 3, 3), ``euler`` the ZYZ angles of h as
+    (E, 3), and ``d_in[l]`` is (E, 2l+1, 2l+1).  ``frames[k]`` is
     the k-th single frame (views into the batch), and only a single frame
     has a :class:`Rotation`.
     """
 
-    def __init__(self, reference: np.ndarray, matrix: np.ndarray, euler: np.ndarray,
-                 d_in: list[np.ndarray]):
-        self.reference = reference
+    def __init__(self, matrix: np.ndarray, euler: np.ndarray, d_in: list[np.ndarray]):
         self.matrix = matrix
         self.euler = euler
         self.d_in = d_in
@@ -256,17 +254,16 @@ class Frame:
         return Rotation(self.matrix, tuple(self.euler))
 
     def __getitem__(self, k) -> "Frame":
-        return Frame(self.reference[k], self.matrix[k], self.euler[k], [d[k] for d in self.d_in])
+        return Frame(self.matrix[k], self.euler[k], [d[k] for d in self.d_in])
 
     def take(self, index) -> "Frame":
         """The frames of a batch at an index array, where index -1 gives the
         TARGET_AXIS frame, the exact identity (for an item without a
-        reference direction)."""
+        direction)."""
         def pick(a, identity):
             return np.concatenate([a, identity[None]])[index]
 
-        return Frame(pick(self.reference, TARGET_AXIS), pick(self.matrix, np.eye(3)),
-                     pick(self.euler, np.zeros(3)),
+        return Frame(pick(self.matrix, np.eye(3)), pick(self.euler, np.zeros(3)),
                      [pick(d, np.eye(2 * l + 1)) for l, d in enumerate(self.d_in)])
 
 
@@ -304,7 +301,7 @@ def frames_from_directions(directions, l_max: int = 4) -> Frame:
     if np.any(residual > 1e-12):
         raise AssertionError(f"frame residual {residual.max()}")
     d_in = [wigner_d_batch(l, phi, -theta, -phi) for l in range(l_max + 1)]
-    return Frame(r, h, np.stack([phi, theta, -phi], axis=1), d_in)
+    return Frame(h, np.stack([phi, theta, -phi], axis=1), d_in)
 
 
 def frame_from_direction(direction, l_max: int = 4) -> Frame:
@@ -329,7 +326,7 @@ def so2_layout_of(so3: IrrepsLayout) -> IrrepsLayout:
     return so2_layout(entries)
 
 
-def to_local(frame: Frame, x: So3Features, counter: OpCounter | None = None) -> So2Features:
+def to_local(frame: Frame, x: So3Features) -> So2Features:
     """Rotate SO(3) features into the frame and regroup by order m.
 
     ``x'_l = D_l(h^{-1}) x_l`` per degree, then order m gathers the
@@ -341,11 +338,10 @@ def to_local(frame: Frame, x: So3Features, counter: OpCounter | None = None) -> 
     if x.layout.max_index > frame.l_max:
         raise ValueError(
             f"feature degree {x.layout.max_index} exceeds frame cache l_max {frame.l_max}")
-    rotated = {}
-    for l, block in x.items():
-        rotated[l] = ad.value_of(block) @ np.swapaxes(frame.d_in[l], -1, -2)
-        if counter is not None:
-            counter.add("frame_rotation", x.layout.mult(l) * l * l * batch_size(rotated[l]))
+    rotated = {l: ad.value_of(block) @ np.swapaxes(frame.d_in[l], -1, -2)
+               for l, block in x.items()}
+    count("frame_rotation", sum(x.layout.mult(l) * l * l * batch_size(block)
+                                for l, block in rotated.items()))
     out_layout = so2_layout_of(x.layout)
     blocks = []
     for m in out_layout.indices:
@@ -376,8 +372,7 @@ def _to_local_vjp(frame: Frame, degrees, cols, parents):
     return vjp
 
 
-def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout,
-               counter: OpCounter | None = None) -> So3Features:
+def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Features:
     """Exact inverse of :func:`to_local` for the given SO(3) layout.
 
     Each output degree is one fused autodiff primitive whose parents are
@@ -387,6 +382,7 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout,
         raise ValueError("SO(2) layout is not the regrouping of the SO(3) layout")
     order_offsets = {m: 0 for m in x.layout.indices}
     blocks = []
+    multiplies = 0
     for l in so3_layout.indices:
         mult = so3_layout.mult(l)
         # the degree-l rows of orders 0..l hold its components in the
@@ -402,8 +398,8 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout,
         block = aligned @ rotation
         blocks.append(ad.primitive(block, parents,
                                    _from_local_vjp(rotation, aligned.shape, rows, parents)))
-        if counter is not None:
-            counter.add("frame_rotation", mult * l * l * batch_size(block))
+        multiplies += mult * l * l * batch_size(block)
+    count("frame_rotation", multiplies)
     return So3Features(so3_layout, blocks)
 
 

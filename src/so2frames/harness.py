@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counters import OpCounter
+from .counters import OpCounter, counting
 from .cg import PathWeights, escn_reference_apply, so3_tensor_product, valid_paths
 from .frames import from_local, rotate_so3, rotation_from_matrix
 from .graph import MoleculeGraph, build_graph
@@ -175,13 +175,14 @@ def bench(l_range=range(2, 9), m_range=range(2, 11), channels: int = 1,
         weights = PathWeights.random(valid_paths(degrees, degrees, L), channels, rng)
         c_tp, c_rot = OpCounter(), OpCounter()
         times_tp, times_rot = [], []
-        for _ in range(repeats):
+        for k in range(repeats):  # only the first repeat counts
             t0 = time.perf_counter()
-            so3_tensor_product(x, sh, weights, c_tp if not times_tp else None)
+            with counting(c_tp if k == 0 else None):
+                so3_tensor_product(x, sh, weights)
             times_tp.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            escn_reference_apply(x, direction, weights, degrees, l_max=L,
-                                 counter=c_rot if not times_rot else None)
+            with counting(c_rot if k == 0 else None):
+                escn_reference_apply(x, direction, weights, degrees, l_max=L)
             times_rot.append(time.perf_counter() - t0)
         tp_counts.append(c_tp.get("so3_tp"))
         rot_counts.append(c_rot.get("frame_rotation") + c_rot.get("so2_linear"))

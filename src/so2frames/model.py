@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .counters import OpCounter
+from .counters import OpCounter, counting
 from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
 from .graph import MoleculeGraph
 from .hamiltonian import (AssemblyPlan, OrbitalLayout, assemble, assembly_plan,
@@ -56,6 +56,11 @@ DEFAULT_BASIS: dict[int, tuple[int, ...]] = {
     8: (0, 0, 0, 1, 1, 2),
     9: (0, 0, 0, 1, 1, 2),
 }
+
+
+# the config fields a JSON config holds as they are, in file order
+_SCALAR_FIELDS = ("node_irreps", "layers", "tp_arity", "tp_channels", "ffn_channels",
+                  "invariant_width", "rbf_size", "cutoff")
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,17 @@ class ModelConfig:
     def __post_init__(self):
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
+        for name in ("tp_channels", "ffn_channels", "invariant_width", "rbf_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the embedding, the gates and the invariants live in the 0e channels
+        if self.node_layout.mult(0) == 0:
+            raise ValueError(f"node_irreps {self.node_irreps!r} has no 0e channels")
+        if not self.elements or len(set(self.elements)) != len(self.elements):
+            raise ValueError(f"elements must be distinct and not empty, got {self.elements}")
+        missing = [z for z in self.elements if z not in self.basis_map]
+        if missing:
+            raise ValueError(f"element {missing[0]} has no basis")
 
     @property
     def node_layout(self) -> IrrepsLayout:
@@ -91,37 +107,19 @@ class ModelConfig:
         return dict(self.basis)
 
     def to_json_obj(self):
-        return {
-            "node_irreps": self.node_irreps,
-            "layers": self.layers,
-            "tp_arity": self.tp_arity,
-            "tp_channels": self.tp_channels,
-            "ffn_channels": self.ffn_channels,
-            "invariant_width": self.invariant_width,
-            "rbf_size": self.rbf_size,
-            "cutoff": self.cutoff,
-            "elements": list(self.elements),
-            "basis": {str(z): list(orbs) for z, orbs in self.basis},
-            # SO(2) orders always run up to l_max; the key keeps the format
-            "m_max": None,
-            "seed": self.seed,
-        }
+        return {**{name: getattr(self, name) for name in _SCALAR_FIELDS},
+                "elements": list(self.elements),
+                "basis": {str(z): list(orbs) for z, orbs in self.basis},
+                # SO(2) orders always run up to l_max; the key keeps the format
+                "m_max": None,
+                "seed": self.seed}
 
     @classmethod
     def from_json_obj(cls, doc) -> "ModelConfig":
-        config = cls(
-            node_irreps=doc["node_irreps"],
-            layers=doc["layers"],
-            tp_arity=doc["tp_arity"],
-            tp_channels=doc["tp_channels"],
-            ffn_channels=doc["ffn_channels"],
-            invariant_width=doc["invariant_width"],
-            rbf_size=doc["rbf_size"],
-            cutoff=doc["cutoff"],
-            elements=tuple(doc["elements"]),
-            basis=tuple(sorted((int(z), tuple(orbs)) for z, orbs in doc["basis"].items())),
-            seed=doc.get("seed", 0),
-        )
+        config = cls(**{name: doc[name] for name in _SCALAR_FIELDS},
+                     elements=tuple(doc["elements"]),
+                     basis=tuple(sorted((int(z), tuple(orbs)) for z, orbs in doc["basis"].items())),
+                     seed=doc.get("seed", 0))
         # the regrouped node layout has every order up to l_max, and the
         # tensor-product layouts must have the same orders
         m_max = doc.get("m_max")
@@ -334,8 +332,7 @@ def pair_embed(params, s_ij, rbf_vec):
 
 
 def message_pass(h: So3Features, params, config: ModelConfig,
-                 prepared: PreparedGraph, layer: int,
-                 counter: OpCounter | None = None) -> So3Features:
+                 prepared: PreparedGraph, layer: int) -> So3Features:
     """Frame-based message passing, all edges at once.
 
     Gated self-interaction on the inputs; every edge (i, j) projects the
@@ -350,9 +347,8 @@ def message_pass(h: So3Features, params, config: ModelConfig,
     layout = config.node_layout
     src, dst = prepared.src, prepared.dst
     g1 = _self_interaction(h, params, f"{p}/self1")
-    local = to_local(prepared.frame, gather(g1, dst), counter)
-    mixed = so2_gate(so2_linear(local, params, f"{p}/msg/lin", counter),
-                     params, f"{p}/msg/gate")
+    local = to_local(prepared.frame, gather(g1, dst))
+    mixed = so2_gate(so2_linear(local, params, f"{p}/msg/lin"), params, f"{p}/msg/gate")
     scale = _invariant_mix(params, f"{p}/msg/scale",
                            degree_inner_products(gather(h, src), gather(h, dst)), prepared.rbf)
     # the scale has one slot per (degree, channel), ascending degree; order
@@ -362,15 +358,14 @@ def message_pass(h: So3Features, params, config: ModelConfig,
     for m, block in mixed.items():
         start = sum(c for l, c in layout.entries if l < m)
         scaled.append(ad.mul(block, ad.take(scale, (..., slice(start, None), slice(None)))))
-    msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout, counter)
+    msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout)
     agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), prepared.receivers)
            for own, incoming in zip(g1.blocks, msg.blocks)]
     return _self_interaction(So3Features(layout, agg), params, f"{p}/self2")
 
 
 def node_update_so2tp(h: So3Features, params, config: ModelConfig,
-                      prepared: PreparedGraph, layer: int,
-                      counter: OpCounter | None = None) -> So3Features:
+                      prepared: PreparedGraph, layer: int) -> So3Features:
     """v-fold SO(2) tensor-product update, averaged over the frames of each
     atom's nearest edges (ties rotate with the molecule as a set, so the
     mean does not depend on rounding or atom labels).
@@ -389,11 +384,11 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
     paths = enumerate_tp_paths(config.l_max, config.tp_arity)
     weights = [params[f"{p}/tp/w/{k}"] for k in range(len(paths))]
     frame = prepared.node_frame
-    local = to_local(frame, gather(h, prepared.node_atom), counter)
-    u = so2_linear(local, params, f"{p}/tp/pre", counter)
-    fused = so2_tp_contract([u] * config.tp_arity, paths, weights, counter)
-    y = so2_linear(fused, params, f"{p}/tp/post", counter)
-    update = from_local(frame, y, layout, counter)
+    local = to_local(frame, gather(h, prepared.node_atom))
+    u = so2_linear(local, params, f"{p}/tp/pre")
+    fused = so2_tp_contract([u] * config.tp_arity, paths, weights)
+    y = so2_linear(fused, params, f"{p}/tp/post")
+    update = from_local(frame, y, layout)
     count = np.sum(prepared.node_slots >= 0, axis=1)[:, None, None]
     connected = (prepared.node_edge[prepared.node_slots[:, 0]] >= 0)[:, None, None]
     return So3Features(layout, [ad.add(b, ad.mul(ad.segment_sum(du, prepared.node_slots),
@@ -402,19 +397,17 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
 
 
 def offdiag_update(h: So3Features, x_pair: So2Features, params,
-                   config: ModelConfig, prepared: PreparedGraph, layer: int,
-                   counter: OpCounter | None = None) -> So2Features:
+                   config: ModelConfig, prepared: PreparedGraph, layer: int) -> So2Features:
     """Pair-track update: FFN on the frame projections, skip, SO(2) LayerNorm."""
     p = f"L{layer}"
-    mi = to_local(prepared.frame, gather(h, prepared.src), counter)
-    mj = to_local(prepared.frame, gather(h, prepared.dst), counter)
-    f = so2_ffn(mi, mj, params, f"{p}/ffn", counter)
+    mi = to_local(prepared.frame, gather(h, prepared.src))
+    mj = to_local(prepared.frame, gather(h, prepared.dst))
+    f = so2_ffn(mi, mj, params, f"{p}/ffn")
     return so2_layernorm(add_features(x_pair, f), params, f"{p}/ln_pair")
 
 
 def forward(graph: MoleculeGraph, params, config: ModelConfig,
-            prepared: PreparedGraph | None = None,
-            counter: OpCounter | None = None):
+            prepared: PreparedGraph | None = None):
     """Full forward pass.
 
     Returns (So3Features batched over atoms, So2Features batched over the
@@ -430,26 +423,35 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
     zeros = So2Features.zeros(reg, prepared.src.shape).blocks
     x_pair = So2Features(reg, [pair_embed(params, s, prepared.rbf)] + list(zeros[1:]))
     for n in range(config.layers):
-        msg = message_pass(h, params, config, prepared, n, counter)
+        msg = message_pass(h, params, config, prepared, n)
         h = so2_layernorm(add_features(h, msg), params, f"L{n}/ln_node")
-        h = node_update_so2tp(h, params, config, prepared, n, counter)
-        x_pair = offdiag_update(h, x_pair, params, config, prepared, n, counter)
+        h = node_update_so2tp(h, params, config, prepared, n)
+        x_pair = offdiag_update(h, x_pair, params, config, prepared, n)
     return h, x_pair
 
 
 def predict(graph: MoleculeGraph, params, config: ModelConfig,
             prepared: PreparedGraph | None = None,
             counter: OpCounter | None = None):
-    """Forward pass plus matrix assembly; returns a BlockMatrix."""
+    """Forward pass plus matrix assembly; returns a BlockMatrix.  The forward
+    pass (not the assembly) runs inside ``counting(counter)``."""
     if prepared is None:
         prepared = prepare_graph(graph, config)
-    h, x_pair = forward(graph, params, config, prepared, counter)
+    with counting(counter):
+        h, x_pair = forward(graph, params, config, prepared)
     return assemble(h, x_pair, prepared, params, config)
 
 
 # ---------------------------------------------------------------------------
 # training demo
 # ---------------------------------------------------------------------------
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAM_CLIP = 1.0  # bound on each entry's bias-corrected step, in units of lr
+AVERAGE_DECAY = 0.995  # Polyak average of the fit iterates
+
 
 @dataclass
 class AdamState:
@@ -461,27 +463,27 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, live: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              clip: float = 1.0) -> None:
+              lr: float) -> None:
     """One constant-rate Adam update with per-entry update clipping, in place.
 
     ``params``, ``grad`` and the boolean ``live`` are flat vectors over all
     parameter entries; entries outside ``live`` (parameters that got no
     gradient) keep their value and both moments bit for bit.  The
-    bias-corrected ratio m / sqrt(v) is clamped to [-clip, clip], so a
-    single update never moves a parameter by more than lr * clip; this
-    suppresses the transient blow-ups Adam exhibits on kinked losses when
-    a gradient reappears after its second moment has decayed.
+    bias-corrected ratio m / sqrt(v) is clamped to [-ADAM_CLIP, ADAM_CLIP],
+    so a single update never moves a parameter by more than
+    lr * ADAM_CLIP; this suppresses the transient blow-ups Adam exhibits on
+    kinked losses when a gradient reappears after its second moment has
+    decayed.
     """
     state.t += 1
     t = state.t
-    m = beta1 * state.m + (1 - beta1) * grad
-    v = beta2 * state.v + (1 - beta2) * (grad * grad)
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * (grad * grad)
     np.copyto(state.m, m, where=live)
     np.copyto(state.v, v, where=live)
-    m_hat = m / (1 - beta1 ** t)
-    v_hat = v / (1 - beta2 ** t)
-    update = np.clip(m_hat / (np.sqrt(v_hat) + eps), -clip, clip)
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    update = np.clip(m_hat / (np.sqrt(v_hat) + ADAM_EPS), -ADAM_CLIP, ADAM_CLIP)
     np.subtract(params, lr * update, out=params, where=live)
 
 
@@ -495,14 +497,14 @@ def _views(buffer: np.ndarray, like: dict) -> dict:
 
 
 def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
-             config: ModelConfig | None = None, lr: float = 1e-3,
-             average_decay: float = 0.995):
+             config: ModelConfig | None = None, lr: float = 1e-3):
     """Adam on the mean absolute entry error against a target matrix.
 
     The optimizer iterates are Polyak-averaged (exponential moving average
-    of the parameters, warmup-corrected); the averaged model is what the
-    demo returns and whose MAE the trajectory reports, which removes the
-    kink chatter a constant learning rate leaves in the raw iterates.
+    of the parameters with decay AVERAGE_DECAY, warmup-corrected); the
+    averaged model is what the demo returns and whose MAE the trajectory
+    reports, which removes the kink chatter a constant learning rate leaves
+    in the raw iterates.
 
     The parameters of :func:`init_params` are held in one flat float64
     buffer in dict order, and the named entries are views into it; the
@@ -551,9 +553,15 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
         grad = np.concatenate([np.zeros(n) if g is None else g.ravel()
                                for g, n in zip(grads, sizes)])
         adam_step(flat, grad, np.repeat([g is not None for g in grads], sizes), state, lr)
-        w = min(average_decay, (step + 1.0) / (step + 2.0))
+        w = min(AVERAGE_DECAY, (step + 1.0) / (step + 2.0))
         average[:] = w * average + (1.0 - w) * flat
     return np.array(losses), {k: v.copy() for k, v in averaged.items()}
+
+
+def fit_node_irreps(l_max: int) -> str:
+    """Node irreps of the fitting configs: 8 channels at degree 0, halved
+    per degree down to 2, for every degree up to ``l_max``."""
+    return "+".join(f"{max(8 // (2 ** l), 2)}x{l}e" for l in range(l_max + 1))
 
 
 def default_fit_config(graph: MoleculeGraph) -> ModelConfig:
@@ -566,10 +574,7 @@ def default_fit_config(graph: MoleculeGraph) -> ModelConfig:
     l_orb = max(l for _, orbs in basis for l in orbs)
     l_max = min(2 * l_orb, 4) if l_orb > 0 else 1
     l_max = max(l_max, 1)
-    parts = []
-    for l in range(l_max + 1):
-        parts.append(f"{max(8 // (2 ** l), 2)}x{l}e")
-    return ModelConfig(node_irreps="+".join(parts), layers=1, tp_arity=2,
+    return ModelConfig(node_irreps=fit_node_irreps(l_max), layers=1, tp_arity=2,
                        tp_channels=4, ffn_channels=4, invariant_width=8,
                        rbf_size=16, cutoff=graph.cutoff, elements=elements,
                        basis=basis)

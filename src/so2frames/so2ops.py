@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .counters import OpCounter
+from .counters import count
 from .irreps import IrrepsLayout, So2Features, batch_size, so2_layout
 
 
@@ -157,8 +157,7 @@ def mlp(v, params: dict, prefix: str):
 _TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def so2_linear(x: So2Features, params: dict, prefix: str,
-               counter: OpCounter | None = None) -> So2Features:
+def so2_linear(x: So2Features, params: dict, prefix: str) -> So2Features:
     """Per-order complex linear map without bias (block-matrix form).
 
     Order m reads ``{prefix}/{m}/w1`` and, for m > 0, ``{prefix}/{m}/w2``,
@@ -173,6 +172,7 @@ def so2_linear(x: So2Features, params: dict, prefix: str,
     """
     entries = []
     blocks = []
+    multiplies = 0
     for m, block in x.items():
         w1 = params.get(f"{prefix}/{m}/w1")
         if w1 is None:
@@ -185,10 +185,10 @@ def so2_linear(x: So2Features, params: dict, prefix: str,
             out = ad.matmul(w1, block)
         else:
             out = _linear_order(block, w1, params[f"{prefix}/{m}/w2"])
-        if counter is not None:
-            counter.add("so2_linear", (4 if m > 0 else 1) * c_out * c_in * batch_size(block))
+        multiplies += (4 if m > 0 else 1) * c_out * c_in * batch_size(block)
         entries.append((m, c_out))
         blocks.append(out)
+    count("so2_linear", multiplies)
     return So2Features(so2_layout(entries), blocks)
 
 
@@ -319,8 +319,7 @@ def _layernorm_block(block, g, b, c: int, directional: bool):
 # SO(2) Tensor Product
 # ---------------------------------------------------------------------------
 
-def so2_tp_pair(x1, m1: int, x2, m2: int, sign: int,
-                counter: OpCounter | None = None):
+def so2_tp_pair(x1, m1: int, x2, m2: int, sign: int):
     """Pairwise tensor product of two order blocks, channel-wise.
 
     sign +1 fuses to order m1 + m2 (complex product x1 * x2); sign -1
@@ -339,21 +338,18 @@ def so2_tp_pair(x1, m1: int, x2, m2: int, sign: int,
     if m2 == 0:
         scalar = x2  # (..., C, 1) broadcasts over the pair columns
         out = ad.mul(x1, scalar)
-        if counter is not None:
-            counter.add("so2_tp", c1 * (2 if m1 > 0 else 1) * items)
+        count("so2_tp", c1 * (2 if m1 > 0 else 1) * items)
         return out, m1
     if m1 == 0:
         out = ad.mul(x2, x1)
-        if counter is not None:
-            counter.add("so2_tp", c1 * 2 * items)
+        count("so2_tp", c1 * 2 * items)
         return out, m2
     # x1 * x2 = x1 b+ + (i x1) b- and x1 * conj(x2) = x1 b+ - (i x1) b-
     b_m = ad.take(x2, (..., slice(0, 1)))
     b_p = ad.take(x2, (..., slice(1, 2)))
     turned = ad.mul(ad.matmul(x1, _TURN), b_m)
     out = (ad.add if sign == +1 else ad.sub)(ad.mul(x1, b_p), turned)
-    if counter is not None:
-        counter.add("so2_tp", 4 * c1 * items)
+    count("so2_tp", 4 * c1 * items)
     return out, m1 + sign * m2
 
 
@@ -482,8 +478,7 @@ def _enumerated_tables(m_max: int, arity: int) -> _TpTables:
     return _tp_tables(enumerate_tp_paths(m_max, arity), m_max, arity)
 
 
-def so2_tp_contract(features, paths, weights,
-                    counter: OpCounter | None = None) -> So2Features:
+def so2_tp_contract(features, paths, weights) -> So2Features:
     """Weighted sum of chained pairwise products over the given paths.
 
     ``features`` is a sequence of v So2Features sharing one layout with
@@ -546,8 +541,7 @@ def so2_tp_contract(features, paths, weights,
     w = np.array([ad.value_of(x) for x in weights]).reshape(n, channels).T
     terms = np.concatenate([wr * w, wi * w, zero], axis=-1)
     value = np.add.accumulate(terms[..., tables.slots], axis=-2)[..., -1, :]
-    if counter is not None:
-        counter.add("so2_tp", tables.multiplies * channels * math.prod(batch))
+    count("so2_tp", tables.multiplies * channels * math.prod(batch))
 
     def vjp(g):
         g_terms = np.concatenate([g, zero], axis=-1)[..., tables.out_cols]
@@ -589,8 +583,7 @@ def concat_orders(a: So2Features, b: So2Features) -> So2Features:
     return So2Features(so2_layout(entries), blocks)
 
 
-def so2_ffn(m_i: So2Features, m_j: So2Features, params: dict, prefix: str,
-            counter: OpCounter | None = None) -> So2Features:
+def so2_ffn(m_i: So2Features, m_j: So2Features, params: dict, prefix: str) -> So2Features:
     """Off-diagonal update: Linear(Gate(Linear(m_i || m_j))).
 
     Weights are read under ``{prefix}/lin1``, ``{prefix}/gate`` and
@@ -599,6 +592,5 @@ def so2_ffn(m_i: So2Features, m_j: So2Features, params: dict, prefix: str,
     if m_i.layout != m_j.layout:
         raise ValueError("pair inputs must share a layout")
     stacked = concat_orders(m_i, m_j)
-    hidden = so2_gate(so2_linear(stacked, params, f"{prefix}/lin1", counter),
-                      params, f"{prefix}/gate")
-    return so2_linear(hidden, params, f"{prefix}/lin2", counter)
+    hidden = so2_gate(so2_linear(stacked, params, f"{prefix}/lin1"), params, f"{prefix}/gate")
+    return so2_linear(hidden, params, f"{prefix}/lin2")

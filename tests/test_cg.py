@@ -6,7 +6,7 @@ import pytest
 from so2frames.cg import (PathWeights, cg_table, escn_reference_apply,
                           escn_weights_from_paths, expansion, expansion_decompose,
                           filter_pole_amplitude, so3_tensor_product, valid_paths)
-from so2frames.counters import OpCounter
+from so2frames.counters import OpCounter, counting
 from so2frames.frames import rotation_from_matrix, wigner_d
 from so2frames.irreps import So3Features, real_spherical_harmonics, so3_layout
 from so2frames.sampling import random_rotation_matrix, random_unit_vector, stream
@@ -119,7 +119,8 @@ class TestSo3TensorProduct:
             sh = real_spherical_harmonics(L, random_unit_vector(rng))
             w = PathWeights.random(valid_paths(degrees, degrees, L), 1, rng)
             counter = OpCounter()
-            so3_tensor_product(x, sh, w, counter)
+            with counting(counter):
+                so3_tensor_product(x, sh, w)
             counts.append(counter.get("so3_tp"))
         slope = np.polyfit(np.log(list(Ls)), np.log(counts), 1)[0]
         assert 5.0 <= slope <= 6.5

@@ -312,6 +312,18 @@ class TestBadInput:
         # a verdict needs at least one trial against a finite bound
         self._assert_usage_error(["check-equiv", molecule_file] + flags, capsys)
 
+    @pytest.mark.parametrize("fields", [
+        {"node_irreps": "4x1e+2x2e"}, {"invariant_width": 0}, {"rbf_size": 0},
+        {"elements": [1, 8, 16]}, {"elements": [1, 1, 8]},
+    ], ids=["no-scalar-channels", "zero-invariant-width", "zero-rbf-size",
+            "element-without-basis", "repeated-element"])
+    def test_invalid_config(self, molecule_file, tmp_path, capsys, fields):
+        # rejected when the config is read, before any model is built
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**ModelConfig().to_json_obj(), **fields}))
+        self._assert_usage_error(["check-equiv", molecule_file, "--config", str(config),
+                                  "--trials", "1"], capsys)
+
     @pytest.mark.parametrize("damage", ["missing", "mis-shaped", "unknown"])
     def test_checkpoint_parameter_mismatch(self, molecule_file, tmp_path, capsys, damage):
         # a checkpoint must hold exactly the parameters its config needs,

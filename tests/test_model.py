@@ -10,14 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from so2frames import autodiff as ad
+from so2frames.counters import OpCounter
 from so2frames.frames import rotate_so3, rotation_from_matrix
 from so2frames.graph import build_graph, sample_molecule
 from so2frames.hamiltonian import block_rotate, gen_synthetic_target
 from so2frames.model import (DEFAULT_BASIS, AdamState, ModelConfig, adam_step,
                              checkpoint_dumps, checkpoint_loads, default_fit_config,
-                             degree_inner_products, fit_demo, forward, init_params, message_pass,
-                             node_embed, node_update_so2tp, prepare_graph, predict,
-                             rbf)
+                             degree_inner_products, fit_demo, fit_node_irreps, forward,
+                             init_params, message_pass, node_embed, node_update_so2tp,
+                             prepare_graph, predict, rbf)
 from so2frames.irreps import So3Features, layout_parse
 from so2frames.sampling import random_rotation_matrix, stream
 from so2frames.so2ops import so2_layernorm
@@ -618,6 +619,44 @@ class TestCheckpoint:
         for key in ("node_irreps", "layers", "tp_arity", "m_max", "cutoff",
                     "rbf_size", "seed", "basis"):
             assert key in doc
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("fields", [
+        {"node_irreps": "4x1e+2x2e"}, {"tp_channels": 0}, {"ffn_channels": 0},
+        {"invariant_width": 0}, {"rbf_size": -1}, {"elements": ()},
+        {"elements": (1, 1, 8)}, {"elements": (1, 8, 16)},
+    ], ids=["no-scalar-channels", "zero-tp-channels", "zero-ffn-channels",
+            "zero-invariant-width", "negative-rbf-size", "no-elements", "repeated-element",
+            "element-without-basis"])
+    def test_invalid_config_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ModelConfig(**fields)
+        # replace() checks the new fields too
+        with pytest.raises(ValueError):
+            replace(ModelConfig(), **fields)
+
+    def test_fit_node_irreps(self):
+        assert fit_node_irreps(1) == "8x0e+4x1e"
+        assert fit_node_irreps(4) == "8x0e+4x1e+2x2e+2x3e+2x4e"
+
+
+class TestOpCounts:
+    # forward-pass multiplies of predict(..., counter=c) on one seeded H/C/O
+    # molecule (8 atoms, 56 edges); assembly is not counted
+    PINNED = {
+        "fit": {"frame_rotation": 14880, "so2_linear": 131104, "so2_tp": 4544},
+        "l4": {"frame_rotation": 44160, "so2_linear": 784064, "so2_tp": 174464},
+    }
+
+    @pytest.mark.parametrize("name", ["fit", "l4"])
+    def test_predict_counts_pinned(self, name):
+        graph = sample_molecule(1, 8, [1, 6, 8], 1.4, 15.0)
+        config = (default_fit_config(graph) if name == "fit"
+                  else ModelConfig(elements=(1, 6, 8)))
+        counter = OpCounter()
+        predict(graph, init_params(config), config, counter=counter)
+        assert counter.counts == self.PINNED[name]
 
 
 class TestPairEmbed:

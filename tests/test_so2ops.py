@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from so2frames import autodiff as ad
-from so2frames.counters import OpCounter
+from so2frames.counters import OpCounter, count, counting
 from so2frames.irreps import So2Features, rotate_so2, so2_layout
 from so2frames.sampling import stream
 from so2frames.so2ops import (So2TpPath, concat_orders, enumerate_tp_paths,
@@ -77,7 +77,8 @@ class TestSo2Linear:
 
     def test_counter(self, rng):
         counter = OpCounter()
-        so2_linear(random_so2(LAYOUT, rng), identity_linear(LAYOUT), "lin", counter)
+        with counting(counter):
+            so2_linear(random_so2(LAYOUT, rng), identity_linear(LAYOUT), "lin")
         assert counter.get("so2_linear") == 16 + 4 * (9 + 4 + 1)
 
 
@@ -334,7 +335,8 @@ class TestSo2TpContract:
             feats = [random_so2(layout, rng) for _ in range(2)]
             paths = enumerate_tp_paths(M, 2)
             counter = OpCounter()
-            so2_tp_contract(feats, paths, [np.ones(1)] * len(paths), counter)
+            with counting(counter):
+                so2_tp_contract(feats, paths, [np.ones(1)] * len(paths))
             counts.append(counter.get("so2_tp"))
         slope = np.polyfit(np.log(list(Ms)), np.log(counts), 1)[0]
         assert 1.7 <= slope <= 2.3
@@ -346,7 +348,7 @@ class TestSo2TpContract:
             so2_tp_contract(feats, paths, [np.ones(2)] * len(paths))
 
 
-def loop_tp_contract(features, paths, weights, counter=None):
+def loop_tp_contract(features, paths, weights):
     """The per-path pairwise chain that :func:`so2_tp_contract` batches:
     the reference its bits are held to."""
     layout = features[0].layout
@@ -361,24 +363,23 @@ def loop_tp_contract(features, paths, weights, counter=None):
             other = features[k].block(m)
             if s == +1:
                 if exponent >= 0:
-                    block, _ = so2_tp_pair(block, exponent, other, m, +1, counter)
+                    block, _ = so2_tp_pair(block, exponent, other, m, +1)
                 elif -exponent > m:
-                    block, _ = so2_tp_pair(block, -exponent, other, m, -1, counter)
+                    block, _ = so2_tp_pair(block, -exponent, other, m, -1)
                 else:
-                    block, _ = so2_tp_pair(other, m, block, -exponent, -1, counter)
+                    block, _ = so2_tp_pair(other, m, block, -exponent, -1)
                 exponent += m
             else:
                 if exponent >= 0:
                     if exponent > m:
-                        block, _ = so2_tp_pair(block, exponent, other, m, -1, counter)
+                        block, _ = so2_tp_pair(block, exponent, other, m, -1)
                     else:
-                        block, _ = so2_tp_pair(other, m, block, exponent, -1, counter)
+                        block, _ = so2_tp_pair(other, m, block, exponent, -1)
                 else:
-                    block, _ = so2_tp_pair(block, -exponent, other, m, +1, counter)
+                    block, _ = so2_tp_pair(block, -exponent, other, m, +1)
                 exponent -= m
         assert abs(exponent) == path.m_out
-        if counter is not None:
-            counter.add("so2_tp", channels * (2 if path.m_out > 0 else 1) * math.prod(batch))
+        count("so2_tp", channels * (2 if path.m_out > 0 else 1) * math.prod(batch))
         acc[path.m_out].append(block * np.reshape(w, (channels, 1)))
     return So2Features(layout, [functools.reduce(np.add, acc[m]) if acc[m]
                                 else np.zeros(batch + layout.block_shape(m))
@@ -398,8 +399,10 @@ class TestBatchedTpMatchesLoop:
                                          for m in layout.indices]) for _ in range(arity)]
         for feats in (distinct, [distinct[0]] * arity):
             counts = OpCounter(), OpCounter()
-            got = so2_tp_contract(feats, paths, weights, counts[0])
-            ref = loop_tp_contract(feats, paths, weights, counts[1])
+            with counting(counts[0]):
+                got = so2_tp_contract(feats, paths, weights)
+            with counting(counts[1]):
+                ref = loop_tp_contract(feats, paths, weights)
             for a, b in zip(got.blocks, ref.blocks):
                 assert np.asarray(a).tobytes() == b.tobytes()
             assert counts[0].get("so2_tp") == counts[1].get("so2_tp") > 0
