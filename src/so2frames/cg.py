@@ -85,7 +85,8 @@ def cg_table(l1: int, l2: int, l3: int) -> np.ndarray:
             return table
         Cc = _cg_complex(l1, l2, l3)
         U1, U2, U3 = _u_matrix(l1), _u_matrix(l2), _u_matrix(l3)  # as in wigner_d
-        T = np.einsum("abc,ma,nb,kc->mnk", Cc, np.conj(U1), np.conj(U2), U3)
+        T = np.einsum("abc,ma,nb,kc->mnk", Cc, np.conj(U1), np.conj(U2), U3,
+                      optimize=True)
         re, im = np.max(np.abs(T.real)), np.max(np.abs(T.imag))
         if im > re:
             assert re < 1e-12, f"mixed-phase CG table for {key}"
@@ -173,99 +174,51 @@ def filter_pole_amplitude(lf: int) -> float:
     return math.sqrt((2 * lf + 1) / (4.0 * math.pi))
 
 
-def escn_weights_from_paths(weights: PathWeights, li: int, lo: int):
-    """Per-order complex weights reproducing the spherical-filter TP.
-
-    For the (li, lo) pair, combines all filter degrees lf into per-order
-    pairs ``(w1_m, w2_m)`` of shape ``(channels,)`` such that the SO(2)
-    linear action
-
-        z_{-m} = w1 x_{-m} + w2 x_{+m}
-        z_{+m} = -w2 x_{-m} + w1 x_{+m}
-
-    inside the local frame of the filter direction equals the full tensor
-    product.  Only m = 0 filter components survive canonicalization, so
-    each path contributes its CG column at m2 = 0 scaled by the filter's
-    pole amplitude:
-
-        w1_m = sum_lf h * K(lf) * C[(li, m), (lf, 0), (lo, m)]
-        w2_m = -sum_lf h * K(lf) * C[(li, -m), (lf, 0), (lo, m)]
-
-    Returns ``{m: (w1_m, w2_m)}`` for m = 0..min(li, lo) with w2_0 = 0.
-    """
-    channels = None
-    for (pli, _, plo), w in weights.items():
-        if (pli, plo) == (li, lo):
-            channels = ad.value_of(w).shape[0]
-    if channels is None:
-        raise ValueError(f"no paths for (l_i, l_o) = ({li}, {lo})")
-    out = {m: (np.zeros(channels), np.zeros(channels))
-           for m in range(0, min(li, lo) + 1)}
-    for (pli, lf, plo), h in weights.items():
-        if (pli, plo) != (li, lo):
-            continue
-        K = filter_pole_amplitude(lf)
-        C = cg_table(li, lf, lo)
-        for m in range(0, min(li, lo) + 1):
-            w1, w2 = out[m]
-            w1 = ad.add(w1, ad.mul(h, K * C[li + m, lf, lo + m]))
-            if m > 0:
-                w2 = ad.add(w2, ad.mul(h, -K * C[li - m, lf, lo + m]))
-            out[m] = (w1, w2)
-    return out
-
-
 def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
                             out_degrees, prefix: str) -> dict[str, np.ndarray]:
-    """Assemble full per-order SO(2) linear weights matching a filter TP.
+    """Per-order SO(2) linear weights reproducing the spherical-filter TP.
 
+    Only m = 0 filter components survive canonicalization, so inside the
+    local frame of the filter direction each path (l_i, l_f, l_o) with
+    channel weights h couples order m of degree l_i to order m of degree
+    l_o through its CG column at m2 = 0, scaled by the filter's pole
+    amplitude K(l_f):
+
+        w1 += h * K * C[(li, m), (lf, 0), (lo, m)]
+        w2 += h * K * -C[(li, -m), (lf, 0), (lo, m)]
+
+    for the action z_{-m} = w1 x_{-m} + w2 x_{+m}, z_{+m} = -w2 x_{-m} + w1 x_{+m}.
     Input channels at order m are the regrouped (degree, channel) slots of
-    ``in_layout``; output channels those of the out_degrees layout.  The
-    result is block-structured: slot (lo, c) at order m receives only from
-    slot (li, c) via ``escn_weights_from_paths``.  Returns the flat
-    ``{prefix}/{m}/w1|w2`` dict that :func:`so2ops.so2_linear` reads.
+    ``in_layout`` and output channels those of the out_degrees layout;
+    slot (lo, c) receives only from slot (li, c).  Paths whose degrees lie
+    outside the layouts are ignored.  Works on values only.  Returns the
+    flat ``{prefix}/{m}/w1|w2`` dict that :func:`so2ops.so2_linear` reads.
     """
     mults = {c for _, c in in_layout.entries}
     if len(mults) != 1:
         raise ValueError("uniform multiplicity required")
     channels = mults.pop()
-    out_layout = so3_layout([(lo, channels) for lo in sorted(out_degrees)])
-    per_pair = {}
-    for li in in_layout.indices:
-        for lo in sorted(out_degrees):
-            try:
-                per_pair[(li, lo)] = escn_weights_from_paths(weights, li, lo)
-            except ValueError:
-                continue
+    out_degrees = sorted(out_degrees)
+    diag = np.arange(channels)
     lin: dict[str, np.ndarray] = {}
-    in_so2 = so2_layout_of(in_layout)
-    out_so2 = so2_layout_of(out_layout)
-    for m in out_so2.indices:
-        cin = in_so2.mult(m)
-        if cin == 0:
+    for m in range(out_degrees[-1] + 1):
+        ins = {l: k for k, l in enumerate(l for l in in_layout.indices if l >= m)}
+        outs = {l: k for k, l in enumerate(l for l in out_degrees if l >= m)}
+        if not ins:
             continue  # no source channels at this order; the block is zero
-        cout = out_so2.mult(m)
-        w1 = np.zeros((cout, cin))
-        w2 = np.zeros((cout, cin))
-        row = 0
-        for lo in out_layout.indices:
-            if lo < m:
-                continue
-            col = 0
-            for li in in_layout.indices:
-                if li < m:
-                    continue
-                pair = per_pair.get((li, lo))
-                if pair is not None and m in pair:
-                    pw1, pw2 = pair[m]
-                    for c in range(channels):
-                        w1[row + c, col + c] = ad.value_of(pw1)[c]
-                        w2[row + c, col + c] = ad.value_of(pw2)[c]
-                col += channels
-            row += channels
-        lin[f"{prefix}/{m}/w1"] = w1
+        acc = np.zeros((2, len(outs), len(ins), channels))
+        for (li, lf, lo), h in weights.items():
+            if li in ins and lo in outs:
+                C = cg_table(li, lf, lo)
+                pair = filter_pole_amplitude(lf) * np.array([C[li + m, lf, lo + m],
+                                                             -C[li - m, lf, lo + m]])
+                acc[:, outs[lo], ins[li]] += np.multiply.outer(pair, h)
+        w = np.zeros((2, len(outs), channels, len(ins), channels))
+        w[:, :, diag, :, diag] = np.moveaxis(acc, -1, 0)
+        w = w.reshape(2, len(outs) * channels, len(ins) * channels)
+        lin[f"{prefix}/{m}/w1"] = w[0]
         if m > 0:
-            lin[f"{prefix}/{m}/w2"] = w2
+            lin[f"{prefix}/{m}/w2"] = w[1]
     return lin
 
 

@@ -8,18 +8,10 @@
     so2frames metrics     H_pred.json H_true.json --n-occ 4
 
 Exit codes: 0 all checks PASS, 1 any FAIL, 2 usage, I/O or invalid-input
-error.  The environment variable SO2FRAMES_THREADS caps library-level
-parallelism (set before numpy loads its threading backend).
+error.
 """
 
 from __future__ import annotations
-
-import os
-
-_threads = os.environ.get("SO2FRAMES_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import json

@@ -75,9 +75,6 @@ class Rotation:
     def apply(self, vec) -> np.ndarray:
         return self.matrix @ np.asarray(vec, dtype=np.float64)
 
-    def to_json_obj(self):
-        return [[float(x) for x in row] for row in self.matrix]
-
 
 def _rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
@@ -213,17 +210,19 @@ def wigner_d(l: int, rotation: Rotation) -> np.ndarray:
     return wigner_d_batch(l, *rotation.euler)[0]
 
 
+@lru_cache(maxsize=None)
+def _alignment_rows(l: int) -> tuple[int, ...]:
+    """Degree-l component indices in the order (0, -1,+1, -2,+2, ...)."""
+    return (l,) + tuple(i for m in range(1, l + 1) for i in (l - m, l + m))
+
+
 def order_alignment_permutation(l: int) -> np.ndarray:
     """Permutation grouping degree-l components as (0, -1,+1, -2,+2, ...).
 
     In the permuted basis a rotation about the target axis is
     block-diagonal ``diag(1, R_1(a), ..., R_l(a))``.
     """
-    perm = [l] + [i for m in range(1, l + 1) for i in (l - m, l + m)]
-    P = np.zeros((2 * l + 1, 2 * l + 1))
-    for row, col in enumerate(perm):
-        P[row, col] = 1.0
-    return P
+    return np.eye(2 * l + 1)[list(_alignment_rows(l))]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,7 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Fea
     for l in so3_layout.indices:
         mult = so3_layout.mult(l)
         # the degree-l rows of orders 0..l hold its components in the
-        # order-aligned basis, which the permutation maps back
+        # order-aligned basis, so the rotation reads D_l's rows in that order
         rows = []
         for m in range(l + 1):
             rows.append(slice(order_offsets[m], order_offsets[m] + mult))
@@ -394,7 +393,7 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Fea
         parents = tuple(x.block(m) for m in range(l + 1))
         parts = [ad.value_of(p)[..., r, :] for p, r in zip(parents, rows)]
         aligned = parts[0] if l == 0 else np.concatenate(parts, axis=-1, dtype=np.float64)
-        rotation = order_alignment_permutation(l) @ frame.d_in[l]
+        rotation = frame.d_in[l][..., _alignment_rows(l), :]
         block = aligned @ rotation
         blocks.append(ad.primitive(block, parents,
                                    _from_local_vjp(rotation, aligned.shape, rows, parents)))

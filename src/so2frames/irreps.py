@@ -240,25 +240,6 @@ class So2Features(_Features):
 DEFAULT_L_CAP = 8
 
 
-def _legendre_no_cs(l_max: int, x: float) -> np.ndarray:
-    """Associated Legendre P_l^m(x) without Condon-Shortley phase.
-
-    Returns a dense (l_max+1, l_max+1) array indexed [l, m]; entries with
-    m > l are zero.  Stable upward recursion, adequate for l <= 8.
-    """
-    P = np.zeros((l_max + 1, l_max + 1))
-    P[0, 0] = 1.0
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    for m in range(1, l_max + 1):
-        P[m, m] = P[m - 1, m - 1] * (2 * m - 1) * s
-    for m in range(0, l_max + 1):
-        if m + 1 <= l_max:
-            P[m + 1, m] = x * (2 * m + 1) * P[m, m]
-        for l in range(m + 2, l_max + 1):
-            P[l, m] = ((2 * l - 1) * x * P[l - 1, m] - (l + m - 1) * P[l - 2, m]) / (l - m)
-    return P
-
-
 def real_spherical_harmonics(l_max: int, direction) -> So3Features:
     """Orthonormal real spherical harmonics at a unit direction.
 
@@ -275,18 +256,24 @@ def real_spherical_harmonics(l_max: int, direction) -> So3Features:
     norm = float(np.linalg.norm(d))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"direction must be unit length, |r| = {norm!r}")
-    z = min(1.0, max(-1.0, float(d[2])))
-    phi = math.atan2(float(d[1]), float(d[0]))
-    P = _legendre_no_cs(l_max, z)
+    # Imported here rather than at module level: loading scipy.special adds
+    # about 3.5 MiB of peak RSS to every process that imports so2frames,
+    # and the model itself never evaluates harmonics.
+    from scipy.special import sph_harm_y
+
+    x, y, z = (float(c) for c in d)
+    # the polar angle from atan2 keeps full precision next to the poles
+    theta = math.atan2(math.hypot(x, y), z)
+    phi = math.atan2(y, x)
     blocks = []
     for l in range(l_max + 1):
-        v = np.zeros((1, 2 * l + 1))
-        v[0, l] = math.sqrt((2 * l + 1) / (4 * math.pi)) * P[l, 0]
-        for m in range(1, l + 1):
-            N = math.sqrt(2.0 * (2 * l + 1) / (4 * math.pi)
-                          * math.factorial(l - m) / math.factorial(l + m))
-            v[0, l + m] = N * P[l, m] * math.cos(m * phi)
-            v[0, l - m] = N * P[l, m] * math.sin(m * phi)
+        m = np.arange(l + 1)
+        # scipy's harmonics carry the Condon-Shortley phase (-1)^m; drop it
+        Y = (-1.0) ** m * sph_harm_y(l, m, theta, phi)
+        v = np.empty((1, 2 * l + 1))
+        v[0, l] = Y[0].real
+        v[0, l + 1:] = math.sqrt(2.0) * Y[1:].real
+        v[0, :l] = math.sqrt(2.0) * Y[:0:-1].imag
         blocks.append(v)
     layout = so3_layout([(l, 1) for l in range(l_max + 1)])
     return So3Features(layout, blocks)

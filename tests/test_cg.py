@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from so2frames.cg import (PathWeights, cg_table, escn_reference_apply,
-                          escn_weights_from_paths, expansion, expansion_decompose,
+                          escn_so2_linear_weights, expansion, expansion_decompose,
                           filter_pole_amplitude, so3_tensor_product, valid_paths)
 from so2frames.counters import OpCounter, counting
 from so2frames.frames import rotation_from_matrix, wigner_d
@@ -130,11 +130,12 @@ class TestEscnEquivalence:
     def test_scalar_filter_gives_constant_weights(self, rng):
         l = 3
         w = PathWeights({(l, 0, l): np.array([1.0])})
-        per_order = escn_weights_from_paths(w, l, l)
+        lin = escn_so2_linear_weights(w, so3_layout([(l, 1)]), [l], "p")
         K = filter_pole_amplitude(0)
-        for m, (w1, w2) in per_order.items():
-            assert w1[0] == pytest.approx(K, abs=1e-14)  # C(0,l,l) identity
-            assert abs(w2[0]) < 1e-14
+        for m in range(l + 1):
+            assert lin[f"p/{m}/w1"][0, 0] == pytest.approx(K, abs=1e-14)  # C(0,l,l) identity
+            if m > 0:
+                assert abs(lin[f"p/{m}/w2"][0, 0]) < 1e-14
 
     def test_weight_block_sign_structure(self, rng):
         # the assembled 2x2 action must be ((w1, w2), (-w2, w1)), which is

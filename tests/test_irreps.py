@@ -115,6 +115,28 @@ class TestSphericalHarmonics:
                 err = np.max(np.abs(wigner_d(l, R) @ y0.block(l)[0] - y1.block(l)[0]))
                 assert err < 1e-12
 
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_exact_near_the_poles(self, pole):
+        # directions tilted by 1e-3 .. 1e-12 from +z or -z: degree 1 is the
+        # direction itself up to sqrt(3/4pi), and Y(R r) = D(R) Y(r) holds
+        # for every degree, with no precision lost to sqrt(1 - z^2)
+        from so2frames.frames import rotation_from_matrix, wigner_d
+        from so2frames.sampling import random_rotation_matrix
+
+        rng = stream(21, "harmonics-near-pole")
+        for tilt in 10.0 ** -np.arange(3, 13):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            r = np.array([math.sin(tilt) * math.cos(phi), math.sin(tilt) * math.sin(phi),
+                          pole * math.cos(tilt)])
+            y = real_spherical_harmonics(8, r)
+            expected = math.sqrt(3.0 / (4.0 * math.pi)) * r[[1, 2, 0]]
+            assert np.max(np.abs(y.block(1)[0] - expected)) < 1e-15
+            R = rotation_from_matrix(random_rotation_matrix(rng))
+            y_rot = real_spherical_harmonics(8, R.apply(r))
+            for l in range(9):
+                err = np.max(np.abs(wigner_d(l, R) @ y.block(l)[0] - y_rot.block(l)[0]))
+                assert err < 1e-12, (tilt, l)
+
     def test_orthonormality_quadrature(self):
         # Gauss-Legendre x uniform-phi quadrature integrates products of
         # band-limited harmonics exactly, so the Gram matrix is the identity
