@@ -9,9 +9,12 @@ spherical-harmonic basis of :mod:`so2frames.irreps` (polar axis z) makes
 stabilizer rotations act block-diagonally on each degree: the component
 pair ``(x_{-m}, x_{+m})`` transforms by the order-m planar rotation
 matrix.  A frame for a unit direction ``r`` is the minimal-angle rotation
-``h`` with ``h^{-1} r = TARGET_AXIS``; mapping features into the frame
-("to local") applies ``D(h^{-1})`` per degree and regroups components by
-order m.
+``h`` with ``h^{-1} r = TARGET_AXIS``.  It keeps only ``D_l(h^{-1})`` per
+degree, with its rows in the order-aligned basis (0, -1,+1, -2,+2, ...)
+of :func:`order_alignment_permutation`, where the stabilizer acts as
+``diag(1, R_1, ..., R_l)``; mapping features into the frame ("to local")
+applies it per degree and reads order m from the rows
+``[max(2m-1, 0), 2m+1)`` of every degree.
 
 Wigner-D construction: for active ZYZ angles the real-basis matrix
 factors as ``D(a,b,g) = Z(a) d(b) Z(g)``, where each Z is a per-order
@@ -26,7 +29,7 @@ Frames are built in batches (:func:`frames_from_directions`): the angles
 of ``h = Rz(phi) Ry(theta) Rz(-phi)`` come straight from the direction,
 ``phi = atan2(y, x)`` and ``theta = atan2(hypot(x, y), z)``, which stays
 accurate next to both poles, and ``D(h^{-1})`` is evaluated for all
-directions at once.
+directions at once, with its rows put in the order-aligned order.
 """
 
 from __future__ import annotations
@@ -232,38 +235,36 @@ def order_alignment_permutation(l: int) -> np.ndarray:
 class Frame:
     """Minimal-angle canonicalization of one direction or a batch.
 
-    ``rotation`` is h with ``h^{-1} r = TARGET_AXIS`` for the unit
-    direction r; ``d_in[l]`` holds ``D_l(h^{-1})`` for every degree up to
-    ``l_max``.  The same matrix maps out of the frame, transposed, since
-    ``D(h) = D(h^{-1})^T``.  A batch of E frames keeps the frame index as a
-    leading axis: ``matrix`` is (E, 3, 3), ``euler`` the ZYZ angles of h as
-    (E, 3), and ``d_in[l]`` is (E, 2l+1, 2l+1).  ``frames[k]`` is
-    the k-th single frame (views into the batch), and only a single frame
-    has a :class:`Rotation`.
+    For the unit direction r, h is the rotation with ``h^{-1} r =
+    TARGET_AXIS``; ``d_in[l]`` holds ``D_l(h^{-1})`` up to ``l_max``, rows
+    in the order-aligned basis and columns in the real m = -l..l order.
+    Its transpose maps out of the frame, since ``D(h) = D(h^{-1})^T``.  A
+    batch of E frames keeps the frame index as a leading axis, ``d_in[l]``
+    (E, 2l+1, 2l+1); ``frames[k]`` is the k-th single frame (views into
+    the batch), and only a single frame with ``l_max >= 1`` has a
+    :class:`Rotation`, read from its degree-1 rows.
     """
 
-    def __init__(self, matrix: np.ndarray, euler: np.ndarray, d_in: list[np.ndarray]):
-        self.matrix = matrix
-        self.euler = euler
+    def __init__(self, d_in: list[np.ndarray]):
         self.d_in = d_in
         self.l_max = len(d_in) - 1
 
     @cached_property
     def rotation(self) -> Rotation:
-        return Rotation(self.matrix, tuple(self.euler))
+        if self.l_max < 1:
+            raise ValueError("a frame built at l_max 0 has no rotation: build it with l_max >= 1")
+        # D_1(h^{-1}) = h^T with aligned rows (z, y, x) and real columns (y, z, x)
+        return rotation_from_matrix(self.d_in[1][::-1][:, [2, 0, 1]].T)
 
     def __getitem__(self, k) -> "Frame":
-        return Frame(self.matrix[k], self.euler[k], [d[k] for d in self.d_in])
+        return Frame([d[k] for d in self.d_in])
 
     def take(self, index) -> "Frame":
         """The frames of a batch at an index array, where index -1 gives the
-        TARGET_AXIS frame, the exact identity (for an item without a
-        direction)."""
-        def pick(a, identity):
-            return np.concatenate([a, identity[None]])[index]
-
-        return Frame(pick(self.matrix, np.eye(3)), pick(self.euler, np.zeros(3)),
-                     [pick(d, np.eye(2 * l + 1)) for l, d in enumerate(self.d_in)])
+        exact identity frame of TARGET_AXIS, whose rows are
+        :func:`order_alignment_permutation` (for an item without a direction)."""
+        return Frame([np.concatenate([d, order_alignment_permutation(l)[None]])[index]
+                      for l, d in enumerate(self.d_in)])
 
 
 # phi of the frame at -TARGET_AXIS: h = Rz(phi) Ry(pi) Rz(-phi) is the pi
@@ -299,8 +300,8 @@ def frames_from_directions(directions, l_max: int = 4) -> Frame:
     residual = np.linalg.norm(np.einsum("eji,ej->ei", h, r) - TARGET_AXIS, axis=1)
     if np.any(residual > 1e-12):
         raise AssertionError(f"frame residual {residual.max()}")
-    d_in = [wigner_d_batch(l, phi, -theta, -phi) for l in range(l_max + 1)]
-    return Frame(h, np.stack([phi, theta, -phi], axis=1), d_in)
+    return Frame([wigner_d_batch(l, phi, -theta, -phi)[:, _alignment_rows(l)]
+                  for l in range(l_max + 1)])
 
 
 def frame_from_direction(direction, l_max: int = 4) -> Frame:
@@ -328,8 +329,9 @@ def so2_layout_of(so3: IrrepsLayout) -> IrrepsLayout:
 def to_local(frame: Frame, x: So3Features) -> So2Features:
     """Rotate SO(3) features into the frame and regroup by order m.
 
-    ``x'_l = D_l(h^{-1}) x_l`` per degree, then order m gathers the
-    ``(x_{-m}, x_{+m})`` column pairs of every degree l >= m (ascending l).
+    ``x'_l = D_l(h^{-1}) x_l`` per degree in the order-aligned basis, then
+    order m gathers the ``(x_{-m}, x_{+m})`` columns ``[max(2m-1, 0), 2m+1)``
+    of every degree l >= m (ascending l).
     A batch of frames rotates a batch of features item by item.  Each
     output order is one fused autodiff primitive whose parents are the
     degree blocks it reads.
@@ -345,9 +347,8 @@ def to_local(frame: Frame, x: So3Features) -> So2Features:
     blocks = []
     for m in out_layout.indices:
         degrees = [l for l in x.layout.indices if l >= m]
-        # components l - m and l + m (one component l for m = 0)
-        cols = [slice(l - m, l + m + 1, max(2 * m, 1)) for l in degrees]
-        parts = [rotated[l][..., c] for l, c in zip(degrees, cols)]
+        cols = slice(max(2 * m - 1, 0), 2 * m + 1)
+        parts = [rotated[l][..., cols] for l in degrees]
         value = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2,
                                                                  dtype=np.float64)
         parents = tuple(x.block(l) for l in degrees)
@@ -357,15 +358,15 @@ def to_local(frame: Frame, x: So3Features) -> So2Features:
 
 def _to_local_vjp(frame: Frame, degrees, cols, parents):
     """Adjoint of one order of :func:`to_local`: each degree's channel rows
-    of the cotangent times the rows of ``D_l`` its columns came from."""
+    of the cotangent times the rows ``cols`` of ``D_l``."""
     def vjp(g):
         grads = []
         offset = 0
-        for l, c, block in zip(degrees, cols, parents):
+        for l, block in zip(degrees, parents):
             mult = block.shape[-2]
             part = g[..., offset:offset + mult, :]
             offset += mult
-            grads.append(ad.unbroadcast(part @ frame.d_in[l][..., c, :], block.shape))
+            grads.append(ad.unbroadcast(part @ frame.d_in[l][..., cols, :], block.shape))
         return grads
 
     return vjp
@@ -374,8 +375,9 @@ def _to_local_vjp(frame: Frame, degrees, cols, parents):
 def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Features:
     """Exact inverse of :func:`to_local` for the given SO(3) layout.
 
-    Each output degree is one fused autodiff primitive whose parents are
-    the order blocks 0..l.
+    The degree-l rows of orders 0..l are its order-aligned components, so
+    each output degree is one product with ``d_in[l]`` and one fused
+    autodiff primitive whose parents are the order blocks 0..l.
     """
     if so2_layout_of(so3_layout) != x.layout:
         raise ValueError("SO(2) layout is not the regrouping of the SO(3) layout")
@@ -384,8 +386,6 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Fea
     multiplies = 0
     for l in so3_layout.indices:
         mult = so3_layout.mult(l)
-        # the degree-l rows of orders 0..l hold its components in the
-        # order-aligned basis, so the rotation reads D_l's rows in that order
         rows = []
         for m in range(l + 1):
             rows.append(slice(order_offsets[m], order_offsets[m] + mult))
@@ -393,10 +393,9 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Fea
         parents = tuple(x.block(m) for m in range(l + 1))
         parts = [ad.value_of(p)[..., r, :] for p, r in zip(parents, rows)]
         aligned = parts[0] if l == 0 else np.concatenate(parts, axis=-1, dtype=np.float64)
-        rotation = frame.d_in[l][..., _alignment_rows(l), :]
-        block = aligned @ rotation
+        block = aligned @ frame.d_in[l]
         blocks.append(ad.primitive(block, parents,
-                                   _from_local_vjp(rotation, aligned.shape, rows, parents)))
+                                   _from_local_vjp(frame.d_in[l], aligned.shape, rows, parents)))
         multiplies += mult * l * l * batch_size(block)
     count("frame_rotation", multiplies)
     return So3Features(so3_layout, blocks)

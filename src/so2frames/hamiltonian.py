@@ -105,9 +105,17 @@ def expansion_degrees(ls: int, lt: int, node_layout: IrrepsLayout) -> IrrepsLayo
     """The node degrees l3 that expand an (l_s, l_t) orbital block: the
     triangle range |l_s - l_t| .. l_s + l_t cut to the degrees of the node
     layout, with their multiplicities.  Each orbital pair (s, t) of an item
-    kind has one weight ``{prefix}/{s}.{t}/{l3}`` per degree."""
+    kind has one weight per degree, keyed by :func:`_expansion_key`."""
     return so3_layout([(l3, node_layout.mult(l3)) for l3 in range(abs(ls - lt), ls + lt + 1)
                        if node_layout.mult(l3)])
+
+
+def _expansion_key(edge: bool, zi: int, zj: int, s: int, t: int, l3: int) -> str:
+    """The weight key of orbital pair (s, t) and node degree l3 of an item
+    kind: ``expand/diag/{z}/{s}.{t}/{l3}`` for an atom z (then zi = zj =
+    z), ``expand/off/{z_i}.{z_j}/{s}.{t}/{l3}`` for an edge."""
+    kind = f"off/{zi}.{zj}" if edge else f"diag/{zi}"
+    return f"expand/{kind}/{s}.{t}/{l3}"
 
 
 def init_expansion(params: dict, config, rng) -> None:
@@ -115,13 +123,14 @@ def init_expansion(params: dict, config, rng) -> None:
     and ordered element pair (``expand/off/{z_i}.{z_j}``), in that order,
     each over (s, t, l3), scaled by 1 / (number of orbitals of z_i)."""
     basis, layout = config.basis_map, config.node_layout
-    kinds = [(f"expand/diag/{z}", z, z) for z in config.elements]
-    kinds += [(f"expand/off/{zi}.{zj}", zi, zj) for zi in config.elements for zj in config.elements]
-    for prefix, zi, zj in kinds:
+    kinds = [(False, z, z) for z in config.elements]
+    kinds += [(True, zi, zj) for zi in config.elements for zj in config.elements]
+    for edge, zi, zj in kinds:
         for s, ls in enumerate(basis[zi]):
             for t, lt in enumerate(basis[zj]):
                 for l3, mult in expansion_degrees(ls, lt, layout).entries:
-                    params[f"{prefix}/{s}.{t}/{l3}"] = uniform_init(rng, (mult,)) / len(basis[zi])
+                    weights = uniform_init(rng, (mult,)) / len(basis[zi])
+                    params[_expansion_key(edge, zi, zj, s, t, l3)] = weights
 
 
 @dataclass(frozen=True)
@@ -170,18 +179,17 @@ def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
     orbitals, node_layout = dict(basis), layout_parse(node_irreps)
     found: dict[tuple[int, int], list] = {}
     for u, (edge, zi, zj) in enumerate(kinds):
-        prefix = f"expand/off/{zi}.{zj}" if edge else f"expand/diag/{zi}"
         for s, ls in enumerate(orbitals[zi]):
             for t, lt in enumerate(orbitals[zj]):
-                found.setdefault((ls, lt), []).append((u, s, t, prefix))
+                found.setdefault((ls, lt), []).append((u, s, t))
     groups, keys = [], []
     for (ls, lt), segments in sorted(found.items()):
         degrees = expansion_degrees(ls, lt, node_layout)
         if not degrees.entries:  # the group's blocks stay zero
             continue
         for l3 in degrees.indices:
-            keys += [f"{prefix}/{s}.{t}/{l3}" for _, s, t, prefix in segments]
-        table = np.array([segment[:3] for segment in segments])
+            keys += [_expansion_key(*kinds[u], s, t, l3) for u, s, t in segments]
+        table = np.array(segments)
         table.flags.writeable = False
         groups.append((ls, lt, degrees, *table.T))
     return tuple(groups), tuple(keys)

@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -43,7 +44,8 @@ from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to
 from .graph import MoleculeGraph
 from .hamiltonian import (AssemblyPlan, OrbitalLayout, assemble, assembly_plan,
                           build_orbital_layout, init_expansion)
-from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so2_layout
+from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
+                     so2_layout)
 from .sampling import stream
 from .so2ops import (enumerate_tp_paths, init_mlp, init_so2_ffn, init_so2_gate,
                      init_so2_layernorm, init_so2_linear, mlp, so2_ffn, so2_gate,
@@ -61,6 +63,13 @@ DEFAULT_BASIS: dict[int, tuple[int, ...]] = {
 # the config fields a JSON config holds as they are, in file order
 _SCALAR_FIELDS = ("node_irreps", "layers", "tp_arity", "tp_channels", "ffn_channels",
                   "invariant_width", "rbf_size", "cutoff")
+# the integer config fields besides the seed, with their least values
+_INTEGER_FIELDS = {"layers": 0, "tp_arity": 2, "tp_channels": 1, "ffn_channels": 1,
+                   "invariant_width": 1, "rbf_size": 1}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,16 +89,31 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
-        for name in ("tp_channels", "ffn_channels", "invariant_width", "rbf_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if not _is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        cutoff = self.cutoff  # NaN fails the comparison; a bool would pass as 1
+        if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not 0.0 < cutoff < math.inf:
+            raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
+        if not isinstance(self.node_irreps, str):
+            raise ValueError(f"node_irreps must be a string, got {self.node_irreps!r}")
+        if self.l_max > DEFAULT_L_CAP:
+            raise ValueError(f"node_irreps degree {self.l_max} exceeds {DEFAULT_L_CAP}")
         # the embedding, the gates and the invariants live in the 0e channels
         if self.node_layout.mult(0) == 0:
             raise ValueError(f"node_irreps {self.node_irreps!r} has no 0e channels")
+        if not all(_is_integer(z) for z in self.elements):
+            raise ValueError(f"elements must be integers, got {list(self.elements)}")
         if not self.elements or len(set(self.elements)) != len(self.elements):
             raise ValueError(f"elements must be distinct and not empty, got {self.elements}")
+        for z, degrees in self.basis:
+            if not degrees or not all(_is_integer(l) and 0 <= l <= DEFAULT_L_CAP
+                                      for l in degrees):
+                raise ValueError(f"basis of element {z} must be a non-empty list of degrees "
+                                 f"in [0, {DEFAULT_L_CAP}], got {list(degrees)}")
         missing = [z for z in self.elements if z not in self.basis_map]
         if missing:
             raise ValueError(f"element {missing[0]} has no basis")
@@ -116,9 +140,13 @@ class ModelConfig:
 
     @classmethod
     def from_json_obj(cls, doc) -> "ModelConfig":
+        elements, basis = doc["elements"], doc["basis"]
+        if not (isinstance(elements, list) and isinstance(basis, dict)
+                and all(isinstance(orbs, list) for orbs in basis.values())):
+            raise ValueError("config elements must be a list and basis an object of lists")
         config = cls(**{name: doc[name] for name in _SCALAR_FIELDS},
-                     elements=tuple(doc["elements"]),
-                     basis=tuple(sorted((int(z), tuple(orbs)) for z, orbs in doc["basis"].items())),
+                     elements=tuple(elements),
+                     basis=tuple(sorted((int(z), tuple(orbs)) for z, orbs in basis.items())),
                      seed=doc.get("seed", 0))
         # the regrouped node layout has every order up to l_max, and the
         # tensor-product layouts must have the same orders
@@ -144,14 +172,15 @@ class PreparedGraph:
 
     ``src`` and ``dst`` (E,) are the endpoints of each edge; ``frame`` is
     the batched frame of the edge directions, ``d_in[l]`` of shape
-    (E, 2l+1, 2l+1); ``rbf`` (E, K) holds the radial features of the edge
-    lengths; ``receivers`` (N, 1 + max degree) lists each atom's rows of
-    [own features (N); messages (E)].  The node-frame items ``node_atom``,
-    ``node_edge`` (I,) pair each atom with its edges within a relative TAU
-    of its shortest, or with edge -1 (the identity frame) if it has none;
-    ``node_frame`` holds their frames, gathered on first use, and
-    ``node_slots`` (N, T) lists each atom's items.  ``layout`` is the
-    orbital layout of the atoms and ``plan`` the
+    (E, 2l+1, 2l+1) with its rows in the order-aligned basis; ``rbf``
+    (E, K) holds the radial features of the edge lengths; ``receivers``
+    (N, 1 + max degree) lists each atom's rows of [own features (N);
+    messages (E)].  The node-frame items ``node_atom``, ``node_edge`` (I,)
+    pair each atom with its edges within a relative TAU of its shortest,
+    or with edge -1 (the identity frame) if it has none; ``node_frame``
+    holds their frames, gathered on first use (rows only, in the same
+    basis), and ``node_slots`` (N, T) lists each atom's items.  ``layout``
+    is the orbital layout of the atoms and ``plan`` the
     :class:`hamiltonian.AssemblyPlan` of :func:`hamiltonian.assemble`.
     """
 

@@ -515,8 +515,6 @@ def so2_tp_contract(features, paths, weights) -> So2Features:
     if len(weights) != len(paths):
         raise ValueError(f"{len(paths)} paths but {len(weights)} weight arrays")
     m_max, arity, n = layout.max_index, len(features), len(paths)
-    if arity < 2:
-        raise ValueError(f"tensor product arity must be >= 2, got {arity}")
     tables = _enumerated_tables(m_max, arity)
     if paths is not tables.paths:
         tables = _tp_tables(paths, m_max, arity)

@@ -156,6 +156,18 @@ class TestFrame:
             D = frame.d_in[l]
             assert np.max(np.abs(D.T @ D - np.eye(2 * l + 1))) < 1e-12
 
+    def test_rotation_needs_degree_one(self):
+        with pytest.raises(ValueError, match="l_max 0"):
+            frame_from_direction([0.3, -0.4, 0.866], 0).rotation
+
+    def test_missing_direction_takes_target_axis_frame(self, rng):
+        # take(-1) appends the aligned identity instead of evaluating it
+        taken = frames_from_directions([random_unit_vector(rng)], 4).take(np.array([-1, 0]))
+        axis = frame_from_direction(TARGET_AXIS, 4)
+        for l in range(5):
+            assert np.array_equal(taken.d_in[l][0], axis.d_in[l])
+        assert np.array_equal(taken[0].rotation.matrix, np.eye(3))
+
     def test_cached_matrices_orthogonal(self, rng):
         frame = frame_from_direction(random_unit_vector(rng), 4)
         for l in range(5):
@@ -183,12 +195,14 @@ class TestBatchedFrames:
             r = np.array(v) / np.linalg.norm(v)
             h = frame.rotation.matrix
             assert np.linalg.norm(h.T @ r - TARGET_AXIS) <= 1e-12
-            assert np.max(np.abs(frame.d_in[1] - _YZX @ h.T @ _YZX.T)) < 1e-13
+            P1 = order_alignment_permutation(1)
+            assert np.max(np.abs(frame.d_in[1] - P1 @ _YZX @ h.T @ _YZX.T)) < 1e-13
             inv = frame.rotation.inverse()
             for l in range(l_max + 1):
                 D = frame.d_in[l]
                 assert np.max(np.abs(D.T @ D - np.eye(2 * l + 1))) < 1e-12
-                assert np.max(np.abs(D - wigner_d(l, inv))) < 1e-12
+                want = order_alignment_permutation(l) @ wigner_d(l, inv)
+                assert np.max(np.abs(D - want)) < 1e-12
         order = list(range(len(directions)))
         shuffler.shuffle(order)
         shuffled = frames_from_directions([directions[k] for k in order], l_max)

@@ -315,8 +315,15 @@ class TestBadInput:
     @pytest.mark.parametrize("fields", [
         {"node_irreps": "4x1e+2x2e"}, {"invariant_width": 0}, {"rbf_size": 0},
         {"elements": [1, 8, 16]}, {"elements": [1, 1, 8]},
+        {"tp_arity": 2.5}, {"layers": "2"}, {"layers": 1.5}, {"node_irreps": 5},
+        {"tp_channels": 2.5}, {"basis": {**ModelConfig().to_json_obj()["basis"], "1": [0.5]}},
+        {"elements": [1.0, 6]}, {"elements": 5}, {"basis": [1]},
+        {"basis": {**ModelConfig().to_json_obj()["basis"], "1": 5}},
     ], ids=["no-scalar-channels", "zero-invariant-width", "zero-rbf-size",
-            "element-without-basis", "repeated-element"])
+            "element-without-basis", "repeated-element", "fractional-tp-arity",
+            "string-layers", "fractional-layers", "integer-node-irreps",
+            "fractional-tp-channels", "fractional-basis-degree", "float-element",
+            "scalar-elements", "basis-list", "scalar-basis-entry"])
     def test_invalid_config(self, molecule_file, tmp_path, capsys, fields):
         # rejected when the config is read, before any model is built
         config = tmp_path / "cfg.json"

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so2frames.irreps import (IrrepsLayout, LayoutError, So2Features, So3Features,
-                              circular_harmonics, layout_parse,
-                              real_spherical_harmonics, rotate_so2,
-                              so2_rotation_matrix, so2_layout, so3_layout)
+from so2frames.irreps import (LayoutError, So2Features, So3Features, circular_harmonics,
+                              layout_parse, real_spherical_harmonics, rotate_so2,
+                              so2_rotation_matrix, so2_layout)
 from so2frames.frames import TARGET_AXIS
 from so2frames.sampling import random_unit_vector, stream
 

@@ -625,10 +625,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("fields", [
         {"node_irreps": "4x1e+2x2e"}, {"tp_channels": 0}, {"ffn_channels": 0},
         {"invariant_width": 0}, {"rbf_size": -1}, {"elements": ()},
-        {"elements": (1, 1, 8)}, {"elements": (1, 8, 16)},
+        {"elements": (1, 1, 8)}, {"elements": (1, 8, 16)}, {"tp_arity": 1},
+        {"layers": True}, {"seed": 0.5}, {"cutoff": 0.0}, {"cutoff": math.nan},
+        {"cutoff": math.inf}, {"node_irreps": "2x0e+1x9e"},
+        {"basis": ((1, (0, 9)),), "elements": (1,)}, {"basis": ((1, ()),), "elements": (1,)},
     ], ids=["no-scalar-channels", "zero-tp-channels", "zero-ffn-channels",
             "zero-invariant-width", "negative-rbf-size", "no-elements", "repeated-element",
-            "element-without-basis"])
+            "element-without-basis", "unary-tp", "boolean-layers", "fractional-seed",
+            "zero-cutoff", "nan-cutoff", "infinite-cutoff", "degree-above-cap",
+            "basis-degree-above-cap", "empty-basis"])
     def test_invalid_config_rejected(self, fields):
         with pytest.raises(ValueError):
             ModelConfig(**fields)
