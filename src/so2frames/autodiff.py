@@ -3,9 +3,9 @@
 Every differentiable operation in this package is built from the
 primitives below: :func:`add`, :func:`sub`, :func:`mul`, :func:`matmul`,
 :func:`einsum`, :func:`transpose`, :func:`reshape`, :func:`concat`,
-:func:`take`, :func:`sum_all`, :func:`sum_axis`, :func:`mean_all`,
-:func:`absolute` and :func:`segment_sum`, plus the fused operations made
-with :func:`primitive`.  A :class:`Var` records its parents and a closure
+:func:`take`, :func:`sum_axis`, :func:`mean_all`, :func:`absolute` and
+:func:`segment_sum`, plus the fused operations made with
+:func:`primitive`.  A :class:`Var` records its parents and a closure
 computing the vector-Jacobian product; :func:`backward` replays the tape
 in reverse topological order.  There is deliberately no broadcasting
 magic beyond what the primitives need and no higher-order gradients.
@@ -164,16 +164,11 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """Batched matrix product ``a @ b`` of operands that are at least 2-D."""
     va, vb = value_of(a), value_of(b)
     out = va @ vb
 
     def vjp(g):
-        if va.ndim == 1 and vb.ndim == 1:
-            return g * vb, g * va
-        if vb.ndim == 1:
-            return np.outer(g, vb), np.swapaxes(va, -1, -2) @ g
-        if va.ndim == 1:
-            return vb @ g, np.outer(va, g)
         ga = g @ np.swapaxes(vb, -1, -2)
         gb = np.swapaxes(va, -1, -2) @ g
         return unbroadcast(ga, va.shape), unbroadcast(gb, vb.shape)
@@ -260,16 +255,6 @@ def take(a, key):
         else:
             np.add.at(full, key, g)
         return (full,)
-
-    return primitive(out, (a,), vjp)
-
-
-def sum_all(a):
-    va = value_of(a)
-    out = np.asarray(va.sum())
-
-    def vjp(g):
-        return (np.broadcast_to(g, va.shape).copy() if np.ndim(g) == 0 else g * np.ones_like(va),)
 
     return primitive(out, (a,), vjp)
 

@@ -26,9 +26,9 @@ import scipy.linalg
 
 from . import autodiff as ad
 from .cg import expansion
-from .frames import Rotation, from_local, wigner_d
+from .frames import Rotation, wigner_d
 from .graph import MoleculeGraph
-from .irreps import IrrepsLayout, So2Features, So3Features, layout_parse, so3_layout
+from .irreps import IrrepsLayout, So3Features, layout_parse, so3_layout
 from .so2ops import uniform_init
 
 
@@ -87,9 +87,6 @@ class BlockMatrix:
     @property
     def array(self) -> np.ndarray:
         return np.asarray(ad.value_of(self.data), dtype=np.float64)
-
-    def block(self, i: int, s: int, j: int, t: int) -> np.ndarray:
-        return self.array[self.layout.orbital_slice(i, s), self.layout.orbital_slice(j, t)]
 
     def symmetry_error(self) -> float:
         a = self.array
@@ -239,12 +236,14 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
     return AssemblyPlan(tuple(groups), keys, index.reshape(layout.dim, layout.dim))
 
 
-def assemble(h: So3Features, x_pair: So2Features, prepared, params, config) -> BlockMatrix:
+def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix:
     """Dense matrix from node features (diagonal atom blocks) and pair
     features (off-diagonal atom blocks), symmetrized as ``(H + H^T) / 2``.
 
-    Atoms (i, i) and edges (i, j), with ``x_pair`` rotated out of the edge
-    frames, are one batch of items that differ only in their weight prefix,
+    ``h`` (batched over atoms) and ``pair`` (over the directed edges of
+    ``prepared``) are global-frame features of one layout, as
+    :func:`model.forward` returns them.  Atoms (i, i) and edges (i, j) are
+    one batch of items that differ only in their weight prefix,
     ``expand/diag/{z}`` or ``expand/off/{z_i}.{z_j}``.  Following the
     per-graph ``prepared.plan``, the weights of the molecule's kinds are
     stacked once; each degree pair (l_s, l_t) gathers its weights and items
@@ -252,7 +251,6 @@ def assemble(h: So3Features, x_pair: So2Features, prepared, params, config) -> B
     plan's index map places every block.
     """
     plan = prepared.plan
-    pair = from_local(prepared.frame, x_pair, config.node_layout)
     blocks = {l: ad.concat([a, b]) for (l, a), b in zip(h.items(), pair.blocks)}
     stacked = ad.concat([params[key] for key in plan.keys])
     outputs = []
@@ -307,11 +305,10 @@ def generalized_eigensolve(H: BlockMatrix | np.ndarray, S: BlockMatrix | np.ndar
 # ---------------------------------------------------------------------------
 
 def _diag_mask(layout: OrbitalLayout) -> np.ndarray:
-    mask = np.zeros((layout.dim, layout.dim), dtype=bool)
-    for i in range(len(layout.degrees)):
-        sl = layout.atom_slice(i)
-        mask[sl, sl] = True
-    return mask
+    """True inside the diagonal atom blocks: where row and column atoms agree."""
+    atom = np.repeat(np.arange(len(layout.degrees)),
+                     [sum(2 * l + 1 for l in orbs) for orbs in layout.degrees])
+    return atom[:, None] == atom
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -319,16 +316,9 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _degenerate_clusters(eigvals: np.ndarray, n_occ: int, gap: float = 1e-8):
-    clusters = []
-    current = [0]
-    for k in range(1, n_occ):
-        if abs(eigvals[k] - eigvals[k - 1]) < gap:
-            current.append(k)
-        else:
-            clusters.append(current)
-            current = [k]
-    clusters.append(current)
-    return clusters
+    """Index arrays of the runs of the n_occ lowest (ascending) eigenvalues
+    whose neighbours lie within ``gap`` of each other."""
+    return np.split(np.arange(n_occ), np.flatnonzero(np.diff(eigvals[:n_occ]) >= gap) + 1)
 
 
 def metrics(H_pred: BlockMatrix, H_true: BlockMatrix, S=None, n_occ: int | None = None) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .counters import OpCounter, counting
 from .cg import PathWeights, escn_reference_apply, so3_tensor_product, valid_paths
-from .frames import from_local, rotate_so3, rotation_from_matrix
+from .frames import rotate_so3, rotation_from_matrix
 from .graph import MoleculeGraph, build_graph
 from .hamiltonian import assemble, block_rotate
 from .irreps import So3Features, real_spherical_harmonics, so3_layout
@@ -75,13 +75,13 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     """Equivariance audit of the full model on one molecule.
 
     For each sampled rotation g the rotated-input forward pass is compared
-    against the g-transformed baseline on three levels: node features
-    (Wigner rotation), pair features (mapped out of their local frames),
-    and the assembled matrix (block rotation oracle).  The first trial of
-    the rotation stream is the identity so the zero-deviation case is
-    always exercised.  ``corrupt_wigner`` perturbs the cached degree-1
-    matrix of the first edge frame to prove the audit detects broken
-    rotations.
+    against the g-transformed baseline on three levels: node features and
+    pair features, both as :func:`model.forward` returns them in the
+    global frame (Wigner rotation), and the assembled matrix (block
+    rotation oracle).  The first trial of the rotation stream is the
+    identity so the zero-deviation case is always exercised.
+    ``corrupt_wigner`` perturbs the cached degree-1 matrix of the first
+    edge frame to prove the audit detects broken rotations.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -94,9 +94,8 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
         d1 = prepared.frame.d_in[1].copy()
         d1[:1] += 0.05
         prepared.frame.d_in[1] = d1
-    h0, x0 = forward(graph, params, config, prepared)
-    H0 = assemble(h0, x0, prepared, params, config)
-    pair0 = from_local(prepared.frame, x0, config.node_layout)
+    h0, pair0 = forward(graph, params, config, prepared)
+    H0 = assemble(h0, pair0, prepared, params)
     node_dev = pair_dev = block_dev = 0.0
     identity_dev = None
     for trial in range(trials):
@@ -105,13 +104,12 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
         rot_graph_positions = (R.matrix @ graph.positions.T).T
         rot_graph = build_graph(graph.numbers, rot_graph_positions, graph.cutoff)
         rot_prepared = prepare_graph(rot_graph, config)
-        h1, x1 = forward(rot_graph, params, config, rot_prepared)
+        h1, pair1 = forward(rot_graph, params, config, rot_prepared)
         trial_node = _max_feature_dev(h1, rotate_so3(h0, R))
         node_dev = max(node_dev, trial_node)
-        pair1 = from_local(rot_prepared.frame, x1, config.node_layout)
         trial_pair = _max_feature_dev(pair1, rotate_so3(pair0, R))
         pair_dev = max(pair_dev, trial_pair)
-        H1 = assemble(h1, x1, rot_prepared, params, config)
+        H1 = assemble(h1, pair1, rot_prepared, params)
         trial_block = float(np.max(np.abs(H1.array - block_rotate(H0, R).array)))
         block_dev = max(block_dev, trial_block)
         if trial == 0:

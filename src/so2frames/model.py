@@ -10,12 +10,14 @@ inside SO(2) local frames:
   tensor-product update averaged over the atom's nearest-edge frames.
 * pair track: per-edge SO(2) features kept in their own edge frame,
   updated by an SO(2) feed-forward block on the frame projections of the
-  two endpoint features, with skip connection and SO(2) LayerNorm.
+  two endpoint features, with skip connection and SO(2) LayerNorm, and
+  rotated out of the edge frames once, at the end of the forward pass.
 
 Features are batched: the node track is one So3Features whose blocks are
 (N, C, 2l+1), the pair track one So2Features whose blocks are (E, C, 1|2)
-over the directed edges in (i, j) order, and every stage is a fixed number
-of array operations per layer, whatever the size of the molecule.
+over the directed edges in (i, j) order (an So3Features of (E, C, 2l+1)
+blocks once rotated out), and every stage is a fixed number of array
+operations per layer, whatever the size of the molecule.
 
 Parameters live in a flat ``{name: array}`` dict so that checkpointing,
 gradient bookkeeping, and the optimizer stay trivial.  The forward pass
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral, Real
@@ -439,10 +442,11 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
             prepared: PreparedGraph | None = None):
     """Full forward pass.
 
-    Returns (So3Features batched over atoms, So2Features batched over the
-    directed edges of ``prepared``, each in the edge's own frame).
-    Deterministic, and each atom's and edge's result is independent of
-    its position in the batch.
+    Returns ``(h, pair)``, both So3Features of the node layout in the
+    global frame: ``h`` batched over atoms, ``pair`` over the directed
+    edges of ``prepared``, rotated out of the edge frames by one
+    :func:`frames.from_local` at the end.  Deterministic, and each atom's
+    and edge's result is independent of its position in the batch.
     """
     if prepared is None:
         prepared = prepare_graph(graph, config)
@@ -456,19 +460,20 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
         h = so2_layernorm(add_features(h, msg), params, f"L{n}/ln_node")
         h = node_update_so2tp(h, params, config, prepared, n)
         x_pair = offdiag_update(h, x_pair, params, config, prepared, n)
-    return h, x_pair
+    return h, from_local(prepared.frame, x_pair, config.node_layout)
 
 
 def predict(graph: MoleculeGraph, params, config: ModelConfig,
             prepared: PreparedGraph | None = None,
             counter: OpCounter | None = None):
-    """Forward pass plus matrix assembly; returns a BlockMatrix.  The forward
-    pass (not the assembly) runs inside ``counting(counter)``."""
-    if prepared is None:
-        prepared = prepare_graph(graph, config)
-    with counting(counter):
-        h, x_pair = forward(graph, params, config, prepared)
-    return assemble(h, x_pair, prepared, params, config)
+    """:func:`forward` then :func:`hamiltonian.assemble`; returns a
+    BlockMatrix.  With a ``counter`` the whole call counts into it, as
+    inside ``with counting(counter):``; without one it opens no block, so
+    an enclosing block counts every kernel."""
+    with nullcontext() if counter is None else counting(counter):
+        if prepared is None:
+            prepared = prepare_graph(graph, config)
+        return assemble(*forward(graph, params, config, prepared), prepared, params)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ def rng():
     return stream(20240817, "tests")
 
 
+def sum_entries(x):
+    """The sum of all entries of ``x`` as a taped scalar."""
+    return ad.sum_axis(ad.reshape(x, (-1,)), axis=0)
+
+
 def directional_vjp_check(loss_fn, arrays, rng, step=1e-6):
     """Compare tape gradients against a central finite difference.
 

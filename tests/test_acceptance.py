@@ -5,17 +5,14 @@ lines inline; every tolerance is pinned here.
 """
 
 import itertools
-import json
 import time
 
 import numpy as np
-import pytest
 
-from conftest import directional_vjp_check
+from conftest import directional_vjp_check, sum_entries
 from so2frames import autodiff as ad
 from so2frames.cg import PathWeights, escn_reference_apply, so3_tensor_product, valid_paths
 from so2frames.cli import main
-from so2frames.counters import OpCounter
 from so2frames.frames import (frame_average_check, order_alignment_permutation,
                               rotation_from_euler, rotation_from_matrix, so2_layout_of,
                               wigner_d)
@@ -213,7 +210,7 @@ def test_07_gradient_contract():
     def project(out_blocks, cots):
         total = None
         for cot, block in zip(cots, out_blocks):
-            term = ad.sum_all(ad.mul(block, cot))
+            term = sum_entries(ad.mul(block, cot))
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -228,7 +225,7 @@ def test_07_gradient_contract():
         yield "so2_layernorm", (lambda lv: project(
             so2_layernorm(So2Features(layout, lv), ln_p, "ln").blocks, cots)), feats(layout)
         pair_cot = np.random.default_rng(9).normal(size=(3, 2))
-        yield "so2_tp_pair", (lambda lv: ad.sum_all(ad.mul(
+        yield "so2_tp_pair", (lambda lv: sum_entries(ad.mul(
             so2_tp_pair(lv[0], 2, lv[1], 1, -1)[0], pair_cot))), \
             [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
         ucots = [np.random.default_rng(m + 20).normal(size=uni.block_shape(m))
@@ -249,7 +246,7 @@ def test_07_gradient_contract():
         yield "from_local", (lambda lv: project(
             from_local(frame, So2Features(reg, lv), so3).blocks, scots)), feats(reg)
         bcot = np.random.default_rng(70).normal(size=(3, 3))
-        yield "expansion", (lambda lv: ad.sum_all(ad.mul(expansion(
+        yield "expansion", (lambda lv: sum_entries(ad.mul(expansion(
             So3Features(so3, lv[:3]), {l3: lv[3 + l3] for l3 in range(3)},
             1, 1), bcot))), \
             [rng.normal(size=so3.block_shape(l)) for l in so3.indices] + \

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import directional_vjp_check
+from conftest import directional_vjp_check, sum_entries
 from so2frames import autodiff as ad
 from so2frames.cg import PathWeights, expansion, so3_tensor_product, valid_paths
 from so2frames.frames import (frame_from_direction, frames_from_directions, from_local,
@@ -32,7 +32,7 @@ class TestPrimitives:
         def make(fn, *shapes):
             def loss(leaves):
                 out = fn(*leaves)
-                return ad.sum_all(ad.mul(out, cot)) if getattr(out, "ndim", 0) else out
+                return sum_entries(ad.mul(out, cot)) if getattr(out, "ndim", 0) else out
             arrays = [rng.normal(size=s) for s in shapes]
             probe = fn(*arrays)
             cot = rng.normal(size=np.shape(probe)) if np.ndim(probe) else 1.0
@@ -125,7 +125,7 @@ class TestOperationVjps:
                 out = so2_linear(So2Features(self.layout, blocks), w, "lin")
                 total = None
                 for cot, block in zip(cots, out.blocks):
-                    term = ad.sum_all(ad.mul(block, cot))
+                    term = sum_entries(ad.mul(block, cot))
                     total = term if total is None else ad.add(total, term)
                 return total
             return loss
@@ -140,7 +140,7 @@ class TestOperationVjps:
                 out = op(leaves)
                 total = None
                 for cot, block in zip(cots, out.blocks):
-                    term = ad.sum_all(ad.mul(block, cot))
+                    term = sum_entries(ad.mul(block, cot))
                     total = term if total is None else ad.add(total, term)
                 return total
             return loss
@@ -195,7 +195,7 @@ class TestOperationVjps:
         def build_loss(arrays):
             def loss(leaves):
                 out, _ = so2_tp_pair(leaves[0], 2, leaves[1], 1, -1)
-                return ad.sum_all(ad.mul(out, cot))
+                return sum_entries(ad.mul(out, cot))
             return loss
         self._run(build_loss, lambda: [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))],
                   rng)
@@ -248,7 +248,7 @@ class TestOperationVjps:
                 back = from_local(frame, local, self.so3)
                 total = None
                 for cot, block in zip(cots, to_local(frame, back).blocks):
-                    term = ad.sum_all(ad.mul(block, cot))
+                    term = sum_entries(ad.mul(block, cot))
                     total = term if total is None else ad.add(total, term)
                 return total
             return loss
@@ -350,7 +350,7 @@ class TestOperationVjps:
                 for k in range(3):
                     params[f"mlp/{k}/W"] = leaves[1 + k]
                     params[f"mlp/{k}/b"] = leaves[4 + k]
-                return ad.sum_all(ad.mul(mlp(leaves[0], params, "mlp"), cot))
+                return sum_entries(ad.mul(mlp(leaves[0], params, "mlp"), cot))
             return loss
         self._run(build_loss, arrays_fn, rng)
 
@@ -375,7 +375,7 @@ class TestOperationVjps:
             def loss(leaves):
                 feats = So3Features(self.so3, leaves[:3])
                 w = {l3: leaves[3 + l3] for l3 in range(3)}
-                return ad.sum_all(ad.mul(expansion(feats, w, 1, 1), cot))
+                return sum_entries(ad.mul(expansion(feats, w, 1, 1), cot))
             return loss
         self._run(build_loss,
                   lambda: [rng.normal(size=self.so3.block_shape(l))
@@ -398,7 +398,7 @@ class TestOperationVjps:
                 out = so3_tensor_product(feats, sh, w)
                 total = None
                 for l, block in out.items():
-                    term = ad.sum_all(ad.mul(block, cots[l]))
+                    term = sum_entries(ad.mul(block, cots[l]))
                     total = term if total is None else ad.add(total, term)
                 return total
             return loss

@@ -8,7 +8,9 @@ from so2frames.counters import OpCounter, count, counting
 from so2frames.frames import frame_from_direction, to_local
 from so2frames.graph import sample_molecule
 from so2frames.irreps import So3Features, so3_layout
-from so2frames.model import default_fit_config, init_params, predict
+from so2frames.hamiltonian import assemble
+from so2frames.model import (ModelConfig, default_fit_config, forward, init_params, predict,
+                             prepare_graph)
 
 LAYOUT = so3_layout([(0, 2), (1, 2), (2, 1)])
 # to_local costs l^2 per channel: 2 * 1 + 1 * 4
@@ -84,13 +86,19 @@ class TestCounting:
             count("so2_tp", -1)
 
 
-def test_predict_counts_only_into_its_own_counter():
-    # predict runs its forward pass in counting(counter), so without a
-    # counter the forward kernels count nowhere, also inside a block
+@pytest.mark.parametrize("l4", [False, True], ids=["fit", "l4"])
+def test_three_ways_of_counting_a_prediction_agree(l4):
+    # predict's counter counts the whole call, and without one predict opens
+    # no block, so an enclosing block sees every kernel of it
     graph = sample_molecule(1, 8, [1, 6, 8], 1.4, 15.0)
-    config = default_fit_config(graph)
+    config = ModelConfig(elements=(1, 6, 8)) if l4 else default_fit_config(graph)
     params = init_params(config)
-    outer = OpCounter()
+    prepared = prepare_graph(graph, config)
+    own, outer, parts = OpCounter(), OpCounter(), OpCounter()
+    predict(graph, params, config, prepared, counter=own)
     with counting(outer):
-        predict(graph, params, config)
-    assert outer.get("so2_linear") == outer.get("so2_tp") == 0
+        predict(graph, params, config, prepared)
+    with counting(parts):
+        assemble(*forward(graph, params, config, prepared), prepared, params)
+    assert own.counts == outer.counts == parts.counts
+    assert set(own.counts) == {"frame_rotation", "so2_linear", "so2_tp"}

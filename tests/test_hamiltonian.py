@@ -7,12 +7,12 @@ import scipy.linalg
 
 from so2frames import autodiff as ad
 from so2frames.cg import expansion
-from so2frames.frames import from_local, rotation_from_euler, rotation_from_matrix
+from so2frames.frames import rotation_from_euler, rotation_from_matrix
 from so2frames.graph import build_graph
-from so2frames.hamiltonian import (BlockMatrix, block_rotate, build_orbital_layout,
-                                   gen_synthetic_target, generalized_eigensolve,
-                                   layout_from_degrees, matrix_dumps, matrix_from_bytes,
-                                   matrix_loads, matrix_to_bytes, metrics)
+from so2frames.hamiltonian import (BlockMatrix, _degenerate_clusters, _diag_mask, block_rotate,
+                                   build_orbital_layout, gen_synthetic_target,
+                                   generalized_eigensolve, layout_from_degrees, matrix_dumps,
+                                   matrix_from_bytes, matrix_loads, matrix_to_bytes, metrics)
 from so2frames.irreps import So3Features
 from so2frames.model import (ModelConfig, default_fit_config, forward, init_params, predict,
                              prepare_graph)
@@ -105,8 +105,7 @@ class TestAssemble:
         config = make_config(graph)
         params = init_params(config)
         prepared = prepare_graph(graph, config)
-        h, x_pair = forward(graph, params, config, prepared)
-        pair = from_local(prepared.frame, x_pair, config.node_layout)
+        h, pair = forward(graph, params, config, prepared)
         layout = build_orbital_layout(numbers, config.basis_map)
         dense = np.zeros((layout.dim, layout.dim))
 
@@ -302,6 +301,27 @@ class TestMetrics:
         H_pred = BlockMatrix(Q @ np.diag([1.0, 1.0, 2.0]) @ Q.T, layout)
         out = metrics(H_pred, H_true, None, 2)
         assert out["cosine_psi"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_clusters_and_mask_match_loops(self, rng):
+        # the array forms of the degenerate clusters and the diagonal mask
+        # against the loops they replaced
+        values = np.sort(np.repeat(rng.normal(size=6), [1, 3, 2, 1, 4, 1]))
+        values[5] += 0.5e-8  # within the gap of its neighbour
+        for n_occ in range(1, len(values) + 1):
+            clusters, current = [], [0]
+            for k in range(1, n_occ):
+                if abs(values[k] - values[k - 1]) < 1e-8:
+                    current.append(k)
+                else:
+                    clusters.append(current)
+                    current = [k]
+            clusters.append(current)
+            assert [list(c) for c in _degenerate_clusters(values, n_occ)] == clusters
+        layout = layout_from_degrees([(0, 1), (2,), (0, 0, 1)])
+        mask = np.zeros((layout.dim, layout.dim), dtype=bool)
+        for i in range(3):
+            mask[layout.atom_slice(i), layout.atom_slice(i)] = True
+        assert np.array_equal(_diag_mask(layout), mask)
 
     def test_dimension_mismatch(self, rng):
         H = self._random_symmetric(rng)

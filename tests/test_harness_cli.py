@@ -1,5 +1,4 @@
 import json
-import os
 import struct
 from dataclasses import replace
 
@@ -9,8 +8,7 @@ import pytest
 from so2frames.cli import main
 from so2frames.graph import build_graph, graph_from_json, sample_molecule
 from so2frames.harness import bench, brute_force_pair_paths, check_equivariance
-from so2frames.hamiltonian import (BlockMatrix, layout_from_degrees, matrix_loads,
-                                   read_matrix, write_matrix)
+from so2frames.hamiltonian import BlockMatrix, layout_from_degrees, read_matrix, write_matrix
 from so2frames.model import (ModelConfig, checkpoint_dumps, default_fit_config, init_params,
                              predict)
 from so2frames.so2ops import enumerate_tp_paths

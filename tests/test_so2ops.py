@@ -8,11 +8,9 @@ import pytest
 from so2frames import autodiff as ad
 from so2frames.counters import OpCounter, count, counting
 from so2frames.irreps import So2Features, rotate_so2, so2_layout
-from so2frames.sampling import stream
-from so2frames.so2ops import (So2TpPath, concat_orders, enumerate_tp_paths,
-                              init_so2_ffn, init_so2_gate, init_so2_layernorm,
-                              init_so2_linear, so2_ffn, so2_gate, so2_layernorm,
-                              so2_linear, so2_tp_contract, so2_tp_pair)
+from so2frames.so2ops import (So2TpPath, enumerate_tp_paths, init_so2_ffn, init_so2_gate,
+                              init_so2_layernorm, init_so2_linear, so2_ffn, so2_gate,
+                              so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair)
 
 LAYOUT = so2_layout([(0, 4), (1, 3), (2, 2), (3, 1)])
 
