@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,7 +44,9 @@ def _check_triangle(l1: int, l2: int, l3: int) -> None:
 
 
 def _cg_complex(l1: int, l2: int, l3: int) -> np.ndarray:
-    """<l1 m1 l2 m2 | l3 m3> with exact rational factorial sums."""
+    """<l1 m1 l2 m2 | l3 m3> from exact integer factorial sums: each sum's
+    signed reciprocals add up over their least common denominator, and a
+    correctly rounded division gives the float of the exact ratio."""
     fact = math.factorial
     C = np.zeros((2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1))
     for m1 in range(-l1, l1 + 1):
@@ -53,19 +54,17 @@ def _cg_complex(l1: int, l2: int, l3: int) -> np.ndarray:
             m3 = m1 + m2
             if abs(m3) > l3:
                 continue
-            pref = Fraction(
-                (2 * l3 + 1) * fact(l3 + l1 - l2) * fact(l3 - l1 + l2) * fact(l1 + l2 - l3),
-                fact(l1 + l2 + l3 + 1))
-            pref *= (fact(l3 + m3) * fact(l3 - m3) * fact(l1 - m1) * fact(l1 + m1)
-                     * fact(l2 - m2) * fact(l2 + m2))
-            acc = Fraction(0)
-            kmin = max(0, -(l3 - l2 + m1), -(l3 - l1 - m2))
-            kmax = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-            for k in range(kmin, kmax + 1):
-                den = (fact(k) * fact(l1 + l2 - l3 - k) * fact(l1 - m1 - k)
-                       * fact(l2 + m2 - k) * fact(l3 - l2 + m1 + k) * fact(l3 - l1 - m2 + k))
-                acc += Fraction(-1 if k % 2 else 1, den)
-            C[l1 + m1, l2 + m2, l3 + m3] = float(acc) * math.sqrt(float(pref))
+            pref = ((2 * l3 + 1) * fact(l3 + l1 - l2) * fact(l3 - l1 + l2) * fact(l1 + l2 - l3)
+                    * fact(l3 + m3) * fact(l3 - m3) * fact(l1 - m1) * fact(l1 + m1)
+                    * fact(l2 - m2) * fact(l2 + m2))
+            ks = range(max(0, -(l3 - l2 + m1), -(l3 - l1 - m2)),
+                       min(l1 + l2 - l3, l1 - m1, l2 + m2) + 1)
+            dens = [fact(k) * fact(l1 + l2 - l3 - k) * fact(l1 - m1 - k) * fact(l2 + m2 - k)
+                    * fact(l3 - l2 + m1 + k) * fact(l3 - l1 - m2 + k) for k in ks]
+            common = math.lcm(*dens)
+            total = sum((-1) ** k * (common // den) for k, den in zip(ks, dens))
+            C[l1 + m1, l2 + m2, l3 + m3] = (total / common
+                                            * math.sqrt(pref / fact(l1 + l2 + l3 + 1)))
     return C
 
 

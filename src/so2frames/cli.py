@@ -20,14 +20,10 @@ from dataclasses import replace
 
 from .graph import build_graph, graph_from_json, sample_molecule
 from .hamiltonian import (build_orbital_layout, checked_matrix, gen_synthetic_target,
-                          metrics, read_matrix, write_matrix)
+                          matrix_from_bytes, matrix_loads, metrics, write_matrix)
 from .harness import RunReport, bench, check_equivariance
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
                     default_fit_config, fit_demo, fit_node_irreps, init_params, predict)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _parse_range(text: str) -> range:
@@ -38,12 +34,14 @@ def _parse_range(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def _load_graph(path: str):
+def _read(path: str, parse):
+    """``parse`` of the bytes of the file at ``path``; its ValueError names the file."""
+    with open(path, "rb") as f:
+        blob = f.read()
     try:
-        with open(path) as f:
-            return graph_from_json(f.read())
-    except (OSError, json.JSONDecodeError, KeyError) as err:
-        raise UsageError(f"cannot read molecule file {path}: {err}") from err
+        return parse(blob)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def _at_cutoff(graph, cutoff):
@@ -51,35 +49,10 @@ def _at_cutoff(graph, cutoff):
     return build_graph(graph.numbers, graph.positions, cutoff, graph.overlap, graph.hamiltonian)
 
 
-def _load_checkpoint(path: str):
-    """Config and parameters of a checkpoint whose parameter names and
-    shapes are those :func:`init_params` gives its config."""
-    try:
-        with open(path) as f:
-            config, params = checkpoint_loads(f.read())
-    except (OSError, json.JSONDecodeError, KeyError) as err:
-        raise UsageError(f"cannot read checkpoint {path}: {err}") from err
-    expected = init_params(config)
-    for name, array in expected.items():
-        if name not in params:
-            raise UsageError(f"checkpoint {path} lacks parameter {name}")
-        if params[name].shape != array.shape:
-            raise UsageError(f"checkpoint {path}: parameter {name} has shape "
-                             f"{params[name].shape}, the config needs {array.shape}")
-    unknown = sorted(params.keys() - expected.keys())
-    if unknown:
-        raise UsageError(f"checkpoint {path} has unknown parameter {unknown[0]}")
-    return config, params
-
-
 def _config_from_args(args, base: ModelConfig) -> ModelConfig:
     """``base``, or the ``--config`` file, with the model flags given."""
     if args.config:
-        try:
-            with open(args.config) as f:
-                base = ModelConfig.from_json_obj(json.load(f))
-        except (OSError, json.JSONDecodeError, KeyError) as err:
-            raise UsageError(f"cannot read config {args.config}: {err}") from err
+        base = _read(args.config, lambda blob: ModelConfig.from_json_obj(json.loads(blob)))
     updates = {"tp_arity": args.v, "layers": args.layers, "cutoff": args.cutoff,
                "node_irreps": None if args.lmax is None else fit_node_irreps(args.lmax)}
     return replace(base, **{k: v for k, v in updates.items() if v is not None})
@@ -91,7 +64,7 @@ def _emit_report(report: RunReport, args) -> int:
     else:
         for line in report.summary_lines():
             print(line)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as f:
             f.write(report.to_json())
     return 0 if report.passed else 1
@@ -106,22 +79,23 @@ def cmd_gen(args) -> int:
                                 spd_overlap=args.spd_overlap)
     graph.hamiltonian = H.array
     graph.overlap = S.array
-    out = args.out or "molecule.json"
-    with open(out, "w") as f:
+    with open(args.out, "w") as f:
         f.write(graph.to_json())
-    print(f"wrote {out}: {graph.n_atoms} atoms, {len(graph.edges)} directed edges, "
+    print(f"wrote {args.out}: {graph.n_atoms} atoms, {len(graph.edges)} directed edges, "
           f"matrix dim {H.array.shape[0]}")
     return 0
 
 
 def cmd_check_equiv(args) -> int:
-    graph = _load_graph(args.molecule)
+    graph = _read(args.molecule, graph_from_json)
     if args.checkpoint:
-        config, params = _load_checkpoint(args.checkpoint)
-        config = _config_from_args(args, config)
+        given = [flag for flag in ("lmax", "v", "layers", "cutoff", "config")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"--{given[0]} cannot change the model: the checkpoint fixes it")
+        config, params = _read(args.checkpoint, checkpoint_loads)
     else:
-        config = _config_from_args(args, default_fit_config(graph))
-        config = replace(config, seed=args.seed)
+        config = replace(_config_from_args(args, default_fit_config(graph)), seed=args.seed)
         params = init_params(config)
     report = check_equivariance(_at_cutoff(graph, config.cutoff), params, config,
                                 trials=args.trials, tolerance=args.tolerance, seed=args.seed,
@@ -138,7 +112,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    graph = _load_graph(args.molecule)
+    graph = _read(args.molecule, graph_from_json)
     config = _config_from_args(args, default_fit_config(graph))
     graph = _at_cutoff(graph, config.cutoff)
     if graph.hamiltonian is not None:
@@ -162,8 +136,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    graph = _load_graph(args.molecule)
-    config, params = _load_checkpoint(args.checkpoint)
+    graph = _read(args.molecule, graph_from_json)
+    config, params = _read(args.checkpoint, checkpoint_loads)
     H = predict(_at_cutoff(graph, config.cutoff), params, config)
     write_matrix(args.out, H)
     print(f"wrote {args.out}: dim {H.array.shape[0]}")
@@ -171,9 +145,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    pred = read_matrix(args.pred)
-    true = read_matrix(args.true)
-    overlap = read_matrix(args.overlap) if args.overlap else None
+    pred, true, overlap = (_read(path, matrix_from_bytes if path.endswith(".bin") else matrix_loads)
+                           if path else None for path in (args.pred, args.true, args.overlap))
     result = metrics(pred, true, overlap, args.n_occ)
     if not args.json:
         for key in ("mae_diag", "mae_offdiag", "mae_all", "mae_eps", "cosine_psi"):
@@ -186,19 +159,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="so2frames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_flags=True):
+    def model_flags(p):
+        p.add_argument("--lmax", type=int)
+        p.add_argument("--v", type=int, help="tensor-product arity")
+        p.add_argument("--layers", type=int)
+        p.add_argument("--cutoff", type=float)
+        p.add_argument("--config", help="model config JSON")
+
+    def report_flags(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", default=None, help="output path")
-        if model_flags:
-            p.add_argument("--lmax", type=int, default=None)
-            p.add_argument("--v", type=int, default=None, help="tensor-product arity")
-            p.add_argument("--layers", type=int, default=None)
-            p.add_argument("--cutoff", type=float, default=None)
-            p.add_argument("--config", default=None, help="model config JSON")
+        p.add_argument("--json", action="store_true", help="print the report as JSON")
+        p.add_argument("--out", help="report JSON path")
 
     p = sub.add_parser("gen", help="generate a synthetic molecule with targets")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="molecule.json", help="molecule JSON path")
+    model_flags(p)
     p.add_argument("--n-atoms", type=int, default=3)
     p.add_argument("--elements", default="1", help="comma-separated atomic numbers")
     p.add_argument("--min-dist", type=float, default=1.4)
@@ -207,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen, cutoff=15.0)
 
     p = sub.add_parser("check-equiv", help="equivariance audit")
-    common(p)
+    report_flags(p)
+    model_flags(p)
     p.add_argument("molecule")
     p.add_argument("checkpoint", nargs="?", default=None)
     p.add_argument("--trials", type=int, default=20)
@@ -217,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_equiv)
 
     p = sub.add_parser("bench", help="complexity scaling benchmark")
-    common(p, model_flags=False)
+    report_flags(p)
     p.add_argument("--lmax-range", default="2:8")
     p.add_argument("--mmax-range", default="2:10")
     p.add_argument("--channels", type=int, default=1)
@@ -225,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("fit", help="fit the demo model to a target matrix")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    model_flags(p)
     p.add_argument("molecule")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -234,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="predict a matrix from a checkpoint")
-    common(p, model_flags=False)
     p.add_argument("molecule")
     p.add_argument("checkpoint")
+    p.add_argument("--out", required=True, help="matrix path, binary if it ends in .bin")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("metrics", help="compare predicted and reference matrices")
-    common(p, model_flags=False)
     p.add_argument("pred")
     p.add_argument("true")
+    p.add_argument("--json", action="store_true", help="print only the JSON line")
     p.add_argument("--n-occ", type=int, default=None)
     p.add_argument("--overlap", default=None)
     p.set_defaults(func=cmd_metrics)
@@ -257,11 +235,8 @@ def main(argv=None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError) as err:
+    except (OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
         return 2
 
 

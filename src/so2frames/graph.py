@@ -68,14 +68,22 @@ def build_graph(numbers, positions, cutoff: float,
         k = np.argmax(distance <= 0.0)
         raise ValueError(f"atoms {i[k]} and {j[k]} coincide")
     keep = distance <= cutoff
-    graph = MoleculeGraph(numbers, positions, float(cutoff),
-                          np.stack([i[keep], j[keep]], axis=1),
-                          delta[keep] / distance[keep, None], distance[keep])
-    if overlap is not None:
-        graph.overlap = np.asarray(overlap, dtype=np.float64)
-    if hamiltonian is not None:
-        graph.hamiltonian = np.asarray(hamiltonian, dtype=np.float64)
-    return graph
+    return MoleculeGraph(numbers, positions, float(cutoff),
+                         np.stack([i[keep], j[keep]], axis=1),
+                         delta[keep] / distance[keep, None], distance[keep],
+                         overlap, hamiltonian)
+
+
+def finite_array(value, name: str) -> np.ndarray:
+    """``value`` of an input file as a float64 array; ValueError naming
+    ``name`` unless every entry is a finite number."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # a string, object or ragged list
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite (found NaN or inf)")
+    return array
 
 
 def _is_point(pos) -> bool:
@@ -84,16 +92,19 @@ def _is_point(pos) -> bool:
             and all(isinstance(x, Real) and not isinstance(x, bool) for x in pos))
 
 
-def graph_from_json(text: str) -> MoleculeGraph:
+def graph_from_json(text: str | bytes) -> MoleculeGraph:
     """Molecule from its JSON file; :func:`build_graph` checks the geometry."""
     doc = json.loads(text)
     atoms = doc.get("atoms") if isinstance(doc, dict) else None
     if not isinstance(atoms, list) or not all(isinstance(a, dict) and type(a.get("z")) is int
-                                              and _is_point(a.get("pos")) for a in atoms):
+                                              and 1 <= a["z"] <= 118 and _is_point(a.get("pos"))
+                                              for a in atoms):
         raise ValueError('a molecule must be a JSON object with an "atoms" list of objects '
-                         'with an integer "z" and a "pos" of three numbers')
+                         'with an integer "z" in 1..118 and a "pos" of three numbers')
+    targets = {key: finite_array(doc[key], key) for key in ("overlap", "hamiltonian")
+               if doc.get(key) is not None}
     return build_graph([a["z"] for a in atoms], [a["pos"] for a in atoms], doc.get("cutoff", 15.0),
-                       overlap=doc.get("overlap"), hamiltonian=doc.get("hamiltonian"))
+                       **targets)
 
 
 def sample_molecule(seed: int, n_atoms: int, elements, min_dist: float,

@@ -22,12 +22,11 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from .cg import expansion
 from .frames import Rotation, wigner_d
-from .graph import MoleculeGraph
+from .graph import MoleculeGraph, finite_array
 from .irreps import IrrepsLayout, So3Features, layout_parse, so3_layout
 from .so2ops import uniform_init
 
@@ -73,6 +72,9 @@ def build_orbital_layout(atomic_numbers, basis_config: dict[int, tuple[int, ...]
 
 
 def layout_from_degrees(per_atom_degrees) -> OrbitalLayout:
+    """Layout of per-atom degree lists, as a matrix file stores it."""
+    if not all(isinstance(d, (list, tuple)) for d in per_atom_degrees):
+        raise ValueError("a layout must list each atom's orbital degrees")
     numbers = range(len(per_atom_degrees))
     return build_orbital_layout(numbers, {i: tuple(d) for i, d in enumerate(per_atom_degrees)})
 
@@ -290,6 +292,7 @@ def generalized_eigensolve(H: BlockMatrix | np.ndarray, S: BlockMatrix | np.ndar
     the eigenvector columns are S-orthonormal and the eigenvalues ascend.
     Raises ValueError when S is not positive definite.
     """
+    import scipy.linalg  # not at module level: it is most of the package's import time
     Ha = H.array if isinstance(H, BlockMatrix) else np.asarray(H, dtype=np.float64)
     Sa = S.array if isinstance(S, BlockMatrix) else np.asarray(S, dtype=np.float64)
     if Ha.shape != Sa.shape:
@@ -316,9 +319,10 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _degenerate_clusters(eigvals: np.ndarray, n_occ: int, gap: float = 1e-8):
-    """Index arrays of the runs of the n_occ lowest (ascending) eigenvalues
+    """Index ranges of the runs of the n_occ lowest (ascending) eigenvalues
     whose neighbours lie within ``gap`` of each other."""
-    return np.split(np.arange(n_occ), np.flatnonzero(np.diff(eigvals[:n_occ]) >= gap) + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(eigvals[:n_occ]) >= gap) + 1).tolist(), n_occ]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def metrics(H_pred: BlockMatrix, H_true: BlockMatrix, S=None, n_occ: int | None = None) -> dict:
@@ -422,17 +426,23 @@ def matrix_dumps(H: BlockMatrix) -> str:
 
 
 def checked_matrix(data, layout: OrbitalLayout | None) -> BlockMatrix:
-    """BlockMatrix of outside data; ValueError unless it is (dim, dim) for the layout."""
-    data = np.asarray(data, dtype=np.float64)
+    """BlockMatrix of outside data; ValueError unless its entries are finite
+    numbers and it is (dim, dim) for the layout."""
+    data = finite_array(data, "matrix data")
     if layout is not None and data.shape != (layout.dim, layout.dim):
         raise ValueError(f"layout of dimension {layout.dim} does not fit a {data.shape} matrix")
     return BlockMatrix(data, layout)
 
 
-def matrix_loads(text: str) -> BlockMatrix:
+def matrix_loads(text: str | bytes) -> BlockMatrix:
+    """Matrix of a JSON document with its "data" rows and a "layout" of
+    per-atom degree lists or null."""
     doc = json.loads(text)
-    return checked_matrix(doc["data"],
-                          layout_from_degrees(doc["layout"]) if doc.get("layout") else None)
+    layout = doc.get("layout") if isinstance(doc, dict) else None
+    if not (isinstance(doc, dict) and "data" in doc
+            and (layout is None or isinstance(layout, list))):
+        raise ValueError('a matrix must be a JSON object with "data" and a "layout" list or null')
+    return checked_matrix(doc["data"], layout_from_degrees(layout) if layout else None)
 
 
 def matrix_to_bytes(H: BlockMatrix) -> bytes:

@@ -44,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .counters import OpCounter, counting
 from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
-from .graph import MoleculeGraph
+from .graph import MoleculeGraph, finite_array
 from .hamiltonian import (AssemblyPlan, OrbitalLayout, assemble, assembly_plan,
                           build_orbital_layout, init_expansion)
 from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
@@ -143,13 +143,17 @@ class ModelConfig:
 
     @classmethod
     def from_json_obj(cls, doc) -> "ModelConfig":
-        elements, basis = doc["elements"], doc["basis"]
+        """Config of a JSON document; ValueError names the first bad field,
+        and a missing field reads as null."""
+        if not isinstance(doc, dict):
+            raise ValueError("a config must be a JSON object")
+        elements, basis = doc.get("elements"), doc.get("basis")
         if not (isinstance(elements, list) and isinstance(basis, dict)
                 and all(isinstance(orbs, list) for orbs in basis.values())):
             raise ValueError("config elements must be a list and basis an object of lists")
-        config = cls(**{name: doc[name] for name in _SCALAR_FIELDS},
-                     elements=tuple(elements),
-                     basis=tuple(sorted((int(z), tuple(orbs)) for z, orbs in basis.items())),
+        basis = {int(z): tuple(orbs) for z, orbs in basis.items()}  # "1" and "01" are one
+        config = cls(**{name: doc.get(name) for name in _SCALAR_FIELDS},
+                     elements=tuple(elements), basis=tuple(sorted(basis.items())),
                      seed=doc.get("seed", 0))
         # the regrouped node layout has every order up to l_max, and the
         # tensor-product layouts must have the same orders
@@ -625,8 +629,18 @@ def checkpoint_dumps(config: ModelConfig, params: dict) -> str:
     })
 
 
-def checkpoint_loads(text: str) -> tuple[ModelConfig, dict]:
+def checkpoint_loads(text: str | bytes) -> tuple[ModelConfig, dict]:
+    """Config and parameters of a checkpoint; ValueError unless the parameters
+    have the names and shapes that :func:`init_params` gives the config."""
     doc = json.loads(text)
-    config = ModelConfig.from_json_obj(doc["config"])
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
+    if not (isinstance(doc, dict) and isinstance(doc.get("params"), dict)):
+        raise ValueError('a checkpoint must be a JSON object with a "params" object')
+    config = ModelConfig.from_json_obj(doc.get("config"))
+    params = {k: finite_array(v, f"parameter {k}") for k, v in doc["params"].items()}
+    shapes = {k: v.shape for k, v in params.items()}
+    needed = {k: v.shape for k, v in init_params(config).items()}
+    if shapes != needed:
+        name = min(k for k in shapes.keys() | needed.keys() if shapes.get(k) != needed.get(k))
+        raise ValueError(f"parameter {name} is {shapes.get(name, 'missing')} in the checkpoint "
+                         f"and {needed.get(name, 'unknown')} in its config")
     return config, params

@@ -1,16 +1,20 @@
+import copy
 import json
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so2frames.cli import main
 from so2frames.graph import build_graph, graph_from_json, sample_molecule
 from so2frames.harness import bench, brute_force_pair_paths, check_equivariance
-from so2frames.hamiltonian import BlockMatrix, layout_from_degrees, read_matrix, write_matrix
-from so2frames.model import (ModelConfig, checkpoint_dumps, default_fit_config, init_params,
-                             predict)
+from so2frames.hamiltonian import (BlockMatrix, build_orbital_layout, layout_from_degrees,
+                                   matrix_dumps, read_matrix, write_matrix)
+from so2frames.model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
+                             default_fit_config, init_params, predict)
 from so2frames.so2ops import enumerate_tp_paths
 
 
@@ -19,6 +23,15 @@ def molecule_file(tmp_path):
     path = tmp_path / "mol.json"
     code = main(["gen", "--seed", "7", "--n-atoms", "3", "--out", str(path)])
     assert code == 0
+    return str(path)
+
+
+@pytest.fixture
+def checkpoint_file(molecule_file, tmp_path):
+    """A fresh checkpoint of the molecule's default fit config."""
+    config = default_fit_config(graph_from_json(open(molecule_file).read()))
+    path = tmp_path / "ckpt.json"
+    path.write_text(checkpoint_dumps(config, init_params(config)))
     return str(path)
 
 
@@ -234,8 +247,13 @@ class TestBadInput:
         '{"atoms": [{"z": 1, "pos": [true, 0, 0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
         '{"atoms": [{"z": 1, "pos": ["1", 0, 0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
         '{"atoms": [{"z": 1, "pos": [0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]}',
+        '{"atoms": [{"z": %d, "pos": [0.0, 0.0, 0.0]}]}' % 10 ** 30,
+        # the right shape, so only the NaN is wrong
+        json.dumps({"atoms": [{"z": 1, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}],
+                    "hamiltonian": [[float("nan")] * 10] + [[0.0] * 10] * 9}),
     ], ids=["fractional-z", "boolean-z", "string-cutoff", "top-level-list", "atom-not-object",
-            "hamiltonian-shape", "boolean-pos", "string-pos", "two-element-pos"])
+            "hamiltonian-shape", "boolean-pos", "string-pos", "two-element-pos", "huge-z",
+            "nan-hamiltonian"])
     def test_malformed_molecule_file(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -274,7 +292,13 @@ class TestBadInput:
     @pytest.mark.parametrize("doc", [
         {"layout": [[0], [], [0]], "data": [[1.0, 0.1], [0.1, 2.0]]},
         {"layout": [[0, 1]], "data": [[1.0, 0.1], [0.1, 2.0]]},
-    ], ids=["atom-without-orbitals", "layout-dim-mismatch"])
+        [[1.0, 0.1], [0.1, 2.0]],
+        {"layout": 2, "data": [[1.0, 0.1], [0.1, 2.0]]},
+        {"layout": [[0], [0]]},
+        {"layout": [0, 0], "data": [[1.0, 0.1], [0.1, 2.0]]},
+        {"atoms": [{"z": 1, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]},
+    ], ids=["atom-without-orbitals", "layout-dim-mismatch", "matrix-is-list", "integer-layout",
+            "no-data", "layout-of-integers", "molecule-file"])
     def test_malformed_matrix_layout(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -294,10 +318,11 @@ class TestBadInput:
         ["gen", "--n-atoms", "-2"],
         ["gen", "--n-atoms", "0"],
         ["gen", "--elements", "99"],
+        ["gen", "--n-atoms", "200", "--min-dist", "5"],
         ["bench", "--lmax-range", "5:2"],
         ["bench", "--mmax-range", "4:4"],
-    ], ids=["negative-atoms", "zero-atoms", "element-without-basis", "descending-range",
-            "one-point-range"])
+    ], ids=["negative-atoms", "zero-atoms", "element-without-basis", "impossible-packing",
+            "descending-range", "one-point-range"])
     def test_bad_gen_or_bench_flags(self, tmp_path, capsys, argv):
         self._assert_usage_error(argv + ["--out", str(tmp_path / "out.json")], capsys)
 
@@ -317,11 +342,13 @@ class TestBadInput:
         {"tp_channels": 2.5}, {"basis": {**ModelConfig().to_json_obj()["basis"], "1": [0.5]}},
         {"elements": [1.0, 6]}, {"elements": 5}, {"basis": [1]},
         {"basis": {**ModelConfig().to_json_obj()["basis"], "1": 5}},
+        {"basis": {**ModelConfig().to_json_obj()["basis"], "01": ["a"]}},
     ], ids=["no-scalar-channels", "zero-invariant-width", "zero-rbf-size",
             "element-without-basis", "repeated-element", "fractional-tp-arity",
             "string-layers", "fractional-layers", "integer-node-irreps",
             "fractional-tp-channels", "fractional-basis-degree", "float-element",
-            "scalar-elements", "basis-list", "scalar-basis-entry"])
+            "scalar-elements", "basis-list", "scalar-basis-entry",
+            "repeated-basis-key"])
     def test_invalid_config(self, molecule_file, tmp_path, capsys, fields):
         # rejected when the config is read, before any model is built
         config = tmp_path / "cfg.json"
@@ -348,6 +375,48 @@ class TestBadInput:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and name in err
+        with pytest.raises(ValueError, match=name):
+            checkpoint_loads(json.dumps(doc))
+
+    def test_checkpoint_or_config_not_an_object(self, molecule_file, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        self._assert_usage_error(["predict", molecule_file, str(listed), "--out",
+                                  str(tmp_path / "H.json")], capsys)
+        self._assert_usage_error(["check-equiv", molecule_file, "--config", str(listed)], capsys)
+
+    def test_atomic_number_beyond_the_table(self, tmp_path, capsys):
+        mol = self._molecule(tmp_path, '{"z": %d, "pos": [0.0, 0.0, 0.0]}' % 10 ** 30)
+        self._assert_usage_error(["check-equiv", mol, "--trials", "1"], capsys)
+
+    @pytest.mark.parametrize("flag, value", [("--v", "3"), ("--layers", "2"), ("--lmax", "1"),
+                                             ("--cutoff", "5"), ("--config", None)],
+                             ids=["v", "layers", "lmax", "cutoff", "config"])
+    def test_checkpoint_fixes_the_model(self, molecule_file, checkpoint_file, tmp_path, capsys,
+                                        flag, value):
+        config = tmp_path / "cfg.json"  # the checkpoint's own config
+        config.write_text(json.dumps(json.loads(open(checkpoint_file).read())["config"]))
+        assert main(["check-equiv", molecule_file, checkpoint_file, "--trials", "1",
+                     flag, value or str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "the checkpoint fixes it" in err
+
+    def test_predict_needs_out(self, molecule_file, checkpoint_file, capsys):
+        assert main(["predict", molecule_file, checkpoint_file]) == 2
+        assert "required: --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--json"], ["fit", "m.json", "--json"], ["fit", "m.json", "--out", "c.json"],
+        ["predict", "m.json", "c.json", "--out", "H.json", "--seed", "1"],
+        ["predict", "m.json", "c.json", "--out", "H.json", "--json"],
+        ["metrics", "a.json", "b.json", "--seed", "1"],
+        ["metrics", "a.json", "b.json", "--out", "x.json"],
+    ], ids=["gen-json", "fit-json", "fit-out", "predict-seed", "predict-json", "metrics-seed",
+            "metrics-out"])
+    def test_flags_a_command_does_not_read(self, capsys, argv):
+        # argparse rejects these before any file is opened
+        assert main(argv) == 2
+        assert "usage: " in capsys.readouterr().err
 
     def test_element_missing_from_checkpoint(self, molecule_file, tmp_path, capsys):
         from so2frames.model import checkpoint_dumps
@@ -360,6 +429,79 @@ class TestBadInput:
                                        '{"z": 8, "pos": [0.0, 0.0, 1.8]}')
         self._assert_usage_error(["predict", mol, str(ckpt), "--out",
                                   str(tmp_path / "H.json")], capsys)
+
+
+# JSON trees for the fuzzer.  Integers stay small: a config's integers are
+# sizes, and a large one asks for a large model, which costs time and
+# memory but raises nothing.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda tree: st.lists(tree, max_size=4) | st.dictionaries(st.text(max_size=4), tree,
+                                                              max_size=4),
+    max_leaves=10)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one value dropped or replaced by a JSON tree; the value
+    lies at the end of a walk of one to five steps down from the root."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    for _ in range(draw(st.integers(1, 5))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON)
+    return doc
+
+
+class TestFuzzedFiles:
+    """Every input file, valid, damaged or arbitrary JSON, gets exit 0, 1
+    or 2 from ``main``, and no exception escapes it."""
+
+    # (the document fuzzed, the command line); {fuzz} is its file
+    CASES = [
+        ("molecule", ["predict", "{fuzz}", "{checkpoint}", "--out", "{out}"]),
+        ("checkpoint", ["predict", "{molecule}", "{fuzz}", "--out", "{out}"]),
+        ("molecule", ["check-equiv", "{fuzz}", "--trials", "1"]),
+        ("config", ["check-equiv", "{molecule}", "--config", "{fuzz}", "--trials", "1"]),
+        ("molecule", ["fit", "{fuzz}", "--steps", "1", "--out-checkpoint", "{out}"]),
+        ("matrix", ["metrics", "{fuzz}", "{matrix}"]),
+        ("matrix", ["metrics", "{matrix}", "{fuzz}"]),
+    ]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """Valid documents of each kind for an H2 molecule, and their files."""
+        root = tmp_path_factory.mktemp("fuzz")
+        molecule = root / "molecule.json"
+        assert main(["gen", "--seed", "7", "--n-atoms", "2", "--out", str(molecule)]) == 0
+        graph = graph_from_json(molecule.read_text())
+        config = default_fit_config(graph)
+        layout = build_orbital_layout(graph.numbers, config.basis_map)
+        docs = {"molecule": json.loads(molecule.read_text()),
+                "checkpoint": json.loads(checkpoint_dumps(config, init_params(config))),
+                "config": config.to_json_obj(),
+                "matrix": json.loads(matrix_dumps(BlockMatrix(graph.hamiltonian, layout)))}
+        paths = {"fuzz": root / "fuzz.json", "out": root / "out.json"}
+        for kind, doc in docs.items():
+            paths[kind] = root / f"{kind}.json"
+            paths[kind].write_text(json.dumps(doc))
+        return docs, paths
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(CASES), data=st.data())
+    def test_no_exception_escapes_main(self, files, case, data):
+        docs, paths = files
+        kind, argv = case
+        doc = data.draw(_JSON | _mutated(docs[kind]))
+        paths["fuzz"].write_text(json.dumps(doc))
+        assert main([arg.format(**paths) for arg in argv]) in (0, 1, 2)
 
 
 class TestCheckpointCutoff:

@@ -1,6 +1,10 @@
-"""Every top-level import of the package, the tests and the demos is read."""
+"""Every top-level import of the package, the tests and the demos is read,
+and importing the package leaves ``scipy.linalg`` unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,13 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is most of the time of importing so2frames, and only the
+    # eigensolver of the metrics needs it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, so2frames; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

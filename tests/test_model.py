@@ -604,7 +604,7 @@ class TestCheckpoint:
 
     def test_m_max_must_equal_l_max(self):
         # checkpoints keep the old m_max key: null or l_max load, others fail
-        doc = json.loads(checkpoint_dumps(ModelConfig(), {}))
+        doc = json.loads(checkpoint_dumps(ModelConfig(), init_params(ModelConfig())))
         assert doc["config"]["m_max"] is None
         for value in (None, 4):  # default l_max is 4
             doc["config"]["m_max"] = value
