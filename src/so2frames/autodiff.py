@@ -2,8 +2,8 @@
 
 Every differentiable operation in this package is built from the
 primitives below: :func:`add`, :func:`sub`, :func:`mul`, :func:`matmul`,
-:func:`einsum`, :func:`transpose`, :func:`reshape`, :func:`concat`,
-:func:`take`, :func:`sum_axis`, :func:`mean_all`, :func:`absolute` and
+:func:`einsum`, :func:`reshape`, :func:`concat`, :func:`take`,
+:func:`sum_axis`, :func:`mean_all`, :func:`absolute` and
 :func:`segment_sum`, plus the fused operations made with
 :func:`primitive`.  A :class:`Var` records its parents and a closure
 computing the vector-Jacobian product; :func:`backward` replays the tape
@@ -22,13 +22,27 @@ Fused primitives: an operation that would otherwise record a chain of
 small nodes can be one node of its own.  It computes its value with plain
 numpy, keeps what its adjoint needs in a closure and returns
 ``primitive(value, parents, vjp)``, where ``vjp`` maps the output
-cotangent to one cotangent (or None) per parent.  The LayerNorm, MLP,
-Linear and gate of :mod:`so2frames.so2ops` and the frame rotations of
-:mod:`so2frames.frames` are fused this way: each runs the numpy
-expressions of its former chain in the same order, so its values are
-unchanged, and its tape records one node per block instead of up to a
-dozen.  The SO(2) tensor product is one node for all its fusion paths,
-whose output blocks are :func:`take` slices of it.
+cotangent to one cotangent (or None) per parent.  These are fused this
+way, each running the numpy expressions of its former chain in the same
+order, so its values are unchanged:
+
+* in :mod:`so2frames.so2ops`, the LayerNorm (one node per block), the MLP
+  (one per call), the Linear (one per order) and the gate (one per gated
+  order, with :func:`so2ops.scale_rows`, which also scales each order of
+  the model's messages);
+* in :mod:`so2frames.frames`, the frame rotations (one per order or
+  degree); ``to_local`` also reads the gather of its items inside, so
+  its adjoint scatter-adds into the un-gathered blocks;
+* in :mod:`so2frames.model`, the degree inner products over the edges
+  (one per call) and the self-interaction of per-degree linear and gate
+  (one per call, whose output blocks are :func:`take` slices of it).
+
+The SO(2) tensor product is one node for all its fusion paths, whose
+output blocks are :func:`take` slices of it.  The Hamiltonian assembly
+(:func:`hamiltonian.assemble`) is one node for its gathers, contractions,
+block placement and symmetrization; it contracts weights with features
+before the CG tables, which rounds differently from the chain it
+replaced.
 """
 
 from __future__ import annotations
@@ -202,16 +216,6 @@ def einsum(subscripts: str, *operands):
         return tuple(grads)
 
     return primitive(out, operands, vjp)
-
-
-def transpose(a):
-    va = value_of(a)
-    out = va.T
-
-    def vjp(g):
-        return (g.T,)
-
-    return primitive(out, (a,), vjp)
 
 
 def reshape(a, shape):

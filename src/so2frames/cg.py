@@ -242,6 +242,18 @@ def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
     return from_local(frame, padded, out_layout)
 
 
+@functools.lru_cache(maxsize=None)
+def stacked_cg_table(l1: int, l2: int, degrees: tuple[int, ...]) -> np.ndarray:
+    """The CG tables of (l1, l2) into each degree l3 of ``degrees``, side by
+    side: a ((2*l1+1)(2*l2+1), sum of 2*l3+1) array whose row m1 (2*l2+1) + m2
+    holds ``cg_table(l1, l2, l3)[m1, m2]`` for the degrees in turn.  Shared;
+    must not be mutated."""
+    table = np.concatenate([cg_table(l1, l2, l3).reshape((2 * l1 + 1) * (2 * l2 + 1), -1)
+                            for l3 in degrees], axis=1)
+    table.setflags(write=False)
+    return table
+
+
 def expansion(feature: So3Features, w: dict[int, np.ndarray], l1: int, l2: int):
     """CG expansion of irrep features into (..., 2*l1+1, 2*l2+1) sub-blocks.
 
@@ -249,17 +261,21 @@ def expansion(feature: So3Features, w: dict[int, np.ndarray], l1: int, l2: int):
     batch axes of the feature, so one call expands a batch of items, each
     with its own weights; degrees in the triangle range missing from the
     feature or from ``w`` contribute zero.  Linear in both arguments.
+
+    Two contractions: each degree's weights first mix its channels,
+    ``y_l3 = sum_u w[l3][u] feature[l3][u]``, then the y of all degrees,
+    side by side, meet the :func:`stacked_cg_table` of those degrees.  Both
+    are plain einsums, so a batch gives each item the bits it gets alone;
+    :func:`hamiltonian.assemble` computes the same two contractions.
     """
-    total = None
-    for l3 in range(abs(l1 - l2), l1 + l2 + 1):
-        if l3 not in w or feature.layout.mult(l3) == 0:
-            continue
-        C = cg_table(l1, l2, l3)
-        term = ad.einsum("abc,...uc,...u->...ab", C, feature.block(l3), w[l3])
-        total = term if total is None else ad.add(total, term)
-    if total is None:
+    degrees = tuple(l3 for l3 in range(abs(l1 - l2), l1 + l2 + 1)
+                    if l3 in w and feature.layout.mult(l3))
+    if not degrees:
         return np.zeros(feature.batch_shape + (2 * l1 + 1, 2 * l2 + 1))
-    return total
+    y = [ad.einsum("...uc,...u->...c", feature.block(l3), w[l3]) for l3 in degrees]
+    y = y[0] if len(y) == 1 else ad.concat(y, axis=-1)
+    out = ad.einsum("...c,nc->...n", y, stacked_cg_table(l1, l2, degrees))
+    return ad.reshape(out, feature.batch_shape + (2 * l1 + 1, 2 * l2 + 1))
 
 
 def expansion_decompose(block, l1: int, l2: int) -> dict[int, np.ndarray]:

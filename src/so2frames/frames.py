@@ -326,21 +326,25 @@ def so2_layout_of(so3: IrrepsLayout) -> IrrepsLayout:
     return so2_layout(entries)
 
 
-def to_local(frame: Frame, x: So3Features) -> So2Features:
+def to_local(frame: Frame, x: So3Features, index=None) -> So2Features:
     """Rotate SO(3) features into the frame and regroup by order m.
 
     ``x'_l = D_l(h^{-1}) x_l`` per degree in the order-aligned basis, then
     order m gathers the ``(x_{-m}, x_{+m})`` columns ``[max(2m-1, 0), 2m+1)``
     of every degree l >= m (ascending l).
-    A batch of frames rotates a batch of features item by item.  Each
-    output order is one fused autodiff primitive whose parents are the
-    degree blocks it reads.
+    A batch of frames rotates a batch of features item by item.  With an
+    ``index`` array, the items rotated are ``x.block(l)[index]``: the
+    gather is read inside, and the adjoint scatter-adds into the
+    un-gathered blocks.  Each output order is one fused autodiff primitive
+    whose parents are the degree blocks it reads.
     """
     if x.layout.max_index > frame.l_max:
         raise ValueError(
             f"feature degree {x.layout.max_index} exceeds frame cache l_max {frame.l_max}")
-    rotated = {l: ad.value_of(block) @ np.swapaxes(frame.d_in[l], -1, -2)
-               for l, block in x.items()}
+    rotated = {}
+    for l, block in x.items():
+        items = ad.value_of(block) if index is None else ad.value_of(block)[index]
+        rotated[l] = items @ np.swapaxes(frame.d_in[l], -1, -2)
     count("frame_rotation", sum(x.layout.mult(l) * l * l * batch_size(block)
                                 for l, block in rotated.items()))
     out_layout = so2_layout_of(x.layout)
@@ -352,21 +356,27 @@ def to_local(frame: Frame, x: So3Features) -> So2Features:
         value = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2,
                                                                  dtype=np.float64)
         parents = tuple(x.block(l) for l in degrees)
-        blocks.append(ad.primitive(value, parents, _to_local_vjp(frame, degrees, cols, parents)))
+        blocks.append(ad.primitive(value, parents,
+                                   _to_local_vjp(frame, degrees, cols, parents, index)))
     return So2Features(out_layout, blocks)
 
 
-def _to_local_vjp(frame: Frame, degrees, cols, parents):
+def _to_local_vjp(frame: Frame, degrees, cols, parents, index):
     """Adjoint of one order of :func:`to_local`: each degree's channel rows
-    of the cotangent times the rows ``cols`` of ``D_l``."""
+    of the cotangent times the rows ``cols`` of ``D_l``, scattered back
+    through ``index`` if the items were gathered."""
     def vjp(g):
         grads = []
         offset = 0
         for l, block in zip(degrees, parents):
             mult = block.shape[-2]
-            part = g[..., offset:offset + mult, :]
+            part = g[..., offset:offset + mult, :] @ frame.d_in[l][..., cols, :]
             offset += mult
-            grads.append(ad.unbroadcast(part @ frame.d_in[l][..., cols, :], block.shape))
+            if index is None:
+                grads.append(ad.unbroadcast(part, block.shape))
+            else:
+                grads.append(np.zeros(block.shape))
+                np.add.at(grads[-1], index, part)
         return grads
 
     return vjp

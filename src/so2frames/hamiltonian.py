@@ -20,11 +20,12 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, zip_longest
+from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
-from .cg import expansion
+from .cg import stacked_cg_table
 from .frames import Rotation, wigner_d
 from .graph import MoleculeGraph, finite_array
 from .irreps import IrrepsLayout, So3Features, layout_parse, so3_layout
@@ -54,14 +55,16 @@ class OrbitalLayout:
 
 def build_orbital_layout(atomic_numbers, basis_config: dict[int, tuple[int, ...]]) -> OrbitalLayout:
     """Offsets for atoms in input order, orbitals in basis-config order;
-    every atom needs a non-empty list of non-negative integer degrees."""
+    every atom needs a non-empty list of non-negative integer degrees (a
+    boolean is not one)."""
     degrees, offsets, row = [], [], 0
     for z in atomic_numbers:
         z = int(z)
         if z not in basis_config:
             raise ValueError(f"element {z} missing from basis configuration")
         orbs = tuple(basis_config[z])
-        if not orbs or not all(isinstance(l, (int, np.integer)) and l >= 0 for l in orbs):
+        if not orbs or not all(isinstance(l, Integral) and not isinstance(l, bool) and l >= 0
+                               for l in orbs):
             raise ValueError(f"basis entry {z} is not a non-empty list of non-negative "
                              f"integer degrees: {list(orbs)}")
         sizes = [2 * l + 1 for l in orbs]
@@ -136,17 +139,17 @@ def init_expansion(params: dict, config, rng) -> None:
 class AssemblyGroup:
     """The orbital blocks of one degree pair (l_s, l_t).
 
-    Block b expands item ``k[b]`` (atoms, then edges); ``layout`` holds the
-    node degrees l3 that the expansion reads.  ``weights[l3]`` is the
-    (blocks, mult_l3) index of each block's weights into the plan's stacked
-    weights.
+    Block b expands item ``k[b]`` (atoms, then edges).  ``weights[l3]`` is
+    the (blocks, mult_l3) index of each block's weights into the plan's
+    stacked weights, for the node degrees l3 that the expansion reads, in
+    ascending order; ``table`` is their :func:`cg.stacked_cg_table`.
     """
 
     ls: int
     lt: int
-    layout: IrrepsLayout
     k: np.ndarray
     weights: dict[int, np.ndarray]
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,7 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
         for l3, mult in degrees.entries:
             weights[l3] = (seg * mult)[:, None] + (stacked + np.arange(mult))
             stacked += len(kind) * mult
-        groups.append(AssemblyGroup(ls, lt, degrees, k, weights))
+        groups.append(AssemblyGroup(ls, lt, k, weights, stacked_cg_table(ls, lt, degrees.indices)))
         # the flat matrix position of each block entry, row-major per block
         corner = starts[rows[k], s[seg]] * layout.dim + starts[cols[k], t[seg]]
         entry = np.arange(2 * ls + 1)[:, None] * layout.dim + np.arange(2 * lt + 1)
@@ -247,22 +250,58 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
     :func:`model.forward` returns them.  Atoms (i, i) and edges (i, j) are
     one batch of items that differ only in their weight prefix,
     ``expand/diag/{z}`` or ``expand/off/{z_i}.{z_j}``.  Following the
-    per-graph ``prepared.plan``, the weights of the molecule's kinds are
-    stacked once; each degree pair (l_s, l_t) gathers its weights and items
-    and runs one batched :func:`cg.expansion`, and one gather through the
-    plan's index map places every block.
+    per-graph ``prepared.plan``, each degree pair (l_s, l_t) gathers its
+    items and weights and makes the two contractions of
+    :func:`cg.expansion` for all its blocks at once: weights with features
+    per degree l3, then the group's stacked CG table.  The plan's index map
+    places every block, and the result is symmetrized.
+
+    One fused autodiff primitive whose parents are the blocks of ``h``,
+    then those of ``pair``, then the weights in ``plan.keys`` order.  Its
+    adjoint symmetrizes the cotangent, reads each block's entries back
+    through the index map, multiplies them by the table, and scatter-adds
+    the feature and weight cotangents into their items and weights.
     """
     plan = prepared.plan
-    blocks = {l: ad.concat([a, b]) for (l, a), b in zip(h.items(), pair.blocks)}
-    stacked = ad.concat([params[key] for key in plan.keys])
-    outputs = []
+    weights = [params[key] for key in plan.keys]
+    stacked = np.concatenate([ad.value_of(w) for w in weights])
+    items = {l: np.concatenate([ad.value_of(a), ad.value_of(b)])
+             for (l, a), b in zip(h.items(), pair.blocks)}
+    gathered, outputs = [], []
     for group in plan.groups:
-        w = {l3: ad.take(stacked, index) for l3, index in group.weights.items()}
-        items = So3Features(group.layout, [ad.take(blocks[l3], group.k) for l3 in group.weights])
-        outputs.append(ad.reshape(expansion(items, w, group.ls, group.lt), (-1,)))
+        feats = [(items[l3][group.k], stacked[index]) for l3, index in group.weights.items()]
+        y = [np.einsum("...uc,...u->...c", x, w) for x, w in feats]
+        y = y[0] if len(y) == 1 else np.concatenate(y, axis=-1)
+        gathered.append(feats)
+        outputs.append(np.einsum("...c,nc->...n", y, group.table).ravel())
     # index -1 reads the zero appended to the flattened group outputs
-    dense = ad.take(ad.concat(outputs + [np.zeros(1)]), plan.index)
-    return BlockMatrix(ad.mul(ad.add(dense, ad.transpose(dense)), 0.5), prepared.layout)
+    flat = np.concatenate(outputs + [np.zeros(1)])
+    dense = flat[plan.index]
+    value = (dense + dense.T) * 0.5
+
+    def vjp(g):
+        d_flat = np.zeros(flat.shape)
+        d_flat[plan.index] = (g + g.T) * 0.5   # the slot of index -1 is dropped
+        d_items = {l: np.zeros_like(x) for l, x in items.items()}
+        d_stacked = np.zeros_like(stacked)
+        start = 0
+        for group, feats in zip(plan.groups, gathered):
+            d_out = d_flat[start:start + len(group.k) * len(group.table)]
+            start += len(d_out)
+            d_y = np.einsum("...n,nc->...c", d_out.reshape(len(group.k), -1), group.table)
+            col = 0
+            for (l3, index), (x, w) in zip(group.weights.items(), feats):
+                d_part = d_y[..., col:col + 2 * l3 + 1]
+                col += 2 * l3 + 1
+                np.add.at(d_items[l3], group.k, w[..., None] * d_part[..., None, :])
+                np.add.at(d_stacked, index, np.einsum("...uc,...c->...u", x, d_part))
+        n = h.batch_shape[0]
+        ends = np.cumsum([np.size(ad.value_of(w)) for w in weights])[:-1]
+        return ([d[:n] for d in d_items.values()] + [d[n:] for d in d_items.values()]
+                + np.split(d_stacked, ends))
+
+    return BlockMatrix(ad.primitive(value, (*h.blocks, *pair.blocks, *weights), vjp),
+                       prepared.layout)
 
 
 def block_rotate(H: BlockMatrix, g: Rotation) -> BlockMatrix:

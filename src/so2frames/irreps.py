@@ -182,9 +182,6 @@ class _Features:
         for (idx, _), block in zip(self.layout.entries, self.blocks):
             yield idx, block
 
-    def map_blocks(self, fn):
-        return type(self)(self.layout, [fn(b) for b in self.blocks])
-
     def as_arrays(self):
         """Blocks as plain ndarrays (unwraps autodiff Vars)."""
         out = []

@@ -45,14 +45,15 @@ from . import autodiff as ad
 from .counters import OpCounter, counting
 from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
 from .graph import MoleculeGraph, finite_array
-from .hamiltonian import (AssemblyPlan, OrbitalLayout, assemble, assembly_plan,
+from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, assembly_plan,
                           build_orbital_layout, init_expansion)
 from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
                      so2_layout)
 from .sampling import stream
 from .so2ops import (enumerate_tp_paths, init_mlp, init_so2_ffn, init_so2_gate,
-                     init_so2_layernorm, init_so2_linear, mlp, so2_ffn, so2_gate,
-                     so2_layernorm, so2_linear, so2_tp_contract, uniform_init)
+                     init_so2_layernorm, init_so2_linear, mlp, mlp_apply, mlp_weights,
+                     scale_rows, so2_ffn, so2_gate, so2_layernorm, so2_linear,
+                     so2_tp_contract, uniform_init)
 
 DEFAULT_BASIS: dict[int, tuple[int, ...]] = {
     1: (0, 0, 1),
@@ -304,19 +305,52 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
 
 
 def _self_interaction(h: So3Features, params, prefix) -> So3Features:
-    """Per-degree channel-mixing linear followed by the SO(3) gate."""
-    blocks = [ad.matmul(params[f"{prefix}/lin/{l}"], block) for l, block in h.items()]
-    return so2_gate(So3Features(h.layout, blocks), params, f"{prefix}/gate")
+    """Per-degree channel-mixing linear ``{prefix}/lin/{l}`` followed by the
+    SO(3) gate ``{prefix}/gate`` (:func:`so2ops.so2_gate`), with the numpy
+    expressions of those two steps in their order.
+
+    One fused autodiff primitive whose parents are the blocks of ``h``, the
+    per-degree weights and the gate MLP's weights.  Its value stacks the
+    output degrees on the channel axis, each padded to 2 l_max + 1
+    components, and the output blocks are slices of it.
+    """
+    layout = h.layout
+    lins = [params[f"{prefix}/lin/{l}"] for l in layout.indices]
+    gate = mlp_weights(params, f"{prefix}/gate/mlp")
+    blocks, ws = [ad.value_of(b) for b in h.blocks], [ad.value_of(w) for w in lins]
+    mixed = [w @ x for w, x in zip(ws, blocks)]
+    out, mlp_vjp = mlp_apply([ad.value_of(w) for w in gate], mixed[0])
+    sig = 1.0 / (1.0 + np.exp(-out))
+    ends = np.cumsum([c for _, c in layout.entries])
+    rows = [slice(end - c, end) for end, (_, c) in zip(ends, layout.entries)]
+    if out.shape[-2] != ends[-1]:
+        raise ValueError("gate MLP output width mismatch")
+    value = np.zeros(h.batch_shape + (ends[-1], 2 * layout.max_index + 1))
+    value[..., rows[0], :1] = out[..., rows[0], :]
+    for l, r, x in zip(layout.indices[1:], rows[1:], mixed[1:]):
+        value[..., r, :2 * l + 1] = x * sig[..., r, :]
+
+    def vjp(g):
+        d_out = np.zeros(out.shape)
+        d_out[..., rows[0], :] = g[..., rows[0], :1]
+        d_mixed = [None]
+        for l, r, x in zip(layout.indices[1:], rows[1:], mixed[1:]):
+            part, factor = g[..., r, :2 * l + 1], sig[..., r, :]
+            d_mixed.append(part * factor)
+            d_out[..., r, :] = (part * x).sum(axis=-1, keepdims=True) * factor * (1.0 - factor)
+        d_mixed[0], *d_gate = mlp_vjp(d_out)
+        return ([w.T @ d for w, d in zip(ws, d_mixed)]
+                + [ad.unbroadcast(d @ np.swapaxes(x, -1, -2), w.shape)
+                   for w, x, d in zip(ws, blocks, d_mixed)] + d_gate)
+
+    fused = ad.primitive(value, (*h.blocks, *lins, *gate), vjp)
+    return So3Features(layout, [ad.take(fused, (..., r, slice(0, 2 * l + 1)))
+                                for l, r in zip(layout.indices, rows)])
 
 
 def add_features(a, b):
     """Blockwise sum of two feature containers of one type and layout."""
     return type(a)(a.layout, [ad.add(x, y) for x, y in zip(a.blocks, b.blocks)])
-
-
-def gather(features, index):
-    """The items of batched features at an index array (a new leading axis)."""
-    return features.map_blocks(lambda block: ad.take(block, index))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +375,26 @@ def node_embed(numbers, params, config: ModelConfig) -> So3Features:
     return So3Features(layout, [ad.reshape(rows, zeros[0].shape)] + list(zeros[1:]))
 
 
-def degree_inner_products(hi: So3Features, hj: So3Features):
-    """Concatenated channel-wise per-degree inner products (rotation
-    invariant), on the last axis: (..., sum of multiplicities)."""
-    if hi.layout != hj.layout:
-        raise ValueError("inner products need a shared layout")
-    parts = [ad.sum_axis(ad.mul(bi, bj), axis=-1)
-             for (_, bi), (_, bj) in zip(hi.items(), hj.items())]
-    return ad.concat(parts, axis=-1)
+def degree_inner_products(h: So3Features, src, dst):
+    """Channel-wise per-degree inner products of the items ``src`` and
+    ``dst`` of batched features ``h`` (rotation invariant), concatenated on
+    the last axis: (..., sum of multiplicities) for index arrays (...).
+    One fused autodiff primitive whose parents are the blocks of ``h``; its
+    adjoint scatter-adds into the items."""
+    values = [ad.value_of(b) for b in h.blocks]
+    value = np.concatenate([(v[src] * v[dst]).sum(axis=-1) for v in values], axis=-1)
+
+    def vjp(g):
+        grads, end = [], 0
+        for v in values:
+            part = g[..., end:end + v.shape[-2], None]
+            end += v.shape[-2]
+            grads.append(np.zeros(v.shape))
+            np.add.at(grads[-1], src, part * v[dst])
+            np.add.at(grads[-1], dst, part * v[src])
+        return grads
+
+    return ad.primitive(value, h.blocks, vjp)
 
 
 def _invariant_mix(params, prefix, s_ij, rbf_vec):
@@ -367,7 +413,7 @@ def pair_embed(params, s_ij, rbf_vec):
     return _invariant_mix(params, "pair0", s_ij, rbf_vec)
 
 
-def message_pass(h: So3Features, params, config: ModelConfig,
+def message_pass(h: So3Features, s, params, config: ModelConfig,
                  prepared: PreparedGraph, layer: int) -> So3Features:
     """Frame-based message passing, all edges at once.
 
@@ -376,24 +422,20 @@ def message_pass(h: So3Features, params, config: ModelConfig,
     scales them by an invariant MLP of (inner products, radial basis) and
     projects them back; each atom's own gated features and its messages
     are added by an order-independent segment sum and passed through a
-    second gated self-interaction.  Inner products are taken on the layer
-    inputs.
+    second gated self-interaction.  ``s`` holds the inner products of the
+    layer inputs over the edges, ``degree_inner_products(h, src, dst)``.
     """
     p = f"L{layer}"
     layout = config.node_layout
-    src, dst = prepared.src, prepared.dst
     g1 = _self_interaction(h, params, f"{p}/self1")
-    local = to_local(prepared.frame, gather(g1, dst))
+    local = to_local(prepared.frame, g1, prepared.dst)
     mixed = so2_gate(so2_linear(local, params, f"{p}/msg/lin"), params, f"{p}/msg/gate")
-    scale = _invariant_mix(params, f"{p}/msg/scale",
-                           degree_inner_products(gather(h, src), gather(h, dst)), prepared.rbf)
+    scale = _invariant_mix(params, f"{p}/msg/scale", s, prepared.rbf)
     # the scale has one slot per (degree, channel), ascending degree; order
     # m holds the channels of every degree l >= m, so it takes the slots
     # from degree m on, and a channel keeps one scale across all its orders
-    scaled = []
-    for m, block in mixed.items():
-        start = sum(c for l, c in layout.entries if l < m)
-        scaled.append(ad.mul(block, ad.take(scale, (..., slice(start, None), slice(None)))))
+    scaled = [scale_rows(block, scale, slice(sum(c for l, c in layout.entries if l < m), None))
+              for m, block in mixed.items()]
     msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout)
     agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), prepared.receivers)
            for own, incoming in zip(g1.blocks, msg.blocks)]
@@ -420,7 +462,7 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
     paths = enumerate_tp_paths(config.l_max, config.tp_arity)
     weights = [params[f"{p}/tp/w/{k}"] for k in range(len(paths))]
     frame = prepared.node_frame
-    local = to_local(frame, gather(h, prepared.node_atom))
+    local = to_local(frame, h, prepared.node_atom)
     u = so2_linear(local, params, f"{p}/tp/pre")
     fused = so2_tp_contract([u] * config.tp_arity, paths, weights)
     y = so2_linear(fused, params, f"{p}/tp/post")
@@ -436,8 +478,8 @@ def offdiag_update(h: So3Features, x_pair: So2Features, params,
                    config: ModelConfig, prepared: PreparedGraph, layer: int) -> So2Features:
     """Pair-track update: FFN on the frame projections, skip, SO(2) LayerNorm."""
     p = f"L{layer}"
-    mi = to_local(prepared.frame, gather(h, prepared.src))
-    mj = to_local(prepared.frame, gather(h, prepared.dst))
+    mi = to_local(prepared.frame, h, prepared.src)
+    mj = to_local(prepared.frame, h, prepared.dst)
     f = so2_ffn(mi, mj, params, f"{p}/ffn")
     return so2_layernorm(add_features(x_pair, f), params, f"{p}/ln_pair")
 
@@ -456,11 +498,13 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
         prepared = prepare_graph(graph, config)
     reg = so2_layout_of(config.node_layout)
     h = node_embed(graph.numbers, params, config)
-    s = degree_inner_products(gather(h, prepared.src), gather(h, prepared.dst))
+    s = degree_inner_products(h, prepared.src, prepared.dst)
     zeros = So2Features.zeros(reg, prepared.src.shape).blocks
     x_pair = So2Features(reg, [pair_embed(params, s, prepared.rbf)] + list(zeros[1:]))
     for n in range(config.layers):
-        msg = message_pass(h, params, config, prepared, n)
+        if n > 0:  # layer 0 reads the embedding's inner products, as the pair track does
+            s = degree_inner_products(h, prepared.src, prepared.dst)
+        msg = message_pass(h, s, params, config, prepared, n)
         h = so2_layernorm(add_features(h, msg), params, f"L{n}/ln_node")
         h = node_update_so2tp(h, params, config, prepared, n)
         x_pair = offdiag_update(h, x_pair, params, config, prepared, n)
@@ -553,7 +597,10 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     Returns ``(losses, params)`` where ``losses[k]`` is the averaged
     model's MAE after k updates (``losses[0]`` is the untrained error and
     the array has ``steps + 1`` entries), and ``params`` holds copies of
-    the averaged parameters.  Deterministic given the seed.  Raises
+    the averaged parameters.  Before the first update the average equals
+    the live parameters, and a taped ``predict`` gives the bits of an
+    untaped one, so ``losses[0]`` is read off the first step's taped loss
+    when there is a step.  Deterministic given the seed.  Raises
     ValueError for negative ``steps`` or a learning rate that is not a
     finite positive number, and RuntimeError if the loss goes non-finite.
     """
@@ -573,16 +620,20 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     target_data = np.asarray(getattr(target, "data", target), dtype=np.float64)
     state = AdamState(np.zeros(flat.size), np.zeros(flat.size))
     losses = []
-    for step in range(steps + 1):
-        pred = predict(graph, averaged, config, prepared)
+
+    def record(pred: BlockMatrix) -> None:
         value = float(np.mean(np.abs(pred.array - target_data)))
         if not math.isfinite(value):
-            raise RuntimeError(f"non-finite loss {value} at step {step}")
+            raise RuntimeError(f"non-finite loss {value} at step {len(losses)}")
         losses.append(value)
-        if step == steps:
-            break
+
+    if not steps:
+        record(predict(graph, averaged, config, prepared))
+    for step in range(steps):
         leaves = {k: ad.Var(v) for k, v in params.items()}
         live = predict(graph, leaves, config, prepared)
+        if step == 0:  # no update yet, so the average is the live parameters
+            record(live)
         loss = ad.mean_all(ad.absolute(ad.sub(live.data, target_data)))
         if not math.isfinite(float(loss.value)):
             raise RuntimeError(f"non-finite training loss at step {step}")
@@ -593,6 +644,7 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
         adam_step(flat, grad, np.repeat([g is not None for g in grads], sizes), state, lr)
         w = min(AVERAGE_DECAY, (step + 1.0) / (step + 2.0))
         average[:] = w * average + (1.0 - w) * flat
+        record(predict(graph, averaged, config, prepared))
     return np.array(losses), {k: v.copy() for k, v in averaged.items()}
 
 

@@ -110,20 +110,21 @@ def init_so2_ffn(params: dict, prefix: str, in_layout: IrrepsLayout,
 # small MLP (used by gates and by the model's invariant tracks)
 # ---------------------------------------------------------------------------
 
-def mlp(v, params: dict, prefix: str):
-    """Fully connected net ``{prefix}/{k}/W|b``: SiLU on hidden layers, linear output.
-
-    ``v`` holds its features on axis -2 as a column, ``(..., in, 1)``, and
-    the result is ``(..., out, 1)``.  One fused autodiff primitive whose
-    parents are ``v`` and every weight and bias.
-    """
+def mlp_weights(params: dict, prefix: str) -> list:
+    """The weights and biases ``{prefix}/{k}/W|b`` of an MLP, layer by layer."""
     n = 0
     while f"{prefix}/{n}/W" in params:
         n += 1
-    weights = [params[f"{prefix}/{k}/{w}"] for k in range(n) for w in ("W", "b")]
-    values = [ad.value_of(w) for w in weights]
+    return [params[f"{prefix}/{k}/{w}"] for k in range(n) for w in ("W", "b")]
+
+
+def mlp_apply(values, x):
+    """The MLP of weight and bias arrays ``values`` (as :func:`mlp_weights`
+    orders them) on an array column ``x``: its output and its adjoint,
+    which maps the output cotangent to those of ``x`` and of each value."""
+    n = len(values) // 2
     inputs, hidden = [], []
-    out = ad.value_of(v)
+    out = x
     for k in range(n):
         inputs.append(out)
         out = values[2 * k] @ out + values[2 * k + 1].reshape(-1, 1)
@@ -146,6 +147,18 @@ def mlp(v, params: dict, prefix: str):
         grads[0] = g
         return grads
 
+    return out, vjp
+
+
+def mlp(v, params: dict, prefix: str):
+    """Fully connected net ``{prefix}/{k}/W|b``: SiLU on hidden layers, linear output.
+
+    ``v`` holds its features on axis -2 as a column, ``(..., in, 1)``, and
+    the result is ``(..., out, 1)``.  One fused autodiff primitive whose
+    parents are ``v`` and every weight and bias.
+    """
+    weights = mlp_weights(params, prefix)
+    out, vjp = mlp_apply([ad.value_of(w) for w in weights], ad.value_of(v))
     return ad.primitive(out, (v, *weights), vjp)
 
 
@@ -231,21 +244,23 @@ def so2_gate(x, params: dict, prefix: str):
     sig = 1.0 / (1.0 + np.exp(-ad.value_of(out)))
     offset = c0
     for m, c in gated:
-        blocks.append(_gate_order(x.block(m), out, sig, slice(offset, offset + c)))
+        blocks.append(scale_rows(x.block(m), out, slice(offset, offset + c), sig))
         offset += c
     return type(x)(x.layout, blocks)
 
 
-def _gate_order(block, out, sig, rows: slice):
-    """``block * sig[..., rows, :]``, where ``sig`` is the sigmoid of
-    ``out``, as a primitive with parents ``(block, out)``."""
-    vx, gate = ad.value_of(block), sig[..., rows, :]
-    value = vx * gate
+def scale_rows(block, out, rows: slice, sig=None):
+    """``block * f[..., rows, :]`` as a primitive with parents ``(block, out)``,
+    where ``f`` is ``out`` itself or, given, its sigmoid ``sig`` (a gate)."""
+    vx = ad.value_of(block)
+    factor = (ad.value_of(out) if sig is None else sig)[..., rows, :]
+    value = vx * factor
 
     def vjp(g):
-        d_out = np.zeros_like(sig)
-        d_out[..., rows, :] = (g * vx).sum(axis=-1, keepdims=True) * gate * (1.0 - gate)
-        return g * gate, d_out
+        d_out = np.zeros(ad.value_of(out).shape)
+        d_factor = (g * vx).sum(axis=-1, keepdims=True)
+        d_out[..., rows, :] = d_factor if sig is None else d_factor * factor * (1.0 - factor)
+        return g * factor, d_out
 
     return ad.primitive(value, (block, out), vjp)
 

@@ -297,8 +297,10 @@ class TestBadInput:
         {"layout": [[0], [0]]},
         {"layout": [0, 0], "data": [[1.0, 0.1], [0.1, 2.0]]},
         {"atoms": [{"z": 1, "pos": [0.0, 0.0, 0.0]}, {"z": 1, "pos": [0.0, 0.0, 1.4]}]},
+        # JSON false is not degree 0: the layout would fit the 2 x 2 reference
+        {"layout": [[False], [False]], "data": [[1.0, 0.1], [0.1, 2.0]]},
     ], ids=["atom-without-orbitals", "layout-dim-mismatch", "matrix-is-list", "integer-layout",
-            "no-data", "layout-of-integers", "molecule-file"])
+            "no-data", "layout-of-integers", "molecule-file", "layout-of-booleans"])
     def test_malformed_matrix_layout(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

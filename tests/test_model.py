@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from so2frames import autodiff as ad
 from so2frames.counters import OpCounter
 from so2frames.frames import rotate_so3, rotation_from_matrix
 from so2frames.graph import build_graph, sample_molecule
-from so2frames.hamiltonian import block_rotate, gen_synthetic_target
+from so2frames.hamiltonian import assemble, block_rotate, gen_synthetic_target
 from so2frames.model import (AdamState, ModelConfig, adam_step, checkpoint_dumps,
                              checkpoint_loads, default_fit_config, degree_inner_products,
                              fit_demo, fit_node_irreps, forward, init_params, message_pass,
@@ -23,6 +27,7 @@ from so2frames.irreps import So3Features, layout_parse
 from so2frames.sampling import random_rotation_matrix, stream
 from so2frames.so2ops import so2_layernorm
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 POSITIONS = np.array([[0.0, 0.0, 0.0],
                       [1.8, 0.3, 0.1],
                       [0.5, 1.9, -0.4]])
@@ -39,6 +44,17 @@ def setup():
 def random_features(layout, batch, rng):
     return So3Features(layout, [rng.normal(size=(batch,) + layout.block_shape(l))
                                 for l in layout.indices])
+
+
+def batch(features):
+    """A batch of unbatched features of one layout, in order."""
+    return So3Features(features[0].layout, [np.stack(blocks)
+                                            for blocks in zip(*(f.blocks for f in features))])
+
+
+def inner_products(h, prepared):
+    """The edge inner products that ``forward`` hands ``message_pass``."""
+    return degree_inner_products(h, prepared.src, prepared.dst)
 
 
 def features_dev(a, b):
@@ -105,7 +121,7 @@ class TestInvariants:
         layout = layout_parse("2x0e+2x1e+1x2e")
         h = So3Features(layout, [rng.normal(size=layout.block_shape(l))
                                  for l in layout.indices])
-        s = np.asarray(degree_inner_products(h, h))
+        s = np.asarray(degree_inner_products(batch([h]), 0, 0))
         expected = np.concatenate([np.sum(np.asarray(b) ** 2, axis=1)
                                    for _, b in h.items()])
         assert np.max(np.abs(s - expected)) < 1e-14
@@ -118,15 +134,16 @@ class TestInvariants:
             hj = So3Features(layout, [rng.normal(size=layout.block_shape(l))
                                       for l in layout.indices])
             g = rotation_from_matrix(random_rotation_matrix(rng))
-            a = np.asarray(degree_inner_products(hi, hj))
-            b = np.asarray(degree_inner_products(rotate_so3(hi, g), rotate_so3(hj, g)))
+            a = np.asarray(degree_inner_products(batch([hi, hj]), 0, 1))
+            b = np.asarray(degree_inner_products(batch([rotate_so3(hi, g), rotate_so3(hj, g)]),
+                                                 0, 1))
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_orthogonal_features_give_zero(self):
         layout = layout_parse("1x1e")
         hi = So3Features(layout, [np.array([[1.0, 0.0, 0.0]])])
         hj = So3Features(layout, [np.array([[0.0, 0.0, 1.0]])])
-        assert np.asarray(degree_inner_products(hi, hj))[0] == 0.0
+        assert np.asarray(degree_inner_products(batch([hi, hj]), 0, 1))[0] == 0.0
 
 
 class TestMessagePass:
@@ -135,7 +152,7 @@ class TestMessagePass:
         lone = build_graph([1], [[0.0, 0.0, 0.0]], cutoff=15.0)
         prepared = prepare_graph(lone, config)
         h = node_embed([1], params, config)
-        out = message_pass(h, params, config, prepared, layer=0)
+        out = message_pass(h, inner_products(h, prepared), params, config, prepared, layer=0)
         # no edges: the aggregate is just the node's own gated features
         from so2frames.model import _self_interaction
         expected = _self_interaction(
@@ -146,13 +163,14 @@ class TestMessagePass:
         graph, config, params = setup
         prepared = prepare_graph(graph, config)
         h = node_embed(graph.numbers, params, config)
-        base = message_pass(h, params, config, prepared, layer=0)
+        base = message_pass(h, inner_products(h, prepared), params, config, prepared, layer=0)
         for _ in range(5):
             g = rotation_from_matrix(random_rotation_matrix(rng))
             rot_graph = build_graph(graph.numbers, (g.matrix @ graph.positions.T).T,
                                     graph.cutoff)
             rot_prepared = prepare_graph(rot_graph, config)
-            rot = message_pass(h, params, config, rot_prepared, layer=0)
+            rot = message_pass(h, inner_products(h, rot_prepared), params, config, rot_prepared,
+                               layer=0)
             assert features_dev([rot], [rotate_so3(base, g)]) < 1e-10
 
 
@@ -348,7 +366,58 @@ class TestTapeSize:
         leaves = {k: ad.Var(v) for k, v in params.items()}
         pred = predict(graph, leaves, config)
         loss = ad.mean_all(ad.absolute(ad.sub(pred.data, target.array)))
-        assert len(_tape([loss])) <= 290
+        assert len(_tape([loss])) <= 220
+
+    def test_taped_assemble_is_one_node(self, setup):
+        # the assembly's gathers, contractions, placement and symmetrization
+        # are one fused primitive over the forward outputs and the weights
+        graph, config, params = setup
+        prepared = prepare_graph(graph, config)
+        leaves = {k: ad.Var(v) for k, v in params.items()}
+        h, pair = forward(graph, leaves, config, prepared)
+        before = {id(node) for node in _tape(list(h.blocks) + list(pair.blocks))}
+        H = assemble(h, pair, prepared, leaves)
+        added = [node for node in _tape([H.data]) if id(node) not in before and node.parents]
+        assert added == [H.data]
+
+
+@pytest.mark.parametrize("make_config", [default_fit_config,
+                                         lambda graph: ModelConfig(elements=(1, 6, 8))],
+                         ids=["fit-config", "lmax4-config"])
+def test_taped_predict_matches_untaped(make_config):
+    # fit_demo reads the untrained loss off the taped prediction
+    for n in (3, 5, 10):
+        graph = sample_molecule(2, n, [1, 6, 8], 1.4, 15.0)
+        config = make_config(graph)
+        params = init_params(config)
+        leaves = {k: ad.Var(v) for k, v in params.items()}
+        taped = predict(graph, leaves, config)
+        assert isinstance(taped.data, ad.Var)
+        assert taped.array.tobytes() == predict(graph, params, config).array.tobytes()
+
+
+BLAS_PROBE = """
+import hashlib
+from so2frames.graph import sample_molecule
+from so2frames.model import ModelConfig, default_fit_config, init_params, predict
+graph = sample_molecule(3, 10, [1, 6, 8], 1.4, 15.0)
+digest = hashlib.sha256()
+for config in (default_fit_config(graph), ModelConfig(elements=(1, 6, 8))):
+    digest.update(predict(graph, init_params(config), config).array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_predict_bytes_do_not_depend_on_blas_threads():
+    # batched products go through BLAS, whose thread count must not move a bit
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        digests.append(result.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestEquivariantLayerNorm:
@@ -443,6 +512,15 @@ class TestForward:
             assert features_dev([h1], [rotate_so3(h0, g)]) < 1e-9
 
 
+def _self_pair_odd_degree(key):
+    """Whether ``key`` is an ``expand/diag/{z}/{s}.{s}/{l3}`` weight with odd l3."""
+    parts = key.split("/")
+    if parts[:2] != ["expand", "diag"]:
+        return False
+    s, t = parts[3].split(".")
+    return s == t and int(parts[4]) % 2 == 1
+
+
 class TestFitDemo:
     def test_zero_steps_returns_initial_state(self, setup):
         graph, config, _ = setup
@@ -471,6 +549,15 @@ class TestFitDemo:
         arrays = list(params.values())
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    def test_first_loss_does_not_depend_on_steps(self, setup):
+        # with a step, losses[0] comes from the first taped prediction
+        graph, config, _ = setup
+        target, _ = gen_synthetic_target(graph, seed=11, config=config)
+        for seed in (1, 5):
+            none, _ = fit_demo(graph, target, steps=0, seed=seed, config=config)
+            three, _ = fit_demo(graph, target, steps=3, seed=seed, config=config)
+            assert none[0].tobytes() == three[0].tobytes()
 
     def test_adam_step_keeps_entries_without_gradient(self, rng):
         # entries outside the live mask keep value and moments bit for bit;
@@ -543,17 +630,24 @@ class TestFitDemo:
         pred = predict(graph, leaves, config)
         loss = ad.mean_all(ad.absolute(ad.sub(pred.data, target.array)))
         ad.backward(loss)
-        dead = sorted(k for k, leaf in leaves.items()
-                      if leaf.grad is None or not np.any(leaf.grad))
+        grads = {k: np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
+                 for k, leaf in leaves.items()}
+        largest = max(np.max(np.abs(g)) for g in grads.values())
         # Embeddings are scalar-only (anything else would break input
         # invariance), so the first layer's degree/order mixers above 0
-        # necessarily act on zero blocks; everything else must be live.
+        # necessarily act on zero blocks.  An odd degree l3 expands an
+        # orbital paired with itself into an antisymmetric CG block, which
+        # the symmetrization (H + H^T) / 2 removes: those weights get at
+        # most rounding noise.  Everything else must be live.
         layout = config.node_layout
-        expected_dead = sorted(
+        expected_dead = (
             [f"L0/self1/lin/{l}" for l in layout.indices if l > 0]
-            + [f"L0/msg/lin/{m}/w{i}" for m in range(1, config.l_max + 1)
-               for i in (1, 2)])
-        assert dead == expected_dead
+            + [f"L0/msg/lin/{m}/w{i}" for m in range(1, config.l_max + 1) for i in (1, 2)]
+            + [k for k in params if _self_pair_odd_degree(k)])
+        assert "expand/diag/1/2.2/1" in expected_dead
+        for k in expected_dead:
+            assert np.max(np.abs(grads[k])) <= 1e-15 * largest, k
+        assert all(np.any(g) for k, g in grads.items() if k not in expected_dead)
 
     def test_first_layer_mixers_are_wired(self, setup, rng):
         # the parameters that see zero blocks at layer 0 do carry gradient
@@ -563,7 +657,7 @@ class TestFitDemo:
         layout = config.node_layout
         leaves = {k: ad.Var(v) for k, v in params.items()}
         h = random_features(layout, 3, rng)
-        out = message_pass(h, leaves, config, prepared, layer=0)
+        out = message_pass(h, inner_products(h, prepared), leaves, config, prepared, layer=0)
         total = None
         for block in out.blocks:
             term = sum_entries(ad.mul(block, np.ones(block.shape)))
@@ -680,22 +774,21 @@ class TestPairEmbed:
     def test_rotation_invariance(self, setup, rng):
         graph, config, params = setup
         from so2frames.model import pair_embed
-        h = [node_embed(int(z), params, config) for z in graph.numbers]
-        s = degree_inner_products(h[0], h[1])
+        h = node_embed(graph.numbers, params, config)
+        s = degree_inner_products(h, 0, 1)
         r = float(np.linalg.norm(graph.positions[1] - graph.positions[0]))
         base = np.asarray(pair_embed(params, s, rbf(r, config)))
         for _ in range(5):
             g = rotation_from_matrix(random_rotation_matrix(rng))
-            hr = [rotate_so3(f, g) for f in h]
-            sr = degree_inner_products(hr[0], hr[1])
+            sr = degree_inner_products(rotate_so3(h, g), 0, 1)
             rot = np.asarray(pair_embed(params, sr, rbf(r, config)))
             assert np.max(np.abs(base - rot)) < 1e-12
 
     def test_distance_continuity(self, setup):
         from so2frames.model import pair_embed
         graph, config, params = setup
-        h = [node_embed(int(z), params, config) for z in graph.numbers]
-        s = degree_inner_products(h[0], h[1])
+        h = node_embed(graph.numbers, params, config)
+        s = degree_inner_products(h, 0, 1)
         delta = 1e-6
         for r in (1.1, 3.7, 9.2):
             a = np.asarray(pair_embed(params, s, rbf(r, config)))
