@@ -27,15 +27,16 @@ way, each running the numpy expressions of its former chain in the same
 order, so its values are unchanged:
 
 * in :mod:`so2frames.so2ops`, the LayerNorm (one node per block), the MLP
-  (one per call), the Linear (one per order) and the gate (one per gated
-  order, with :func:`so2ops.scale_rows`, which also scales each order of
-  the model's messages);
+  (one per call), the Linear (one per order), the gate (one per call,
+  whose output blocks are :func:`take` slices of it) and the row scaling
+  of the model's messages (:func:`so2ops.scale_rows`, one per order);
 * in :mod:`so2frames.frames`, the frame rotations (one per order or
   degree); ``to_local`` also reads the gather of its items inside, so
   its adjoint scatter-adds into the un-gathered blocks;
 * in :mod:`so2frames.model`, the degree inner products over the edges
   (one per call) and the self-interaction of per-degree linear and gate
-  (one per call, whose output blocks are :func:`take` slices of it).
+  (one per call, through the gate's kernel :func:`so2ops.gate_apply`,
+  whose output blocks are :func:`take` slices of it).
 
 The SO(2) tensor product is one node for all its fusion paths, whose
 output blocks are :func:`take` slices of it.  The Hamiltonian assembly

@@ -19,18 +19,18 @@ import sys
 from dataclasses import replace
 
 from .graph import build_graph, graph_from_json, sample_molecule
-from .hamiltonian import (build_orbital_layout, checked_matrix, gen_synthetic_target,
-                          matrix_from_bytes, matrix_loads, metrics, write_matrix)
+from .hamiltonian import (gen_synthetic_target, matrix_from_bytes, matrix_loads, metrics,
+                          write_matrix)
 from .harness import RunReport, bench, check_equivariance
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
                     default_fit_config, fit_demo, fit_node_irreps, init_params, predict)
 
 
-def _parse_range(text: str) -> range:
-    """``lo:hi``, both ends included; a slope fit needs lo < hi."""
+def _parse_range(text: str, flag: str) -> range:
+    """``lo:hi``, both ends included; a log-log slope fit needs 1 <= lo < hi."""
     lo, hi = text.split(":")
-    if int(hi) <= int(lo):
-        raise ValueError(f"range {text} must ascend: a slope needs two or more points")
+    if not 1 <= int(lo) < int(hi):
+        raise ValueError(f"{flag} {text} must ascend from 1: a log-log slope needs two points")
     return range(int(lo), int(hi) + 1)
 
 
@@ -105,7 +105,8 @@ def cmd_check_equiv(args) -> int:
 
 def cmd_bench(args) -> int:
     emit = None if args.json else print
-    report = bench(_parse_range(args.lmax_range), _parse_range(args.mmax_range),
+    report = bench(_parse_range(args.lmax_range, "--lmax-range"),
+                   _parse_range(args.mmax_range, "--mmax-range"),
                    channels=args.channels, repeats=args.repeats, seed=args.seed,
                    emit=emit)
     return _emit_report(report, args)
@@ -115,10 +116,8 @@ def cmd_fit(args) -> int:
     graph = _read(args.molecule, graph_from_json)
     config = _config_from_args(args, default_fit_config(graph))
     graph = _at_cutoff(graph, config.cutoff)
-    if graph.hamiltonian is not None:
-        target = checked_matrix(graph.hamiltonian,
-                                build_orbital_layout(graph.numbers, config.basis_map))
-    else:
+    target = graph.hamiltonian  # fit_demo checks its shape
+    if target is None:
         target, _ = gen_synthetic_target(graph, args.seed, config=config)
     losses, params = fit_demo(graph, target, args.steps, args.seed, config=config,
                               lr=args.lr)

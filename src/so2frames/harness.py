@@ -157,8 +157,13 @@ def bench(l_range=range(2, 9), m_range=range(2, 11), channels: int = 1,
     rotate-back route, over degrees 0..L at the given channel width; plus
     SO(2) pairwise path counts per M.  Log-log slopes are least-squares
     fits.  Wall-clock medians go to ``emit`` (a print-like callable) only;
-    they are never part of the report.
+    they are never part of the report.  Raises ValueError for ``repeats``
+    below 1 or a range value below 1 (the fits take its logarithm).
     """
+    for name, least in (("repeats", repeats), ("l_range", min(l_range, default=1)),
+                        ("m_range", min(m_range, default=1))):
+        if least < 1:
+            raise ValueError(f"{name} must be at least 1, got {least}")
     report = RunReport("bench", {"l_range": list(l_range), "m_range": list(m_range),
                                  "channels": channels, "repeats": repeats}, seed)
     rng = stream(seed, "bench")

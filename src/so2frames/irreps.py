@@ -184,10 +184,7 @@ class _Features:
 
     def as_arrays(self):
         """Blocks as plain ndarrays (unwraps autodiff Vars)."""
-        out = []
-        for block in self.blocks:
-            out.append(np.asarray(getattr(block, "value", block), dtype=np.float64))
-        return out
+        return [np.asarray(getattr(b, "value", b), dtype=np.float64) for b in self.blocks]
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([b.ravel() for b in self.as_arrays()])
@@ -305,8 +302,5 @@ def so2_rotation_matrix(m: int, phi: float) -> np.ndarray:
 
 def rotate_so2(features: So2Features, phi: float) -> So2Features:
     """Apply the stabilizer rotation by angle phi to every order."""
-    blocks = []
-    for m, block in features.items():
-        arr = np.asarray(getattr(block, "value", block))
-        blocks.append(arr @ so2_rotation_matrix(m, phi).T)
-    return So2Features(features.layout, blocks)
+    return So2Features(features.layout, [b @ so2_rotation_matrix(m, phi).T for m, b
+                                         in zip(features.layout.indices, features.as_arrays())])

@@ -50,10 +50,10 @@ from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, as
 from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
                      so2_layout)
 from .sampling import stream
-from .so2ops import (enumerate_tp_paths, init_mlp, init_so2_ffn, init_so2_gate,
-                     init_so2_layernorm, init_so2_linear, mlp, mlp_apply, mlp_weights,
-                     scale_rows, so2_ffn, so2_gate, so2_layernorm, so2_linear,
-                     so2_tp_contract, uniform_init)
+from .so2ops import (enumerate_tp_paths, gate_apply, init_mlp, init_so2_ffn, init_so2_gate,
+                     init_so2_layernorm, init_so2_linear, mlp, mlp_weights, scale_rows,
+                     so2_ffn, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
+                     uniform_init)
 
 DEFAULT_BASIS: dict[int, tuple[int, ...]] = {
     1: (0, 0, 1),
@@ -306,42 +306,27 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
 
 def _self_interaction(h: So3Features, params, prefix) -> So3Features:
     """Per-degree channel-mixing linear ``{prefix}/lin/{l}`` followed by the
-    SO(3) gate ``{prefix}/gate`` (:func:`so2ops.so2_gate`), with the numpy
-    expressions of those two steps in their order.
+    SO(3) gate ``{prefix}/gate``, through the kernel of
+    :func:`so2ops.so2_gate`.
 
     One fused autodiff primitive whose parents are the blocks of ``h``, the
-    per-degree weights and the gate MLP's weights.  Its value stacks the
-    output degrees on the channel axis, each padded to 2 l_max + 1
-    components, and the output blocks are slices of it.
+    per-degree weights and the gate MLP's weights; its adjoint chains the
+    mix's onto :func:`so2ops.gate_apply`'s.  Its value stacks the output
+    degrees on the channel axis, each padded to 2 l_max + 1 components, and
+    the output blocks are slices of it.
     """
     layout = h.layout
     lins = [params[f"{prefix}/lin/{l}"] for l in layout.indices]
     gate = mlp_weights(params, f"{prefix}/gate/mlp")
     blocks, ws = [ad.value_of(b) for b in h.blocks], [ad.value_of(w) for w in lins]
-    mixed = [w @ x for w, x in zip(ws, blocks)]
-    out, mlp_vjp = mlp_apply([ad.value_of(w) for w in gate], mixed[0])
-    sig = 1.0 / (1.0 + np.exp(-out))
-    ends = np.cumsum([c for _, c in layout.entries])
-    rows = [slice(end - c, end) for end, (_, c) in zip(ends, layout.entries)]
-    if out.shape[-2] != ends[-1]:
-        raise ValueError("gate MLP output width mismatch")
-    value = np.zeros(h.batch_shape + (ends[-1], 2 * layout.max_index + 1))
-    value[..., rows[0], :1] = out[..., rows[0], :]
-    for l, r, x in zip(layout.indices[1:], rows[1:], mixed[1:]):
-        value[..., r, :2 * l + 1] = x * sig[..., r, :]
+    value, rows, gate_vjp = gate_apply([ad.value_of(w) for w in gate],
+                                       [w @ x for w, x in zip(ws, blocks)], layout)
 
     def vjp(g):
-        d_out = np.zeros(out.shape)
-        d_out[..., rows[0], :] = g[..., rows[0], :1]
-        d_mixed = [None]
-        for l, r, x in zip(layout.indices[1:], rows[1:], mixed[1:]):
-            part, factor = g[..., r, :2 * l + 1], sig[..., r, :]
-            d_mixed.append(part * factor)
-            d_out[..., r, :] = (part * x).sum(axis=-1, keepdims=True) * factor * (1.0 - factor)
-        d_mixed[0], *d_gate = mlp_vjp(d_out)
+        d_mixed = gate_vjp(g)   # the blocks' cotangents, then the gate weights'
         return ([w.T @ d for w, d in zip(ws, d_mixed)]
                 + [ad.unbroadcast(d @ np.swapaxes(x, -1, -2), w.shape)
-                   for w, x, d in zip(ws, blocks, d_mixed)] + d_gate)
+                   for w, x, d in zip(ws, blocks, d_mixed)] + d_mixed[len(ws):])
 
     fused = ad.primitive(value, (*h.blocks, *lins, *gate), vjp)
     return So3Features(layout, [ad.take(fused, (..., r, slice(0, 2 * l + 1)))
@@ -601,8 +586,10 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     the live parameters, and a taped ``predict`` gives the bits of an
     untaped one, so ``losses[0]`` is read off the first step's taped loss
     when there is a step.  Deterministic given the seed.  Raises
-    ValueError for negative ``steps`` or a learning rate that is not a
-    finite positive number, and RuntimeError if the loss goes non-finite.
+    ValueError for negative ``steps``, a learning rate that is not a
+    finite positive number, or a target that is not the molecule's
+    (dim, dim) matrix (in its orbital layout, if the target carries one),
+    and RuntimeError if the loss goes non-finite.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -618,6 +605,10 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     averaged = _views(average, init)
     prepared = prepare_graph(graph, config)
     target_data = np.asarray(getattr(target, "data", target), dtype=np.float64)
+    layout = getattr(target, "layout", None)
+    if target_data.shape != (prepared.layout.dim,) * 2 or layout not in (None, prepared.layout):
+        raise ValueError(f"target must be a {prepared.layout.dim}-square matrix in the "
+                         f"molecule's orbital layout, got shape {target_data.shape}")
     state = AdamState(np.zeros(flat.size), np.zeros(flat.size))
     losses = []
 

@@ -6,10 +6,12 @@ Every operation commutes with per-order planar rotations and is built on
 the autodiff primitives, so gradients with respect to inputs and
 parameters come from the same code path.  LayerNorm (one primitive per
 block), the small MLP (one per call), Linear (one per order) and the
-gate (one per gated order) are fused autodiff primitives with
-hand-written VJPs: their forward passes run the numpy expressions of the
-primitive chains they replace, in the same order, so values are
-unchanged while the tape records far fewer nodes.
+gate (one per call) are fused autodiff primitives with hand-written
+VJPs: their forward passes run the numpy expressions of the primitive
+chains they replace, in the same order, so values are unchanged while
+the tape records far fewer nodes.  The gate's kernel,
+:func:`gate_apply`, is also the gate of the model's fused
+self-interaction, so SO(2) orders and SO(3) degrees share one gate.
 
 The v-fold tensor product runs all its fusion paths at once: index
 tables built once per path list (and cached with
@@ -80,12 +82,13 @@ def init_so2_linear(params: dict, prefix: str, in_layout: IrrepsLayout,
 
 def init_so2_gate(params: dict, prefix: str, layout: IrrepsLayout,
                   rng: np.random.Generator) -> dict:
-    """Write the gate MLP ``{prefix}/mlp`` for an SO(2) or SO(3) layout."""
+    """Write the gate MLP ``{prefix}/mlp`` for an SO(2) or SO(3) layout: it
+    emits the new m = 0 channels and one gate per channel of the m > 0 blocks,
+    one output per channel of the layout."""
     c0 = layout.mult(0)
     if c0 == 0:
         raise ValueError("gate needs m = 0 channels")
-    n_gates = sum(c for m, c in layout.entries if m > 0)
-    return init_mlp(params, f"{prefix}/mlp", [c0, c0, c0, c0 + n_gates], rng)
+    return init_mlp(params, f"{prefix}/mlp", [c0, c0, c0, sum(c for _, c in layout.entries)], rng)
 
 
 def init_so2_layernorm(params: dict, prefix: str, layout: IrrepsLayout) -> dict:
@@ -183,9 +186,7 @@ def so2_linear(x: So2Features, params: dict, prefix: str) -> So2Features:
     i.e. the complex product (w1 + i w2)(x_{+m} + i x_{-m}).  Each order
     is one tape node: a matmul for m = 0, a fused primitive for m > 0.
     """
-    entries = []
-    blocks = []
-    multiplies = 0
+    entries, blocks, multiplies = [], [], 0
     for m, block in x.items():
         w1 = params.get(f"{prefix}/{m}/w1")
         if w1 is None:
@@ -224,6 +225,46 @@ def _linear_order(block, w1, w2):
 # Gate and LayerNorm (SO(2) orders or SO(3) degrees)
 # ---------------------------------------------------------------------------
 
+def gate_apply(values, blocks, layout: IrrepsLayout):
+    """The gate of MLP weight and bias arrays ``values`` (as
+    :func:`mlp_weights` orders them) on the blocks of ``layout``, SO(2)
+    orders or SO(3) degrees, the gate's counterpart of :func:`mlp_apply`.
+
+    The MLP maps the index-0 channels to the new index-0 channels and one
+    pre-sigmoid gate per channel of every other block; each such channel
+    is scaled by the sigmoid of its gate.  Returns ``(value, rows, vjp)``:
+    ``value`` stacks the output blocks on the channel axis, each padded to
+    the widest block, so block k is ``value[..., rows[k], :width_k]``, and
+    ``vjp`` maps the cotangent of ``value`` to those of each block and then
+    of each value.
+    """
+    if layout.mult(0) == 0:
+        raise ValueError("gate needs m = 0 channels")
+    ends = np.cumsum([c for _, c in layout.entries])
+    rows = [slice(end - c, end) for end, (_, c) in zip(ends, layout.entries)]
+    out, mlp_vjp = mlp_apply(values, blocks[0])
+    if out.shape[-2] != ends[-1]:
+        raise ValueError("gate MLP output width mismatch")
+    sig = 1.0 / (1.0 + np.exp(-out))
+    value = np.zeros(out.shape[:-2] + (ends[-1], max(x.shape[-1] for x in blocks)))
+    value[..., rows[0], :1] = out[..., rows[0], :]
+    for r, x in zip(rows[1:], blocks[1:]):
+        value[..., r, :x.shape[-1]] = x * sig[..., r, :]
+
+    def vjp(g):
+        d_out = np.zeros(out.shape)
+        d_out[..., rows[0], :] = g[..., rows[0], :1]
+        d_blocks = [None]
+        for r, x in zip(rows[1:], blocks[1:]):
+            part, factor = g[..., r, :x.shape[-1]], sig[..., r, :]
+            d_blocks.append(part * factor)
+            d_out[..., r, :] = (part * x).sum(axis=-1, keepdims=True) * factor * (1.0 - factor)
+        d_blocks[0], *d_values = mlp_vjp(d_out)
+        return d_blocks + d_values
+
+    return value, rows, vjp
+
+
 def so2_gate(x, params: dict, prefix: str):
     """Gate activation: MLP on the m = 0 channels; sigmoid gates for m > 0.
 
@@ -232,34 +273,26 @@ def so2_gate(x, params: dict, prefix: str):
     The MLP ``{prefix}/mlp`` sees every m = 0 channel (whatever degree it
     came from), emits the new m = 0 features and one pre-sigmoid gate
     scalar per m > 0 channel; each m > 0 channel is scaled by its sigmoid
-    gate.  The tape records the MLP, the slice of the new m = 0 features
-    and one fused primitive per gated order.
+    gate.  The tape records one fused primitive (:func:`gate_apply`) and
+    one slice of it per block.
     """
-    c0 = x.layout.mult(0)
-    out = mlp(x.block(0), params, f"{prefix}/mlp")
-    gated = [(m, c) for m, c in x.layout.entries if m > 0]
-    if ad.value_of(out).shape[-2] != c0 + sum(c for _, c in gated):
-        raise ValueError("gate MLP output width mismatch")
-    blocks = [ad.take(out, (..., slice(0, c0), slice(None)))]
-    sig = 1.0 / (1.0 + np.exp(-ad.value_of(out)))
-    offset = c0
-    for m, c in gated:
-        blocks.append(scale_rows(x.block(m), out, slice(offset, offset + c), sig))
-        offset += c
-    return type(x)(x.layout, blocks)
+    weights = mlp_weights(params, f"{prefix}/mlp")
+    value, rows, vjp = gate_apply([ad.value_of(w) for w in weights],
+                                  [ad.value_of(b) for b in x.blocks], x.layout)
+    fused = ad.primitive(value, (*x.blocks, *weights), vjp)
+    return type(x)(x.layout, [ad.take(fused, (..., r, slice(0, x.layout.component_dim(i))))
+                              for i, r in zip(x.layout.indices, rows)])
 
 
-def scale_rows(block, out, rows: slice, sig=None):
-    """``block * f[..., rows, :]`` as a primitive with parents ``(block, out)``,
-    where ``f`` is ``out`` itself or, given, its sigmoid ``sig`` (a gate)."""
+def scale_rows(block, out, rows: slice):
+    """``block * out[..., rows, :]`` as a primitive with parents ``(block, out)``."""
     vx = ad.value_of(block)
-    factor = (ad.value_of(out) if sig is None else sig)[..., rows, :]
+    factor = ad.value_of(out)[..., rows, :]
     value = vx * factor
 
     def vjp(g):
         d_out = np.zeros(ad.value_of(out).shape)
-        d_factor = (g * vx).sum(axis=-1, keepdims=True)
-        d_out[..., rows, :] = d_factor if sig is None else d_factor * factor * (1.0 - factor)
+        d_out[..., rows, :] = (g * vx).sum(axis=-1, keepdims=True)
         return g * factor, d_out
 
     return ad.primitive(value, (block, out), vjp)
@@ -588,8 +621,7 @@ def concat_orders(a: So2Features, b: So2Features) -> So2Features:
     """Concatenate two feature sets channel-wise per order."""
     if a.layout.indices != b.layout.indices:
         raise ValueError("order sets differ")
-    entries = []
-    blocks = []
+    entries, blocks = [], []
     for (m, ca), (_, cb) in zip(a.layout.entries, b.layout.entries):
         entries.append((m, ca + cb))
         blocks.append(ad.concat([a.block(m), b.block(m)], axis=-2))

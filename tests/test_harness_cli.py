@@ -113,6 +113,15 @@ class TestBench:
         assert 5.0 <= report.checks["so3_tp_slope"]["slope"] <= 6.5
         assert 2.5 <= report.checks["rotation_so2linear_slope"]["slope"] <= 3.5
 
+    @pytest.mark.parametrize("kwargs, name", [({"repeats": 0}, "repeats"),
+                                              ({"l_range": range(0, 4)}, "l_range"),
+                                              ({"m_range": range(0, 3)}, "m_range")],
+                             ids=["zero-repeats", "l-range-from-zero", "m-range-from-zero"])
+    def test_values_below_one_rejected(self, kwargs, name):
+        # no count and no logarithm of zero reaches the slope fits
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            bench(**kwargs)
+
     def test_path_count_matches_brute_force(self):
         for m in range(0, 5):
             assert len(enumerate_tp_paths(m, 2)) == brute_force_pair_paths(m)
@@ -323,10 +332,19 @@ class TestBadInput:
         ["gen", "--n-atoms", "200", "--min-dist", "5"],
         ["bench", "--lmax-range", "5:2"],
         ["bench", "--mmax-range", "4:4"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--lmax-range", "0:3"],
+        ["bench", "--mmax-range", "0:2"],
     ], ids=["negative-atoms", "zero-atoms", "element-without-basis", "impossible-packing",
-            "descending-range", "one-point-range"])
-    def test_bad_gen_or_bench_flags(self, tmp_path, capsys, argv):
-        self._assert_usage_error(argv + ["--out", str(tmp_path / "out.json")], capsys)
+            "descending-range", "one-point-range", "zero-repeats", "lmax-range-from-zero",
+            "mmax-range-from-zero"])
+    def test_bad_gen_or_bench_flags(self, tmp_path, capfd, argv):
+        # capfd also sees what LAPACK writes to file descriptor 2 (a slope
+        # fit on the logarithm of 0 prints DLASCL lines there)
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: ")
+        assert argv[0] == "gen" or argv[1].lstrip("-") in err   # names the bench flag
 
     @pytest.mark.parametrize("flags", [["--layers", "-1"], ["--trials", "0"],
                                        ["--trials", "-3"], ["--tolerance", "nan"],

@@ -18,7 +18,8 @@ from so2frames import autodiff as ad
 from so2frames.counters import OpCounter
 from so2frames.frames import rotate_so3, rotation_from_matrix
 from so2frames.graph import build_graph, sample_molecule
-from so2frames.hamiltonian import assemble, block_rotate, gen_synthetic_target
+from so2frames.hamiltonian import (BlockMatrix, assemble, block_rotate,
+                                   build_orbital_layout, gen_synthetic_target)
 from so2frames.model import (AdamState, ModelConfig, adam_step, checkpoint_dumps,
                              checkpoint_loads, default_fit_config, degree_inner_products,
                              fit_demo, fit_node_irreps, forward, init_params, message_pass,
@@ -558,6 +559,22 @@ class TestFitDemo:
             none, _ = fit_demo(graph, target, steps=0, seed=seed, config=config)
             three, _ = fit_demo(graph, target, steps=3, seed=seed, config=config)
             assert none[0].tobytes() == three[0].tobytes()
+
+    @pytest.mark.parametrize("target", [np.zeros(15), np.zeros((1, 15)), 0.0],
+                             ids=["row-vector", "one-row", "scalar"])
+    def test_target_of_wrong_shape_rejected(self, setup, target):
+        # each of these would broadcast against the 15 x 15 prediction of H3
+        graph, config, _ = setup
+        with pytest.raises(ValueError, match="15-square matrix"):
+            fit_demo(graph, target, steps=1, seed=5, config=config)
+
+    def test_target_in_another_layout_rejected(self, setup):
+        # 15 rows again, but five s orbitals per atom instead of two s and a p
+        graph, config, _ = setup
+        other = build_orbital_layout([1, 1, 1], {1: (0, 0, 0, 0, 0)})
+        with pytest.raises(ValueError, match="orbital layout"):
+            fit_demo(graph, BlockMatrix(np.zeros((15, 15)), other), steps=1, seed=5,
+                     config=config)
 
     def test_adam_step_keeps_entries_without_gradient(self, rng):
         # entries outside the live mask keep value and moments bit for bit;

@@ -7,7 +7,9 @@ import pytest
 
 from so2frames import autodiff as ad
 from so2frames.counters import OpCounter, count, counting
-from so2frames.irreps import So2Features, rotate_so2, so2_layout
+from conftest import sum_entries
+from so2frames.irreps import So2Features, So3Features, layout_parse, rotate_so2, so2_layout
+from so2frames.model import _self_interaction
 from so2frames.so2ops import (So2TpPath, enumerate_tp_paths, init_so2_ffn, init_so2_gate,
                               init_so2_layernorm, init_so2_linear, so2_ffn, so2_gate,
                               so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair)
@@ -147,6 +149,41 @@ class TestSo2Gate:
         params["gate/mlp/2/b"] = params["gate/mlp/2/b"][:-1]
         with pytest.raises(ValueError):
             so2_gate(random_so2(LAYOUT, rng), params, "gate")
+
+    def test_layout_without_index_zero_rejected(self, rng):
+        params = init_so2_gate({}, "gate", LAYOUT, rng)
+        with pytest.raises(ValueError, match="gate needs m = 0 channels"):
+            so2_gate(random_so2(so2_layout([(1, 3), (2, 2)]), rng), params, "gate")
+
+    def test_taped_gate_is_one_node_plus_slices(self, rng):
+        # the MLP and every gated block are one fused node over the input
+        # blocks and the MLP weights; each output block is a slice of it
+        params = {k: ad.Var(v) for k, v in init_so2_gate({}, "gate", LAYOUT, rng).items()}
+        x = So2Features(LAYOUT, [ad.Var(b) for b in random_so2(LAYOUT, rng).blocks])
+        out = so2_gate(x, params, "gate")
+        fused = out.blocks[0].parents[0]
+        assert all(len(b.parents) == 1 and b.parents[0] is fused for b in out.blocks)
+        assert [id(p) for p in fused.parents] == [id(v) for v in (*x.blocks, *params.values())]
+
+    def test_so3_gate_is_the_self_interaction_kernel(self, rng):
+        # with identity channel mixes the fused self-interaction is the SO(3)
+        # gate, bit for bit, in its values and its gate weights' gradients
+        layout = layout_parse("4x0e+3x1e+2x2e")
+        x = So3Features(layout, [rng.normal(size=(5,) + layout.block_shape(l))
+                                 for l in layout.indices])
+        gate = init_so2_gate({}, "si/gate", layout, rng)
+        lins = {f"si/lin/{l}": np.eye(c) for l, c in layout.entries}
+        cots = [rng.normal(size=b.shape) for b in x.blocks]
+        results = []
+        for apply in (lambda p: so2_gate(x, p, "si/gate"),
+                      lambda p: _self_interaction(x, {**lins, **p}, "si")):
+            leaves = {k: ad.Var(v) for k, v in gate.items()}
+            out = apply(leaves)
+            ad.backward(functools.reduce(ad.add, [sum_entries(ad.mul(b, c))
+                                                  for b, c in zip(out.blocks, cots)]))
+            results.append([ad.value_of(b).tobytes() for b in out.blocks]
+                           + [leaves[k].grad.tobytes() for k in gate])
+        assert results[0] == results[1]
 
 
 class TestSo2LayerNorm:
