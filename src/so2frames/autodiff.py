@@ -78,7 +78,14 @@ def is_var(x) -> bool:
     return isinstance(x, Var)
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def value_of(x) -> np.ndarray:
+    """The float64 ndarray of a Var or an array-like; a native float64
+    ndarray is returned as it is, without a call into ``np.asarray``."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 

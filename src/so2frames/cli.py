@@ -28,10 +28,13 @@ from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
 
 def _parse_range(text: str, flag: str) -> range:
     """``lo:hi``, both ends included; a log-log slope fit needs 1 <= lo < hi."""
-    lo, hi = text.split(":")
-    if not 1 <= int(lo) < int(hi):
+    try:
+        lo, hi = (int(end) for end in text.split(":"))
+    except ValueError:
+        raise ValueError(f"{flag} {text} is not lo:hi with two integer ends") from None
+    if not 1 <= lo < hi:
         raise ValueError(f"{flag} {text} must ascend from 1: a log-log slope needs two points")
-    return range(int(lo), int(hi) + 1)
+    return range(lo, hi + 1)
 
 
 def _read(path: str, parse):

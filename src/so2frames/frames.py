@@ -22,14 +22,19 @@ planar rotation of the ``(x_{-m}, x_{+m})`` pairs and the real little-d
 ``d(b)`` is a polynomial in ``cos(b/2)`` and ``sin(b/2)``.  Its
 coefficients come once per degree from the standard factorial sum,
 conjugated into the real basis with the fixed unitary U, and are cached;
-:func:`wigner_d_batch` then evaluates any number of rotations as arrays.
-The matrices satisfy ``Y(R r) = D(R) Y(r)``.
+:func:`wigner_d_batch` then evaluates any number of rotations as arrays,
+every degree up to ``l_max`` in one pass: the powers of ``cos(b/2)`` and
+``sin(b/2)`` and the order trigonometry of both Z factors are computed
+once and each degree reads its own columns, so a degree gets the same
+bits whatever ``l_max`` it is evaluated with.  The matrices satisfy
+``Y(R r) = D(R) Y(r)``.
 
 Frames are built in batches (:func:`frames_from_directions`): the angles
 of ``h = Rz(phi) Ry(theta) Rz(-phi)`` come straight from the direction,
 ``phi = atan2(y, x)`` and ``theta = atan2(hypot(x, y), z)``, which stays
 accurate next to both poles, and ``D(h^{-1})`` is evaluated for all
-directions at once, with its rows put in the order-aligned order.
+directions and degrees in one :func:`wigner_d_batch` pass, with its rows
+put in the order-aligned order.
 """
 
 from __future__ import annotations
@@ -176,31 +181,44 @@ def _small_d_table(l: int) -> np.ndarray:
     return table
 
 
-def wigner_d_batch(l: int, alpha, beta, gamma) -> np.ndarray:
+def wigner_d_batch(l_max: int, alpha, beta, gamma) -> list[np.ndarray]:
     """Real-basis Wigner-D of ``Rz(alpha) Ry(beta) Rz(gamma)`` for arrays of
-    ZYZ angles; returns shape ``(E, 2l+1, 2l+1)``.
+    ZYZ angles, every degree in one pass; returns the list over degrees
+    l = 0..l_max of arrays ``(E, 2l+1, 2l+1)``.
 
     ``D = Z(alpha) d(beta) Z(gamma)``: little-d is one matmul of the
-    monomials with the cached coefficient table, and each Z is a planar
-    rotation of the ``(x_{-m}, x_{+m})`` pairs applied elementwise.  Every
+    monomials ``cos(b/2)^(2l-q) sin(b/2)^q`` with the cached coefficient
+    table, and each Z is a planar rotation of the ``(x_{-m}, x_{+m})``
+    pairs applied elementwise.  The powers ``cos(b/2)^e`` and
+    ``sin(b/2)^e`` (e <= 2 l_max) and the cos and sin of ``k alpha`` and
+    ``k gamma`` (k = l_max..-l_max) are computed once; each degree reads
+    its own columns.  Every value is an elementwise function of its angle
+    and exponent, so a degree's bits do not depend on ``l_max``, and every
     output matrix depends only on its own angles, so reordering the batch
     reorders the output.
     """
-    if l < 0 or l > DEFAULT_L_CAP:
-        raise ValueError(f"degree must be in [0, {DEFAULT_L_CAP}], got {l}")
+    if l_max < 0 or l_max > DEFAULT_L_CAP:
+        raise ValueError(f"degree must be in [0, {DEFAULT_L_CAP}], got {l_max}")
     alpha, beta, gamma = (np.asarray(a, dtype=np.float64).reshape(-1)
                           for a in (alpha, beta, gamma))
-    n = 2 * l + 1
-    q = np.arange(n)
-    c, s = np.cos(beta / 2.0)[:, None], np.sin(beta / 2.0)[:, None]
-    d = ((c ** (2 * l - q) * s ** q) @ _small_d_table(l)).reshape(-1, n, n)
-    # Z(a) acts on component r through order k = l - r:
+    e = np.arange(2 * l_max + 1)
+    c_pow = np.cos(beta / 2.0)[:, None] ** e
+    s_pow = np.sin(beta / 2.0)[:, None] ** e
+    # Z(a) acts on component r of degree l through order k = l - r, the
+    # columns [l_max - l, l_max + l] of the order arrays:
     # rows  Z(a) A = cos(k a) A + sin(k a) A[::-1],
     # cols  A Z(a) = cos(k a) A - sin(k a) A[:, ::-1].
-    k = np.arange(l, -l - 1, -1)
+    k = np.arange(l_max, -l_max - 1, -1)
     ka, kg = np.multiply.outer(alpha, k), np.multiply.outer(gamma, k)
-    d = np.cos(ka)[:, :, None] * d + np.sin(ka)[:, :, None] * d[:, ::-1, :]
-    return np.cos(kg)[:, None, :] * d - np.sin(kg)[:, None, :] * d[:, :, ::-1]
+    cos_a, sin_a, cos_g, sin_g = np.cos(ka), np.sin(ka), np.cos(kg), np.sin(kg)
+    out = []
+    for l in range(l_max + 1):
+        n = 2 * l + 1
+        d = ((c_pow[:, 2 * l::-1] * s_pow[:, :n]) @ _small_d_table(l)).reshape(-1, n, n)
+        cols = slice(l_max - l, l_max + l + 1)
+        d = cos_a[:, cols, None] * d + sin_a[:, cols, None] * d[:, ::-1, :]
+        out.append(cos_g[:, None, cols] * d - sin_g[:, None, cols] * d[:, :, ::-1])
+    return out
 
 
 def wigner_d(l: int, rotation: Rotation) -> np.ndarray:
@@ -210,13 +228,16 @@ def wigner_d(l: int, rotation: Rotation) -> np.ndarray:
     ``Y_l(R r) = wigner_d(l, R) @ Y_l(r)``.  A batch of one through
     :func:`wigner_d_batch`.
     """
-    return wigner_d_batch(l, *rotation.euler)[0]
+    return wigner_d_batch(l, *rotation.euler)[l][0]
 
 
 @lru_cache(maxsize=None)
-def _alignment_rows(l: int) -> tuple[int, ...]:
-    """Degree-l component indices in the order (0, -1,+1, -2,+2, ...)."""
-    return (l,) + tuple(i for m in range(1, l + 1) for i in (l - m, l + m))
+def _alignment_rows(l: int) -> np.ndarray:
+    """Degree-l component indices in the order (0, -1,+1, -2,+2, ...); shared,
+    read-only."""
+    rows = np.array([l] + [i for m in range(1, l + 1) for i in (l - m, l + m)])
+    rows.setflags(write=False)
+    return rows
 
 
 def order_alignment_permutation(l: int) -> np.ndarray:
@@ -225,7 +246,7 @@ def order_alignment_permutation(l: int) -> np.ndarray:
     In the permuted basis a rotation about the target axis is
     block-diagonal ``diag(1, R_1(a), ..., R_l(a))``.
     """
-    return np.eye(2 * l + 1)[list(_alignment_rows(l))]
+    return np.eye(2 * l + 1)[_alignment_rows(l)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +283,18 @@ class Frame:
     def take(self, index) -> "Frame":
         """The frames of a batch at an index array, where index -1 gives the
         exact identity frame of TARGET_AXIS, whose rows are
-        :func:`order_alignment_permutation` (for an item without a direction)."""
-        return Frame([np.concatenate([d, order_alignment_permutation(l)[None]])[index]
-                      for l, d in enumerate(self.d_in)])
+        :func:`order_alignment_permutation` (for an item without a direction).
+        The batch is gathered as it is and the identity written over the
+        items at -1, so an empty batch can give identities."""
+        index = np.asarray(index)
+        blank = np.flatnonzero(index == -1)
+        taken = []
+        for l, d in enumerate(self.d_in):
+            items = np.empty(index.shape + d.shape[1:]) if len(blank) == len(index) else d[index]
+            if len(blank):
+                items[blank] = order_alignment_permutation(l)
+            taken.append(items)
+        return Frame(taken)
 
 
 # phi of the frame at -TARGET_AXIS: h = Rz(phi) Ry(pi) Rz(-phi) is the pi
@@ -300,8 +330,8 @@ def frames_from_directions(directions, l_max: int = 4) -> Frame:
     residual = np.linalg.norm(np.einsum("eji,ej->ei", h, r) - TARGET_AXIS, axis=1)
     if np.any(residual > 1e-12):
         raise AssertionError(f"frame residual {residual.max()}")
-    return Frame([wigner_d_batch(l, phi, -theta, -phi)[:, _alignment_rows(l)]
-                  for l in range(l_max + 1)])
+    return Frame([d.take(_alignment_rows(l), axis=1)
+                  for l, d in enumerate(wigner_d_batch(l_max, phi, -theta, -phi))])
 
 
 def frame_from_direction(direction, l_max: int = 4) -> Frame:

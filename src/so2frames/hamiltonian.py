@@ -58,16 +58,19 @@ def build_orbital_layout(atomic_numbers, basis_config: dict[int, tuple[int, ...]
     every atom needs a non-empty list of non-negative integer degrees (a
     boolean is not one)."""
     degrees, offsets, row = [], [], 0
+    checked = {}  # each element's degrees and orbital sizes, checked once
     for z in atomic_numbers:
         z = int(z)
-        if z not in basis_config:
-            raise ValueError(f"element {z} missing from basis configuration")
-        orbs = tuple(basis_config[z])
-        if not orbs or not all(isinstance(l, Integral) and not isinstance(l, bool) and l >= 0
-                               for l in orbs):
-            raise ValueError(f"basis entry {z} is not a non-empty list of non-negative "
-                             f"integer degrees: {list(orbs)}")
-        sizes = [2 * l + 1 for l in orbs]
+        if z not in checked:
+            if z not in basis_config:
+                raise ValueError(f"element {z} missing from basis configuration")
+            orbs = tuple(basis_config[z])
+            if not orbs or not all(isinstance(l, Integral) and not isinstance(l, bool)
+                                   and l >= 0 for l in orbs):
+                raise ValueError(f"basis entry {z} is not a non-empty list of non-negative "
+                                 f"integer degrees: {list(orbs)}")
+            checked[z] = orbs, [2 * l + 1 for l in orbs]
+        orbs, sizes = checked[z]
         degrees.append(orbs)
         offsets.append(tuple(accumulate(sizes[:-1], initial=row)))
         row += sum(sizes)
@@ -139,16 +142,20 @@ def init_expansion(params: dict, config, rng) -> None:
 class AssemblyGroup:
     """The orbital blocks of one degree pair (l_s, l_t).
 
-    Block b expands item ``k[b]`` (atoms, then edges).  ``weights[l3]`` is
-    the (blocks, mult_l3) index of each block's weights into the plan's
-    stacked weights, for the node degrees l3 that the expansion reads, in
-    ascending order; ``table`` is their :func:`cg.stacked_cg_table`.
+    Block b expands item ``k[b]`` (atoms, then edges) with the weights of
+    segment ``seg[b]``, one orbital pair (s, t) of one item kind.  For
+    each node degree l3 that the expansion reads, in ascending order,
+    ``weights[l3]`` is ``(offset, mult, segments)``: the group's weights of
+    that degree are ``stacked[offset:offset + segments * mult]`` of the
+    plan's stacked weights, one row of ``mult`` per segment.  ``table`` is
+    the degrees' :func:`cg.stacked_cg_table`.
     """
 
     ls: int
     lt: int
     k: np.ndarray
-    weights: dict[int, np.ndarray]
+    seg: np.ndarray
+    weights: dict[int, tuple[int, int, int]]
     table: np.ndarray
 
 
@@ -157,9 +164,11 @@ class AssemblyPlan:
     """Everything of an assembly that does not depend on the parameters.
 
     ``keys`` are the weight keys that the molecule's kinds read, in the
-    order they are stacked; ``index`` maps every entry of the (dim, dim)
-    matrix into the flattened group outputs, where -1 reads a zero (atoms
-    beyond the cutoff).
+    order they are stacked (group, l3, segment); ``index`` maps every
+    entry of the (dim, dim) matrix into the flattened group outputs, where
+    -1 reads a zero (atoms beyond the cutoff).  Only ``k``, ``seg`` and
+    ``index`` are per molecule: the segments, weights and tables come from
+    a cache keyed on the kinds present.
     """
 
     groups: tuple[AssemblyGroup, ...]
@@ -174,9 +183,10 @@ def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
     A kind is (edge, z_i, z_j): an atom z is (False, z, z).  A segment is
     one orbital pair (s, t) of one kind; a group lists its segments kind by
     kind, then (s, t) row-major.  Returns the groups that read a node
-    degree l3, each as (l_s, l_t, the layout of those degrees, each
-    segment's kind index, s and t), then the weight keys of their segments
-    in stacking order (group, l3, segment).
+    degree l3, each as (l_s, l_t, the range [lo, hi) of its segments, the
+    :class:`AssemblyGroup` ``weights`` and ``table``); then each segment's
+    kind index, s and t, the groups' segments in turn; then the weight keys
+    of their segments in stacking order (group, l3, segment).
     """
     orbitals, node_layout = dict(basis), layout_parse(node_irreps)
     found: dict[tuple[int, int], list] = {}
@@ -184,17 +194,22 @@ def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
         for s, ls in enumerate(orbitals[zi]):
             for t, lt in enumerate(orbitals[zj]):
                 found.setdefault((ls, lt), []).append((u, s, t))
-    groups, keys = [], []
+    groups, listed, keys, stacked = [], [], [], 0
     for (ls, lt), segments in sorted(found.items()):
         degrees = expansion_degrees(ls, lt, node_layout)
         if not degrees.entries:  # the group's blocks stay zero
             continue
-        for l3 in degrees.indices:
+        weights = {}
+        for l3, mult in degrees.entries:
+            weights[l3] = (stacked, mult, len(segments))
+            stacked += len(segments) * mult
             keys += [_expansion_key(*kinds[u], s, t, l3) for u, s, t in segments]
-        table = np.array(segments)
-        table.flags.writeable = False
-        groups.append((ls, lt, degrees, *table.T))
-    return tuple(groups), tuple(keys)
+        groups.append((ls, lt, len(listed), len(listed) + len(segments), weights,
+                       stacked_cg_table(ls, lt, degrees.indices)))
+        listed += segments
+    table = np.array(listed, dtype=np.intp).reshape(-1, 3)
+    table.flags.writeable = False
+    return tuple(groups), table.T, tuple(keys)
 
 
 def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyPlan:
@@ -203,12 +218,13 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
     Items are the atoms (i, i), then the edges (i, j).  Each group lists
     its segments in ascending kind (atoms before edges, then z_i, z_j),
     then (s, t) row-major, and the items of a segment in ascending order.
-    The segments and weight keys come from a cache keyed on the basis, the
-    node irreps and the kinds present, so a graph costs a few array
-    operations per group.
+    The segments, weight offsets, tables and weight keys come from a cache
+    keyed on the basis, the node irreps and the kinds present; the blocks
+    of all groups are found in one pass of array operations, and each
+    group then slices its own.
     """
     numbers = np.asarray(numbers)
-    n = len(numbers)
+    n, dim = len(numbers), layout.dim
     rows, cols = (np.concatenate([np.arange(n), ends]) for ends in (src, dst))
     base = int(numbers.max(initial=0)) + 1
     codes, kind_of = np.unique((np.arange(len(rows)) >= n) * base * base
@@ -218,27 +234,24 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
     by_kind = np.argsort(kind_of, kind="stable")
     first = np.cumsum(counts) - counts          # each kind's start in by_kind
     starts = np.array(list(zip_longest(*layout.offsets, fillvalue=0))).T  # (atom, orbital)
-    segment_groups, keys = _segments(config.basis, config.node_irreps, kinds)
-    index = np.full(layout.dim * layout.dim, -1)
-    groups, stacked, placed = [], 0, 0
-    for ls, lt, degrees, kind, s, t in segment_groups:
-        # one block per segment and item of its kind
-        width = counts[kind]
-        seg = np.repeat(np.arange(len(kind)), width)
-        shift = first[kind] - (np.cumsum(width) - width)  # segment start -> its kind's start
-        k = by_kind[np.arange(len(seg)) + np.repeat(shift, width)]
-        weights = {}
-        for l3, mult in degrees.entries:
-            weights[l3] = (seg * mult)[:, None] + (stacked + np.arange(mult))
-            stacked += len(kind) * mult
-        groups.append(AssemblyGroup(ls, lt, k, weights, stacked_cg_table(ls, lt, degrees.indices)))
+    segment_groups, (kind, s, t), keys = _segments(config.basis, config.node_irreps, kinds)
+    # one block per segment and item of its kind, for the segments of all groups
+    width = counts[kind]
+    bounds = np.concatenate([[0], np.cumsum(width)])   # each segment's first block
+    seg = np.repeat(np.arange(len(kind)), width)
+    k = by_kind[np.arange(len(seg)) + np.repeat(first[kind] - bounds[:-1], width)]
+    corner = starts[rows[k], s[seg]] * dim + starts[cols[k], t[seg]]
+    index = np.full(dim * dim, -1)
+    groups, placed = [], 0
+    for ls, lt, lo, hi, weights, table in segment_groups:
+        blocks = slice(bounds[lo], bounds[hi])
+        groups.append(AssemblyGroup(ls, lt, k[blocks], seg[blocks] - lo, weights, table))
         # the flat matrix position of each block entry, row-major per block
-        corner = starts[rows[k], s[seg]] * layout.dim + starts[cols[k], t[seg]]
-        entry = np.arange(2 * ls + 1)[:, None] * layout.dim + np.arange(2 * lt + 1)
-        position = (corner[:, None] + entry.ravel()).ravel()
+        entry = np.arange(2 * ls + 1)[:, None] * dim + np.arange(2 * lt + 1)
+        position = (corner[blocks, None] + entry.ravel()).ravel()
         index[position] = np.arange(placed, placed + len(position))
         placed += len(position)
-    return AssemblyPlan(tuple(groups), keys, index.reshape(layout.dim, layout.dim))
+    return AssemblyPlan(tuple(groups), keys, index.reshape(dim, dim))
 
 
 def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix:
@@ -253,14 +266,18 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
     per-graph ``prepared.plan``, each degree pair (l_s, l_t) gathers its
     items and weights and makes the two contractions of
     :func:`cg.expansion` for all its blocks at once: weights with features
-    per degree l3, then the group's stacked CG table.  The plan's index map
-    places every block, and the result is symmetrized.
+    per degree l3, then the group's stacked CG table.  A degree's weights
+    are one (segments, mult) view of the stacked weights, and block b
+    reads row ``seg[b]`` of it.  The plan's index map places every block,
+    and the result is symmetrized.
 
     One fused autodiff primitive whose parents are the blocks of ``h``,
     then those of ``pair``, then the weights in ``plan.keys`` order.  Its
     adjoint symmetrizes the cotangent, reads each block's entries back
     through the index map, multiplies them by the table, and scatter-adds
-    the feature and weight cotangents into their items and weights.
+    the feature cotangents into their items and the weight cotangents,
+    by segment, into the same (segments, mult) views of the stacked
+    weights' cotangent.
     """
     plan = prepared.plan
     weights = [params[key] for key in plan.keys]
@@ -269,7 +286,9 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
              for (l, a), b in zip(h.items(), pair.blocks)}
     gathered, outputs = [], []
     for group in plan.groups:
-        feats = [(items[l3][group.k], stacked[index]) for l3, index in group.weights.items()]
+        feats = [(items[l3][group.k],
+                  stacked[off:off + segs * mult].reshape(segs, mult).take(group.seg, axis=0))
+                 for l3, (off, mult, segs) in group.weights.items()]
         y = [np.einsum("...uc,...u->...c", x, w) for x, w in feats]
         y = y[0] if len(y) == 1 else np.concatenate(y, axis=-1)
         gathered.append(feats)
@@ -290,11 +309,12 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
             start += len(d_out)
             d_y = np.einsum("...n,nc->...c", d_out.reshape(len(group.k), -1), group.table)
             col = 0
-            for (l3, index), (x, w) in zip(group.weights.items(), feats):
+            for (l3, (off, mult, segs)), (x, w) in zip(group.weights.items(), feats):
                 d_part = d_y[..., col:col + 2 * l3 + 1]
                 col += 2 * l3 + 1
                 np.add.at(d_items[l3], group.k, w[..., None] * d_part[..., None, :])
-                np.add.at(d_stacked, index, np.einsum("...uc,...c->...u", x, d_part))
+                np.add.at(d_stacked[off:off + segs * mult].reshape(segs, mult), group.seg,
+                          np.einsum("...uc,...c->...u", x, d_part))
         n = h.batch_shape[0]
         ends = np.cumsum([np.size(ad.value_of(w)) for w in weights])[:-1]
         return ([d[:n] for d in d_items.values()] + [d[n:] for d in d_items.values()]

@@ -13,7 +13,10 @@ from so2frames import autodiff as ad
 from so2frames.cg import PathWeights, expansion, so3_tensor_product, valid_paths
 from so2frames.frames import (frame_from_direction, frames_from_directions, from_local,
                               so2_layout_of, to_local)
+from so2frames.graph import build_graph, sample_molecule
+from so2frames.hamiltonian import assemble
 from so2frames.irreps import So2Features, So3Features, real_spherical_harmonics, so2_layout, so3_layout
+from so2frames.model import ModelConfig, init_params, prepare_graph
 from so2frames.sampling import random_unit_vector, stream
 from so2frames.so2ops import (enumerate_tp_paths, init_so2_ffn, init_so2_gate, mlp,
                               so2_ffn, so2_gate, so2_layernorm, so2_linear,
@@ -379,6 +382,28 @@ class TestOperationVjps:
                   lambda: [rng.normal(size=self.so3.block_shape(l))
                            for l in self.so3.indices]
                   + [rng.normal(size=2) for _ in range(3)], rng)
+
+    def test_assemble(self, rng):
+        # node blocks, pair blocks and the weights the plan gathers by segment
+        positions = sample_molecule(2, 4, [1, 6, 8], 1.4, 15.0).positions
+        graph = build_graph([1, 6, 8, 1], positions, 15.0)
+        config = ModelConfig(elements=(1, 6, 8))
+        prepared = prepare_graph(graph, config)
+        layout, keys = config.node_layout, prepared.plan.keys
+        params = init_params(config)
+        cot = np.random.default_rng(6).normal(size=(prepared.layout.dim,) * 2)
+        k = len(layout.indices)
+
+        def build_loss(arrays):
+            def loss(leaves):
+                h, pair = So3Features(layout, leaves[:k]), So3Features(layout, leaves[k:2 * k])
+                H = assemble(h, pair, prepared, dict(zip(keys, leaves[2 * k:])))
+                return sum_entries(ad.mul(H.data, cot))
+            return loss
+        self._run(build_loss,
+                  lambda: [rng.normal(size=(len(items),) + layout.block_shape(l))
+                           for items in (graph.numbers, prepared.src) for l in layout.indices]
+                  + [rng.normal(size=params[key].shape) for key in keys], rng)
 
     def test_so3_tensor_product(self, rng):
         L = 2

@@ -10,7 +10,7 @@ from so2frames.frames import (FALLBACK_AXIS, TARGET_AXIS, frame_average_check,
                               order_alignment_permutation, rotate_so3,
                               rotation_from_axis_angle, rotation_from_euler,
                               rotation_from_matrix, so2_layout_of, to_local,
-                              wigner_d)
+                              wigner_d, wigner_d_batch)
 from so2frames.irreps import (So2Features, So3Features, layout_parse,
                               real_spherical_harmonics, rotate_so2,
                               so2_rotation_matrix)
@@ -117,6 +117,22 @@ class TestWignerD:
                 assert np.array_equal(wigner_d(l, R), np.eye(2 * l + 1))
                 assert np.array_equal(wigner_d(l, R.inverse()), np.eye(2 * l + 1))
 
+    def test_degree_bits_independent_of_l_max(self, rng):
+        # one pass shares the powers and the order trig over all degrees;
+        # each degree must still get the bits it gets in a pass of its own
+        for _ in range(20):
+            E = int(rng.integers(1, 40))
+            alpha, beta = rng.uniform(-math.pi, math.pi, (2, E))
+            beta[rng.random(E) < 0.3] = 0.0
+            for gamma in (-alpha, rng.uniform(-math.pi, math.pi, E)):
+                L = int(rng.integers(0, 9))
+                every = wigner_d_batch(L, alpha, beta, gamma)
+                assert len(every) == L + 1
+                for l in range(L + 1):
+                    alone = wigner_d_batch(l, alpha, beta, gamma)[l]
+                    assert every[l].shape == (E, 2 * l + 1, 2 * l + 1)
+                    assert every[l].tobytes() == alone.tobytes()
+
 
 class TestFrame:
     def test_target_axis_gives_identity(self):
@@ -210,6 +226,13 @@ class TestBatchedFrames:
             assert np.array_equal(frame.rotation.matrix, frames[k].rotation.matrix)
             for l in range(l_max + 1):
                 assert np.array_equal(frame.d_in[l], frames[k].d_in[l])
+
+    def test_degrees_independent_of_l_max(self, rng):
+        directions = np.concatenate([rng.normal(size=(30, 3)), [[0.0, 0.0, 1.0],
+                                     [0.0, 0.0, -1.0], [-0.0, 0.0, 2.0], [0.0, -0.0, -0.5]]])
+        wide, narrow = frames_from_directions(directions, 4), frames_from_directions(directions, 2)
+        for l in range(3):
+            assert wide.d_in[l].tobytes() == narrow.d_in[l].tobytes()
 
     def test_rejects_bad_directions(self):
         for bad in ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[np.nan, 0.0, 1.0]],

@@ -346,6 +346,14 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert argv[0] == "gen" or argv[1].lstrip("-") in err   # names the bench flag
 
+    @pytest.mark.parametrize("flag, text", [("--lmax-range", "3"), ("--lmax-range", "a:b"),
+                                            ("--mmax-range", "1:2:3")],
+                             ids=["one-end", "not-integers", "three-ends"])
+    def test_malformed_bench_range(self, tmp_path, capsys, flag, text):
+        assert main(["bench", flag, text, "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {text} ") and "lo:hi" in err
+
     @pytest.mark.parametrize("flags", [["--layers", "-1"], ["--trials", "0"],
                                        ["--trials", "-3"], ["--tolerance", "nan"],
                                        ["--tolerance=-1e-9"], ["--tolerance", "inf"]],
