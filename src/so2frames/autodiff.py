@@ -18,6 +18,13 @@ Operands are whole batches (all nodes or all edges of a molecule), so a
 tape records one node per batched operation, not one per item;
 :func:`segment_sum` is the order-independent aggregation over neighbors.
 
+Every channel mix, a matrix product by a learned weight matrix, runs
+through :func:`matmul_apply`, the kernel of :func:`matmul` that the fused
+primitives call too: a 2-D weight shared by every item of a batch gets
+its cotangent from one product over all items, in this one place.  (The
+frame rotations and tensor-product tables are constants; only their
+inputs get cotangents.)
+
 Fused primitives: an operation that would otherwise record a chain of
 small nodes can be one node of its own.  It computes its value with plain
 numpy, keeps what its adjoint needs in a closure and returns
@@ -185,16 +192,31 @@ def mul(a, b):
     return primitive(out, (a, b), vjp)
 
 
+def _rows(a):
+    """The columns of every item of a batched ``(..., R, C)`` array as the
+    rows of one ``(items * C, R)`` array."""
+    return np.swapaxes(a, -1, -2).reshape(-1, a.shape[-2])
+
+
+def matmul_apply(va, vb):
+    """``va @ vb`` of arrays that are at least 2-D, and its adjoint, which
+    maps the output cotangent to those of ``va`` and ``vb``.
+
+    A 2-D ``va`` is a weight shared by every item of ``vb``: its cotangent
+    is one product over all items and columns, ``rows(g).T @ rows(vb)``,
+    with no per-item temporary.  Any other operand sums the per-item
+    products over its broadcast axes."""
+    def vjp(g):
+        ga = (_rows(g).T @ _rows(vb) if va.ndim == 2
+              else unbroadcast(g @ np.swapaxes(vb, -1, -2), va.shape))
+        return ga, unbroadcast(np.swapaxes(va, -1, -2) @ g, vb.shape)
+
+    return va @ vb, vjp
+
+
 def matmul(a, b):
     """Batched matrix product ``a @ b`` of operands that are at least 2-D."""
-    va, vb = value_of(a), value_of(b)
-    out = va @ vb
-
-    def vjp(g):
-        ga = g @ np.swapaxes(vb, -1, -2)
-        gb = np.swapaxes(va, -1, -2) @ g
-        return unbroadcast(ga, va.shape), unbroadcast(gb, vb.shape)
-
+    out, vjp = matmul_apply(value_of(a), value_of(b))
     return primitive(out, (a, b), vjp)
 
 

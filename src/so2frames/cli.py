@@ -74,9 +74,12 @@ def _emit_report(report: RunReport, args) -> int:
 
 
 def cmd_gen(args) -> int:
-    graph = sample_molecule(args.seed, args.n_atoms,
-                            [int(z) for z in args.elements.split(",")],
-                            args.min_dist, args.cutoff)
+    try:
+        elements = [int(z) for z in args.elements.split(",")]
+    except ValueError:
+        raise ValueError(f"--elements {args.elements} is not a comma-separated list of "
+                         "atomic numbers") from None
+    graph = sample_molecule(args.seed, args.n_atoms, elements, args.min_dist, args.cutoff)
     config = _config_from_args(args, default_fit_config(graph))
     H, S = gen_synthetic_target(graph, args.seed, config=config,
                                 spd_overlap=args.spd_overlap)

@@ -457,9 +457,10 @@ def _from_local_vjp(rotation, aligned_shape, rows, parents):
 
 
 def rotate_so3(features: So3Features, rotation: Rotation) -> So3Features:
-    """Apply a global rotation to SO(3) features (per-degree Wigner-D)."""
-    blocks = [ad.matmul(block, wigner_d(l, rotation).T) for l, block in features.items()]
-    return So3Features(features.layout, blocks)
+    """Apply a global rotation to SO(3) features (per-degree Wigner-D, every
+    degree from one pass)."""
+    d = wigner_d_batch(features.layout.max_index, *rotation.euler)
+    return So3Features(features.layout, [ad.matmul(x, d[l][0].T) for l, x in features.items()])
 
 
 def frame_average_check(phi, direction, x: So3Features, samples: int,

@@ -47,6 +47,12 @@ class MoleculeGraph:
         return json.dumps(doc, indent=1)
 
 
+def _check_cutoff(cutoff) -> None:
+    # NaN fails the comparison; a bool would pass as 1, a string would raise TypeError
+    if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not cutoff > 0.0:
+        raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
+
+
 def build_graph(numbers, positions, cutoff: float,
                 overlap=None, hamiltonian=None) -> MoleculeGraph:
     """Every ordered atom pair (i, j) within the cutoff, in one array pass;
@@ -57,9 +63,7 @@ def build_graph(numbers, positions, cutoff: float,
         raise ValueError(f"positions shape {positions.shape} does not match {len(numbers)} atoms")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite (found NaN or inf)")
-    # NaN fails the comparison; a bool would pass as 1, a string would raise TypeError
-    if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not cutoff > 0.0:
-        raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
+    _check_cutoff(cutoff)
     i, j = np.nonzero(~np.eye(len(numbers), dtype=bool))
     delta = positions[j] - positions[i]
     # per-pair dot products match np.linalg.norm bit for bit (norm(axis=-1) does not)
@@ -113,13 +117,15 @@ def sample_molecule(seed: int, n_atoms: int, elements, min_dist: float,
 
     Atoms are placed uniformly in a cube sized so that the geometry stays
     well inside the cutoff, with every pairwise distance >= min_dist.
-    Deterministic given the seed.  Raises RuntimeError if max_tries
-    placements fail.
+    Deterministic given the seed.  Raises ValueError, before sampling, for
+    a bad ``n_atoms``, ``min_dist`` or ``cutoff``, and RuntimeError if
+    max_tries placements fail.
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
-    if min_dist <= 0:
-        raise ValueError("min_dist must be positive")
+    if not (isinstance(min_dist, Real) and 0.0 < min_dist < np.inf):   # NaN fails too
+        raise ValueError(f"min_dist must be a finite positive number, got {min_dist!r}")
+    _check_cutoff(cutoff)
     elements = list(elements)
     rng = stream(seed, "molecule-gen")
     side = max(2.0 * min_dist, min_dist * (n_atoms ** (1.0 / 3.0)) * 2.0)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .cg import stacked_cg_table
-from .frames import Rotation, wigner_d
+from .frames import Rotation, wigner_d_batch
 from .graph import MoleculeGraph, finite_array
 from .irreps import IrrepsLayout, So3Features, layout_parse, so3_layout
 from .so2ops import uniform_init
@@ -328,15 +328,16 @@ def block_rotate(H: BlockMatrix, g: Rotation) -> BlockMatrix:
     """Independent equivariance oracle: conjugate every orbital sub-block.
 
     Builds the block-diagonal direct sum T of per-orbital Wigner-D
-    matrices and returns T H T^T, which equals applying
-    ``D_{l_s}(g) . D_{l_t}(g)^T`` block-wise.
+    matrices, every degree from one Wigner pass, and returns T H T^T,
+    which equals applying ``D_{l_s}(g) . D_{l_t}(g)^T`` block-wise.
     """
     layout = H.layout
+    d = wigner_d_batch(max((l for orbs in layout.degrees for l in orbs), default=0), *g.euler)
     T = np.zeros((layout.dim, layout.dim))
     for i, orbs in enumerate(layout.degrees):
         for s, l in enumerate(orbs):
             sl = layout.orbital_slice(i, s)
-            T[sl, sl] = wigner_d(l, g)
+            T[sl, sl] = d[l][0]
     return BlockMatrix(T @ H.array @ T.T, layout)
 
 

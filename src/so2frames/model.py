@@ -318,15 +318,14 @@ def _self_interaction(h: So3Features, params, prefix) -> So3Features:
     layout = h.layout
     lins = [params[f"{prefix}/lin/{l}"] for l in layout.indices]
     gate = mlp_weights(params, f"{prefix}/gate/mlp")
-    blocks, ws = [ad.value_of(b) for b in h.blocks], [ad.value_of(w) for w in lins]
+    mixes = [ad.matmul_apply(ad.value_of(w), ad.value_of(x)) for w, x in zip(lins, h.blocks)]
     value, rows, gate_vjp = gate_apply([ad.value_of(w) for w in gate],
-                                       [w @ x for w, x in zip(ws, blocks)], layout)
+                                       [out for out, _ in mixes], layout)
 
     def vjp(g):
         d_mixed = gate_vjp(g)   # the blocks' cotangents, then the gate weights'
-        return ([w.T @ d for w, d in zip(ws, d_mixed)]
-                + [ad.unbroadcast(d @ np.swapaxes(x, -1, -2), w.shape)
-                   for w, x, d in zip(ws, blocks, d_mixed)] + d_mixed[len(ws):])
+        d_lins, d_blocks = zip(*(mix_vjp(d) for (_, mix_vjp), d in zip(mixes, d_mixed)))
+        return [*d_blocks, *d_lins, *d_mixed[len(lins):]]
 
     fused = ad.primitive(value, (*h.blocks, *lins, *gate), vjp)
     return So3Features(layout, [ad.take(fused, (..., r, slice(0, 2 * l + 1)))

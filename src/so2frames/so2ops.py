@@ -12,6 +12,9 @@ chains they replace, in the same order, so values are unchanged while
 the tape records far fewer nodes.  The gate's kernel,
 :func:`gate_apply`, is also the gate of the model's fused
 self-interaction, so SO(2) orders and SO(3) degrees share one gate.
+Every channel mix (each MLP layer, each Linear order) computes its
+product and adjoint through :func:`autodiff.matmul_apply`, so every
+mixing weight gets its cotangent from one formula.
 
 The v-fold tensor product runs all its fusion paths at once: index
 tables built once per path list (and cached with
@@ -126,11 +129,12 @@ def mlp_apply(values, x):
     orders them) on an array column ``x``: its output and its adjoint,
     which maps the output cotangent to those of ``x`` and of each value."""
     n = len(values) // 2
-    inputs, hidden = [], []
+    mixes, hidden = [], []
     out = x
     for k in range(n):
-        inputs.append(out)
-        out = values[2 * k] @ out + values[2 * k + 1].reshape(-1, 1)
+        out, mix_vjp = ad.matmul_apply(values[2 * k], out)
+        mixes.append(mix_vjp)
+        out = out + values[2 * k + 1].reshape(-1, 1)
         if k != n - 1:
             sig = 1.0 / (1.0 + np.exp(-out))
             hidden.append((out, sig))
@@ -142,11 +146,8 @@ def mlp_apply(values, x):
             if k != n - 1:
                 pre, sig = hidden[k]
                 g = g * sig * (1.0 + pre * (1.0 - sig))
-            a = inputs[k]
-            rows = np.swapaxes(g, -1, -2).reshape(-1, g.shape[-2])
-            grads[2 * k + 1] = rows.T @ np.swapaxes(a, -1, -2).reshape(-1, a.shape[-2])
-            grads[2 * k + 2] = rows.sum(axis=0)
-            g = np.swapaxes(values[2 * k], -1, -2) @ g
+            grads[2 * k + 2] = np.swapaxes(g, -1, -2).reshape(-1, g.shape[-2]).sum(axis=0)
+            grads[2 * k + 1], g = mixes[k](g)
         grads[0] = g
         return grads
 
@@ -209,16 +210,15 @@ def so2_linear(x: So2Features, params: dict, prefix: str) -> So2Features:
 def _linear_order(block, w1, w2):
     """One order m > 0 of :func:`so2_linear`, ``w1 x + w2 (x _TURN)``, as a
     primitive with parents ``(block, w1, w2)``."""
-    vx, v1, v2 = ad.value_of(block), ad.value_of(w1), ad.value_of(w2)
-    turned = vx @ _TURN   # (w1 + i w2) x = w1 x + w2 (i x)
-    out = v1 @ vx + v2 @ turned
+    vx = ad.value_of(block)
+    out1, vjp1 = ad.matmul_apply(ad.value_of(w1), vx)
+    out2, vjp2 = ad.matmul_apply(ad.value_of(w2), vx @ _TURN)   # (w1 + i w2) x = w1 x + w2 (i x)
 
     def vjp(g):
-        d_x = v1.T @ g + (v2.T @ g) @ _TURN.T
-        return (d_x, ad.unbroadcast(g @ np.swapaxes(vx, -1, -2), v1.shape),
-                ad.unbroadcast(g @ np.swapaxes(turned, -1, -2), v2.shape))
+        (d_w1, d_x), (d_w2, d_turned) = vjp1(g), vjp2(g)
+        return d_x + d_turned @ _TURN.T, d_w1, d_w2
 
-    return ad.primitive(out, (block, w1, w2), vjp)
+    return ad.primitive(out1 + out2, (block, w1, w2), vjp)
 
 
 # ---------------------------------------------------------------------------

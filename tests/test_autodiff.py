@@ -28,7 +28,7 @@ TOL = 1e-5
 
 class TestPrimitives:
     @pytest.mark.parametrize("name", [
-        "add", "sub", "mul", "matmul", "einsum", "einsum_const", "concat",
+        "add", "sub", "mul", "matmul", "matmul_shared_weight", "einsum", "einsum_const", "concat",
         "take", "take_indices", "absolute", "mean_all", "sum_axis", "segment_sum"])
     def test_vjp_matches_fd(self, name, rng):
         def make(fn, *shapes):
@@ -46,6 +46,8 @@ class TestPrimitives:
             "sub": lambda: make(ad.sub, (3, 4), (1, 4)),
             "mul": lambda: make(ad.mul, (3, 4), (3, 1)),
             "matmul": lambda: make(ad.matmul, (3, 4), (4, 2)),
+            # a 2-D weight shared by every item of a batch
+            "matmul_shared_weight": lambda: make(ad.matmul, (4, 7), (5, 7, 3)),
             "einsum": lambda: make(lambda a, b: ad.einsum("abc,ua->ubc",
                                                           a, b), (3, 4, 2), (5, 3)),
             # a constant table without the batch axes of the other operands
@@ -69,6 +71,20 @@ class TestPrimitives:
             loss, arrays = cases[name]()
             rel_errors.append(directional_vjp_check(loss, arrays, rng))
         assert max(rel_errors) < TOL
+
+    def test_shared_weight_cotangent_is_the_summed_per_item_product(self):
+        # the one-GEMM cotangent of a 2-D weight equals the per-item
+        # products summed over the batch
+        rng = np.random.default_rng(20)
+        for shape in [(5, 7, 3), (2, 3, 7, 1), (7, 4)]:
+            w, x = rng.normal(size=(4, 7)), rng.normal(size=shape)
+            out, vjp = ad.matmul_apply(w, x)
+            g = rng.normal(size=out.shape)
+            want = ad.unbroadcast(g @ np.swapaxes(x, -1, -2), w.shape)
+            got, d_x = vjp(g)
+            assert got.shape == w.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(d_x, w.T @ g)
 
     def test_segment_sum_order_independent(self, rng):
         # a segment's sum depends on the multiset of its terms only: any

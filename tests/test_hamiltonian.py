@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 from so2frames import autodiff as ad
+from so2frames import frames, hamiltonian
 from so2frames.cg import expansion
-from so2frames.frames import rotation_from_euler, rotation_from_matrix
+from so2frames.frames import rotation_from_euler, rotation_from_matrix, wigner_d_batch
 from so2frames.graph import build_graph
 from so2frames.hamiltonian import (BlockMatrix, _degenerate_clusters, _diag_mask, block_rotate,
                                    build_orbital_layout, gen_synthetic_target,
@@ -203,6 +204,27 @@ class TestBlockRotate:
         lhs = block_rotate(block_rotate(H, g1), g2)
         rhs = block_rotate(H, g2.compose(g1))
         assert np.max(np.abs(lhs.array - rhs.array)) < 1e-11
+
+    def test_one_wigner_pass_per_rotation(self, rng, monkeypatch):
+        # every orbital of every atom reads its degree from one Wigner pass,
+        # with the bits of that degree's own matrix
+        layout = build_orbital_layout([8, 1, 6, 1, 1], ModelConfig().basis_map)
+        M = rng.normal(size=(layout.dim, layout.dim))
+        H = BlockMatrix(0.5 * (M + M.T), layout)
+        g = rotation_from_matrix(random_rotation_matrix(rng))
+        T = scipy.linalg.block_diag(*[frames.wigner_d(l, g) for orbs in layout.degrees
+                                      for l in orbs])
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return wigner_d_batch(*args)
+
+        monkeypatch.setattr(frames, "wigner_d_batch", counted)
+        monkeypatch.setattr(hamiltonian, "wigner_d_batch", counted, raising=False)
+        rotated = block_rotate(H, g)
+        assert calls == [max(max(orbs) for orbs in layout.degrees)]
+        assert np.array_equal(rotated.array, T @ H.array @ T.T)
 
 
 class TestEigensolve:

@@ -325,26 +325,31 @@ class TestBadInput:
         self._assert_usage_error(["fit", molecule_file, "--out-checkpoint",
                                   str(tmp_path / "ckpt.json")] + flags, capsys)
 
-    @pytest.mark.parametrize("argv", [
-        ["gen", "--n-atoms", "-2"],
-        ["gen", "--n-atoms", "0"],
-        ["gen", "--elements", "99"],
-        ["gen", "--n-atoms", "200", "--min-dist", "5"],
-        ["bench", "--lmax-range", "5:2"],
-        ["bench", "--mmax-range", "4:4"],
-        ["bench", "--repeats", "0"],
-        ["bench", "--lmax-range", "0:3"],
-        ["bench", "--mmax-range", "0:2"],
+    @pytest.mark.parametrize("argv, named", [
+        (["gen", "--n-atoms", "-2"], "n_atoms"),
+        (["gen", "--n-atoms", "0"], "n_atoms"),
+        (["gen", "--elements", "99"], "element 99"),
+        (["gen", "--n-atoms", "200", "--min-dist", "5"], "min_dist"),
+        (["gen", "--n-atoms", "2", "--min-dist", "nan"], "min_dist"),
+        (["gen", "--cutoff", "-1"], "cutoff"),
+        (["gen", "--cutoff", "0"], "cutoff"),
+        (["gen", "--elements", "abc"], "--elements"),
+        (["bench", "--lmax-range", "5:2"], "lmax-range"),
+        (["bench", "--mmax-range", "4:4"], "mmax-range"),
+        (["bench", "--repeats", "0"], "repeats"),
+        (["bench", "--lmax-range", "0:3"], "lmax-range"),
+        (["bench", "--mmax-range", "0:2"], "mmax-range"),
     ], ids=["negative-atoms", "zero-atoms", "element-without-basis", "impossible-packing",
+            "nan-min-dist", "negative-cutoff", "zero-cutoff", "non-integer-elements",
             "descending-range", "one-point-range", "zero-repeats", "lmax-range-from-zero",
             "mmax-range-from-zero"])
-    def test_bad_gen_or_bench_flags(self, tmp_path, capfd, argv):
+    def test_bad_gen_or_bench_flags(self, tmp_path, capfd, argv, named):
         # capfd also sees what LAPACK writes to file descriptor 2 (a slope
         # fit on the logarithm of 0 prints DLASCL lines there)
         assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
         err = capfd.readouterr().err
         assert err.startswith("error: ")
-        assert argv[0] == "gen" or argv[1].lstrip("-") in err   # names the bench flag
+        assert named in err   # the flag, or the field it sets
 
     @pytest.mark.parametrize("flag, text", [("--lmax-range", "3"), ("--lmax-range", "a:b"),
                                             ("--mmax-range", "1:2:3")],
