@@ -39,6 +39,7 @@ put in the order-aligned order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,39 +357,75 @@ def so2_layout_of(so3: IrrepsLayout) -> IrrepsLayout:
     return so2_layout(entries)
 
 
+@dataclass(frozen=True)
+class _Regrouping:
+    """How :func:`to_local` and :func:`from_local` regroup one SO(3) layout.
+
+    The degrees are stacked on the channel axis of one ``(..., channels,
+    width)`` buffer, degree l in the rows ``layout.rows`` of its entry and
+    the columns ``[0, 2l+1)``, ``width = 2 l_max + 1``.  ``orders[m]`` is
+    ``(pos, row, cols)``: order m reads the degrees from entry ``pos`` on,
+    which are the rows ``row:`` of the buffer, and of each the columns
+    ``cols``.  ``degree_rows[k]`` lists, for the degree of entry k and each
+    order m = 0..l, that degree's rows within the block of order m.
+    ``multiplies`` is the "frame_rotation" count per item.
+    """
+
+    so2: IrrepsLayout
+    orders: tuple
+    degree_rows: tuple
+    width: int
+    multiplies: int
+
+
+@lru_cache(maxsize=256)
+def _regrouping(so3: IrrepsLayout) -> _Regrouping:
+    so2 = so2_layout_of(so3)
+    orders = tuple((bisect.bisect_left(so3.indices, m), so3.first_row[m],
+                    slice(max(2 * m - 1, 0), 2 * m + 1)) for m in so2.indices)
+    degree_rows = tuple(tuple(slice(r.start - so3.first_row[m], r.stop - so3.first_row[m])
+                              for m in range(l + 1))
+                        for l, r in zip(so3.indices, so3.rows))
+    return _Regrouping(so2, orders, degree_rows, 2 * so3.max_index + 1,
+                       sum(c * l * l for l, c in so3.entries))
+
+
 def to_local(frame: Frame, x: So3Features, index=None) -> So2Features:
     """Rotate SO(3) features into the frame and regroup by order m.
 
     ``x'_l = D_l(h^{-1}) x_l`` per degree in the order-aligned basis, then
     order m gathers the ``(x_{-m}, x_{+m})`` columns ``[max(2m-1, 0), 2m+1)``
-    of every degree l >= m (ascending l).
+    of every degree l >= m (ascending l).  Each degree is rotated into its
+    channel rows of one ``(..., channels, 2 l_max + 1)`` buffer; since the
+    channels ascend by degree, the degrees l >= m are one row range of it,
+    and order m is the view ``buffer[..., first_row[m]:, cols(m)]``, with
+    no copy per order.
     A batch of frames rotates a batch of features item by item.  With an
     ``index`` array, the items rotated are ``x.block(l)[index]``: the
     gather is read inside, and the adjoint scatter-adds into the
     un-gathered blocks.  Each output order is one fused autodiff primitive
     whose parents are the degree blocks it reads.
     """
-    if x.layout.max_index > frame.l_max:
+    layout = x.layout
+    if layout.max_index > frame.l_max:
         raise ValueError(
-            f"feature degree {x.layout.max_index} exceeds frame cache l_max {frame.l_max}")
-    rotated = {}
-    for l, block in x.items():
+            f"feature degree {layout.max_index} exceeds frame cache l_max {frame.l_max}")
+    plan = _regrouping(layout)
+    rotated = None
+    for l, block, rows in zip(layout.indices, x.blocks, layout.rows):
         items = ad.value_of(block) if index is None else ad.value_of(block)[index]
-        rotated[l] = items @ np.swapaxes(frame.d_in[l], -1, -2)
-    count("frame_rotation", sum(x.layout.mult(l) * l * l * batch_size(block)
-                                for l, block in rotated.items()))
-    out_layout = so2_layout_of(x.layout)
+        part = items @ np.swapaxes(frame.d_in[l], -1, -2)
+        if rotated is None:
+            rotated = np.empty(part.shape[:-2] + (layout.channels, plan.width))
+        rotated[..., rows, :2 * l + 1] = part
+    count("frame_rotation", 0 if rotated is None else plan.multiplies * batch_size(rotated))
     blocks = []
-    for m in out_layout.indices:
-        degrees = [l for l in x.layout.indices if l >= m]
-        cols = slice(max(2 * m - 1, 0), 2 * m + 1)
-        parts = [rotated[l][..., cols] for l in degrees]
-        value = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2,
-                                                                 dtype=np.float64)
-        parents = tuple(x.block(l) for l in degrees)
-        blocks.append(ad.primitive(value, parents,
-                                   _to_local_vjp(frame, degrees, cols, parents, index)))
-    return So2Features(out_layout, blocks)
+    for pos, row, cols in plan.orders:
+        parents = x.blocks[pos:]
+        blocks.append(ad.primitive(rotated[..., row:, cols], parents,
+                                   _to_local_vjp(frame, layout.indices[pos:], cols, parents,
+                                                 index)))
+    return So2Features(plan.so2, blocks)
 
 
 def _to_local_vjp(frame: Frame, degrees, cols, parents, index):
@@ -415,29 +452,31 @@ def _to_local_vjp(frame: Frame, degrees, cols, parents, index):
 def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Features:
     """Exact inverse of :func:`to_local` for the given SO(3) layout.
 
-    The degree-l rows of orders 0..l are its order-aligned components, so
-    each output degree is one product with ``d_in[l]`` and one fused
+    Each order's block is written into its rows and columns of one
+    ``(..., channels, 2 l_max + 1)`` buffer, the layout of
+    :func:`to_local`'s; the degree-l rows of orders 0..l are then the
+    degree's order-aligned components, so each output degree is one
+    product of a view of the buffer with ``d_in[l]`` and one fused
     autodiff primitive whose parents are the order blocks 0..l.
     """
-    if so2_layout_of(so3_layout) != x.layout:
+    plan = _regrouping(so3_layout)
+    if plan.so2 != x.layout:
         raise ValueError("SO(2) layout is not the regrouping of the SO(3) layout")
-    order_offsets = {m: 0 for m in x.layout.indices}
+    aligned = None
+    for (_, row, cols), block in zip(plan.orders, x.blocks):
+        value = ad.value_of(block)
+        if aligned is None:
+            aligned = np.empty(value.shape[:-2] + (so3_layout.channels, plan.width))
+        aligned[..., row:, cols] = value
     blocks = []
-    multiplies = 0
-    for l in so3_layout.indices:
-        mult = so3_layout.mult(l)
-        rows = []
-        for m in range(l + 1):
-            rows.append(slice(order_offsets[m], order_offsets[m] + mult))
-            order_offsets[m] += mult
-        parents = tuple(x.block(m) for m in range(l + 1))
-        parts = [ad.value_of(p)[..., r, :] for p, r in zip(parents, rows)]
-        aligned = parts[0] if l == 0 else np.concatenate(parts, axis=-1, dtype=np.float64)
-        block = aligned @ frame.d_in[l]
+    for l, rows, order_rows in zip(so3_layout.indices, so3_layout.rows, plan.degree_rows):
+        parents = x.blocks[:l + 1]
+        part = aligned[..., rows, :2 * l + 1]
+        block = part @ frame.d_in[l]
         blocks.append(ad.primitive(block, parents,
-                                   _from_local_vjp(frame.d_in[l], aligned.shape, rows, parents)))
-        multiplies += mult * l * l * batch_size(block)
-    count("frame_rotation", multiplies)
+                                   _from_local_vjp(frame.d_in[l], part.shape, order_rows,
+                                                   parents)))
+    count("frame_rotation", plan.multiplies * batch_size(blocks[0]) if blocks else 0)
     return So3Features(so3_layout, blocks)
 
 

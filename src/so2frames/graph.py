@@ -9,6 +9,7 @@ edge quantities, which is what makes the model translation invariant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -116,16 +117,23 @@ def sample_molecule(seed: int, n_atoms: int, elements, min_dist: float,
     """Rejection-sampled synthetic molecule.
 
     Atoms are placed uniformly in a cube sized so that the geometry stays
-    well inside the cutoff, with every pairwise distance >= min_dist.
-    Deterministic given the seed.  Raises ValueError, before sampling, for
-    a bad ``n_atoms``, ``min_dist`` or ``cutoff``, and RuntimeError if
-    max_tries placements fail.
+    well inside the cutoff (its side is at most ``0.6 * cutoff``), with
+    every pairwise distance >= min_dist.  Deterministic given the seed.
+    Raises ValueError, before sampling, for a bad ``n_atoms``, ``min_dist``
+    or ``cutoff``, or for two or more atoms when the cube's diagonal
+    ``0.6 * cutoff * sqrt(3)`` is shorter than ``min_dist``; and
+    RuntimeError if max_tries placements fail.
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be at least 1, got {n_atoms}")
     if not (isinstance(min_dist, Real) and 0.0 < min_dist < np.inf):   # NaN fails too
         raise ValueError(f"min_dist must be a finite positive number, got {min_dist!r}")
     _check_cutoff(cutoff)
+    diagonal = 0.6 * cutoff * math.sqrt(3.0)
+    if n_atoms >= 2 and diagonal < min_dist:
+        raise ValueError(f"cutoff {cutoff} is too small for min_dist {min_dist}: atoms are "
+                         f"placed in a cube of side 0.6 * cutoff, whose diagonal "
+                         f"{diagonal:.4g} is shorter than min_dist")
     elements = list(elements)
     rng = stream(seed, "molecule-gen")
     side = max(2.0 * min_dist, min_dist * (n_atoms ** (1.0 / 3.0)) * 2.0)

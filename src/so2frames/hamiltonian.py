@@ -16,7 +16,9 @@ measured against.
 from __future__ import annotations
 
 import json
+import operator
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, zip_longest
@@ -164,15 +166,17 @@ class AssemblyPlan:
     """Everything of an assembly that does not depend on the parameters.
 
     ``keys`` are the weight keys that the molecule's kinds read, in the
-    order they are stacked (group, l3, segment); ``index`` maps every
+    order they are stacked (group, l3, segment), and ``fetch(params)``
+    returns their parameters as a tuple in that order; ``index`` maps every
     entry of the (dim, dim) matrix into the flattened group outputs, where
     -1 reads a zero (atoms beyond the cutoff).  Only ``k``, ``seg`` and
-    ``index`` are per molecule: the segments, weights and tables come from
-    a cache keyed on the kinds present.
+    ``index`` are per molecule: the segments, weights, tables, keys and
+    ``fetch`` come from a cache keyed on the kinds present.
     """
 
     groups: tuple[AssemblyGroup, ...]
     keys: tuple[str, ...]
+    fetch: Callable[[dict], tuple]
     index: np.ndarray
 
 
@@ -186,7 +190,8 @@ def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
     degree l3, each as (l_s, l_t, the range [lo, hi) of its segments, the
     :class:`AssemblyGroup` ``weights`` and ``table``); then each segment's
     kind index, s and t, the groups' segments in turn; then the weight keys
-    of their segments in stacking order (group, l3, segment).
+    of their segments in stacking order (group, l3, segment), and one
+    ``operator.itemgetter`` of them that always returns a tuple.
     """
     orbitals, node_layout = dict(basis), layout_parse(node_irreps)
     found: dict[tuple[int, int], list] = {}
@@ -209,7 +214,10 @@ def _segments(basis, node_irreps: str, kinds: tuple) -> tuple:
         listed += segments
     table = np.array(listed, dtype=np.intp).reshape(-1, 3)
     table.flags.writeable = False
-    return tuple(groups), table.T, tuple(keys)
+    keys = tuple(keys)
+    fetch = (operator.itemgetter(*keys) if len(keys) > 1
+             else lambda params: tuple(params[key] for key in keys))
+    return tuple(groups), table.T, keys, fetch
 
 
 def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyPlan:
@@ -234,7 +242,8 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
     by_kind = np.argsort(kind_of, kind="stable")
     first = np.cumsum(counts) - counts          # each kind's start in by_kind
     starts = np.array(list(zip_longest(*layout.offsets, fillvalue=0))).T  # (atom, orbital)
-    segment_groups, (kind, s, t), keys = _segments(config.basis, config.node_irreps, kinds)
+    segment_groups, (kind, s, t), keys, fetch = _segments(config.basis, config.node_irreps,
+                                                          kinds)
     # one block per segment and item of its kind, for the segments of all groups
     width = counts[kind]
     bounds = np.concatenate([[0], np.cumsum(width)])   # each segment's first block
@@ -251,7 +260,7 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
         position = (corner[blocks, None] + entry.ravel()).ravel()
         index[position] = np.arange(placed, placed + len(position))
         placed += len(position)
-    return AssemblyPlan(tuple(groups), keys, index.reshape(dim, dim))
+    return AssemblyPlan(tuple(groups), keys, fetch, index.reshape(dim, dim))
 
 
 def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix:
@@ -280,8 +289,10 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
     weights' cotangent.
     """
     plan = prepared.plan
-    weights = [params[key] for key in plan.keys]
-    stacked = np.concatenate([ad.value_of(w) for w in weights])
+    weights = plan.fetch(params)
+    # an untaped call stacks the arrays as they are, without a call per key
+    stacked = np.concatenate([ad.value_of(w) for w in weights] if ad.Var in map(type, weights)
+                             else weights, dtype=np.float64)
     items = {l: np.concatenate([ad.value_of(a), ad.value_of(b)])
              for (l, a), b in zip(h.items(), pair.blocks)}
     gathered, outputs = [], []

@@ -18,6 +18,18 @@ Conventions fixed here and relied on everywhere else:
   local frames (the z-axis, see :mod:`so2frames.frames`).
 * All arithmetic is 64-bit.
 
+Layouts are shared: :func:`layout_parse`, :func:`so3_layout` and
+:func:`so2_layout` return one :class:`IrrepsLayout` per entry tuple, and
+a layout computes its tables once, when it is built: the indices and
+multiplicities, each index's block position and block shape, and each
+block's channel rows when the blocks are stacked on the channel axis in
+index order (``rows``, ``channels``).  ``first_row[i]`` is the first of
+those rows that belongs to an index ``>= i``: the channels of SO(3)
+degrees ``l >= m`` are the rows ``first_row[m]:``, which is how order m
+of the regrouped features reads them (:func:`frames.to_local`).  The
+containers, the frame rotations, the gates and the model read these
+tables instead of scanning the entries on every call.
+
 Layout strings follow the ``<mult>x<index><e|m>`` grammar, e.g.
 ``"256x0e+128x1e"`` for SO(3) degrees and ``"1024x0m+256x1m"`` for SO(2)
 orders.
@@ -25,6 +37,8 @@ orders.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import re
@@ -48,7 +62,18 @@ class IrrepsLayout:
     """Ordered (index, multiplicity) pairs describing a feature container.
 
     ``index`` is the SO(3) degree ``l`` or the SO(2) order ``m`` depending
-    on ``kind``; entries are sorted strictly ascending by index.
+    on ``kind``; entries are sorted strictly ascending by index.  The
+    tables below are computed once, when the layout is built:
+
+    * ``indices`` and ``mults``, entry by entry, and ``position``, the
+      entry position of each index;
+    * ``shapes``, each entry's block shape ``(mult, component dim)``;
+    * ``rows``, each entry's channel rows ``slice(start, start + mult)``
+      when the blocks are stacked on the channel axis in entry order, and
+      ``channels``, the total multiplicity;
+    * ``first_row[i]`` for ``i = 0 .. max_index``, the first stacked row
+      of an entry with index ``>= i`` (rows ``first_row[i]:`` are the
+      channels of every index ``>= i``).
     """
 
     kind: str
@@ -66,20 +91,31 @@ class IrrepsLayout:
             if index < 0:
                 raise LayoutError(f"index must be non-negative, got {index}")
             seen = index
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self.entries)
+        # derived tables: plain attributes, so equality and the hash still
+        # see only kind and entries
+        indices = tuple(idx for idx, _ in self.entries)
+        mults = tuple(mult for _, mult in self.entries)
+        starts = (0, *itertools.accumulate(mults))
+        tables = {
+            "indices": indices,
+            "mults": mults,
+            "position": {idx: k for k, idx in enumerate(indices)},
+            "shapes": tuple((mult, self.component_dim(idx)) for idx, mult in self.entries),
+            "rows": tuple(slice(a, b) for a, b in zip(starts, starts[1:])),
+            "channels": starts[-1],
+            "first_row": tuple(starts[bisect.bisect_left(indices, i)]
+                               for i in range(self.max_index + 1)),
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     @property
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else 0
 
     def mult(self, index: int) -> int:
-        for idx, mult in self.entries:
-            if idx == index:
-                return mult
-        return 0
+        k = self.position.get(index)
+        return 0 if k is None else self.mults[k]
 
     def component_dim(self, index: int) -> int:
         if self.kind == SO3:
@@ -108,7 +144,8 @@ def layout_parse(spec: str) -> IrrepsLayout:
     Raises :class:`LayoutError` on malformed tokens, duplicate indices, or
     mixed ``e``/``m`` suffixes.  The result is sorted ascending and
     round-trips through :meth:`IrrepsLayout.format`.  Layouts are frozen,
-    so each spec is parsed once and its layout shared.
+    so each spec is parsed once, and its layout is the one that
+    :func:`so3_layout` or :func:`so2_layout` gives for the same entries.
     """
     tokens = spec.replace(" ", "").split("+")
     entries: dict[int, int] = {}
@@ -127,15 +164,22 @@ def layout_parse(spec: str) -> IrrepsLayout:
     if len(kinds) != 1:
         raise LayoutError(f"mixed e/m suffixes in {spec!r}")
     kind = SO3 if kinds.pop() == "e" else SO2
-    return IrrepsLayout(kind, tuple(sorted(entries.items())))
+    return _shared_layout(kind, tuple(sorted(entries.items())))
+
+
+@lru_cache(maxsize=1024)
+def _shared_layout(kind: str, entries: tuple) -> IrrepsLayout:
+    return IrrepsLayout(kind, entries)
 
 
 def so3_layout(entries) -> IrrepsLayout:
-    return IrrepsLayout(SO3, tuple(sorted(entries)))
+    """The shared SO(3) layout of (degree, multiplicity) pairs, in any order."""
+    return _shared_layout(SO3, tuple(sorted(map(tuple, entries))))
 
 
 def so2_layout(entries) -> IrrepsLayout:
-    return IrrepsLayout(SO2, tuple(sorted(entries)))
+    """The shared SO(2) layout of (order, multiplicity) pairs, in any order."""
+    return _shared_layout(SO2, tuple(sorted(map(tuple, entries))))
 
 
 def batch_size(block) -> int:
@@ -152,35 +196,30 @@ class _Features:
         if layout.kind != self.kind:
             raise LayoutError(f"expected a {self.kind} layout, got {layout.kind}")
         blocks = tuple(blocks)
-        if len(blocks) != len(layout.entries):
+        if len(blocks) != len(layout.shapes):
             raise LayoutError(
-                f"{len(layout.entries)} layout entries but {len(blocks)} blocks")
+                f"{len(layout.shapes)} layout entries but {len(blocks)} blocks")
         # blocks are numpy arrays or autodiff Vars; both expose .shape
-        batch = tuple(blocks[0].shape[:-2]) if blocks else ()
-        for (idx, mult), block in zip(layout.entries, blocks):
-            expect = batch + (mult, layout.component_dim(idx))
-            if tuple(block.shape) != expect:
+        batch = blocks[0].shape[:-2] if blocks else ()
+        for idx, shape, block in zip(layout.indices, layout.shapes, blocks):
+            if block.shape != batch + shape:
                 raise LayoutError(
                     f"block for index {idx} has shape {tuple(block.shape)}, "
-                    f"expected {expect}")
+                    f"expected {batch + shape}")
         self.layout = layout
         self.blocks = blocks
         self.batch_shape = batch
 
     @classmethod
     def zeros(cls, layout: IrrepsLayout, batch_shape=()):
-        return cls(layout, [np.zeros(tuple(batch_shape) + layout.block_shape(idx))
-                            for idx in layout.indices])
+        return cls(layout, [np.zeros(tuple(batch_shape) + shape) for shape in layout.shapes])
 
     def block(self, index: int):
-        for (idx, _), block in zip(self.layout.entries, self.blocks):
-            if idx == index:
-                return block
-        raise KeyError(index)
+        return self.blocks[self.layout.position[index]]
 
     def items(self):
-        for (idx, _), block in zip(self.layout.entries, self.blocks):
-            yield idx, block
+        """(index, block) pairs in layout order."""
+        return zip(self.layout.indices, self.blocks)
 
     def as_arrays(self):
         """Blocks as plain ndarrays (unwraps autodiff Vars)."""

@@ -187,8 +187,14 @@ class PreparedGraph:
     pair each atom with its edges within a relative TAU of its shortest,
     or with edge -1 (the identity frame) if it has none; ``node_frame``
     holds their frames, gathered on first use (rows only, in the same
-    basis), and ``node_slots`` (N, T) lists each atom's items.  ``layout``
-    is the orbital layout of the atoms and ``plan`` the
+    basis), and ``node_slots`` (N, T) lists each atom's items.
+    ``node_mean``, also made on first use, holds the (N, 1, 1) factors that
+    turn an atom's sum of node-frame updates into the update it adds:
+    ``1 / items`` for degree 0 and ``connected / items`` for higher
+    degrees, where ``items`` counts the atom's items and ``connected`` is 1
+    for an atom with an edge and 0 without one; every layer of every
+    forward pass on the graph reads the same two arrays.  ``layout`` is
+    the orbital layout of the atoms and ``plan`` the
     :class:`hamiltonian.AssemblyPlan` of :func:`hamiltonian.assemble`.
     """
 
@@ -206,6 +212,12 @@ class PreparedGraph:
     @cached_property
     def node_frame(self) -> Frame:
         return self.frame.take(self.node_edge)
+
+    @cached_property
+    def node_mean(self) -> tuple[np.ndarray, np.ndarray]:
+        items = np.sum(self.node_slots >= 0, axis=1)[:, None, None]
+        connected = (self.node_edge[self.node_slots[:, 0]] >= 0)[:, None, None]
+        return 1.0 / items, connected / items
 
 
 def rbf(distance, config: ModelConfig) -> np.ndarray:
@@ -268,7 +280,7 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
     rng = stream(config.seed, "model-init") if rng is None else rng
     layout = config.node_layout
     reg = so2_layout_of(layout)
-    s_width = sum(c for _, c in layout.entries)
+    s_width = layout.channels
     F = config.invariant_width
     K = config.rbf_size
     tp_layout = uniform_so2(config.l_max, config.tp_channels)
@@ -418,7 +430,7 @@ def message_pass(h: So3Features, s, params, config: ModelConfig,
     # the scale has one slot per (degree, channel), ascending degree; order
     # m holds the channels of every degree l >= m, so it takes the slots
     # from degree m on, and a channel keeps one scale across all its orders
-    scaled = [scale_rows(block, scale, slice(sum(c for l, c in layout.entries if l < m), None))
+    scaled = [scale_rows(block, scale, slice(layout.first_row[m], None))
               for m, block in mixed.items()]
     msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout)
     agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), prepared.receivers)
@@ -451,10 +463,9 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
     fused = so2_tp_contract([u] * config.tp_arity, paths, weights)
     y = so2_linear(fused, params, f"{p}/tp/post")
     update = from_local(frame, y, layout)
-    count = np.sum(prepared.node_slots >= 0, axis=1)[:, None, None]
-    connected = (prepared.node_edge[prepared.node_slots[:, 0]] >= 0)[:, None, None]
+    scalar, directional = prepared.node_mean
     return So3Features(layout, [ad.add(b, ad.mul(ad.segment_sum(du, prepared.node_slots),
-                                                 (1.0 if l == 0 else connected) / count))
+                                                 scalar if l == 0 else directional))
                                 for (l, b), du in zip(h.items(), update.blocks)])
 
 

@@ -188,22 +188,21 @@ def so2_linear(x: So2Features, params: dict, prefix: str) -> So2Features:
     is one tape node: a matmul for m = 0, a fused primitive for m > 0.
     """
     entries, blocks, multiplies = [], [], 0
-    for m, block in x.items():
+    for m, mult, block in zip(x.layout.indices, x.layout.mults, x.blocks):
         w1 = params.get(f"{prefix}/{m}/w1")
         if w1 is None:
             continue
         c_out, c_in = ad.value_of(w1).shape
-        if c_in != x.layout.mult(m):
-            raise ValueError(f"order {m}: weight expects {c_in} channels, "
-                             f"input has {x.layout.mult(m)}")
+        if c_in != mult:
+            raise ValueError(f"order {m}: weight expects {c_in} channels, input has {mult}")
         if m == 0:
             out = ad.matmul(w1, block)
         else:
             out = _linear_order(block, w1, params[f"{prefix}/{m}/w2"])
-        multiplies += (4 if m > 0 else 1) * c_out * c_in * batch_size(block)
+        multiplies += (4 if m > 0 else 1) * c_out * c_in
         entries.append((m, c_out))
         blocks.append(out)
-    count("so2_linear", multiplies)
+    count("so2_linear", multiplies * math.prod(x.batch_shape))
     return So2Features(so2_layout(entries), blocks)
 
 
@@ -240,13 +239,12 @@ def gate_apply(values, blocks, layout: IrrepsLayout):
     """
     if layout.mult(0) == 0:
         raise ValueError("gate needs m = 0 channels")
-    ends = np.cumsum([c for _, c in layout.entries])
-    rows = [slice(end - c, end) for end, (_, c) in zip(ends, layout.entries)]
+    rows = layout.rows
     out, mlp_vjp = mlp_apply(values, blocks[0])
-    if out.shape[-2] != ends[-1]:
+    if out.shape[-2] != layout.channels:
         raise ValueError("gate MLP output width mismatch")
     sig = 1.0 / (1.0 + np.exp(-out))
-    value = np.zeros(out.shape[:-2] + (ends[-1], max(x.shape[-1] for x in blocks)))
+    value = np.zeros(out.shape[:-2] + (layout.channels, layout.shapes[-1][1]))
     value[..., rows[0], :1] = out[..., rows[0], :]
     for r, x in zip(rows[1:], blocks[1:]):
         value[..., r, :x.shape[-1]] = x * sig[..., r, :]
@@ -280,8 +278,8 @@ def so2_gate(x, params: dict, prefix: str):
     value, rows, vjp = gate_apply([ad.value_of(w) for w in weights],
                                   [ad.value_of(b) for b in x.blocks], x.layout)
     fused = ad.primitive(value, (*x.blocks, *weights), vjp)
-    return type(x)(x.layout, [ad.take(fused, (..., r, slice(0, x.layout.component_dim(i))))
-                              for i, r in zip(x.layout.indices, rows)])
+    return type(x)(x.layout, [ad.take(fused, (..., r, slice(0, width)))
+                              for r, (_, width) in zip(rows, x.layout.shapes)])
 
 
 def scale_rows(block, out, rows: slice):
@@ -312,10 +310,11 @@ def so2_layernorm(x, params: dict, prefix: str):
     and scale-invariance hold to near machine precision for O(1) inputs.
     Each block is one fused autodiff primitive.
     """
+    layout = x.layout
     blocks = [_layernorm_block(block, params[f"{prefix}/{m}/g"], params[f"{prefix}/{m}/b"],
-                               x.layout.mult(m), m > 0)
-              for m, block in x.items()]
-    return type(x)(x.layout, blocks)
+                               c, m > 0)
+              for m, c, block in zip(layout.indices, layout.mults, x.blocks)]
+    return type(x)(layout, blocks)
 
 
 def _layernorm_block(block, g, b, c: int, directional: bool):
@@ -337,8 +336,9 @@ def _layernorm_block(block, g, b, c: int, directional: bool):
         y = norm
     else:
         y = vx
-    centered = y - y.mean(axis=-2, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-2, keepdims=True) + eps * eps)
+    # sum / c is ndarray.mean's own arithmetic, without its Python frames
+    centered = y - y.sum(axis=-2, keepdims=True) / c
+    std = np.sqrt((centered * centered).sum(axis=-2, keepdims=True) / c + eps * eps)
     scaled = centered / std
     affine = scaled * g_col + b_col
     out = direction * affine if directional else affine

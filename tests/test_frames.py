@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sum_entries
+from so2frames import autodiff as ad
 from so2frames.frames import (FALLBACK_AXIS, TARGET_AXIS, frame_average_check,
                               frame_from_direction, frames_from_directions, from_local,
                               order_alignment_permutation, rotate_so3,
                               rotation_from_axis_angle, rotation_from_euler,
                               rotation_from_matrix, so2_layout_of, to_local,
                               wigner_d, wigner_d_batch)
+from so2frames.graph import build_graph
 from so2frames.irreps import (So2Features, So3Features, layout_parse,
                               real_spherical_harmonics, rotate_so2,
                               so2_rotation_matrix)
+from so2frames.model import ModelConfig, prepare_graph
 from so2frames.sampling import random_rotation_matrix, random_unit_vector, stream
 from so2frames.so2ops import init_so2_linear, so2_linear
 
@@ -318,6 +322,137 @@ class TestLocalMapping:
             err = max(np.max(np.abs(a - b))
                       for a, b in zip(lhs.as_arrays(), rhs.as_arrays()))
             assert err < 1e-11
+
+
+def _cols(m):
+    return slice(max(2 * m - 1, 0), 2 * m + 1)
+
+
+def reference_to_local(frame, x, index=None):
+    """Every degree rotated on its own, ``x.block(l)[index] @ D_l^T``; order
+    m concatenates the columns ``cols(m)`` of the degrees l >= m."""
+    rotated = {l: (b if index is None else b[index]) @ np.swapaxes(frame.d_in[l], -1, -2)
+               for l, b in zip(x.layout.indices, x.as_arrays())}
+    return [np.concatenate([r[..., _cols(m)] for l, r in rotated.items() if l >= m], axis=-2)
+            for m in range(x.layout.max_index + 1)]
+
+
+def reference_from_local(frame, blocks, layout):
+    """The inverse: degree l concatenates its channel rows of orders 0..l on
+    the component axis and rotates them back with ``D_l``."""
+    offsets = [0] * len(blocks)
+    out = []
+    for l, c in layout.entries:
+        parts = []
+        for m in range(l + 1):
+            parts.append(blocks[m][..., offsets[m]:offsets[m] + c, :])
+            offsets[m] += c
+        out.append(np.concatenate(parts, axis=-1) @ frame.d_in[l])
+    return out
+
+
+def reference_to_local_adjoint(frame, x, index, cotangents):
+    """The cotangent of each degree block for order cotangents: degree l's
+    rows of every order m <= l in the columns cols(m), times ``D_l``,
+    scatter-added through ``index``."""
+    grads = []
+    for k, (l, c) in enumerate(x.layout.entries):
+        g = np.zeros(cotangents[0].shape[:-2] + (c, 2 * l + 1))
+        for m in range(l + 1):
+            row = sum(cc for ll, cc in x.layout.entries[:k] if ll >= m)
+            g[..., _cols(m)] = cotangents[m][..., row:row + c, :]
+        part = g @ frame.d_in[l]
+        if index is None:
+            grads.append(part)
+        else:
+            grads.append(np.zeros(x.blocks[k].shape))
+            np.add.at(grads[-1], index, part)
+    return grads
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def random_so3_features_batch(layout, n, rng):
+    return So3Features(layout, [rng.normal(size=(n,) + layout.block_shape(l))
+                                for l in layout.indices])
+
+
+def regrouping_cases(name, rng):
+    """(frame, features, index) of each regrouping regression case."""
+    if name == "gap-layout":   # degree 1 missing: order 1 reads degree 2 only
+        layout = layout_parse("8x0e+4x2e")
+        frame = frames_from_directions(rng.normal(size=(7, 3)), 2)
+        return frame, random_so3_features_batch(layout, 4, rng), rng.integers(0, 4, size=7)
+    layout = layout_parse("8x0e+8x1e+4x2e+4x3e+2x4e")
+    if name == "no-edges":
+        graph = build_graph([1, 8], [[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]], 15.0)
+        prepared = prepare_graph(graph, ModelConfig(elements=(1, 8)))
+        return prepared.frame, random_so3_features_batch(layout, 2, rng), prepared.dst
+    if name == "blank-node-frames":   # index -1 gives the identity frame
+        frame = frames_from_directions(rng.normal(size=(3, 3)), 4).take([-1, 0, -1, 2])
+        return frame, random_so3_features_batch(layout, 3, rng), np.array([0, 1, 2, 2])
+    if name == "isolated-node-frames":
+        graph = build_graph([1, 8], [[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]], 15.0)
+        prepared = prepare_graph(graph, ModelConfig(elements=(1, 8)))
+        assert prepared.node_edge.tolist() == [-1, -1]
+        return (prepared.node_frame, random_so3_features_batch(layout, 2, rng),
+                prepared.node_atom)
+    assert name == "single-frame"   # the eSCN reference path: no batch axis at all
+    return frame_from_direction(random_unit_vector(rng), 4), random_so3_features(layout, rng), None
+
+
+REGROUPING_CASES = ["gap-layout", "no-edges", "blank-node-frames", "isolated-node-frames",
+                    "single-frame"]
+
+
+class TestRegroupingReference:
+    """to_local and from_local regroup through one buffer per call; their
+    values equal the per-degree reference bit for bit."""
+
+    @pytest.mark.parametrize("name", REGROUPING_CASES)
+    def test_to_local_matches_reference(self, name, rng):
+        frame, x, index = regrouping_cases(name, rng)
+        expect = reference_to_local(frame, x, index)
+        for taped in (False, True):
+            blocks = [ad.Var(b) for b in x.blocks] if taped else x.blocks
+            local = to_local(frame, So3Features(x.layout, blocks), index)
+            assert local.layout == so2_layout_of(x.layout)
+            for m, (got, want) in enumerate(zip(local.blocks, expect)):
+                assert ad.value_of(got).shape == want.shape
+                assert _bits(ad.value_of(got)) == _bits(want)
+                if taped:   # one node per order, reading the degrees l >= m
+                    assert got.parents == tuple(b for l, b in zip(x.layout.indices, blocks)
+                                                if l >= m)
+
+    @pytest.mark.parametrize("name", REGROUPING_CASES)
+    def test_to_local_adjoint_matches_reference(self, name, rng):
+        frame, x, index = regrouping_cases(name, rng)
+        leaves = [ad.Var(b) for b in x.blocks]
+        local = to_local(frame, So3Features(x.layout, leaves), index)
+        cotangents = [rng.normal(size=ad.value_of(b).shape) for b in local.blocks]
+        loss = sum_entries(ad.concat([ad.reshape(ad.mul(b, c), (-1,))
+                                      for b, c in zip(local.blocks, cotangents)]))
+        ad.backward(loss)
+        for leaf, want in zip(leaves, reference_to_local_adjoint(frame, x, index, cotangents)):
+            scale = max(float(np.max(np.abs(want), initial=0.0)), 1.0)
+            assert np.max(np.abs(leaf.grad - want), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name", REGROUPING_CASES)
+    def test_from_local_matches_reference(self, name, rng):
+        frame, x, index = regrouping_cases(name, rng)
+        reg = so2_layout_of(x.layout)
+        batch = frame.d_in[0].shape[:-2]
+        arrays = [rng.normal(size=batch + reg.block_shape(m)) for m in reg.indices]
+        expect = reference_from_local(frame, arrays, x.layout)
+        for taped in (False, True):
+            blocks = [ad.Var(b) for b in arrays] if taped else arrays
+            out = from_local(frame, So2Features(reg, blocks), x.layout)
+            for l, got, want in zip(x.layout.indices, out.blocks, expect):
+                assert _bits(ad.value_of(got)) == _bits(want)
+                if taped:   # one node per degree, reading the orders 0..l
+                    assert got.parents == tuple(blocks[:l + 1])
 
 
 class TestFrameAveraging:

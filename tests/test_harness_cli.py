@@ -1,6 +1,7 @@
 import copy
 import json
 import struct
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -350,6 +351,17 @@ class TestBadInput:
         err = capfd.readouterr().err
         assert err.startswith("error: ")
         assert named in err   # the flag, or the field it sets
+
+    def test_gen_cutoff_too_small_for_two_atoms(self, tmp_path, capfd):
+        # the atoms are placed in a cube of side 0.6 * cutoff; at cutoff 1
+        # its diagonal, 1.04, is shorter than the default min_dist of 1.4,
+        # so the pair is refused before any placement is tried
+        start = time.perf_counter()
+        code = main(["gen", "--n-atoms", "2", "--cutoff", "1", "--out", str(tmp_path / "m.json")])
+        elapsed = time.perf_counter() - start
+        err = capfd.readouterr().err
+        assert code == 2 and elapsed < 1.0
+        assert err.startswith("error: ") and "cutoff" in err and "min_dist" in err
 
     @pytest.mark.parametrize("flag, text", [("--lmax-range", "3"), ("--lmax-range", "a:b"),
                                             ("--mmax-range", "1:2:3")],

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import so2frames
 from conftest import sum_entries
 from so2frames import autodiff as ad
 from so2frames.counters import OpCounter
@@ -380,6 +381,60 @@ class TestTapeSize:
         H = assemble(h, pair, prepared, leaves)
         added = [node for node in _tape([H.data]) if id(node) not in before and node.parents]
         assert added == [H.data]
+
+
+def _package_calls(fn) -> int:
+    """The Python calls made inside the so2frames package while ``fn`` runs."""
+    root = os.path.dirname(so2frames.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestCallBudget:
+    """The fixed per-call cost of the interpreter: layouts, regrouping
+    tables, node-frame factors and weight keys are built once and shared,
+    so a call makes few Python calls of its own.  The budgets are the
+    counts of the current code (2579 and 2188 before the layout tables)."""
+
+    PREDICT_CALLS = 1038
+    FIT_STEP_CALLS = 1573
+
+    def test_predict_stream_predict(self):
+        # an 8-atom H/C/O molecule at the l_max 4 config of the predict-stream benchmark
+        reference = build_graph([1, 6, 8], POSITIONS, cutoff=15.0)
+        config = default_fit_config(reference)
+        params = init_params(config)
+        positions = sample_molecule(0, 8, [1, 6, 8], 1.4, 15.0).positions
+        graph = build_graph([1, 6, 8, 1, 6, 8, 1, 6], positions, 15.0)
+        predict(graph, params, config)   # fills the lazy caches
+        calls = _package_calls(lambda: predict(graph, params, config))
+        assert calls <= self.PREDICT_CALLS
+
+    def test_fit_step(self, setup):
+        # one taped predict, loss and backward on the fit-demo molecule
+        graph, config, params = setup
+        target = gen_synthetic_target(graph, seed=11, config=config)[0].array
+        prepared = prepare_graph(graph, config)
+
+        def step():
+            leaves = {k: ad.Var(v) for k, v in params.items()}
+            pred = predict(graph, leaves, config, prepared)
+            ad.backward(ad.mean_all(ad.absolute(ad.sub(pred.data, target))))
+
+        step()
+        assert _package_calls(step) <= self.FIT_STEP_CALLS
 
 
 @pytest.mark.parametrize("make_config", [default_fit_config,
