@@ -34,7 +34,8 @@ of ``h = Rz(phi) Ry(theta) Rz(-phi)`` come straight from the direction,
 ``phi = atan2(y, x)`` and ``theta = atan2(hypot(x, y), z)``, which stays
 accurate next to both poles, and ``D(h^{-1})`` is evaluated for all
 directions and degrees in one :func:`wigner_d_batch` pass, with its rows
-put in the order-aligned order.
+put in the order-aligned order; its degree-1 block, which is ``h^T``, is
+checked to map each direction to TARGET_AXIS.
 """
 
 from __future__ import annotations
@@ -314,6 +315,12 @@ def frames_from_directions(directions, l_max: int = 4) -> Frame:
     identity for ``+TARGET_AXIS`` and the pi rotation about
     ``FALLBACK_AXIS`` for ``-TARGET_AXIS``, whatever the signs of the
     zero components.  Each frame depends only on its own direction.
+
+    Every frame is checked on the matrices it returns: its degree-1 block
+    ``D_1(h^{-1}) = h^T`` (aligned rows z, y, x; real columns y, z, x) must
+    map r to TARGET_AXIS within 1e-12, else AssertionError.  Degree 1 is
+    evaluated for the check even at ``l_max`` 0, which leaves degree 0's
+    bits as they are.
     """
     r = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     norm = np.linalg.norm(r, axis=1)
@@ -324,15 +331,15 @@ def frames_from_directions(directions, l_max: int = 4) -> Frame:
     on_axis = (x == 0.0) & (y == 0.0)
     phi = np.where(on_axis, np.where(z > 0.0, 0.0, _FALLBACK_PHI), np.arctan2(y, x))
     theta = np.arctan2(np.hypot(x, y), z)
-    cp, sp, ct, st = np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta)
-    h = np.stack([cp * cp * ct + sp * sp, cp * sp * (ct - 1.0), cp * st,
-                  cp * sp * (ct - 1.0), sp * sp * ct + cp * cp, sp * st,
-                  -cp * st, -sp * st, ct], axis=1).reshape(-1, 3, 3)
-    residual = np.linalg.norm(np.einsum("eji,ej->ei", h, r) - TARGET_AXIS, axis=1)
+    # l_max 0 evaluates degree 1 too; a negative l_max stays an error of wigner_d_batch
+    d_in = [d.take(_alignment_rows(l), axis=1)
+            for l, d in enumerate(wigner_d_batch(l_max or 1, phi, -theta, -phi))]
+    # h^T r with r in the real order (y, z, x) gives (z, y, x), where TARGET_AXIS is (1, 0, 0)
+    local = np.einsum("eij,ej->ei", d_in[1], r[:, [1, 2, 0]])
+    residual = np.linalg.norm(local - TARGET_AXIS[::-1], axis=1)
     if np.any(residual > 1e-12):
         raise AssertionError(f"frame residual {residual.max()}")
-    return Frame([d.take(_alignment_rows(l), axis=1)
-                  for l, d in enumerate(wigner_d_batch(l_max, phi, -theta, -phi))])
+    return Frame(d_in[:l_max + 1])
 
 
 def frame_from_direction(direction, l_max: int = 4) -> Frame:

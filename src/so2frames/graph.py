@@ -57,8 +57,11 @@ def _check_cutoff(cutoff) -> None:
 def build_graph(numbers, positions, cutoff: float,
                 overlap=None, hamiltonian=None) -> MoleculeGraph:
     """Every ordered atom pair (i, j) within the cutoff, in one array pass;
-    raises ValueError for bad geometry or cutoff, naming the first coincident pair."""
+    raises ValueError for an empty atom list, bad geometry or cutoff, naming
+    the first coincident pair."""
     numbers = np.asarray(numbers, dtype=np.int64)
+    if numbers.size == 0:
+        raise ValueError("a molecule needs at least one atom, got an empty atom list")
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (len(numbers), 3):
         raise ValueError(f"positions shape {positions.shape} does not match {len(numbers)} atoms")

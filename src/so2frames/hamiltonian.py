@@ -1,6 +1,7 @@
 """Orbital layouts, batched Hamiltonian assembly (one CG expansion per
-orbital degree pair for all atoms and edges), the block-rotation oracle,
-the generalized eigenproblem, and evaluation metrics.
+orbital degree pair for all atoms and edges, each block written at its
+flat matrix positions), the block-rotation oracle, the generalized
+eigenproblem, and evaluation metrics.
 
 A matrix is addressed by (atom i, orbital s, atom j, orbital t) sub
 blocks whose shapes come from the orbital degrees of a per-element basis
@@ -145,18 +146,22 @@ class AssemblyGroup:
     """The orbital blocks of one degree pair (l_s, l_t).
 
     Block b expands item ``k[b]`` (atoms, then edges) with the weights of
-    segment ``seg[b]``, one orbital pair (s, t) of one item kind.  For
-    each node degree l3 that the expansion reads, in ascending order,
-    ``weights[l3]`` is ``(offset, mult, segments)``: the group's weights of
-    that degree are ``stacked[offset:offset + segments * mult]`` of the
-    plan's stacked weights, one row of ``mult`` per segment.  ``table`` is
-    the degrees' :func:`cg.stacked_cg_table`.
+    segment ``seg[b]``, one orbital pair (s, t) of one item kind, and its
+    entries go to the flat (row-major) matrix positions
+    ``position[b * n:(b + 1) * n]``, ``n = (2 l_s + 1)(2 l_t + 1)``,
+    row-major within the block.  For each node degree l3 that the
+    expansion reads, in ascending order, ``weights[l3]`` is ``(offset,
+    mult, segments)``: the group's weights of that degree are
+    ``stacked[offset:offset + segments * mult]`` of the plan's stacked
+    weights, one row of ``mult`` per segment.  ``table`` is the degrees'
+    :func:`cg.stacked_cg_table`.
     """
 
     ls: int
     lt: int
     k: np.ndarray
     seg: np.ndarray
+    position: np.ndarray
     weights: dict[int, tuple[int, int, int]]
     table: np.ndarray
 
@@ -167,17 +172,17 @@ class AssemblyPlan:
 
     ``keys`` are the weight keys that the molecule's kinds read, in the
     order they are stacked (group, l3, segment), and ``fetch(params)``
-    returns their parameters as a tuple in that order; ``index`` maps every
-    entry of the (dim, dim) matrix into the flattened group outputs, where
-    -1 reads a zero (atoms beyond the cutoff).  Only ``k``, ``seg`` and
-    ``index`` are per molecule: the segments, weights, tables, keys and
-    ``fetch`` come from a cache keyed on the kinds present.
+    returns their parameters as a tuple in that order.  The groups'
+    positions cover the diagonal atom blocks and the blocks of atom pairs
+    within the cutoff once each; no group places the blocks of a pair
+    beyond the cutoff.  Only ``k``, ``seg`` and ``position`` are per
+    molecule: the segments, weights, tables, keys and ``fetch`` come from a
+    cache keyed on the kinds present.
     """
 
     groups: tuple[AssemblyGroup, ...]
     keys: tuple[str, ...]
     fetch: Callable[[dict], tuple]
-    index: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -227,9 +232,10 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
     its segments in ascending kind (atoms before edges, then z_i, z_j),
     then (s, t) row-major, and the items of a segment in ascending order.
     The segments, weight offsets, tables and weight keys come from a cache
-    keyed on the basis, the node irreps and the kinds present; the blocks
-    of all groups are found in one pass of array operations, and each
-    group then slices its own.
+    keyed on the basis, the node irreps and the kinds present; the items
+    and corners of all groups' blocks are found in one pass of array
+    operations, and each group then slices its own and lists its blocks'
+    flat matrix positions.
     """
     numbers = np.asarray(numbers)
     n, dim = len(numbers), layout.dim
@@ -250,17 +256,15 @@ def assembly_plan(numbers, src, dst, layout: OrbitalLayout, config) -> AssemblyP
     seg = np.repeat(np.arange(len(kind)), width)
     k = by_kind[np.arange(len(seg)) + np.repeat(first[kind] - bounds[:-1], width)]
     corner = starts[rows[k], s[seg]] * dim + starts[cols[k], t[seg]]
-    index = np.full(dim * dim, -1)
-    groups, placed = [], 0
+    groups = []
     for ls, lt, lo, hi, weights, table in segment_groups:
         blocks = slice(bounds[lo], bounds[hi])
-        groups.append(AssemblyGroup(ls, lt, k[blocks], seg[blocks] - lo, weights, table))
         # the flat matrix position of each block entry, row-major per block
         entry = np.arange(2 * ls + 1)[:, None] * dim + np.arange(2 * lt + 1)
         position = (corner[blocks, None] + entry.ravel()).ravel()
-        index[position] = np.arange(placed, placed + len(position))
-        placed += len(position)
-    return AssemblyPlan(tuple(groups), keys, fetch, index.reshape(dim, dim))
+        groups.append(AssemblyGroup(ls, lt, k[blocks], seg[blocks] - lo, position, weights,
+                                    table))
+    return AssemblyPlan(tuple(groups), keys, fetch)
 
 
 def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix:
@@ -277,13 +281,14 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
     :func:`cg.expansion` for all its blocks at once: weights with features
     per degree l3, then the group's stacked CG table.  A degree's weights
     are one (segments, mult) view of the stacked weights, and block b
-    reads row ``seg[b]`` of it.  The plan's index map places every block,
-    and the result is symmetrized.
+    reads row ``seg[b]`` of it.  Each group writes its blocks into a zero
+    (dim, dim) matrix at its ``position`` entries, so the blocks of atom
+    pairs beyond the cutoff stay zero, and the result is symmetrized.
 
     One fused autodiff primitive whose parents are the blocks of ``h``,
     then those of ``pair``, then the weights in ``plan.keys`` order.  Its
-    adjoint symmetrizes the cotangent, reads each block's entries back
-    through the index map, multiplies them by the table, and scatter-adds
+    adjoint symmetrizes the cotangent, reads each group's blocks back at
+    its ``position`` entries, multiplies them by the table, and scatter-adds
     the feature cotangents into their items and the weight cotangents,
     by segment, into the same (segments, mult) views of the stacked
     weights' cotangent.
@@ -295,7 +300,9 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
                              else weights, dtype=np.float64)
     items = {l: np.concatenate([ad.value_of(a), ad.value_of(b)])
              for (l, a), b in zip(h.items(), pair.blocks)}
-    gathered, outputs = [], []
+    dim = prepared.layout.dim
+    dense = np.zeros(dim * dim)   # the blocks of pairs beyond the cutoff stay zero
+    gathered = []
     for group in plan.groups:
         feats = [(items[l3][group.k],
                   stacked[off:off + segs * mult].reshape(segs, mult).take(group.seg, axis=0))
@@ -303,22 +310,17 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
         y = [np.einsum("...uc,...u->...c", x, w) for x, w in feats]
         y = y[0] if len(y) == 1 else np.concatenate(y, axis=-1)
         gathered.append(feats)
-        outputs.append(np.einsum("...c,nc->...n", y, group.table).ravel())
-    # index -1 reads the zero appended to the flattened group outputs
-    flat = np.concatenate(outputs + [np.zeros(1)])
-    dense = flat[plan.index]
+        dense[group.position] = np.einsum("...c,nc->...n", y, group.table).ravel()
+    dense = dense.reshape(dim, dim)
     value = (dense + dense.T) * 0.5
 
     def vjp(g):
-        d_flat = np.zeros(flat.shape)
-        d_flat[plan.index] = (g + g.T) * 0.5   # the slot of index -1 is dropped
+        d_dense = ((g + g.T) * 0.5).ravel()
         d_items = {l: np.zeros_like(x) for l, x in items.items()}
         d_stacked = np.zeros_like(stacked)
-        start = 0
         for group, feats in zip(plan.groups, gathered):
-            d_out = d_flat[start:start + len(group.k) * len(group.table)]
-            start += len(d_out)
-            d_y = np.einsum("...n,nc->...c", d_out.reshape(len(group.k), -1), group.table)
+            d_out = d_dense[group.position].reshape(len(group.k), -1)
+            d_y = np.einsum("...n,nc->...c", d_out, group.table)
             col = 0
             for (l3, (off, mult, segs)), (x, w) in zip(group.weights.items(), feats):
                 d_part = d_y[..., col:col + 2 * l3 + 1]

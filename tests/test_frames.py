@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import sum_entries
 from so2frames import autodiff as ad
+from so2frames import frames as frames_module
 from so2frames.frames import (FALLBACK_AXIS, TARGET_AXIS, frame_average_check,
                               frame_from_direction, frames_from_directions, from_local,
                               order_alignment_permutation, rotate_so3,
@@ -243,6 +244,28 @@ class TestBatchedFrames:
                     [[np.inf, 0.0, 1.0]]):
             with pytest.raises(ValueError):
                 frames_from_directions(bad)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 4])
+    def test_check_reads_the_returned_degree_one_block(self, l_max, monkeypatch):
+        # on, next to and between the poles the returned frames pass the check
+        # at every l_max, and l_max 0 keeps degree 0's bits
+        directions = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 2.0], [0.0, -0.0, -0.5],
+                      [1e-13, 0.0, 1.0], [-1e-13, 1e-13, -1.0], [1e-7, -1e-7, 1.0],
+                      [0.0, 1e-7, -1.0], [0.3, -0.4, 0.866]]
+        frames = frames_from_directions(directions, l_max)
+        assert frames.l_max == l_max
+        assert frames.d_in[0].tobytes() == frames_from_directions(directions, 4).d_in[0].tobytes()
+
+        # the check reads the degree-1 Wigner block that to_local uses: moving
+        # one of its entries by 1e-9 fails it, also at l_max 0
+        def moved(*args):
+            d = wigner_d_batch(*args)
+            d[1][-1, 1, 2] += 1e-9   # row z, column x of the last direction
+            return d
+
+        monkeypatch.setattr(frames_module, "wigner_d_batch", moved)
+        with pytest.raises(AssertionError, match="frame residual"):
+            frames_from_directions(directions, l_max)
 
 
 class TestLocalMapping:

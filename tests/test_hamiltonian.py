@@ -174,6 +174,37 @@ class TestAssemble:
         absent = [k for k in expand if not k.startswith(present)]
         assert absent and all(expand[k] is None for k in absent)
 
+    @pytest.mark.parametrize("numbers, positions", [
+        # the last atom lies beyond the cutoff of all the others
+        ([8, 1, 6, 1, 8], [[0.0, 0.0, 0.0], [0.96, 0.1, 0.0], [-0.5, 1.3, 0.2],
+                           [-1.2, 1.9, -0.7], [25.0, 0.0, 0.0]]),
+        ([6], [[0.0, 0.0, 0.0]]),
+        ([1, 6, 8, 1, 6], [[0.0, 0.0, 0.0], [1.1, 0.2, -0.1], [-0.4, 1.3, 0.5],
+                           [2.0, 1.6, 0.3], [0.6, -1.2, 1.4]]),
+    ], ids=["far-atom", "single-atom", "connected-hco"])
+    @pytest.mark.parametrize("make_config", [default_fit_config,
+                                             lambda graph: ModelConfig(elements=(1, 6, 8))],
+                             ids=["fit-config", "lmax4-config"])
+    def test_groups_place_every_block_once(self, numbers, positions, make_config):
+        # the groups' positions are disjoint and cover exactly the diagonal
+        # blocks and the blocks of pairs within the cutoff
+        graph = build_graph(numbers, positions, cutoff=15.0)
+        config = make_config(graph)
+        prepared = prepare_graph(graph, config)
+        dim = prepared.layout.dim
+        placed = np.zeros(dim * dim, dtype=int)
+        for group in prepared.plan.groups:
+            assert len(group.position) == len(group.k) * (2 * group.ls + 1) * (2 * group.lt + 1)
+            np.add.at(placed, group.position, 1)
+        linked = np.eye(len(numbers), dtype=bool)
+        linked[tuple(graph.edges.T)] = True
+        atom = np.repeat(np.arange(len(numbers)),
+                         [sum(2 * l + 1 for l in orbs) for orbs in prepared.layout.degrees])
+        within = linked[np.ix_(atom, atom)]
+        assert np.array_equal(placed.reshape(dim, dim), within.astype(int))
+        H = predict(graph, init_params(config), config, prepared).array
+        assert not np.any(H[~within])
+
     def test_beyond_cutoff_blocks_zero(self, molecule):
         graph, config, params = molecule
         far = build_graph([1, 1], [[0.0, 0.0, 0.0], [40.0, 0.0, 0.0]], cutoff=15.0)

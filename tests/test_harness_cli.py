@@ -270,6 +270,12 @@ class TestBadInput:
         self._assert_usage_error(["fit", str(path), "--steps", "1",
                                   "--out-checkpoint", str(tmp_path / "ckpt.json")], capsys)
 
+    def test_empty_molecule(self, tmp_path, capsys):
+        # the error names the empty atom list, not the shape of its positions
+        mol = self._molecule(tmp_path, "")
+        assert main(["check-equiv", mol, "--trials", "1"]) == 2
+        assert "empty atom list" in capsys.readouterr().err
+
     def test_nan_coordinates(self, tmp_path, capsys):
         mol = self._molecule(tmp_path, '{"z": 1, "pos": [0.0, 0.0, 0.0]}, '
                                        '{"z": 1, "pos": [NaN, 0.0, 1.5]}')
