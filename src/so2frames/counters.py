@@ -10,7 +10,8 @@ free), under the following cost model:
 * ``so2_tp``: literal multiplies; one complex pair product is 4.
 * ``frame_rotation``: the degree-based operation model in which rotating
   a degree-l block costs l^2 per channel (degree-0 blocks are rotation
-  invariant and cost nothing).
+  invariant and cost nothing); a block with order 0 alone, rotated out
+  of a frame, is one row of that rotation and costs l per channel.
 * ``so3_tp``: the same degree-based model; a Clebsch-Gordan path
   (l1, l2, l3) costs max(1, l1*l2*l3) per channel (the path-weight
   product is folded into the path cost).

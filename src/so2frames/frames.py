@@ -397,7 +397,8 @@ def _regrouping(so3: IrrepsLayout) -> _Regrouping:
                        sum(c * l * l for l, c in so3.entries))
 
 
-def to_local(frame: Frame, x: So3Features, index=None) -> So2Features:
+def to_local(frame: Frame, x: So3Features, index=None,
+             so3_layout: IrrepsLayout | None = None) -> So2Features:
     """Rotate SO(3) features into the frame and regroup by order m.
 
     ``x'_l = D_l(h^{-1}) x_l`` per degree in the order-aligned basis, then
@@ -412,27 +413,40 @@ def to_local(frame: Frame, x: So3Features, index=None) -> So2Features:
     gather is read inside, and the adjoint scatter-adds into the
     un-gathered blocks.  Each output order is one fused autodiff primitive
     whose parents are the degree blocks it reads.
+
+    The orders are those of the regrouping of ``so3_layout`` (``x``'s own
+    layout by default), whose lower entries ``x``'s layout must be.  The
+    degrees ``x`` lacks are zero: they are not rotated, their rows of the
+    buffer are zero, and the orders above ``x``'s highest degree, which
+    would hold nothing else, are left out.  Features with degree 0 alone
+    give order 0 alone: their channels, then zero rows.
     """
     layout = x.layout
+    target = layout if so3_layout is None else so3_layout
+    if layout is not target and layout.entries != target.entries[:len(layout.entries)]:
+        raise ValueError(f"feature layout {layout} is not the lower degrees of {target}")
     if layout.max_index > frame.l_max:
         raise ValueError(
             f"feature degree {layout.max_index} exceeds frame cache l_max {frame.l_max}")
-    plan = _regrouping(layout)
+    plan = _regrouping(target)
     rotated = None
     for l, block, rows in zip(layout.indices, x.blocks, layout.rows):
         items = ad.value_of(block) if index is None else ad.value_of(block)[index]
         part = items @ np.swapaxes(frame.d_in[l], -1, -2)
         if rotated is None:
-            rotated = np.empty(part.shape[:-2] + (layout.channels, plan.width))
+            shape = part.shape[:-2] + (target.channels, 2 * layout.max_index + 1)
+            rotated = np.empty(shape) if layout is target else np.zeros(shape)
         rotated[..., rows, :2 * l + 1] = part
-    count("frame_rotation", 0 if rotated is None else plan.multiplies * batch_size(rotated))
+    count("frame_rotation", 0 if rotated is None
+          else _regrouping(layout).multiplies * batch_size(rotated))
     blocks = []
-    for pos, row, cols in plan.orders:
+    for pos, row, cols in plan.orders[:layout.max_index + 1]:
         parents = x.blocks[pos:]
         blocks.append(ad.primitive(rotated[..., row:, cols], parents,
                                    _to_local_vjp(frame, layout.indices[pos:], cols, parents,
                                                  index)))
-    return So2Features(plan.so2, blocks)
+    so2 = plan.so2 if layout is target else so2_layout(plan.so2.entries[:len(blocks)])
+    return So2Features(so2, blocks)
 
 
 def _to_local_vjp(frame: Frame, degrees, cols, parents, index):
@@ -465,10 +479,17 @@ def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Fea
     degree's order-aligned components, so each output degree is one
     product of a view of the buffer with ``d_in[l]`` and one fused
     autodiff primitive whose parents are the order blocks 0..l.
+
+    ``x`` may hold order 0 alone, the regrouping of features that were
+    invariant in the frame (the other orders are zero): each degree l is
+    then the outer product of its m = 0 column with row 0 of ``d_in[l]``.
     """
     plan = _regrouping(so3_layout)
-    if plan.so2 != x.layout:
-        raise ValueError("SO(2) layout is not the regrouping of the SO(3) layout")
+    order_zero = len(x.blocks) == 1 and len(plan.orders) > 1
+    if x.layout.entries != (plan.so2.entries[:1] if order_zero else plan.so2.entries):
+        raise ValueError("SO(2) layout is not the regrouping of the SO(3) layout or its order 0")
+    if order_zero:
+        return _from_order_zero(frame, x.blocks[0], so3_layout)
     aligned = None
     for (_, row, cols), block in zip(plan.orders, x.blocks):
         value = ad.value_of(block)
@@ -498,6 +519,31 @@ def _from_local_vjp(rotation, aligned_shape, rows, parents):
             grad[..., r, :] = aligned[..., max(2 * m - 1, 0):2 * m + 1]
             grads.append(grad)
         return grads
+
+    return vjp
+
+
+def _from_order_zero(frame: Frame, x0, so3_layout: IrrepsLayout) -> So3Features:
+    """:func:`from_local` of order 0 alone: degree l is its channel rows of
+    ``x0`` times row 0 of ``d_in[l]``, one primitive with parent ``x0``
+    per degree.  The adjoint takes the m = 0 column of the cotangent
+    rotated back, the column of the general adjoint."""
+    value = ad.value_of(x0)
+    blocks = []
+    for l, rows in zip(so3_layout.indices, so3_layout.rows):
+        rotation = frame.d_in[l]
+        block = value[..., rows, :] * rotation[..., :1, :]
+        blocks.append(ad.primitive(block, (x0,), _order_zero_vjp(rotation, rows, value.shape)))
+    count("frame_rotation", sum(c * l for l, c in so3_layout.entries) * batch_size(value))
+    return So3Features(so3_layout, blocks)
+
+
+def _order_zero_vjp(rotation, rows, shape):
+    def vjp(g):
+        grad = np.zeros(shape)
+        grad[..., rows, :] = ad.unbroadcast(g @ np.swapaxes(rotation, -1, -2),
+                                            shape[:-2] + g.shape[-2:])[..., :1]
+        return (grad,)
 
     return vjp
 

@@ -526,6 +526,9 @@ def matrix_to_bytes(H: BlockMatrix) -> bytes:
 
 
 def matrix_from_bytes(blob: bytes) -> BlockMatrix:
+    """Matrix of the raw binary format of :func:`matrix_to_bytes`, without a
+    layout; ValueError unless the header and length fit and every entry is
+    finite (:func:`checked_matrix`, as for a JSON matrix)."""
     if blob[:8] != BINARY_MAGIC:
         raise ValueError("bad magic in binary matrix file")
     if len(blob) < 16:
@@ -534,8 +537,7 @@ def matrix_from_bytes(blob: bytes) -> BlockMatrix:
     if n < 0 or len(blob) != 16 + 8 * n * n:
         raise ValueError(f"binary matrix file has {len(blob)} bytes, but N = {n} "
                          f"needs 16 + 8 N^2")
-    data = np.frombuffer(blob[16:], dtype="<f8").reshape(n, n).copy()
-    return BlockMatrix(data, None)
+    return checked_matrix(np.frombuffer(blob[16:], dtype="<f8").reshape(n, n).copy(), None)
 
 
 def write_matrix(path: str, H: BlockMatrix) -> None:

@@ -19,6 +19,13 @@ over the directed edges in (i, j) order (an So3Features of (E, C, 2l+1)
 blocks once rotated out), and every stage is a fixed number of array
 operations per layer, whatever the size of the molecule.
 
+The element embedding is invariant, degree 0 alone, and so is the pair
+embedding, order 0 alone.  Layer 0 gets them as they are: an invariant
+rotated into an edge frame has order 0 alone, so layer 0's message runs
+on order 0, and its ops skip the blocks that would be zero.  Hence the
+first layer's degree/order mixers above 0 get no gradient, and Adam
+leaves them and their moments untouched.
+
 Parameters live in a flat ``{name: array}`` dict so that checkpointing,
 gradient bookkeeping, and the optimizer stay trivial.  The forward pass
 runs on plain ndarrays for inference and on autodiff Vars for training;
@@ -48,7 +55,7 @@ from .graph import MoleculeGraph, finite_array
 from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, assembly_plan,
                           build_orbital_layout, init_expansion)
 from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
-                     so2_layout)
+                     so2_layout, so3_layout)
 from .sampling import stream
 from .so2ops import (enumerate_tp_paths, gate_apply, init_mlp, init_so2_ffn, init_so2_gate,
                      init_so2_layernorm, init_so2_linear, mlp, mlp_weights, scale_rows,
@@ -344,9 +351,19 @@ def _self_interaction(h: So3Features, params, prefix) -> So3Features:
                                 for l, r in zip(layout.indices, rows)])
 
 
+def _padded_blocks(x: So3Features, layout: IrrepsLayout) -> list:
+    """The blocks of ``x``, whose layout holds the lower entries of
+    ``layout``, then zero blocks for the entries it lacks."""
+    return list(x.blocks) + [np.zeros(x.batch_shape + shape)
+                             for shape in layout.shapes[len(x.blocks):]]
+
+
 def add_features(a, b):
-    """Blockwise sum of two feature containers of one type and layout."""
-    return type(a)(a.layout, [ad.add(x, y) for x, y in zip(a.blocks, b.blocks)])
+    """Blockwise sum of two feature containers of one type, where ``a``'s
+    layout holds the lower entries of ``b``'s (all of them, or index 0
+    alone for an invariant ``a``): the blocks ``a`` lacks are ``b``'s."""
+    return type(b)(b.layout, [ad.add(x, y) for x, y in zip(a.blocks, b.blocks)]
+                   + list(b.blocks[len(a.blocks):]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +371,10 @@ def add_features(a, b):
 # ---------------------------------------------------------------------------
 
 def node_embed(numbers, params, config: ModelConfig) -> So3Features:
-    """Element embedding: learned l = 0 row, zero higher degrees.
+    """Element embedding: the learned l = 0 row, as the invariant features
+    it is, of layout ``{c0}x0e`` (the node layout's degree-0 entry); the
+    higher degrees of the node layout are zero, and the ops of the first
+    message pass read the degrees it lacks as zero.
 
     ``numbers`` is one atomic number or an array of them, whose shape
     becomes the leading batch shape of the features.
@@ -365,16 +385,16 @@ def node_embed(numbers, params, config: ModelConfig) -> So3Features:
     if not np.all(known):
         raise ValueError(f"element {numbers[~known].ravel()[0]} not in configured set "
                          f"{config.elements}")
-    layout = config.node_layout
+    layout = so3_layout(config.node_layout.entries[:1])
     rows = ad.take(params["embed/table"], match.argmax(axis=-1))
-    zeros = So3Features.zeros(layout, numbers.shape).blocks
-    return So3Features(layout, [ad.reshape(rows, zeros[0].shape)] + list(zeros[1:]))
+    return So3Features(layout, [ad.reshape(rows, numbers.shape + layout.shapes[0])])
 
 
 def degree_inner_products(h: So3Features, src, dst):
     """Channel-wise per-degree inner products of the items ``src`` and
     ``dst`` of batched features ``h`` (rotation invariant), concatenated on
-    the last axis: (..., sum of multiplicities) for index arrays (...).
+    the last axis: (..., sum of multiplicities) for index arrays (...),
+    over the degrees of ``h``'s layout (the embedding's degree 0 alone).
     One fused autodiff primitive whose parents are the blocks of ``h``; its
     adjoint scatter-adds into the items."""
     values = [ad.value_of(b) for b in h.blocks]
@@ -397,8 +417,16 @@ def _invariant_mix(params, prefix, s_ij, rbf_vec):
     """MLP(Linear(s) * Linear(rbf)), the shared invariant mixing block.
 
     ``s_ij`` (..., S) and ``rbf_vec`` (..., K) give a column (..., out, 1).
+    The inner products of features that lack the upper degrees (the
+    embedding's) have fewer columns than the weight ``{prefix}/s_lin``:
+    the missing ones are zero, and are put back as zeros so that the
+    product is the one of the full columns.
     """
-    s_col = ad.reshape(s_ij, ad.value_of(s_ij).shape + (1,))
+    shape = ad.value_of(s_ij).shape
+    missing = ad.value_of(params[f"{prefix}/s_lin"]).shape[-1] - shape[-1]
+    if missing:
+        s_ij = ad.concat([s_ij, np.zeros(shape[:-1] + (missing,))], axis=-1)
+    s_col = ad.reshape(s_ij, shape[:-1] + (shape[-1] + missing, 1))
     a = ad.matmul(params[f"{prefix}/s_lin"], s_col)
     b = ad.matmul(params[f"{prefix}/r_lin"], np.asarray(rbf_vec)[..., None])
     return mlp(ad.mul(a, b), params, f"{prefix}/mlp")
@@ -420,11 +448,20 @@ def message_pass(h: So3Features, s, params, config: ModelConfig,
     are added by an order-independent segment sum and passed through a
     second gated self-interaction.  ``s`` holds the inner products of the
     layer inputs over the edges, ``degree_inner_products(h, src, dst)``.
+
+    ``h`` may hold the lower degrees of the node layout alone, and the
+    degrees it lacks are zero: invariant inputs (the embedding, degree 0)
+    give order 0 alone in the edge frames, since an invariant rotated into
+    a frame has no other order, so the first self-interaction, the
+    rotations, the SO(2) Linear, the gate and the scaling skip the zero
+    blocks, and the message is rotated out from order 0.  The aggregation
+    adds zero own rows for the missing degrees, and the result has the
+    node layout.
     """
     p = f"L{layer}"
     layout = config.node_layout
     g1 = _self_interaction(h, params, f"{p}/self1")
-    local = to_local(prepared.frame, g1, prepared.dst)
+    local = to_local(prepared.frame, g1, prepared.dst, so3_layout=layout)
     mixed = so2_gate(so2_linear(local, params, f"{p}/msg/lin"), params, f"{p}/msg/gate")
     scale = _invariant_mix(params, f"{p}/msg/scale", s, prepared.rbf)
     # the scale has one slot per (degree, channel), ascending degree; order
@@ -434,7 +471,7 @@ def message_pass(h: So3Features, s, params, config: ModelConfig,
               for m, block in mixed.items()]
     msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout)
     agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), prepared.receivers)
-           for own, incoming in zip(g1.blocks, msg.blocks)]
+           for own, incoming in zip(_padded_blocks(g1, layout), msg.blocks)]
     return _self_interaction(So3Features(layout, agg), params, f"{p}/self2")
 
 
@@ -488,14 +525,23 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
     edges of ``prepared``, rotated out of the edge frames by one
     :func:`frames.from_local` at the end.  Deterministic, and each atom's
     and edge's result is independent of its position in the batch.
+
+    The embedding is invariant (degree 0 alone), and layer 0 gets it as it
+    is, so its message runs on order 0 in the edge frames
+    (:func:`message_pass`); from the skip connection on, the node track
+    has every degree.  The pair track starts as order 0 alone, the pair
+    embedding, and gets the other orders from the first pair update.  So
+    the first layer's degree/order mixers above 0 (``L0/self1/lin/{l}``,
+    ``L0/msg/lin/{m}``) act on zero blocks: they get no gradient, and
+    Adam leaves them and their moments untouched.
     """
     if prepared is None:
         prepared = prepare_graph(graph, config)
-    reg = so2_layout_of(config.node_layout)
+    layout = config.node_layout
     h = node_embed(graph.numbers, params, config)
     s = degree_inner_products(h, prepared.src, prepared.dst)
-    zeros = So2Features.zeros(reg, prepared.src.shape).blocks
-    x_pair = So2Features(reg, [pair_embed(params, s, prepared.rbf)] + list(zeros[1:]))
+    x_pair = So2Features(so2_layout(so2_layout_of(layout).entries[:1]),
+                         [pair_embed(params, s, prepared.rbf)])
     for n in range(config.layers):
         if n > 0:  # layer 0 reads the embedding's inner products, as the pair track does
             s = degree_inner_products(h, prepared.src, prepared.dst)
@@ -503,7 +549,9 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
         h = so2_layernorm(add_features(h, msg), params, f"L{n}/ln_node")
         h = node_update_so2tp(h, params, config, prepared, n)
         x_pair = offdiag_update(h, x_pair, params, config, prepared, n)
-    return h, from_local(prepared.frame, x_pair, config.node_layout)
+    if h.layout is not layout:   # no layer ran: the embedding's higher degrees are zero
+        h = So3Features(layout, _padded_blocks(h, layout))
+    return h, from_local(prepared.frame, x_pair, layout)
 
 
 def predict(graph: MoleculeGraph, params, config: ModelConfig,
@@ -588,6 +636,10 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     Polyak average is a second buffer.  Each step concatenates the leaf
     gradients into one vector with a mask of the parameters that got one,
     so :func:`adam_step` and the average are each one array expression.
+    The first layer's degree/order mixers above 0 never get one: the
+    embedding is invariant, so layer 0's message runs on order 0 and they
+    act on no block (:func:`forward`), and Adam leaves them and their
+    moments untouched.
 
     Returns ``(losses, params)`` where ``losses[k]`` is the averaged
     model's MAE after k updates (``losses[0]`` is the untrained error and

@@ -236,14 +236,19 @@ def gate_apply(values, blocks, layout: IrrepsLayout):
     the widest block, so block k is ``value[..., rows[k], :width_k]``, and
     ``vjp`` maps the cotangent of ``value`` to those of each block and then
     of each value.
+
+    ``layout`` may be the lower entries of the layout the MLP was made
+    for, whose other blocks are zero: the rows of the present blocks are
+    the same in both, and the MLP's rows past ``layout.channels``, which
+    would gate zero blocks, are left unread and get a zero cotangent.
     """
     if layout.mult(0) == 0:
         raise ValueError("gate needs m = 0 channels")
     rows = layout.rows
     out, mlp_vjp = mlp_apply(values, blocks[0])
-    if out.shape[-2] != layout.channels:
+    if out.shape[-2] < layout.channels:
         raise ValueError("gate MLP output width mismatch")
-    sig = 1.0 / (1.0 + np.exp(-out))
+    sig = 1.0 / (1.0 + np.exp(-out[..., :layout.channels, :]))
     value = np.zeros(out.shape[:-2] + (layout.channels, layout.shapes[-1][1]))
     value[..., rows[0], :1] = out[..., rows[0], :]
     for r, x in zip(rows[1:], blocks[1:]):
@@ -267,7 +272,9 @@ def so2_gate(x, params: dict, prefix: str):
     """Gate activation: MLP on the m = 0 channels; sigmoid gates for m > 0.
 
     ``x`` is So2Features or So3Features (index 0 holds the invariant
-    channels either way) and the result has the same type and layout.
+    channels either way) and the result has the same type and layout;
+    ``x`` may lack the upper entries of the layout the MLP was made for
+    (:func:`gate_apply`), as the invariant input of a first layer does.
     The MLP ``{prefix}/mlp`` sees every m = 0 channel (whatever degree it
     came from), emits the new m = 0 features and one pre-sigmoid gate
     scalar per m > 0 channel; each m > 0 channel is scaled by its sigmoid

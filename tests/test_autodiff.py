@@ -385,6 +385,20 @@ class TestOperationVjps:
                   lambda: [rng.normal(size=(3,) + self.so3.block_shape(l))
                            for l in self.so3.indices], rng)
 
+    def test_batched_order_zero_from_local(self, rng):
+        # order 0 alone rotated out of a batch of three frames, item by item
+        # (every channel of the order, not only those of degree 0)
+        frame = frames_from_directions(
+            [random_unit_vector(stream(k, "vjp-frames")) for k in range(3)], 2)
+        reg = so2_layout_of(self.so3)
+        order_zero = so2_layout(reg.entries[:1])
+
+        def op(leaves):
+            return to_local(frame, from_local(frame, So2Features(order_zero, leaves), self.so3))
+
+        self._run(self._feature_loss(op, 1, reg, (3,)),
+                  lambda: [rng.normal(size=(3,) + order_zero.block_shape(0))], rng)
+
     def test_expansion(self, rng):
         cot = np.random.default_rng(4).normal(size=(3, 3))
 

@@ -292,6 +292,39 @@ class TestLocalMapping:
             assert err < 1e-13
             assert abs(local.norm() - x.norm()) < 1e-12
 
+    def test_invariant_features_give_order_zero_alone(self, rng):
+        # degree 0 alone, regrouped into the full layout: order 0 holds its
+        # channels and then zero rows, and no other order is made
+        frame = frames_from_directions([[0.0, 0.0, -1.0], [0.3, -0.4, 0.866],
+                                        [1e-9, 0.0, 1.0]], 3)
+        h = So3Features(layout_parse("3x0e"), [rng.normal(size=(3, 3, 1))])
+        padded = So3Features(self.layout, list(h.blocks) + [np.zeros((3,) + shape)
+                                                            for shape in self.layout.shapes[1:]])
+        local = to_local(frame, h, so3_layout=self.layout)
+        full = to_local(frame, padded)
+        assert local.layout.entries == full.layout.entries[:1]
+        assert np.array_equal(local.blocks[0], full.blocks[0])
+        with pytest.raises(ValueError, match="lower degrees"):
+            to_local(frame, h, so3_layout=layout_parse("2x0e+2x1e"))
+
+    def test_order_zero_from_local_matches_zero_padded(self, rng):
+        # order 0 alone is rotated out as the outer product of each degree's
+        # m = 0 column with row 0 of D_l; the result is that of the padded
+        # orders, on and next to both poles as elsewhere
+        frame = frames_from_directions([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1e-9, 0.0, -1.0],
+                                        [0.3, -0.4, 0.866]], 3)
+        reg = so2_layout_of(self.layout)
+        x0 = rng.normal(size=(4,) + reg.block_shape(0))
+        alone = So2Features(layout_parse("8x0m"), [x0])
+        padded = So2Features(reg, [x0] + [np.zeros((4,) + shape) for shape in reg.shapes[1:]])
+        got = from_local(frame, alone, self.layout)
+        want = from_local(frame, padded, self.layout)
+        assert got.layout == want.layout == self.layout
+        for a, b in zip(got.blocks, want.blocks):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="regrouping"):
+            from_local(frame, So2Features(layout_parse("7x0m"), [x0[:, :7]]), self.layout)
+
     def test_zero_maps_to_zero(self):
         frame = frame_from_direction([0.3, -0.4, 0.866], 3)
         x = So3Features.zeros(self.layout)

@@ -305,6 +305,20 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bytes" in err
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_binary_matrix(self, tmp_path, capsys, entry):
+        # the binary reader checks its entries as the JSON reader does, so
+        # the error names the file rather than failing inside the eigensolver
+        true = tmp_path / "H.json"
+        write_matrix(str(true), BlockMatrix(np.eye(3), layout_from_degrees([(0,), (0,), (0,)])))
+        bad = tmp_path / "bad.bin"
+        data = np.eye(3)
+        data[1, 2] = entry
+        write_matrix(str(bad), BlockMatrix(data, None))
+        assert main(["metrics", str(bad), str(true)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "finite" in err
+
     @pytest.mark.parametrize("doc", [
         {"layout": [[0], [], [0]], "data": [[1.0, 0.1], [0.1, 2.0]]},
         {"layout": [[0, 1]], "data": [[1.0, 0.1], [0.1, 2.0]]},

@@ -60,6 +60,8 @@ def inner_products(h, prepared):
 
 
 def features_dev(a, b):
+    # containers of one layout only: zip would drop the blocks one lacks
+    assert [fa.layout for fa in a] == [fb.layout for fb in b]
     return max(np.max(np.abs(x - y))
                for fa, fb in zip(a, b)
                for x, y in zip(fa.as_arrays(), fb.as_arrays()))
@@ -73,11 +75,11 @@ class TestNodeEmbed:
         assert features_dev([e1], [e2]) == 0.0
 
     def test_scalar_only(self, setup):
+        # the embedding is the invariant container it is: the node layout's
+        # degree-0 entry alone, and the ops of layer 0 read the rest as zero
         _, config, params = setup
         emb = node_embed(1, params, config)
-        for l, block in emb.items():
-            if l > 0:
-                assert np.max(np.abs(np.asarray(block))) == 0.0
+        assert emb.layout.entries == config.node_layout.entries[:1]
 
     def test_unknown_element(self, setup):
         _, config, params = setup
@@ -155,10 +157,15 @@ class TestMessagePass:
         prepared = prepare_graph(lone, config)
         h = node_embed([1], params, config)
         out = message_pass(h, inner_products(h, prepared), params, config, prepared, layer=0)
-        # no edges: the aggregate is just the node's own gated features
+        # no edges: the aggregate is just the node's own gated features,
+        # which are invariant: zero in the degrees above 0
         from so2frames.model import _self_interaction
-        expected = _self_interaction(
-            _self_interaction(h, params, "L0/self1"), params, "L0/self2")
+        own = _self_interaction(h, params, "L0/self1")
+        layout = config.node_layout
+        own = So3Features(layout, list(own.blocks) + [np.zeros((1,) + shape)
+                                                      for shape in layout.shapes[1:]])
+        expected = _self_interaction(own, params, "L0/self2")
+        assert out.layout == expected.layout == layout
         assert features_dev([out], [expected]) == 0.0
 
     def test_equivariance(self, setup, rng):
@@ -315,6 +322,64 @@ class TestMoleculeProperties:
         assert dev <= 1e-9
 
 
+@pytest.fixture(scope="module")
+def both_models(hco_model):
+    """The fit config and the l_max-4 config at the strategies' cutoff."""
+    l4 = ModelConfig(elements=(1, 6, 8), cutoff=_CUTOFF)
+    return {"fit": hco_model, "l4": (l4, init_params(l4))}
+
+
+def _with_zero_degrees(h, layout):
+    """Degree-0 features as the node layout, with explicit zero higher degrees."""
+    return So3Features(layout, list(h.blocks) + [np.zeros(h.batch_shape + shape)
+                                                 for shape in layout.shapes[1:]])
+
+
+class TestInvariantFirstLayer:
+    """Layer 0 gets the embedding as the invariant container it is, and its
+    message runs on order 0; the padded embedding runs every block."""
+
+    @example(([1], np.zeros((1, 3))))
+    @example(([6, 1], np.array([[0.0, 0.0, 0.0], [4.0 * _CUTOFF, 0.0, 0.0]])))
+    @example(([8, 1], np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.5]])))
+    @example(([1, 6], np.array([[0.0, 0.0, 0.0], [2.0 ** -30, 0.0, -1.5]])))
+    @settings(max_examples=25, deadline=None)
+    @given(_molecules())
+    def test_message_pass_matches_zero_padded_embedding(self, both_models, molecule):
+        # isolated atoms, a single atom and bonds on or near -z included
+        numbers, positions = molecule
+        try:
+            graph = build_graph(numbers, positions, cutoff=_CUTOFF)
+        except ValueError:
+            assume(False)  # the tilted bond or a mirror image landed on another atom
+        for config, params in both_models.values():
+            prepared = prepare_graph(graph, config)
+            h = node_embed(graph.numbers, params, config)
+            padded = _with_zero_degrees(h, config.node_layout)
+            got = message_pass(h, inner_products(h, prepared), params, config, prepared, 0)
+            want = message_pass(padded, inner_products(padded, prepared), params, config,
+                                prepared, 0)
+            assert got.layout == want.layout == config.node_layout
+            for a, b in zip(got.blocks, want.blocks):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["fit", "l4"])
+    def test_no_layers(self, both_models, name):
+        # without a layer the node features are the embedding and the pair
+        # track reaches from_local as order 0 alone
+        from so2frames.harness import check_equivariance
+
+        config, _ = both_models[name]
+        config = replace(config, layers=0, cutoff=15.0)
+        params = init_params(config)
+        graph = sample_molecule(1, 5, [1, 6, 8], 1.4, 15.0)
+        H = predict(graph, params, config).array
+        assert np.all(np.isfinite(H)) and np.array_equal(H, H.T)
+        h, pair = forward(graph, params, config)
+        assert h.layout == pair.layout == config.node_layout
+        assert check_equivariance(graph, params, config, trials=5, tolerance=1e-9).passed
+
+
 def _tape(outputs):
     """The Var nodes reachable from ``outputs``."""
     seen, stack = {}, list(outputs)
@@ -368,7 +433,7 @@ class TestTapeSize:
         leaves = {k: ad.Var(v) for k, v in params.items()}
         pred = predict(graph, leaves, config)
         loss = ad.mean_all(ad.absolute(ad.sub(pred.data, target.array)))
-        assert len(_tape([loss])) <= 220
+        assert len(_tape([loss])) <= 202
 
     def test_taped_assemble_is_one_node(self, setup):
         # the assembly's gathers, contractions, placement and symmetrization
@@ -406,10 +471,11 @@ class TestCallBudget:
     """The fixed per-call cost of the interpreter: layouts, regrouping
     tables, node-frame factors and weight keys are built once and shared,
     so a call makes few Python calls of its own.  The budgets are the
-    counts of the current code (2579 and 2188 before the layout tables)."""
+    counts of the current code (2579 and 2188 before the layout tables,
+    1038 and 1573 before layer 0's message ran on order 0)."""
 
-    PREDICT_CALLS = 1038
-    FIT_STEP_CALLS = 1573
+    PREDICT_CALLS = 919
+    FIT_STEP_CALLS = 1419
 
     def test_predict_stream_predict(self):
         # an 8-atom H/C/O molecule at the l_max 4 config of the predict-stream benchmark
@@ -705,12 +771,14 @@ class TestFitDemo:
         grads = {k: np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
                  for k, leaf in leaves.items()}
         largest = max(np.max(np.abs(g)) for g in grads.values())
-        # Embeddings are scalar-only (anything else would break input
-        # invariance), so the first layer's degree/order mixers above 0
-        # necessarily act on zero blocks.  An odd degree l3 expands an
-        # orbital paired with itself into an antisymmetric CG block, which
-        # the symmetrization (H + H^T) / 2 removes: those weights get at
-        # most rounding noise.  Everything else must be live.
+        # The embedding is invariant (anything else would break input
+        # invariance), so layer 0's message runs on order 0 in the edge
+        # frames, and the first layer's degree/order mixers above 0 act on
+        # no block: they get no gradient (None, read as zero here), and
+        # Adam leaves them and their moments untouched.  An odd degree l3
+        # expands an orbital paired with itself into an antisymmetric CG
+        # block, which the symmetrization (H + H^T) / 2 removes: those
+        # weights get at most rounding noise.  Everything else must be live.
         layout = config.node_layout
         expected_dead = (
             [f"L0/self1/lin/{l}" for l in layout.indices if l > 0]
@@ -719,6 +787,7 @@ class TestFitDemo:
         assert "expand/diag/1/2.2/1" in expected_dead
         for k in expected_dead:
             assert np.max(np.abs(grads[k])) <= 1e-15 * largest, k
+        assert all(leaves[k].grad is None for k in expected_dead if k.startswith("L0/"))
         assert all(np.any(g) for k, g in grads.items() if k not in expected_dead)
 
     def test_first_layer_mixers_are_wired(self, setup, rng):
@@ -817,8 +886,8 @@ class TestOpCounts:
     # (8 atoms, 56 edges); the pair track's rotation out of the edge frames
     # is 3472 (fit) and 5152 (l4) of the frame_rotation count
     PINNED = {
-        "fit": {"frame_rotation": 18352, "so2_linear": 131104, "so2_tp": 4544},
-        "l4": {"frame_rotation": 49312, "so2_linear": 784064, "so2_tp": 174464},
+        "fit": {"frame_rotation": 12640, "so2_linear": 96160, "so2_tp": 4544},
+        "l4": {"frame_rotation": 41024, "so2_linear": 680128, "so2_tp": 174464},
     }
 
     @pytest.mark.parametrize("name", ["fit", "l4"])
