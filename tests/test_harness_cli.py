@@ -3,6 +3,7 @@ import json
 import struct
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def molecule_file(tmp_path):
 @pytest.fixture
 def checkpoint_file(molecule_file, tmp_path):
     """A fresh checkpoint of the molecule's default fit config."""
-    config = default_fit_config(graph_from_json(open(molecule_file).read()))
+    config = default_fit_config(graph_from_json(Path(molecule_file).read_text()))
     path = tmp_path / "ckpt.json"
     path.write_text(checkpoint_dumps(config, init_params(config)))
     return str(path)
@@ -55,7 +56,7 @@ class TestGen:
                 assert np.linalg.norm(graph.positions[i] - graph.positions[j]) >= 1.3
 
     def test_embedded_targets_present(self, molecule_file):
-        doc = json.loads(open(molecule_file).read())
+        doc = json.loads(Path(molecule_file).read_text())
         assert "hamiltonian" in doc and "overlap" in doc
         H = np.array(doc["hamiltonian"])
         assert np.max(np.abs(H - H.T)) < 1e-12
@@ -67,7 +68,7 @@ class TestGen:
 
 class TestCheckEquiv:
     def test_untrained_model_passes(self, molecule_file):
-        graph = graph_from_json(open(molecule_file).read())
+        graph = graph_from_json(Path(molecule_file).read_text())
         config = default_fit_config(graph)
         params = init_params(config)
         report = check_equivariance(graph, params, config, trials=6, seed=1)
@@ -75,7 +76,7 @@ class TestCheckEquiv:
         assert report.checks["block_equivariance"]["max_error"] < 1e-9
 
     def test_corrupted_wigner_cache_fails(self, molecule_file):
-        graph = graph_from_json(open(molecule_file).read())
+        graph = graph_from_json(Path(molecule_file).read_text())
         config = default_fit_config(graph)
         params = init_params(config)
         report = check_equivariance(graph, params, config, trials=4, seed=1,
@@ -149,7 +150,7 @@ class TestFitCli:
                      "--out-checkpoint", str(ckpt)])
         assert code == 0
         config, params = checkpoint_loads(ckpt.read_text())
-        graph = graph_from_json(open(molecule_file).read())
+        graph = graph_from_json(Path(molecule_file).read_text())
         fresh = init_params(replace(default_fit_config(graph), seed=5))
         assert sorted(params) == sorted(fresh)
         for k in params:
@@ -188,7 +189,7 @@ class TestPredictMetricsCli:
         assert main(["predict", molecule_file, str(ckpt), "--out", str(pred_path)]) == 0
         capsys.readouterr()
 
-        graph = graph_from_json(open(molecule_file).read())
+        graph = graph_from_json(Path(molecule_file).read_text())
         config, params = checkpoint_loads(ckpt.read_text())
         layout = build_orbital_layout(graph.numbers, config.basis_map)
         true_path = tmp_path / "H_true.json"
@@ -425,7 +426,7 @@ class TestBadInput:
     def test_checkpoint_parameter_mismatch(self, molecule_file, tmp_path, capsys, damage):
         # a checkpoint must hold exactly the parameters its config needs,
         # with their shapes; the error names the first that differs
-        config = default_fit_config(graph_from_json(open(molecule_file).read()))
+        config = default_fit_config(graph_from_json(Path(molecule_file).read_text()))
         doc = json.loads(checkpoint_dumps(config, init_params(config)))
         name = {"missing": "L0/ffn/gate/mlp/2/b", "mis-shaped": "L0/ln_node/1/g",
                 "unknown": "L0/extra/w"}[damage]
@@ -460,7 +461,7 @@ class TestBadInput:
     def test_checkpoint_fixes_the_model(self, molecule_file, checkpoint_file, tmp_path, capsys,
                                         flag, value):
         config = tmp_path / "cfg.json"  # the checkpoint's own config
-        config.write_text(json.dumps(json.loads(open(checkpoint_file).read())["config"]))
+        config.write_text(json.dumps(json.loads(Path(checkpoint_file).read_text())["config"]))
         assert main(["check-equiv", molecule_file, checkpoint_file, "--trials", "1",
                      flag, value or str(config)]) == 2
         err = capsys.readouterr().err
@@ -486,7 +487,7 @@ class TestBadInput:
     def test_element_missing_from_checkpoint(self, molecule_file, tmp_path, capsys):
         from so2frames.model import checkpoint_dumps
 
-        graph = graph_from_json(open(molecule_file).read())
+        graph = graph_from_json(Path(molecule_file).read_text())
         config = default_fit_config(graph)
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text(checkpoint_dumps(config, init_params(config)))
@@ -613,7 +614,7 @@ class TestFrameEdgeCases:
         # the bond 1 -> 0 points 1e-7 away from -z
         mol = self._molecule(tmp_path, [[0.0, 0.0, 0.0], [1e-7, 0.0, 1.8]])
         assert main(["check-equiv", mol, "--trials", "4"]) == 0
-        graph = graph_from_json(open(mol).read())
+        graph = graph_from_json(Path(mol).read_text())
         config = default_fit_config(graph)
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text(checkpoint_dumps(config, init_params(config)))
@@ -624,7 +625,7 @@ class TestFrameEdgeCases:
                              ids=["single-atom", "beyond-cutoff"])
     def test_isolated_atoms_equivariant(self, tmp_path, positions):
         mol = self._molecule(tmp_path, positions, [8] + [1] * (len(positions) - 1))
-        graph = graph_from_json(open(mol).read())
+        graph = graph_from_json(Path(mol).read_text())
         assert len(graph.edges) == 0
         config = default_fit_config(graph)
         report = check_equivariance(graph, init_params(config), config, trials=6, seed=2)
@@ -647,7 +648,7 @@ class TestFrameEdgeCases:
         # checkpoint with another m_max is rejected
         assert main(["check-equiv", molecule_file, "--trials", "1", "--mmax", "1"]) == 2
         assert "unrecognized arguments: --mmax 1" in capsys.readouterr().err
-        config = default_fit_config(graph_from_json(open(molecule_file).read()))
+        config = default_fit_config(graph_from_json(Path(molecule_file).read_text()))
         doc = json.loads(checkpoint_dumps(config, init_params(config)))
         doc["config"]["m_max"] = 1
         ckpt = tmp_path / "ckpt.json"
@@ -659,7 +660,7 @@ class TestFrameEdgeCases:
 
 class TestIdentityTrial:
     def test_identity_rotation_deviation_exactly_zero(self, molecule_file):
-        graph = graph_from_json(open(molecule_file).read())
+        graph = graph_from_json(Path(molecule_file).read_text())
         config = default_fit_config(graph)
         params = init_params(config)
         report = check_equivariance(graph, params, config, trials=1, seed=0)
