@@ -19,8 +19,7 @@ import sys
 from dataclasses import replace
 
 from .graph import build_graph, graph_from_json, sample_molecule
-from .hamiltonian import (gen_synthetic_target, matrix_from_bytes, matrix_loads, metrics,
-                          write_matrix)
+from .hamiltonian import gen_synthetic_target, metrics, read_matrix, write_matrix
 from .harness import RunReport, bench, check_equivariance
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
                     default_fit_config, fit_demo, fit_node_irreps, init_params, predict)
@@ -150,8 +149,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    pred, true, overlap = (_read(path, matrix_from_bytes if path.endswith(".bin") else matrix_loads)
-                           if path else None for path in (args.pred, args.true, args.overlap))
+    pred, true, overlap = (read_matrix(path) if path else None
+                           for path in (args.pred, args.true, args.overlap))
     result = metrics(pred, true, overlap, args.n_occ)
     if not args.json:
         for key in ("mae_diag", "mae_offdiag", "mae_all", "mae_eps", "cosine_psi"):

@@ -550,8 +550,11 @@ def write_matrix(path: str, H: BlockMatrix) -> None:
 
 
 def read_matrix(path: str) -> BlockMatrix:
-    if str(path).endswith(".bin"):
-        with open(path, "rb") as f:
-            return matrix_from_bytes(f.read())
-    with open(path) as f:
-        return matrix_loads(f.read())
+    """The matrix in the file at ``path``: the binary format if the path
+    ends in ``.bin``, else JSON.  A ValueError of the parser names the file."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return (matrix_from_bytes if str(path).endswith(".bin") else matrix_loads)(blob)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
