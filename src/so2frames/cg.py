@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .counters import count
-from .frames import _u_matrix, frame_from_direction, from_local, so2_layout_of, to_local
-from .irreps import DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, so3_layout
+from .frames import _u_matrix, frame_from_direction, from_local, to_local
+from .irreps import DEFAULT_L_CAP, IrrepsLayout, So3Features, so3_layout
 from .so2ops import so2_linear
 
 _TABLES: dict[tuple[int, int, int], np.ndarray] = {}
@@ -226,20 +226,16 @@ def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
     """rotate -> SO(2) linear -> rotate back, the O(L^3) route.
 
     Equals ``so3_tensor_product(x, Y(direction), weights)`` for paths with
-    a spherical-harmonic filter.
+    a spherical-harmonic filter.  The SO(2) linear gives the orders up to
+    the lower of the input's and the output's top degree; the orders above
+    the input's get no weights, and :func:`from_local` reads them as zero.
     """
     out_degrees = sorted(out_degrees)
     cap = l_max if l_max is not None else max(x.layout.max_index, out_degrees[-1])
     frame = frame_from_direction(direction, cap)
     lin = escn_so2_linear_weights(weights, x.layout, out_degrees, "escn")
     out_layout = so3_layout([(lo, x.layout.entries[0][1]) for lo in out_degrees])
-    mixed = so2_linear(to_local(frame, x), lin, "escn")
-    # orders the input cannot reach stay zero but must exist for the
-    # inverse mapping
-    full = so2_layout_of(out_layout)
-    padded = So2Features(full, [mixed.block(m) if mixed.layout.mult(m)
-                                else np.zeros(full.block_shape(m)) for m in full.indices])
-    return from_local(frame, padded, out_layout)
+    return from_local(frame, so2_linear(to_local(frame, x), lin, "escn"), out_layout)
 
 
 @functools.lru_cache(maxsize=None)

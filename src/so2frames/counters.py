@@ -10,8 +10,10 @@ free), under the following cost model:
 * ``so2_tp``: literal multiplies; one complex pair product is 4.
 * ``frame_rotation``: the degree-based operation model in which rotating
   a degree-l block costs l^2 per channel (degree-0 blocks are rotation
-  invariant and cost nothing); a block with order 0 alone, rotated out
-  of a frame, is one row of that rotation and costs l per channel.
+  invariant and cost nothing).  Rotating a degree-l block out of a frame
+  with only its k lowest orders present reads k of its l + 1 orders and
+  costs l * min(k, l) per channel: l^2 with every order, l with order 0
+  alone.
 * ``so3_tp``: the same degree-based model; a Clebsch-Gordan path
   (l1, l2, l3) costs max(1, l1*l2*l3) per channel (the path-weight
   product is folded into the path cost).

@@ -369,20 +369,17 @@ class _Regrouping:
     """How :func:`to_local` and :func:`from_local` regroup one SO(3) layout.
 
     The degrees are stacked on the channel axis of one ``(..., channels,
-    width)`` buffer, degree l in the rows ``layout.rows`` of its entry and
-    the columns ``[0, 2l+1)``, ``width = 2 l_max + 1``.  ``orders[m]`` is
-    ``(pos, row, cols)``: order m reads the degrees from entry ``pos`` on,
-    which are the rows ``row:`` of the buffer, and of each the columns
-    ``cols``.  ``degree_rows[k]`` lists, for the degree of entry k and each
-    order m = 0..l, that degree's rows within the block of order m.
-    ``multiplies`` is the "frame_rotation" count per item.
+    columns)`` buffer, degree l in the rows ``layout.rows`` of its entry and
+    the columns ``[0, 2l+1)``.  ``orders[m]`` is ``(pos, row, cols)``:
+    order m reads the degrees from entry ``pos`` on, which are the rows
+    ``row:`` of the buffer, and of each the columns ``cols``.
+    ``degree_rows[k]`` lists, for the degree of entry k and each order
+    m = 0..l, that degree's rows within the block of order m.
     """
 
     so2: IrrepsLayout
     orders: tuple
     degree_rows: tuple
-    width: int
-    multiplies: int
 
 
 @lru_cache(maxsize=256)
@@ -393,8 +390,7 @@ def _regrouping(so3: IrrepsLayout) -> _Regrouping:
     degree_rows = tuple(tuple(slice(r.start - so3.first_row[m], r.stop - so3.first_row[m])
                               for m in range(l + 1))
                         for l, r in zip(so3.indices, so3.rows))
-    return _Regrouping(so2, orders, degree_rows, 2 * so3.max_index + 1,
-                       sum(c * l * l for l, c in so3.entries))
+    return _Regrouping(so2, orders, degree_rows)
 
 
 def to_local(frame: Frame, x: So3Features, index=None,
@@ -430,15 +426,16 @@ def to_local(frame: Frame, x: So3Features, index=None,
             f"feature degree {layout.max_index} exceeds frame cache l_max {frame.l_max}")
     plan = _regrouping(target)
     rotated = None
-    for l, block, rows in zip(layout.indices, x.blocks, layout.rows):
+    multiplies = 0
+    for (l, mult), block, rows in zip(layout.entries, x.blocks, layout.rows):
         items = ad.value_of(block) if index is None else ad.value_of(block)[index]
         part = items @ np.swapaxes(frame.d_in[l], -1, -2)
         if rotated is None:
             shape = part.shape[:-2] + (target.channels, 2 * layout.max_index + 1)
             rotated = np.empty(shape) if layout is target else np.zeros(shape)
         rotated[..., rows, :2 * l + 1] = part
-    count("frame_rotation", 0 if rotated is None
-          else _regrouping(layout).multiplies * batch_size(rotated))
+        multiplies += mult * l * l
+    count("frame_rotation", 0 if rotated is None else multiplies * batch_size(rotated))
     blocks = []
     for pos, row, cols in plan.orders[:layout.max_index + 1]:
         parents = x.blocks[pos:]
@@ -473,77 +470,54 @@ def _to_local_vjp(frame: Frame, degrees, cols, parents, index):
 def from_local(frame: Frame, x: So2Features, so3_layout: IrrepsLayout) -> So3Features:
     """Exact inverse of :func:`to_local` for the given SO(3) layout.
 
-    Each order's block is written into its rows and columns of one
-    ``(..., channels, 2 l_max + 1)`` buffer, the layout of
-    :func:`to_local`'s; the degree-l rows of orders 0..l are then the
-    degree's order-aligned components, so each output degree is one
-    product of a view of the buffer with ``d_in[l]`` and one fused
-    autodiff primitive whose parents are the order blocks 0..l.
-
-    ``x`` may hold order 0 alone, the regrouping of features that were
-    invariant in the frame (the other orders are zero): each degree l is
-    then the outer product of its m = 0 column with row 0 of ``d_in[l]``.
+    ``x`` holds the lower orders of the regrouping of ``so3_layout``: all
+    of them, or orders 0..n-1 for some n >= 1.  The orders it lacks are
+    zero, the rule :func:`to_local` has for missing degrees.  Each order's
+    block is written into its rows and columns of one ``(..., channels,
+    2n - 1)`` buffer, the layout of :func:`to_local`'s up to the columns
+    of order n-1.  Degree l then reads the k = min(l + 1, n) orders
+    present: its rows of the buffer's first 2k - 1 columns times the first
+    2k - 1 rows of ``d_in[l]``, one fused autodiff primitive whose parents
+    are the order blocks 0..k-1.
     """
     plan = _regrouping(so3_layout)
-    order_zero = len(x.blocks) == 1 and len(plan.orders) > 1
-    if x.layout.entries != (plan.so2.entries[:1] if order_zero else plan.so2.entries):
-        raise ValueError("SO(2) layout is not the regrouping of the SO(3) layout or its order 0")
-    if order_zero:
-        return _from_order_zero(frame, x.blocks[0], so3_layout)
+    present = len(x.blocks)
+    if x.layout.entries != plan.so2.entries[:max(present, 1)]:
+        raise ValueError("SO(2) layout is not the lower orders of the SO(3) layout's regrouping")
     aligned = None
     for (_, row, cols), block in zip(plan.orders, x.blocks):
         value = ad.value_of(block)
         if aligned is None:
-            aligned = np.empty(value.shape[:-2] + (so3_layout.channels, plan.width))
+            aligned = np.empty(value.shape[:-2] + (so3_layout.channels, 2 * present - 1))
         aligned[..., row:, cols] = value
     blocks = []
-    for l, rows, order_rows in zip(so3_layout.indices, so3_layout.rows, plan.degree_rows):
+    multiplies = 0
+    for (l, mult), rows, order_rows in zip(so3_layout.entries, so3_layout.rows,
+                                           plan.degree_rows):
         parents = x.blocks[:l + 1]
-        part = aligned[..., rows, :2 * l + 1]
-        block = part @ frame.d_in[l]
+        part = aligned[..., rows, :2 * len(parents) - 1]
+        block = part @ frame.d_in[l][..., :part.shape[-1], :]
         blocks.append(ad.primitive(block, parents,
                                    _from_local_vjp(frame.d_in[l], part.shape, order_rows,
                                                    parents)))
-    count("frame_rotation", plan.multiplies * batch_size(blocks[0]) if blocks else 0)
+        multiplies += mult * l * min(len(parents), l)
+    count("frame_rotation", multiplies * batch_size(blocks[0]) if blocks else 0)
     return So3Features(so3_layout, blocks)
 
 
 def _from_local_vjp(rotation, aligned_shape, rows, parents):
     """Adjoint of one degree of :func:`from_local`: the cotangent rotated
-    back, with each order's columns scattered into its channel rows."""
+    back and cut to the columns of the orders present, with each order's
+    columns scattered into its channel rows."""
     def vjp(g):
-        aligned = ad.unbroadcast(g @ np.swapaxes(rotation, -1, -2), aligned_shape)
+        back = (g @ np.swapaxes(rotation, -1, -2))[..., :aligned_shape[-1]]
+        aligned = ad.unbroadcast(back, aligned_shape)
         grads = []
         for m, (r, block) in enumerate(zip(rows, parents)):
             grad = np.zeros(block.shape)
             grad[..., r, :] = aligned[..., max(2 * m - 1, 0):2 * m + 1]
             grads.append(grad)
         return grads
-
-    return vjp
-
-
-def _from_order_zero(frame: Frame, x0, so3_layout: IrrepsLayout) -> So3Features:
-    """:func:`from_local` of order 0 alone: degree l is its channel rows of
-    ``x0`` times row 0 of ``d_in[l]``, one primitive with parent ``x0``
-    per degree.  The adjoint takes the m = 0 column of the cotangent
-    rotated back, the column of the general adjoint."""
-    value = ad.value_of(x0)
-    blocks = []
-    for l, rows in zip(so3_layout.indices, so3_layout.rows):
-        rotation = frame.d_in[l]
-        block = value[..., rows, :] * rotation[..., :1, :]
-        blocks.append(ad.primitive(block, (x0,), _order_zero_vjp(rotation, rows, value.shape)))
-    count("frame_rotation", sum(c * l for l, c in so3_layout.entries) * batch_size(value))
-    return So3Features(so3_layout, blocks)
-
-
-def _order_zero_vjp(rotation, rows, shape):
-    def vjp(g):
-        grad = np.zeros(shape)
-        grad[..., rows, :] = ad.unbroadcast(g @ np.swapaxes(rotation, -1, -2),
-                                            shape[:-2] + g.shape[-2:])[..., :1]
-        return (grad,)
 
     return vjp
 

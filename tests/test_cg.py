@@ -173,6 +173,18 @@ class TestEscnEquivalence:
                     scale = max(np.max(np.abs(direct.block(lo))), 1e-12)
                     assert err / scale < 1e-10, (li, lo)
 
+    def test_rotation_count_reads_the_orders_present(self, rng):
+        # degree 1 in, degree 3 out: the SO(2) linear gives orders 0 and 1,
+        # so rotating out costs l * min(2, l) per channel of degree 3, on
+        # top of l^2 per channel to rotate degree 1 in
+        channels = 2
+        x = random_features(so3_layout([(1, channels)]), rng)
+        w = PathWeights.random([(1, lf, 3) for lf in (2, 3, 4)], channels, rng)
+        counter = OpCounter()
+        with counting(counter):
+            escn_reference_apply(x, random_unit_vector(rng), w, [3])
+        assert counter.get("frame_rotation") == channels * (1 * 1 + 3 * 2)
+
     def test_oracle_full_mix(self):
         rng = stream(14, "escn-full")
         L = 4

@@ -307,23 +307,43 @@ class TestLocalMapping:
         with pytest.raises(ValueError, match="lower degrees"):
             to_local(frame, h, so3_layout=layout_parse("2x0e+2x1e"))
 
-    def test_order_zero_from_local_matches_zero_padded(self, rng):
-        # order 0 alone is rotated out as the outer product of each degree's
-        # m = 0 column with row 0 of D_l; the result is that of the padded
-        # orders, on and next to both poles as elsewhere
+    @pytest.mark.parametrize("given", [1, 2, 3])
+    def test_order_zero_from_local_matches_zero_padded(self, given, rng):
+        # the lower orders of the regrouping are rotated out as if the
+        # missing ones were zero, on and next to both poles as elsewhere;
+        # order 0 alone gives the bits of the padded orders, and the taped
+        # adjoint gives the given orders the gradients of the padded input
         frame = frames_from_directions([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1e-9, 0.0, -1.0],
                                         [0.3, -0.4, 0.866]], 3)
         reg = so2_layout_of(self.layout)
-        x0 = rng.normal(size=(4,) + reg.block_shape(0))
-        alone = So2Features(layout_parse("8x0m"), [x0])
-        padded = So2Features(reg, [x0] + [np.zeros((4,) + shape) for shape in reg.shapes[1:]])
-        got = from_local(frame, alone, self.layout)
-        want = from_local(frame, padded, self.layout)
+        lower = So2Features(layout_parse("+".join(f"{c}x{m}m" for m, c in reg.entries[:given])),
+                            [rng.normal(size=(4,) + shape) for shape in reg.shapes[:given]])
+        zeros = [np.zeros((4,) + shape) for shape in reg.shapes[given:]]
+        got = from_local(frame, lower, self.layout)
+        want = from_local(frame, So2Features(reg, list(lower.blocks) + zeros), self.layout)
         assert got.layout == want.layout == self.layout
         for a, b in zip(got.blocks, want.blocks):
-            assert np.array_equal(a, b)
-        with pytest.raises(ValueError, match="regrouping"):
-            from_local(frame, So2Features(layout_parse("7x0m"), [x0[:, :7]]), self.layout)
+            if given == 1:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+        cotangents = [rng.normal(size=b.shape) for b in want.blocks]
+
+        def gradients(blocks, layout):
+            leaves = [ad.Var(b) for b in blocks]
+            out = from_local(frame, So2Features(layout, leaves), self.layout)
+            ad.backward(sum_entries(ad.concat([ad.reshape(ad.mul(b, c), (-1,))
+                                               for b, c in zip(out.blocks, cotangents)])))
+            return [leaf.grad for leaf in leaves]
+
+        padded = gradients(list(lower.blocks) + zeros, reg)
+        for a, b in zip(gradients(lower.blocks, lower.layout), padded):
+            assert a.shape == b.shape and np.all(a == b)
+        for layout in ("7x0m", "8x0m+3x2m"):
+            x = So2Features(layout_parse(layout), [rng.normal(size=(4,) + shape)
+                                                   for shape in layout_parse(layout).shapes])
+            with pytest.raises(ValueError, match="regrouping"):
+                from_local(frame, x, self.layout)
 
     def test_zero_maps_to_zero(self):
         frame = frame_from_direction([0.3, -0.4, 0.866], 3)

@@ -472,10 +472,11 @@ class TestCallBudget:
     tables, node-frame factors and weight keys are built once and shared,
     so a call makes few Python calls of its own.  The budgets are the
     counts of the current code (2579 and 2188 before the layout tables,
-    1038 and 1573 before layer 0's message ran on order 0)."""
+    1038 and 1573 before layer 0's message ran on order 0, 919 and 1419
+    before one rotate-out path read the orders present)."""
 
-    PREDICT_CALLS = 919
-    FIT_STEP_CALLS = 1419
+    PREDICT_CALLS = 912
+    FIT_STEP_CALLS = 1418
 
     def test_predict_stream_predict(self):
         # an 8-atom H/C/O molecule at the l_max 4 config of the predict-stream benchmark
