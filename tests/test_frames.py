@@ -16,7 +16,7 @@ from so2frames.frames import (FALLBACK_AXIS, TARGET_AXIS, frame_average_check,
                               wigner_d, wigner_d_batch)
 from so2frames.graph import build_graph
 from so2frames.irreps import (So2Features, So3Features, layout_parse,
-                              real_spherical_harmonics, rotate_so2,
+                              real_spherical_harmonics, rotate_so2, so2_layout,
                               so2_rotation_matrix)
 from so2frames.model import ModelConfig, prepare_graph
 from so2frames.sampling import random_rotation_matrix, random_unit_vector, stream
@@ -316,7 +316,7 @@ class TestLocalMapping:
         frame = frames_from_directions([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1e-9, 0.0, -1.0],
                                         [0.3, -0.4, 0.866]], 3)
         reg = so2_layout_of(self.layout)
-        lower = So2Features(layout_parse("+".join(f"{c}x{m}m" for m, c in reg.entries[:given])),
+        lower = So2Features(so2_layout(reg.entries[:given]),
                             [rng.normal(size=(4,) + shape) for shape in reg.shapes[:given]])
         zeros = [np.zeros((4,) + shape) for shape in reg.shapes[given:]]
         got = from_local(frame, lower, self.layout)
