@@ -18,8 +18,8 @@ from .frames import (Frame, Rotation, TARGET_AXIS, frame_average_check,
                      frame_from_direction, frames_from_directions, from_local,
                      rotate_so3, rotation_from_euler, rotation_from_matrix, to_local,
                      wigner_d)
-from .cg import (PathWeights, cg_table, escn_reference_apply, expansion,
-                 expansion_decompose, so3_tensor_product, valid_paths)
+from .cg import (cg_table, escn_reference_apply, expansion, expansion_decompose,
+                 so3_tensor_product, valid_paths)
 from .so2ops import (So2TpPath, enumerate_tp_paths, init_mlp, init_so2_ffn,
                      init_so2_gate, init_so2_layernorm, init_so2_linear, mlp,
                      so2_ffn, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockMatrix", "Frame", "IrrepsLayout", "LayoutError", "ModelConfig",
-    "MoleculeGraph", "OpCounter", "OrbitalLayout", "PathWeights", "Rotation",
+    "MoleculeGraph", "OpCounter", "OrbitalLayout", "Rotation",
     "RunReport", "So2TpPath", "So2Features", "So3Features", "TARGET_AXIS",
     "assemble", "bench", "block_rotate", "build_graph", "build_orbital_layout",
     "cg_table", "check_equivariance", "checkpoint_dumps", "checkpoint_loads",

@@ -16,7 +16,10 @@ inference path (ndarrays) and the training path (Vars).
 
 Operands are whole batches (all nodes or all edges of a molecule), so a
 tape records one node per batched operation, not one per item;
-:func:`segment_sum` is the order-independent aggregation over neighbors.
+:func:`segment_sum` is the order-independent aggregation over neighbors,
+``segment_sum(slots, *parts)``: it stacks its row blocks itself, in the
+copy that pads them, so an aggregation over several blocks (an atom's own
+features and its messages) is one node.
 
 Every channel mix, a matrix product by a learned weight matrix, runs
 through :func:`matmul_apply`, the kernel of :func:`matmul` that the fused
@@ -324,9 +327,15 @@ def absolute(a):
     return primitive(out, (a,), vjp)
 
 
-def segment_sum(values, slots):
-    """Order-independent sums of gathered rows: ``out[n]`` is the sum of
-    ``values[slots[n, t]]`` over t, and slot -1 adds zero (padding).
+def segment_sum(slots, *parts):
+    """Order-independent sums of gathered rows.  The row blocks ``parts``
+    stack in turn into one array of rows, ``out[n]`` is the sum of its rows
+    ``slots[n, t]`` over t, and slot -1 adds zero (padding).
+
+    The stack and its zero padding row are one copy, so a caller with rows
+    in several blocks records no concat of its own.  ``slots`` comes first:
+    a float array in its place cannot index, so a call with the arguments
+    swapped fails at once.
 
     Each segment's terms are sorted along the term axis before one fixed
     reduction, so every sum depends only on the multiset of its terms and
@@ -334,13 +343,14 @@ def segment_sum(values, slots):
     this is what makes neighbor aggregation permutation-equivariant bit
     for bit.  The adjoint hands the cotangent of each sum to all its terms.
     """
-    va = value_of(values)
-    padded = np.concatenate([va, np.zeros((1,) + va.shape[1:])])[slots]
+    values = [value_of(p) for p in parts]
+    stacked = np.concatenate([*values, np.zeros((1,) + values[0].shape[1:])])
+    padded = stacked[slots]
     out = np.sort(padded, axis=1).sum(axis=1)
 
     def vjp(g):
-        grad = np.zeros((len(va) + 1,) + va.shape[1:])
+        grad = np.zeros(stacked.shape)
         np.add.at(grad, slots, np.broadcast_to(g[:, None], padded.shape))
-        return (grad[:-1],)
+        return np.split(grad, np.cumsum([len(v) for v in values]))[:-1]
 
-    return primitive(out, (values,), vjp)
+    return primitive(out, parts, vjp)

@@ -109,42 +109,18 @@ def valid_paths(l_in: tuple[int, ...], l_filter: tuple[int, ...],
     return paths
 
 
-class PathWeights:
-    """Per-(l_i, l_f, l_o) channel weights for the SO(3) tensor product.
-
-    Channels act independently (one scalar per path per channel), so every
-    weight array has shape ``(channels,)``.
-    """
-
-    def __init__(self, weights: dict[tuple[int, int, int], np.ndarray]):
-        self.weights = {}
-        for path, w in weights.items():
-            _check_triangle(*path)
-            arr = w if ad.is_var(w) else np.atleast_1d(np.asarray(w, dtype=np.float64))
-            if not np.all(np.isfinite(ad.value_of(arr))):
-                raise ValueError(f"non-finite path weight for {path}")
-            self.weights[path] = arr
-
-    @classmethod
-    def random(cls, paths, channels: int, rng: np.random.Generator) -> "PathWeights":
-        return cls({p: rng.normal(size=channels) for p in paths})
-
-    def items(self):
-        return self.weights.items()
-
-    def __getitem__(self, path):
-        return self.weights[path]
-
-
-def so3_tensor_product(x: So3Features, sh: So3Features, weights: PathWeights) -> So3Features:
+def so3_tensor_product(x: So3Features, sh: So3Features, weights: dict) -> So3Features:
     """Full CG tensor product of features with a single-channel filter.
 
-    Computes, per path (l_i, l_f, l_o) and channel c,
+    ``weights`` maps each path (l_i, l_f, l_o) to its channel weights, an
+    array (channels,): channels act independently.  Computes, per path and
+    channel c,
 
         out[l_o][c, m3] += w[path][c] * sum_{m1,m2} C[m1,m2,m3] x[l_i][c,m1] sh[l_f][m2]
 
     summed over all paths in ``weights``.  The output layout carries every
     degree reachable by some path, with the channel count of its inputs.
+    A path that breaks the triangle rule fails in :func:`cg_table`.
     Counts ``so3_tp`` multiplies in the degree-based model of
     :mod:`.counters`.
     """
@@ -154,7 +130,7 @@ def so3_tensor_product(x: So3Features, sh: So3Features, weights: PathWeights) ->
     channels = mults.pop()
     if any(c != 1 for _, c in sh.layout.entries):
         raise ValueError("filter must be single-channel")
-    out_degrees = sorted({lo for (_, _, lo) in weights.weights})
+    out_degrees = sorted({lo for (_, _, lo) in weights})
     acc: dict[int, list] = {lo: [] for lo in out_degrees}
     for (li, lf, lo), w in weights.items():
         if x.layout.mult(li) == 0 or sh.layout.mult(lf) == 0:
@@ -173,7 +149,7 @@ def filter_pole_amplitude(lf: int) -> float:
     return math.sqrt((2 * lf + 1) / (4.0 * math.pi))
 
 
-def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
+def escn_so2_linear_weights(weights: dict, in_layout: IrrepsLayout,
                             out_degrees, prefix: str) -> dict[str, np.ndarray]:
     """Per-order SO(2) linear weights reproducing the spherical-filter TP.
 
@@ -221,18 +197,18 @@ def escn_so2_linear_weights(weights: PathWeights, in_layout: IrrepsLayout,
     return lin
 
 
-def escn_reference_apply(x: So3Features, direction, weights: PathWeights,
-                         out_degrees, l_max: int | None = None) -> So3Features:
+def escn_reference_apply(x: So3Features, direction, weights: dict,
+                         out_degrees) -> So3Features:
     """rotate -> SO(2) linear -> rotate back, the O(L^3) route.
 
     Equals ``so3_tensor_product(x, Y(direction), weights)`` for paths with
-    a spherical-harmonic filter.  The SO(2) linear gives the orders up to
-    the lower of the input's and the output's top degree; the orders above
-    the input's get no weights, and :func:`from_local` reads them as zero.
+    a spherical-harmonic filter.  The frame reaches the higher of the
+    input's and the output's top degree.  The SO(2) linear gives the orders
+    up to the lower of the two; the orders above the input's get no
+    weights, and :func:`from_local` reads them as zero.
     """
     out_degrees = sorted(out_degrees)
-    cap = l_max if l_max is not None else max(x.layout.max_index, out_degrees[-1])
-    frame = frame_from_direction(direction, cap)
+    frame = frame_from_direction(direction, max(x.layout.max_index, out_degrees[-1]))
     lin = escn_so2_linear_weights(weights, x.layout, out_degrees, "escn")
     out_layout = so3_layout([(lo, x.layout.entries[0][1]) for lo in out_degrees])
     return from_local(frame, so2_linear(to_local(frame, x), lin, "escn"), out_layout)

@@ -11,11 +11,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from .sampling import stream
+
+MAX_ATOMIC_NUMBER = 118
+
+
+def is_atomic_number(z) -> bool:
+    """An integer in 1..MAX_ATOMIC_NUMBER, the rule of every reader of
+    atomic numbers; a boolean is no number."""
+    return isinstance(z, Integral) and not isinstance(z, bool) and 1 <= z <= MAX_ATOMIC_NUMBER
 
 
 @dataclass
@@ -104,11 +112,11 @@ def graph_from_json(text: str | bytes) -> MoleculeGraph:
     """Molecule from its JSON file; :func:`build_graph` checks the geometry."""
     doc = json.loads(text)
     atoms = doc.get("atoms") if isinstance(doc, dict) else None
-    if not isinstance(atoms, list) or not all(isinstance(a, dict) and type(a.get("z")) is int
-                                              and 1 <= a["z"] <= 118 and _is_point(a.get("pos"))
-                                              for a in atoms):
+    if not isinstance(atoms, list) or not all(isinstance(a, dict) and is_atomic_number(a.get("z"))
+                                              and _is_point(a.get("pos")) for a in atoms):
         raise ValueError('a molecule must be a JSON object with an "atoms" list of objects '
-                         'with an integer "z" in 1..118 and a "pos" of three numbers')
+                         f'with an integer "z" in 1..{MAX_ATOMIC_NUMBER} and a "pos" of '
+                         'three numbers')
     targets = {key: finite_array(doc[key], key) for key in ("overlap", "hamiltonian")
                if doc.get(key) is not None}
     return build_graph([a["z"] for a in atoms], [a["pos"] for a in atoms], doc.get("cutoff", 15.0),

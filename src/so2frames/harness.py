@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counters import OpCounter, counting
-from .cg import PathWeights, escn_reference_apply, so3_tensor_product, valid_paths
+from .cg import escn_reference_apply, so3_tensor_product, valid_paths
 from .frames import rotate_so3, rotation_from_matrix
 from .graph import MoleculeGraph, build_graph
 from .hamiltonian import assemble, block_rotate
@@ -175,7 +175,7 @@ def bench(l_range=range(2, 9), m_range=range(2, 11), channels: int = 1,
         x = So3Features(layout, [rng.normal(size=layout.block_shape(l)) for l in degrees])
         direction = random_unit_vector(rng)
         sh = real_spherical_harmonics(L, direction)
-        weights = PathWeights.random(valid_paths(degrees, degrees, L), channels, rng)
+        weights = {p: rng.normal(size=channels) for p in valid_paths(degrees, degrees, L)}
         c_tp, c_rot = OpCounter(), OpCounter()
         times_tp, times_rot = [], []
         for k in range(repeats):  # only the first repeat counts
@@ -185,7 +185,7 @@ def bench(l_range=range(2, 9), m_range=range(2, 11), channels: int = 1,
             times_tp.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             with counting(c_rot if k == 0 else None):
-                escn_reference_apply(x, direction, weights, degrees, l_max=L)
+                escn_reference_apply(x, direction, weights, degrees)
             times_rot.append(time.perf_counter() - t0)
         tp_counts.append(c_tp.get("so3_tp"))
         rot_counts.append(c_rot.get("frame_rotation") + c_rot.get("so2_linear"))

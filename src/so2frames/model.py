@@ -51,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from .counters import OpCounter, counting
 from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
-from .graph import MoleculeGraph, finite_array
+from .graph import MAX_ATOMIC_NUMBER, MoleculeGraph, finite_array, is_atomic_number
 from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, assembly_plan,
                           build_orbital_layout, init_expansion)
 from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
@@ -116,10 +116,15 @@ class ModelConfig:
         # the embedding, the gates and the invariants live in the 0e channels
         if self.node_layout.mult(0) == 0:
             raise ValueError(f"node_irreps {self.node_irreps!r} has no 0e channels")
-        if not all(_is_integer(z) for z in self.elements):
-            raise ValueError(f"elements must be integers, got {list(self.elements)}")
+        if not all(is_atomic_number(z) for z in self.elements):
+            raise ValueError(f"elements must be integers in 1..{MAX_ATOMIC_NUMBER}, "
+                             f"got {list(self.elements)}")
         if not self.elements or len(set(self.elements)) != len(self.elements):
             raise ValueError(f"elements must be distinct and not empty, got {self.elements}")
+        keys = [z for z, _ in self.basis]
+        if not all(is_atomic_number(z) for z in keys) or len(set(keys)) != len(keys):
+            raise ValueError(f"basis must name distinct elements in 1..{MAX_ATOMIC_NUMBER}, "
+                             f"got {keys}")
         for z, degrees in self.basis:
             if not degrees or not all(_is_integer(l) and 0 <= l <= DEFAULT_L_CAP
                                       for l in degrees):
@@ -159,10 +164,13 @@ class ModelConfig:
         if not (isinstance(elements, list) and isinstance(basis, dict)
                 and all(isinstance(orbs, list) for orbs in basis.values())):
             raise ValueError("config elements must be a list and basis an object of lists")
-        basis = {int(z): tuple(orbs) for z, orbs in basis.items()}  # "1" and "01" are one
+        try:  # "1" and "01" name one element, which the basis then names twice
+            basis = sorted(((int(z), tuple(orbs)) for z, orbs in basis.items()),
+                           key=lambda entry: entry[0])
+        except ValueError:
+            raise ValueError(f"basis keys must be atomic numbers, got {list(basis)}") from None
         config = cls(**{name: doc.get(name) for name in _SCALAR_FIELDS},
-                     elements=tuple(elements), basis=tuple(sorted(basis.items())),
-                     seed=doc.get("seed", 0))
+                     elements=tuple(elements), basis=tuple(basis), seed=doc.get("seed", 0))
         # the regrouped node layout has every order up to l_max, and the
         # tensor-product layouts must have the same orders
         m_max = doc.get("m_max")
@@ -374,7 +382,8 @@ def node_embed(numbers, params, config: ModelConfig) -> So3Features:
     """Element embedding: the learned l = 0 row, as the invariant features
     it is, of layout ``{c0}x0e`` (the node layout's degree-0 entry); the
     higher degrees of the node layout are zero, and the ops of the first
-    message pass read the degrees it lacks as zero.
+    message pass read the degrees it lacks as zero.  One :func:`autodiff.take`
+    gathers each atom's row of ``embed/table`` as its (c0, 1) column.
 
     ``numbers`` is one atomic number or an array of them, whose shape
     becomes the leading batch shape of the features.
@@ -385,26 +394,29 @@ def node_embed(numbers, params, config: ModelConfig) -> So3Features:
     if not np.all(known):
         raise ValueError(f"element {numbers[~known].ravel()[0]} not in configured set "
                          f"{config.elements}")
-    layout = so3_layout(config.node_layout.entries[:1])
-    rows = ad.take(params["embed/table"], match.argmax(axis=-1))
-    return So3Features(layout, [ad.reshape(rows, numbers.shape + layout.shapes[0])])
+    column = ad.take(params["embed/table"], (match.argmax(axis=-1), ..., None))
+    return So3Features(so3_layout(config.node_layout.entries[:1]), [column])
 
 
-def degree_inner_products(h: So3Features, src, dst):
+def degree_inner_products(h: So3Features, src, dst, layout: IrrepsLayout):
     """Channel-wise per-degree inner products of the items ``src`` and
-    ``dst`` of batched features ``h`` (rotation invariant), concatenated on
-    the last axis: (..., sum of multiplicities) for index arrays (...),
-    over the degrees of ``h``'s layout (the embedding's degree 0 alone).
-    One fused autodiff primitive whose parents are the blocks of ``h``; its
-    adjoint scatter-adds into the items."""
+    ``dst`` of batched features ``h`` (rotation invariant), as the column
+    (..., layout.channels, 1) for index arrays (...): degree l's products
+    fill that degree's rows of ``layout``, the node layout.  ``h``'s layout
+    holds the lower entries of ``layout`` (all of them, or the embedding's
+    degree 0 alone), and the rows of the degrees it lacks are zero, as
+    :func:`frames.to_local` reads a missing degree.  One fused autodiff
+    primitive whose parents are the blocks of ``h``; its adjoint
+    scatter-adds into the items."""
     values = [ad.value_of(b) for b in h.blocks]
-    value = np.concatenate([(v[src] * v[dst]).sum(axis=-1) for v in values], axis=-1)
+    value = np.zeros(np.shape(src) + (layout.channels, 1))
+    for rows, v in zip(layout.rows, values):
+        value[..., rows, :] = (v[src] * v[dst]).sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        grads, end = [], 0
-        for v in values:
-            part = g[..., end:end + v.shape[-2], None]
-            end += v.shape[-2]
+        grads = []
+        for rows, v in zip(layout.rows, values):
+            part = g[..., rows, :]
             grads.append(np.zeros(v.shape))
             np.add.at(grads[-1], src, part * v[dst])
             np.add.at(grads[-1], dst, part * v[src])
@@ -413,28 +425,21 @@ def degree_inner_products(h: So3Features, src, dst):
     return ad.primitive(value, h.blocks, vjp)
 
 
-def _invariant_mix(params, prefix, s_ij, rbf_vec):
+def _invariant_mix(params, prefix, s, rbf_vec):
     """MLP(Linear(s) * Linear(rbf)), the shared invariant mixing block.
 
-    ``s_ij`` (..., S) and ``rbf_vec`` (..., K) give a column (..., out, 1).
-    The inner products of features that lack the upper degrees (the
-    embedding's) have fewer columns than the weight ``{prefix}/s_lin``:
-    the missing ones are zero, and are put back as zeros so that the
-    product is the one of the full columns.
+    ``s`` is the invariant column (..., S, 1) of
+    :func:`degree_inner_products` and ``rbf_vec`` (..., K) the radial
+    features; the result is a column (..., out, 1).
     """
-    shape = ad.value_of(s_ij).shape
-    missing = ad.value_of(params[f"{prefix}/s_lin"]).shape[-1] - shape[-1]
-    if missing:
-        s_ij = ad.concat([s_ij, np.zeros(shape[:-1] + (missing,))], axis=-1)
-    s_col = ad.reshape(s_ij, shape[:-1] + (shape[-1] + missing, 1))
-    a = ad.matmul(params[f"{prefix}/s_lin"], s_col)
+    a = ad.matmul(params[f"{prefix}/s_lin"], s)
     b = ad.matmul(params[f"{prefix}/r_lin"], np.asarray(rbf_vec)[..., None])
     return mlp(ad.mul(a, b), params, f"{prefix}/mlp")
 
 
-def pair_embed(params, s_ij, rbf_vec):
+def pair_embed(params, s, rbf_vec):
     """Invariant node-pair embedding feeding the pair track at layer 0."""
-    return _invariant_mix(params, "pair0", s_ij, rbf_vec)
+    return _invariant_mix(params, "pair0", s, rbf_vec)
 
 
 def message_pass(h: So3Features, s, params, config: ModelConfig,
@@ -445,9 +450,11 @@ def message_pass(h: So3Features, s, params, config: ModelConfig,
     features of j into its frame, mixes them by SO(2) Linear + Gate,
     scales them by an invariant MLP of (inner products, radial basis) and
     projects them back; each atom's own gated features and its messages
-    are added by an order-independent segment sum and passed through a
-    second gated self-interaction.  ``s`` holds the inner products of the
-    layer inputs over the edges, ``degree_inner_products(h, src, dst)``.
+    are added by one order-independent segment sum over both blocks,
+    ``segment_sum(receivers, own, incoming)``, and passed through a second
+    gated self-interaction.  ``s`` is the invariant column of the layer
+    inputs' inner products over the edges,
+    ``degree_inner_products(h, src, dst, layout)``.
 
     ``h`` may hold the lower degrees of the node layout alone, and the
     degrees it lacks are zero: invariant inputs (the embedding, degree 0)
@@ -470,7 +477,7 @@ def message_pass(h: So3Features, s, params, config: ModelConfig,
     scaled = [scale_rows(block, scale, slice(layout.first_row[m], None))
               for m, block in mixed.items()]
     msg = from_local(prepared.frame, So2Features(mixed.layout, scaled), layout)
-    agg = [ad.segment_sum(ad.concat([own, incoming], axis=0), prepared.receivers)
+    agg = [ad.segment_sum(prepared.receivers, own, incoming)
            for own, incoming in zip(_padded_blocks(g1, layout), msg.blocks)]
     return _self_interaction(So3Features(layout, agg), params, f"{p}/self2")
 
@@ -501,7 +508,7 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
     y = so2_linear(fused, params, f"{p}/tp/post")
     update = from_local(frame, y, layout)
     scalar, directional = prepared.node_mean
-    return So3Features(layout, [ad.add(b, ad.mul(ad.segment_sum(du, prepared.node_slots),
+    return So3Features(layout, [ad.add(b, ad.mul(ad.segment_sum(prepared.node_slots, du),
                                                  scalar if l == 0 else directional))
                                 for (l, b), du in zip(h.items(), update.blocks)])
 
@@ -539,12 +546,12 @@ def forward(graph: MoleculeGraph, params, config: ModelConfig,
         prepared = prepare_graph(graph, config)
     layout = config.node_layout
     h = node_embed(graph.numbers, params, config)
-    s = degree_inner_products(h, prepared.src, prepared.dst)
+    s = degree_inner_products(h, prepared.src, prepared.dst, layout)
     x_pair = So2Features(so2_layout(so2_layout_of(layout).entries[:1]),
                          [pair_embed(params, s, prepared.rbf)])
     for n in range(config.layers):
         if n > 0:  # layer 0 reads the embedding's inner products, as the pair track does
-            s = degree_inner_products(h, prepared.src, prepared.dst)
+            s = degree_inner_products(h, prepared.src, prepared.dst, layout)
         msg = message_pass(h, s, params, config, prepared, n)
         h = so2_layernorm(add_features(h, msg), params, f"L{n}/ln_node")
         h = node_update_so2tp(h, params, config, prepared, n)

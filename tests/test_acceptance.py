@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import directional_vjp_check, sum_entries
 from so2frames import autodiff as ad
-from so2frames.cg import PathWeights, escn_reference_apply, so3_tensor_product, valid_paths
+from so2frames.cg import escn_reference_apply, so3_tensor_product, valid_paths
 from so2frames.cli import main
 from so2frames.frames import (frame_average_check, order_alignment_permutation,
                               rotation_from_euler, rotation_from_matrix, so2_layout_of,
@@ -44,12 +44,12 @@ def test_01_escn_equivalence_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        weights = PathWeights.random(paths, 1, rng)
+        weights = {p: rng.normal(size=1) for p in paths}
         x = So3Features(layout, [rng.normal(size=layout.block_shape(l))
                                  for l in degrees])
         r = random_unit_vector(rng)
         direct = so3_tensor_product(x, real_spherical_harmonics(L, r), weights)
-        via_frame = escn_reference_apply(x, r, weights, degrees, l_max=L)
+        via_frame = escn_reference_apply(x, r, weights, degrees)
         err = max(np.max(np.abs(a - b))
                   for a, b in zip(direct.as_arrays(), via_frame.as_arrays()))
         scale = max(max(np.max(np.abs(a)) for a in direct.as_arrays()), 1e-30)
@@ -255,7 +255,7 @@ def test_07_gradient_contract():
                  for l in (0, 1, 2)}
         yield "so3_tensor_product", (lambda lv: project(
             so3_tensor_product(So3Features(so3, lv[:3]), sh,
-                               PathWeights(dict(zip(tp_paths, lv[3:])))).blocks,
+                               dict(zip(tp_paths, lv[3:]))).blocks,
             [tcots[l] for l in (0, 1, 2)])), \
             [rng.normal(size=so3.block_shape(l)) for l in so3.indices] + \
             [rng.normal(size=2) for _ in tp_paths]

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import directional_vjp_check, sum_entries
 from so2frames import autodiff as ad
-from so2frames.cg import PathWeights, expansion, so3_tensor_product, valid_paths
+from so2frames.cg import expansion, so3_tensor_product, valid_paths
 from so2frames.frames import (frame_from_direction, frames_from_directions, from_local,
                               so2_layout_of, to_local)
 from so2frames.graph import build_graph, sample_molecule
@@ -64,7 +64,7 @@ class TestPrimitives:
             "mean_all": lambda: make(ad.mean_all, (3, 5)),
             "sum_axis": lambda: make(lambda a: ad.sum_axis(a, axis=1), (3, 5)),
             "segment_sum": lambda: make(lambda a: ad.segment_sum(
-                a, np.array([[0, 2, -1], [1, 3, 4]])), (5, 2, 3)),
+                np.array([[0, 2, -1], [1, 3, 4]]), a), (5, 2, 3)),
         }
         rel_errors = []
         for _ in range(5):
@@ -91,13 +91,28 @@ class TestPrimitives:
         # reordering of the terms, padding included, gives the same bits
         values = rng.normal(size=(9, 2, 3)) * 10.0 ** rng.integers(-8, 8, size=(9, 1, 1))
         slots = np.array([[0, 3, 5, 7, -1], [1, 2, 4, 6, 8]])
-        base = ad.segment_sum(values, slots)
+        base = ad.segment_sum(slots, values)
         for _ in range(10):
             shuffled = np.array([rng.permutation(row) for row in slots])
-            assert np.array_equal(ad.segment_sum(values, shuffled), base)
+            assert np.array_equal(ad.segment_sum(shuffled, values), base)
         exact = np.array([[[math.fsum(values[slots[n][slots[n] >= 0], c, k])
                             for k in range(3)] for c in range(2)] for n in range(2)])
         assert np.max(np.abs(base - exact)) <= 1e-15 * np.max(np.abs(values))
+
+    def test_segment_sum_of_blocks_is_the_sum_of_their_stack(self, rng):
+        # the row blocks stack in turn: the sums and each block's cotangent
+        # have the bits of one stacked block (row 4 feeds both segments)
+        a = rng.normal(size=(3, 2, 3)) * 10.0 ** rng.integers(-8, 8, size=(3, 1, 1))
+        b = rng.normal(size=(4, 2, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 1, 1))
+        slots = np.array([[0, 4, 6, -1], [2, 3, 4, 1]])
+        cot = rng.normal(size=(2, 2, 3))
+        va, vb, stacked = ad.Var(a), ad.Var(b), ad.Var(np.concatenate([a, b]))
+        parts, whole = ad.segment_sum(slots, va, vb), ad.segment_sum(slots, stacked)
+        assert parts.value.tobytes() == whole.value.tobytes()
+        ad.backward(sum_entries(ad.mul(parts, cot)))
+        ad.backward(sum_entries(ad.mul(whole, cot)))
+        assert va.grad.tobytes() == stacked.grad[:3].tobytes()
+        assert vb.grad.tobytes() == stacked.grad[3:].tobytes()
 
 
 def _random_so2(layout, rng):
@@ -447,7 +462,7 @@ class TestOperationVjps:
         def build_loss(arrays):
             def loss(leaves):
                 feats = So3Features(layout, leaves[:3])
-                w = PathWeights({p: leaf for p, leaf in zip(paths, leaves[3:])})
+                w = dict(zip(paths, leaves[3:]))
                 out = so3_tensor_product(feats, sh, w)
                 total = None
                 for l, block in out.items():

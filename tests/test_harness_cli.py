@@ -422,6 +422,27 @@ class TestBadInput:
         self._assert_usage_error(["check-equiv", molecule_file, "--config", str(config),
                                   "--trials", "1"], capsys)
 
+    @pytest.mark.parametrize("fields, field", [
+        ({"basis": {**ModelConfig().to_json_obj()["basis"], "01": [0, 0, 1]}}, "basis"),
+        ({"basis": {**ModelConfig().to_json_obj()["basis"], "abc": [0]}}, "basis"),
+        ({"basis": {**ModelConfig().to_json_obj()["basis"], "0": [0]}}, "basis"),
+        ({"basis": {**ModelConfig().to_json_obj()["basis"], "119": [0]}}, "basis"),
+        ({"elements": [1, 0], "basis": {"1": [0], "0": [0]}}, "elements"),
+        ({"elements": [1, -3], "basis": {"1": [0], "-3": [0]}}, "elements"),
+        ({"elements": [1, 500], "basis": {"1": [0], "500": [0]}}, "elements"),
+    ], ids=["basis-key-1-and-01", "basis-key-not-a-number", "basis-key-zero",
+            "basis-key-119", "element-zero", "element-negative", "element-500"])
+    def test_invalid_config_atomic_numbers(self, molecule_file, tmp_path, capsys, fields,
+                                           field):
+        # elements and basis keys are atomic numbers in 1..118, as in a
+        # molecule file, and the basis names each element once
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**ModelConfig().to_json_obj(), **fields}))
+        assert main(["check-equiv", molecule_file, "--config", str(config),
+                     "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     @pytest.mark.parametrize("damage", ["missing", "mis-shaped", "unknown"])
     def test_checkpoint_parameter_mismatch(self, molecule_file, tmp_path, capsys, damage):
         # a checkpoint must hold exactly the parameters its config needs,
