@@ -57,10 +57,8 @@ for m_max in (2, 4):
         n = len(enumerate_tp_paths(m_max, arity))
         print(f"  M_max={m_max}, v={arity}: {n} paths")
 uniform = so2_layout([(m, 2) for m in range(3)])
-feats = [So2Features(uniform, [rng.normal(size=uniform.block_shape(m))
-                               for m in uniform.indices]) for _ in range(3)]
-paths = enumerate_tp_paths(2, 3)
-w = [rng.normal(size=2) for _ in paths]
-out = so2_tp_contract(feats, paths, w)
-rot = so2_tp_contract([rotate_so2(f, phi) for f in feats], paths, w)
+u = So2Features(uniform, [rng.normal(size=uniform.block_shape(m)) for m in uniform.indices])
+w = [rng.normal(size=2) for _ in enumerate_tp_paths(2, 3)]
+out = so2_tp_contract(u, 3, w)      # u multiplied with itself along every 3-fold path
+rot = so2_tp_contract(rotate_so2(u, phi), 3, w)
 print(f"3-fold contraction commutation error: {dev(rot, rotate_so2(out, phi)):.2e}")

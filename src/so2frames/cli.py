@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .graph import build_graph, graph_from_json, sample_molecule
+from .graph import build_graph, graph_from_json, read_file, sample_molecule
 from .hamiltonian import gen_synthetic_target, metrics, read_matrix, write_matrix
 from .harness import RunReport, bench, check_equivariance
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
@@ -36,16 +36,6 @@ def _parse_range(text: str, flag: str) -> range:
     return range(lo, hi + 1)
 
 
-def _read(path: str, parse):
-    """``parse`` of the bytes of the file at ``path``; its ValueError names the file."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    try:
-        return parse(blob)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
-
-
 def _at_cutoff(graph, cutoff):
     """The molecule with its edges at a model's cutoff, not at its file's."""
     return build_graph(graph.numbers, graph.positions, cutoff, graph.overlap, graph.hamiltonian)
@@ -54,7 +44,7 @@ def _at_cutoff(graph, cutoff):
 def _config_from_args(args, base: ModelConfig) -> ModelConfig:
     """``base``, or the ``--config`` file, with the model flags given."""
     if args.config:
-        base = _read(args.config, lambda blob: ModelConfig.from_json_obj(json.loads(blob)))
+        base = read_file(args.config, lambda blob: ModelConfig.from_json_obj(json.loads(blob)))
     updates = {"tp_arity": args.v, "layers": args.layers, "cutoff": args.cutoff,
                "node_irreps": None if args.lmax is None else fit_node_irreps(args.lmax)}
     return replace(base, **{k: v for k, v in updates.items() if v is not None})
@@ -92,13 +82,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_equiv(args) -> int:
-    graph = _read(args.molecule, graph_from_json)
+    graph = read_file(args.molecule, graph_from_json)
     if args.checkpoint:
         given = [flag for flag in ("lmax", "v", "layers", "cutoff", "config")
                  if getattr(args, flag) is not None]
         if given:
             raise ValueError(f"--{given[0]} cannot change the model: the checkpoint fixes it")
-        config, params = _read(args.checkpoint, checkpoint_loads)
+        config, params = read_file(args.checkpoint, checkpoint_loads)
     else:
         config = replace(_config_from_args(args, default_fit_config(graph)), seed=args.seed)
         params = init_params(config)
@@ -118,7 +108,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    graph = _read(args.molecule, graph_from_json)
+    graph = read_file(args.molecule, graph_from_json)
     config = _config_from_args(args, default_fit_config(graph))
     graph = _at_cutoff(graph, config.cutoff)
     target = graph.hamiltonian  # fit_demo checks its shape
@@ -140,8 +130,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    graph = _read(args.molecule, graph_from_json)
-    config, params = _read(args.checkpoint, checkpoint_loads)
+    graph = read_file(args.molecule, graph_from_json)
+    config, params = read_file(args.checkpoint, checkpoint_loads)
     H = predict(_at_cutoff(graph, config.cutoff), params, config)
     write_matrix(args.out, H)
     print(f"wrote {args.out}: dim {H.array.shape[0]}")

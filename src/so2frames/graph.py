@@ -102,6 +102,16 @@ def finite_array(value, name: str) -> np.ndarray:
     return array
 
 
+def read_file(path, parse):
+    """``parse`` of the bytes of the file at ``path``; its ValueError names the file."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return parse(blob)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def _is_point(pos) -> bool:
     """A list of three real numbers; a JSON boolean is no number."""
     return (isinstance(pos, list) and len(pos) == 3

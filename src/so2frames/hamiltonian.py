@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .cg import stacked_cg_table
 from .frames import Rotation, wigner_d_batch
-from .graph import MoleculeGraph, finite_array
+from .graph import MoleculeGraph, finite_array, read_file
 from .irreps import IrrepsLayout, So3Features, layout_parse, so3_layout
 from .so2ops import uniform_init
 
@@ -552,9 +552,4 @@ def write_matrix(path: str, H: BlockMatrix) -> None:
 def read_matrix(path: str) -> BlockMatrix:
     """The matrix in the file at ``path``: the binary format if the path
     ends in ``.bin``, else JSON.  A ValueError of the parser names the file."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    try:
-        return (matrix_from_bytes if str(path).endswith(".bin") else matrix_loads)(blob)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    return read_file(path, matrix_from_bytes if str(path).endswith(".bin") else matrix_loads)

@@ -164,11 +164,15 @@ class ModelConfig:
         if not (isinstance(elements, list) and isinstance(basis, dict)
                 and all(isinstance(orbs, list) for orbs in basis.values())):
             raise ValueError("config elements must be a list and basis an object of lists")
-        try:  # "1" and "01" name one element, which the basis then names twice
-            basis = sorted(((int(z), tuple(orbs)) for z, orbs in basis.items()),
-                           key=lambda entry: entry[0])
+        try:
+            numbers = [int(z) for z in basis]
         except ValueError:
-            raise ValueError(f"basis keys must be atomic numbers, got {list(basis)}") from None
+            numbers = []
+        # keys as to_json_obj writes them: int() also reads "01", "+1", " 1",
+        # "1_0" and the Arabic-Indic "\u0661"
+        if [str(z) for z in numbers] != list(basis):
+            raise ValueError(f"basis keys must be atomic numbers, got {list(basis)}")
+        basis = sorted(zip(numbers, map(tuple, basis.values())), key=lambda entry: entry[0])
         config = cls(**{name: doc.get(name) for name in _SCALAR_FIELDS},
                      elements=tuple(elements), basis=tuple(basis), seed=doc.get("seed", 0))
         # the regrouped node layout has every order up to l_max, and the
@@ -490,8 +494,9 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
 
     Per (atom, edge) item, the regrouped frame features are projected to a
     uniform-width order layout (the channel-wise fusion paths need equal
-    channel counts at every order), contracted over all fusion paths,
-    projected back, and the atom's mean is added to the input (skip).
+    channel counts at every order), multiplied with itself along all
+    v-fold fusion paths, projected back, and the atom's mean is added to
+    the input (skip).
 
     An atom without neighbors (invariant features, degree 0 only) adds
     only the degree-0 update of the target-axis frame: that block is the
@@ -504,7 +509,7 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
     frame = prepared.node_frame
     local = to_local(frame, h, prepared.node_atom)
     u = so2_linear(local, params, f"{p}/tp/pre")
-    fused = so2_tp_contract([u] * config.tp_arity, paths, weights)
+    fused = so2_tp_contract(u, config.tp_arity, weights)
     y = so2_linear(fused, params, f"{p}/tp/post")
     update = from_local(frame, y, layout)
     scalar, directional = prepared.node_mean

@@ -16,10 +16,10 @@ Every channel mix (each MLP layer, each Linear order) computes its
 product and adjoint through :func:`autodiff.matmul_apply`, so every
 mixing weight gets its cotangent from one formula.
 
-The v-fold tensor product runs all its fusion paths at once: index
-tables built once per path list (and cached with
-:func:`enumerate_tp_paths`) gather every path's factors into a path
-axis, conjugation enters as constant sign masks, and the weighted path
+The v-fold tensor product multiplies one feature set with itself along
+all its fusion paths at once: index tables built once per (M, v) from
+:func:`enumerate_tp_paths` gather every path's factors into a path axis,
+conjugation enters as constant sign masks, and the weighted path
 products are added into their output orders in path order.  It records
 one tape node plus one slice per output order, whatever the number of
 paths, and its values are those of the pairwise chain of
@@ -136,7 +136,8 @@ def mlp_apply(values, x):
         mixes.append(mix_vjp)
         out = out + values[2 * k + 1].reshape(-1, 1)
         if k != n - 1:
-            sig = 1.0 / (1.0 + np.exp(-out))
+            with np.errstate(over="ignore"):   # exp(800) is inf, and its sigmoid 0
+                sig = 1.0 / (1.0 + np.exp(-out))
             hidden.append((out, sig))
             out = out * sig
 
@@ -248,7 +249,8 @@ def gate_apply(values, blocks, layout: IrrepsLayout):
     out, mlp_vjp = mlp_apply(values, blocks[0])
     if out.shape[-2] < layout.channels:
         raise ValueError("gate MLP output width mismatch")
-    sig = 1.0 / (1.0 + np.exp(-out[..., :layout.channels, :]))
+    with np.errstate(over="ignore"):   # exp(800) is inf, and its sigmoid 0
+        sig = 1.0 / (1.0 + np.exp(-out[..., :layout.channels, :]))
     value = np.zeros(out.shape[:-2] + (layout.channels, layout.shapes[-1][1]))
     value[..., rows[0], :1] = out[..., rows[0], :]
     for r, x in zip(rows[1:], blocks[1:]):
@@ -437,7 +439,7 @@ def enumerate_tp_paths(m_max: int, v: int) -> tuple[So2TpPath, ...]:
     intermediate orders above m_max.  The tuple is deterministic
     lexicographic in (orders, signs) with +1 before -1, and free of
     duplicates by construction.  It is built once per (m_max, v), and
-    :func:`so2_tp_contract` keeps its index tables with it.
+    :func:`so2_tp_contract` builds its index tables from it once.
     """
     if v < 2:
         raise ValueError(f"tensor product arity must be >= 2, got {v}")
@@ -464,12 +466,12 @@ def enumerate_tp_paths(m_max: int, v: int) -> tuple[So2TpPath, ...]:
 
 @dataclass(frozen=True)
 class _TpTables:
-    """Index tables of P paths of arity v into orders 0..M.
+    """Index tables of the P paths of :func:`enumerate_tp_paths` (M, v).
 
     Blocks of orders 0..M concatenated on the last axis give ``2M + 1``
     columns ``(x_0, x_{-1}, x_{+1}, ...)``; a zero column ``2M + 1`` is
-    the imaginary part of order 0.  Factor k of path p reads input k's
-    real part from column ``cols[k, p]`` and its imaginary part from
+    the imaginary part of order 0.  Factor k of path p reads its real part
+    from column ``cols[k, p]`` and its imaginary part from
     ``cols[k, P + p]``, times ``conj[k, p]`` (-1 where step k subtracts);
     ``scatter[k]`` is the one-hot map of ``cols[k]``.  ``final[p]`` is -1
     where the signed exponent ends negative: the path's block is then the
@@ -480,7 +482,6 @@ class _TpTables:
     ``multiplies`` is the "so2_tp" count per channel and item.
     """
 
-    paths: tuple
     cols: np.ndarray
     scatter: np.ndarray
     conj: np.ndarray
@@ -490,7 +491,9 @@ class _TpTables:
     multiplies: int
 
 
-def _tp_tables(paths, m_max: int, arity: int) -> _TpTables:
+@functools.lru_cache(maxsize=None)
+def _tp_tables(m_max: int, arity: int) -> _TpTables:
+    paths = enumerate_tp_paths(m_max, arity)
     n, zero = len(paths), 2 * m_max + 1
     orders = np.zeros((arity, n), dtype=np.int64)
     conj = np.ones((arity, n))
@@ -498,19 +501,13 @@ def _tp_tables(paths, m_max: int, arity: int) -> _TpTables:
     m_out = np.zeros(n, dtype=np.int64)
     multiplies = 0
     for p, path in enumerate(paths):
-        if len(path.orders) != arity:
-            raise ValueError(f"path arity {len(path.orders)} != {arity} inputs")
-        if max(path.orders) > m_max:
-            raise ValueError(f"path order {max(path.orders)} above the layout's {m_max}")
         exponent = path.orders[0]
         for k in range(1, arity):
-            m, s = path.orders[k], (+1 if path.signs[k] == +1 else -1)
+            m, s = path.orders[k], path.signs[k]
             # one pair product: scalar x scalar 1, scalar x pair 2, pair x pair 4
             multiplies += 1 if exponent == 0 and m == 0 else 2 if exponent == 0 or m == 0 else 4
             conj[k, p] = s
             exponent += s * m
-        if abs(exponent) != path.m_out or path.m_out > m_max:
-            raise ValueError(f"path {path} ends at order {abs(exponent)}")
         orders[:, p] = path.orders
         final[p] = -1.0 if exponent < 0 else 1.0
         m_out[p] = path.m_out
@@ -525,65 +522,49 @@ def _tp_tables(paths, m_max: int, arity: int) -> _TpTables:
     for j, idx in enumerate(terms):
         slots[:len(idx), j] = idx
     scatter = (cols[..., None] == np.arange(zero + 1)).astype(np.float64)
-    return _TpTables(tuple(paths), cols, scatter, conj, final, slots, out_cols, multiplies)
+    return _TpTables(cols, scatter, conj, final, slots, out_cols, multiplies)
 
 
-@functools.lru_cache(maxsize=None)
-def _enumerated_tables(m_max: int, arity: int) -> _TpTables:
-    return _tp_tables(enumerate_tp_paths(m_max, arity), m_max, arity)
+def so2_tp_contract(u: So2Features, arity: int, weights) -> So2Features:
+    """The v-fold product of ``u`` with itself, weighted per fusion path.
 
-
-def so2_tp_contract(features, paths, weights) -> So2Features:
-    """Weighted sum of chained pairwise products over the given paths.
-
-    ``features`` is a sequence of v So2Features sharing one layout with
-    orders 0..M and a uniform channel count; ``weights`` is a sequence of
-    per-path channel weight arrays of shape (C,).  Path outputs accumulate
-    by final order; the result keeps the shared layout.
+    ``u`` has orders 0..M with a uniform channel count C; ``weights`` holds
+    one channel weight array of shape (C,) for each path of
+    :func:`enumerate_tp_paths` (M, ``arity``), in its order.  Path outputs
+    accumulate by final order; the result keeps ``u``'s layout.
 
     All paths run at once, as one tape node plus one slice per output
     order, whatever their number P.  A path's running block holds its
     product ``w`` for a non-negative signed exponent and ``conj(w)`` for a
-    negative one, where ``w`` multiplies input k's block of order m_k
-    (read as ``x_{+m} + i x_{-m}``), or its conjugate where step k
+    negative one, where ``w`` multiplies the blocks of ``u`` of orders
+    m_1, ..., m_v (read as ``x_{+m} + i x_{-m}``), conjugated where a step
     subtracts.  So every factor is gathered into a path axis (conjugation
     is a constant sign on the imaginary part), the v - 1 complex products
     are chained elementwise, paths ending at a negative exponent are
     conjugated, and each is weighted by its channel weights and added into
     its output order, in path order.  The products and sums are those of
     the pairwise chain (:func:`so2_tp_pair`) up to the sign of zeros.  The
-    index tables come from the paths and are cached with
-    :func:`enumerate_tp_paths`'s; other path lists get them per call.
+    index tables are built once per (M, ``arity``).
     """
-    features = list(features)
-    layout = features[0].layout
-    for f in features[1:]:
-        if f.layout != layout:
-            raise ValueError("all tensor product inputs must share a layout")
+    layout = u.layout
     mults = {c for _, c in layout.entries}
     if len(mults) != 1:
         raise ValueError("tensor product layout must have uniform multiplicity")
     if layout.indices != tuple(range(layout.max_index + 1)):
         raise ValueError("tensor product layout must hold every order from 0 up")
     channels = mults.pop()
-    batch = features[0].batch_shape
-    if len(weights) != len(paths):
-        raise ValueError(f"{len(paths)} paths but {len(weights)} weight arrays")
-    m_max, arity, n = layout.max_index, len(features), len(paths)
-    tables = _enumerated_tables(m_max, arity)
-    if paths is not tables.paths:
-        tables = _tp_tables(paths, m_max, arity)
+    batch = u.batch_shape
+    m_max = layout.max_index
+    tables = _tp_tables(m_max, arity)
+    n = tables.final.size
+    if len(weights) != n:
+        raise ValueError(f"{n} paths but {len(weights)} weight arrays")
 
-    # distinct inputs are read once ([u] * v passes one input v times)
-    distinct = {id(f): f for f in features}
-    position = {key: i for i, key in enumerate(distinct)}
-    which = [position[id(f)] for f in features]
     zero = np.zeros(batch + (channels, 1))
-    columns = [np.concatenate([ad.value_of(b) for b in f.blocks] + [zero], axis=-1)
-               for f in distinct.values()]
+    columns = np.concatenate([ad.value_of(b) for b in u.blocks] + [zero], axis=-1)
     factors = []
     for k in range(arity):
-        gathered = columns[which[k]][..., tables.cols[k]]
+        gathered = columns[..., tables.cols[k]]
         factors.append((gathered[..., :n], gathered[..., n:] * tables.conj[k]))
     prefix = [factors[0]]
     for br, bi in factors[1:]:
@@ -601,7 +582,7 @@ def so2_tp_contract(features, paths, weights) -> So2Features:
         gr, gi = g_terms[..., :n], g_terms[..., n:]
         d_w = (gr * wr + gi * wi).sum(axis=tuple(range(len(batch))))
         gr, gi = gr * w, gi * w * tables.final
-        d_columns = [np.zeros_like(c) for c in columns]
+        d_columns = np.zeros_like(columns)
         for k in range(arity - 1, -1, -1):
             if k:
                 (ar, ai), (br, bi) = prefix[k - 1], factors[k]
@@ -609,13 +590,12 @@ def so2_tp_contract(features, paths, weights) -> So2Features:
                 gr, gi = gr * br + gi * bi, gi * br - gr * bi
             else:
                 d_r, d_i = gr, gi
-            d_columns[which[k]] += np.tensordot(
+            d_columns += np.tensordot(
                 np.concatenate([d_r, d_i * tables.conj[k]], axis=-1), tables.scatter[k], axes=1)
-        return [d[..., max(0, 2 * m - 1):2 * m + 1]
-                for d in d_columns for m in range(m_max + 1)] + list(d_w.T)
+        return [d_columns[..., max(0, 2 * m - 1):2 * m + 1]
+                for m in range(m_max + 1)] + list(d_w.T)
 
-    out = ad.primitive(value, [b for f in distinct.values() for b in f.blocks] + list(weights),
-                       vjp)
+    out = ad.primitive(value, list(u.blocks) + list(weights), vjp)
     return So2Features(layout, [ad.take(out, (..., slice(max(0, 2 * m - 1), 2 * m + 1)))
                                 for m in range(m_max + 1)])
 

@@ -197,8 +197,7 @@ def test_07_gradient_contract():
     ln_p = init_so2_layernorm({}, "ln", layout)
     ffn_p = init_so2_ffn({}, "ffn", layout, so2_layout([(m, 3) for m in range(3)]),
                          layout, rng)
-    paths = enumerate_tp_paths(2, 2)
-    tp_w = [rng.normal(size=3) for _ in paths]
+    tp_w = {v: [rng.normal(size=3) for _ in enumerate_tp_paths(2, v)] for v in (2, 3, 4)}
     uni = so2_layout([(m, 3) for m in range(3)])
     exp_w_shapes = [2, 2, 2]
     sh = real_spherical_harmonics(2, random_unit_vector(rng))
@@ -230,9 +229,9 @@ def test_07_gradient_contract():
             [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
         ucots = [np.random.default_rng(m + 20).normal(size=uni.block_shape(m))
                  for m in uni.indices]
-        yield "so2_tp_contract", (lambda lv: project(
-            so2_tp_contract([So2Features(uni, lv[:3]), So2Features(uni, lv[3:6])],
-                            paths, tp_w).blocks, ucots)), feats(uni) + feats(uni)
+        for v in (2, 3, 4):   # the one input is every factor
+            yield f"so2_tp_contract/v{v}", (lambda lv, v=v: project(
+                so2_tp_contract(So2Features(uni, lv), v, tp_w[v]).blocks, ucots)), feats(uni)
         yield "so2_ffn", (lambda lv: project(
             so2_ffn(So2Features(layout, lv[:3]), So2Features(layout, lv[3:6]),
                     ffn_p, "ffn").blocks, cots)), feats(layout) + feats(layout)

@@ -233,21 +233,18 @@ class TestOperationVjps:
                   rng)
 
     def test_so2_tp_contract(self, rng):
+        # the input is every factor, so its cotangent adds one term per factor
         layout = so2_layout([(m, 2) for m in range(3)])
-        paths = enumerate_tp_paths(2, 3)
+        for arity in (2, 3, 4):
+            n_paths = len(enumerate_tp_paths(2, arity))
 
-        def arrays_fn():
-            feats = [_random_so2(layout, rng) for _ in range(3)]
-            weights = [rng.normal(size=2) for _ in paths]
-            return [b for f in feats for b in f] + weights
+            def arrays_fn():
+                return _random_so2(layout, rng) + [rng.normal(size=2) for _ in range(n_paths)]
 
-        def op(leaves):
-            feats = [So2Features(layout, leaves[i * 3:(i + 1) * 3]) for i in range(3)]
-            weights = leaves[9:]
-            return so2_tp_contract(feats, paths, weights)
+            def op(leaves, arity=arity):
+                return so2_tp_contract(So2Features(layout, leaves[:3]), arity, leaves[3:])
 
-        self._run(lambda arrays: self._feature_loss(op, 9, layout)(arrays),
-                  arrays_fn, rng)
+            self._run(self._feature_loss(op, 3, layout), arrays_fn, rng)
 
     def test_so2_ffn(self, rng):
         layout = so2_layout([(m, 2) for m in range(3)])
@@ -348,23 +345,21 @@ class TestOperationVjps:
 
         self._run(self._feature_loss(op, n, layout, (4,)), arrays_fn, rng)
 
-    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_batched_so2_tp_contract(self, arity, rng):
-        # the path-batched contraction over a (4,) item axis; at arity 3
-        # the first input is passed twice, so its cotangents add up
+        # the path-batched contraction over a (4,) item axis; the one
+        # input is every factor, so its cotangents add up
         layout = so2_layout([(m, 2) for m in range(4)])
         paths = enumerate_tp_paths(3, arity)
 
         def arrays_fn():
-            return ([rng.normal(size=(4,) + layout.block_shape(m))
-                     for _ in range(2) for m in layout.indices]
+            return ([rng.normal(size=(4,) + layout.block_shape(m)) for m in layout.indices]
                     + [rng.normal(size=2) for _ in paths])
 
         def op(leaves):
-            a, b = So2Features(layout, leaves[:4]), So2Features(layout, leaves[4:8])
-            return so2_tp_contract([a, b] if arity == 2 else [a, b, a], paths, leaves[8:])
+            return so2_tp_contract(So2Features(layout, leaves[:4]), arity, leaves[4:])
 
-        self._run(self._feature_loss(op, 8, layout, (4,)), arrays_fn, rng)
+        self._run(self._feature_loss(op, 4, layout, (4,)), arrays_fn, rng)
 
     def test_batched_mlp(self, rng):
         # the fused MLP on a (4, in, 1) column batch, input and weights

@@ -228,6 +228,12 @@ class TestPredictMetricsCli:
         assert main(["metrics", str(pred_path), str(small)]) == 2
 
 
+def _hydrogen_basis_under(key: str) -> dict:
+    """The default config's basis with element 1's entry under ``key``."""
+    basis = ModelConfig().to_json_obj()["basis"]
+    return {"basis": {key if z == "1" else z: orbs for z, orbs in basis.items()}}
+
+
 class TestBadInput:
     """Invalid input gets ``error: ...`` on stderr and exit code 2."""
 
@@ -430,8 +436,15 @@ class TestBadInput:
         ({"elements": [1, 0], "basis": {"1": [0], "0": [0]}}, "elements"),
         ({"elements": [1, -3], "basis": {"1": [0], "-3": [0]}}, "elements"),
         ({"elements": [1, 500], "basis": {"1": [0], "500": [0]}}, "elements"),
+        (_hydrogen_basis_under("+1"), "basis"),
+        (_hydrogen_basis_under(" 1"), "basis"),
+        (_hydrogen_basis_under("\u0661"), "basis"),
+        (_hydrogen_basis_under("01"), "basis"),
+        ({"basis": {**ModelConfig().to_json_obj()["basis"], "1_0": [0]}}, "basis"),
     ], ids=["basis-key-1-and-01", "basis-key-not-a-number", "basis-key-zero",
-            "basis-key-119", "element-zero", "element-negative", "element-500"])
+            "basis-key-119", "element-zero", "element-negative", "element-500",
+            "basis-key-plus-1", "basis-key-space-1", "basis-key-arabic-indic-1",
+            "basis-key-lone-01", "basis-key-1_0"])
     def test_invalid_config_atomic_numbers(self, molecule_file, tmp_path, capsys, fields,
                                            field):
         # elements and basis keys are atomic numbers in 1..118, as in a

@@ -496,10 +496,11 @@ class TestCallBudget:
     counts of the current code (2579 and 2188 before the layout tables,
     1038 and 1573 before layer 0's message ran on order 0, 919 and 1419
     before one rotate-out path read the orders present, 912 and 1418
-    before the neighbour sums and invariant mixes lost their copy nodes)."""
+    before the neighbour sums and invariant mixes lost their copy nodes,
+    892 and 1388 before the tensor product took one input)."""
 
-    PREDICT_CALLS = 892
-    FIT_STEP_CALLS = 1388
+    PREDICT_CALLS = 887
+    FIT_STEP_CALLS = 1382
 
     def test_predict_stream_predict(self):
         # an 8-atom H/C/O molecule at the l_max 4 config of the predict-stream benchmark

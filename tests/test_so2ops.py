@@ -11,7 +11,7 @@ from conftest import sum_entries
 from so2frames.irreps import So2Features, So3Features, layout_parse, rotate_so2, so2_layout
 from so2frames.model import _self_interaction
 from so2frames.so2ops import (So2TpPath, enumerate_tp_paths, init_so2_ffn, init_so2_gate,
-                              init_so2_layernorm, init_so2_linear, so2_ffn, so2_gate,
+                              init_so2_layernorm, init_so2_linear, mlp, so2_ffn, so2_gate,
                               so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair)
 
 LAYOUT = so2_layout([(0, 4), (1, 3), (2, 2), (3, 1)])
@@ -83,6 +83,19 @@ class TestSo2Linear:
 
 
 class TestSo2Gate:
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoids_saturate_without_warning(self):
+        # exp(800) overflows to inf; the sigmoids still read 0 and 1
+        x = np.array([[[800.0]], [[-800.0]]])
+        one = np.ones((1, 1))
+        net = {"m/0/W": one, "m/0/b": np.zeros(1), "m/1/W": one, "m/1/b": np.zeros(1)}
+        assert np.asarray(mlp(x, net, "m")).ravel().tolist() == [800.0, 0.0]
+        layout = so2_layout([(0, 1), (1, 1)])
+        gate = {"g/mlp/0/W": np.ones((2, 1)), "g/mlp/0/b": np.zeros(2)}
+        out = so2_gate(So2Features(layout, [x, np.full((2, 1, 2), 3.0)]), gate, "g")
+        assert np.asarray(out.block(0)).ravel().tolist() == [800.0, -800.0]
+        assert np.asarray(out.block(1)).ravel().tolist() == [3.0, 3.0, 0.0, 0.0]
+
     def test_zero_mlp_halves_equivariant_channels(self, rng):
         params = init_so2_gate({}, "gate", LAYOUT, rng)
         params["gate/mlp/2/W"] = np.zeros_like(params["gate/mlp/2/W"])
@@ -344,22 +357,22 @@ class TestSo2TpContract:
     layout = so2_layout([(m, 2) for m in range(3)])
 
     def test_single_scalar_path(self, rng):
-        paths = [So2TpPath((0, 0), (+1, +1), (0, 0), 0)]
-        x1 = random_so2(self.layout, rng)
-        x2 = random_so2(self.layout, rng)
-        out = so2_tp_contract([x1, x2], paths, [np.ones(2)])
-        expected = np.asarray(x1.block(0)) * np.asarray(x2.block(0))
+        # orders 0..0 have one path, the product of the scalars
+        layout = so2_layout([(0, 2)])
+        assert enumerate_tp_paths(0, 2) == (So2TpPath((0, 0), (+1, +1), (0, 0), 0),)
+        x = random_so2(layout, rng)
+        out = so2_tp_contract(x, 2, [np.ones(2)])
+        expected = np.asarray(x.block(0)) * np.asarray(x.block(0))
+        assert out.layout == layout
         assert np.max(np.abs(np.asarray(out.block(0)) - expected)) < 1e-15
-        assert np.max(np.abs(np.asarray(out.block(1)))) == 0.0
 
     def test_equivariance_v3(self, rng):
-        paths = enumerate_tp_paths(2, 3)
-        weights = [rng.normal(size=2) for _ in paths]
+        weights = [rng.normal(size=2) for _ in enumerate_tp_paths(2, 3)]
         for _ in range(200):
-            feats = [random_so2(self.layout, rng) for _ in range(3)]
+            u = random_so2(self.layout, rng)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            lhs = so2_tp_contract([rotate_so2(f, phi) for f in feats], paths, weights)
-            rhs = rotate_so2(so2_tp_contract(feats, paths, weights), phi)
+            lhs = so2_tp_contract(rotate_so2(u, phi), 3, weights)
+            rhs = rotate_so2(so2_tp_contract(u, 3, weights), phi)
             assert max_dev(lhs, rhs) < 1e-12
 
     def test_multiply_count_slope(self, rng):
@@ -367,20 +380,19 @@ class TestSo2TpContract:
         Ms = range(2, 11)
         for M in Ms:
             layout = so2_layout([(m, 1) for m in range(M + 1)])
-            feats = [random_so2(layout, rng) for _ in range(2)]
-            paths = enumerate_tp_paths(M, 2)
+            u = random_so2(layout, rng)
             counter = OpCounter()
             with counting(counter):
-                so2_tp_contract(feats, paths, [np.ones(1)] * len(paths))
+                so2_tp_contract(u, 2, [np.ones(1)] * len(enumerate_tp_paths(M, 2)))
             counts.append(counter.get("so2_tp"))
         slope = np.polyfit(np.log(list(Ms)), np.log(counts), 1)[0]
         assert 1.7 <= slope <= 2.3
 
     def test_arity_mismatch_rejected(self, rng):
-        paths = enumerate_tp_paths(2, 3)
-        feats = [random_so2(self.layout, rng) for _ in range(2)]
-        with pytest.raises(ValueError):
-            so2_tp_contract(feats, paths, [np.ones(2)] * len(paths))
+        # the weights of the 2-fold paths do not fit the 3-fold product
+        u = random_so2(self.layout, rng)
+        with pytest.raises(ValueError, match="weight arrays"):
+            so2_tp_contract(u, 3, [np.ones(2)] * len(enumerate_tp_paths(2, 2)))
 
 
 def loop_tp_contract(features, paths, weights):
@@ -423,36 +435,22 @@ def loop_tp_contract(features, paths, weights):
 
 class TestBatchedTpMatchesLoop:
     @pytest.mark.parametrize("m_max", [1, 2, 3, 4])
-    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_same_bits_and_counts(self, m_max, arity, rng):
-        # two distinct input sets, and one set passed arity times, on a
-        # batch of five items
+        # one input set multiplied with itself, on a batch of five items
         layout = so2_layout([(m, 3) for m in range(m_max + 1)])
         paths = enumerate_tp_paths(m_max, arity)
         weights = [rng.normal(size=3) for _ in paths]
-        distinct = [So2Features(layout, [rng.normal(size=(5,) + layout.block_shape(m))
-                                         for m in layout.indices]) for _ in range(arity)]
-        for feats in (distinct, [distinct[0]] * arity):
-            counts = OpCounter(), OpCounter()
-            with counting(counts[0]):
-                got = so2_tp_contract(feats, paths, weights)
-            with counting(counts[1]):
-                ref = loop_tp_contract(feats, paths, weights)
-            for a, b in zip(got.blocks, ref.blocks):
-                assert np.asarray(a).tobytes() == b.tobytes()
-            assert counts[0].get("so2_tp") == counts[1].get("so2_tp") > 0
-
-    def test_caller_built_paths(self, rng):
-        # a path list that is not enumerate_tp_paths' gets its tables per call
-        layout = so2_layout([(m, 2) for m in range(4)])
-        paths = [p for p in enumerate_tp_paths(3, 3) if p.m_out in (1, 3)][::3]
-        weights = [rng.normal(size=2) for _ in paths]
-        feats = [random_so2(layout, rng) for _ in range(3)]
-        got = so2_tp_contract(feats, paths, weights)
-        ref = loop_tp_contract(feats, paths, weights)
+        u = So2Features(layout, [rng.normal(size=(5,) + layout.block_shape(m))
+                                 for m in layout.indices])
+        counts = OpCounter(), OpCounter()
+        with counting(counts[0]):
+            got = so2_tp_contract(u, arity, weights)
+        with counting(counts[1]):
+            ref = loop_tp_contract([u] * arity, paths, weights)
         for a, b in zip(got.blocks, ref.blocks):
             assert np.asarray(a).tobytes() == b.tobytes()
-        assert not np.any(np.asarray(got.block(0))) and not np.any(np.asarray(got.block(2)))
+        assert counts[0].get("so2_tp") == counts[1].get("so2_tp") > 0
 
     def test_tape_nodes_independent_of_path_count(self, rng):
         # behind the one output block per order, the tape holds the same
@@ -462,7 +460,7 @@ class TestBatchedTpMatchesLoop:
             paths = enumerate_tp_paths(m_max, arity)
             leaves = [ad.Var(rng.normal(size=(3,) + layout.block_shape(m)))
                       for m in layout.indices]
-            out = so2_tp_contract([So2Features(layout, leaves)] * arity, paths,
+            out = so2_tp_contract(So2Features(layout, leaves), arity,
                                   [ad.Var(rng.normal(size=2)) for _ in paths])
             seen, stack = set(), [p for b in out.blocks for p in b.parents]
             while stack:
