@@ -18,9 +18,9 @@ rng = stream(0, "demo-irreps")
 
 print("== layouts ==")
 layout = layout_parse("256x0e+128x1e+64x2e+32x3e+16x4e")
-print(f"parsed {layout}: total scalar length {layout.total_dim}")
+print(f"parsed {layout}: total scalar length {sum(m * d for m, d in layout.shapes)}")
 mirreps = layout_parse("1024x0m+256x1m+64x2m+32x3m+16x4m")
-print(f"parsed {mirreps}: total scalar length {mirreps.total_dim} "
+print(f"parsed {mirreps}: total scalar length {sum(m * d for m, d in mirreps.shapes)} "
       f"(m=0 blocks are width 1, m>0 blocks width 2)")
 
 print("\n== real spherical harmonics ==")
@@ -34,7 +34,7 @@ print("at the target axis only m=0 survives; max |m!=0 component| per degree:",
 
 print("\nrotation property Y(R r) = D(R) Y(r):")
 R = rotation_from_matrix(random_rotation_matrix(rng))
-y_rot = real_spherical_harmonics(4, R.apply(direction))
+y_rot = real_spherical_harmonics(4, R.matrix @ direction)
 for l in range(5):
     err = np.max(np.abs(wigner_d(l, R) @ y.block(l)[0] - y_rot.block(l)[0]))
     print(f"  degree {l}: max error {err:.2e}")

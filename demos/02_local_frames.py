@@ -45,7 +45,7 @@ def pipeline(direction, feats):
 
 
 g = rotation_from_matrix(random_rotation_matrix(rng))
-lhs = pipeline(g.apply(r), rotate_so3(x, g))
+lhs = pipeline(g.matrix @ r, rotate_so3(x, g))
 rhs = rotate_so3(pipeline(r, x), g)
 err = max(np.max(np.abs(a - b)) for a, b in zip(lhs.as_arrays(), rhs.as_arrays()))
 print(f"pipeline(g r, D(g) x) vs D(g) pipeline(r, x): max error {err:.2e}")

@@ -18,8 +18,8 @@ from .frames import (Frame, Rotation, TARGET_AXIS, frame_average_check,
                      frame_from_direction, frames_from_directions, from_local,
                      rotate_so3, rotation_from_euler, rotation_from_matrix, to_local,
                      wigner_d)
-from .cg import (cg_table, escn_reference_apply, expansion, expansion_decompose,
-                 so3_tensor_product, valid_paths)
+from .cg import (cg_table, escn_reference_apply, expansion, so3_tensor_product,
+                 valid_paths)
 from .so2ops import (So2TpPath, enumerate_tp_paths, init_mlp, init_so2_ffn,
                      init_so2_gate, init_so2_layernorm, init_so2_linear, mlp,
                      so2_ffn, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
@@ -41,8 +41,7 @@ __all__ = [
     "assemble", "bench", "block_rotate", "build_graph", "build_orbital_layout",
     "cg_table", "check_equivariance", "checkpoint_dumps", "checkpoint_loads",
     "circular_harmonics", "counting", "default_fit_config", "enumerate_tp_paths",
-    "escn_reference_apply", "expansion",
-    "expansion_decompose", "fit_demo", "forward", "frame_average_check",
+    "escn_reference_apply", "expansion", "fit_demo", "forward", "frame_average_check",
     "frame_from_direction", "frames_from_directions", "from_local", "gen_synthetic_target",
     "generalized_eigensolve", "graph_from_json", "init_mlp", "init_params",
     "init_so2_ffn", "init_so2_gate", "init_so2_layernorm", "init_so2_linear",

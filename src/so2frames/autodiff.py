@@ -33,8 +33,8 @@ small nodes can be one node of its own.  It computes its value with plain
 numpy, keeps what its adjoint needs in a closure and returns
 ``primitive(value, parents, vjp)``, where ``vjp`` maps the output
 cotangent to one cotangent (or None) per parent.  These are fused this
-way, each running the numpy expressions of its former chain in the same
-order, so its values are unchanged:
+way, each evaluating the numpy expressions of the primitives it stands
+for in their order, so it gives their values with fewer nodes:
 
 * in :mod:`so2frames.so2ops`, the LayerNorm (one node per block), the MLP
   (one per call), the Linear (one per order), the gate (one per call,
@@ -52,8 +52,8 @@ The SO(2) tensor product is one node for all its fusion paths, whose
 output blocks are :func:`take` slices of it.  The Hamiltonian assembly
 (:func:`hamiltonian.assemble`) is one node for its gathers, contractions,
 block placement and symmetrization; it contracts weights with features
-before the CG tables, which rounds differently from the chain it
-replaced.
+before the CG tables, as :func:`cg.expansion` does, so before the
+symmetrization each block has the bits of one ``cg.expansion`` call.
 """
 
 from __future__ import annotations

@@ -249,18 +249,3 @@ def expansion(feature: So3Features, w: dict[int, np.ndarray], l1: int, l2: int):
     out = ad.einsum("...c,nc->...n", y, stacked_cg_table(l1, l2, degrees))
     return ad.reshape(out, feature.batch_shape + (2 * l1 + 1, 2 * l2 + 1))
 
-
-def expansion_decompose(block, l1: int, l2: int) -> dict[int, np.ndarray]:
-    """CG decomposition of a sub-block, the adjoint of :func:`expansion`.
-
-    Returns per-degree vectors ``v[l3][m3] = sum_{m1,m2} C[m1,m2,m3] block[m1,m2]``.
-    Because the CG tables for different l3 are mutually orthonormal,
-    decomposing ``expansion(feature, w)`` recovers the w-weighted feature
-    ``v[l3] = sum_c w[l3][c] feature[l3][c, :]`` exactly.
-    """
-    out = {}
-    arr = ad.value_of(block)
-    for l3 in range(abs(l1 - l2), l1 + l2 + 1):
-        C = cg_table(l1, l2, l3)
-        out[l3] = np.einsum("abc,ab->c", C, arr)
-    return out

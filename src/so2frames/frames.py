@@ -78,13 +78,6 @@ class Rotation:
         alpha, beta, gamma = self.euler
         return Rotation(self.matrix.T, (-gamma, -beta, -alpha))
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        """self after other: matrix product self.matrix @ other.matrix."""
-        return rotation_from_matrix(self.matrix @ other.matrix)
-
-    def apply(self, vec) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=np.float64)
-
 
 def _rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
@@ -123,14 +116,6 @@ def euler_from_matrix(R: np.ndarray) -> tuple[float, float, float]:
 def rotation_from_matrix(R) -> Rotation:
     R = np.asarray(R, dtype=np.float64)
     return Rotation(R, euler_from_matrix(R))
-
-
-def rotation_from_axis_angle(axis, angle: float) -> Rotation:
-    a = np.asarray(axis, dtype=np.float64)
-    a = a / np.linalg.norm(a)
-    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    R = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-    return rotation_from_matrix(R)
 
 
 # ---------------------------------------------------------------------------

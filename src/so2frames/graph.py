@@ -20,10 +20,21 @@ from .sampling import stream
 MAX_ATOMIC_NUMBER = 118
 
 
+def is_integer(value) -> bool:
+    """An integer, the rule of every reader of integers from a file; a JSON
+    boolean reads as a Python bool, which is an int but no number."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, NaN and inf included; a boolean is no number."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def is_atomic_number(z) -> bool:
     """An integer in 1..MAX_ATOMIC_NUMBER, the rule of every reader of
-    atomic numbers; a boolean is no number."""
-    return isinstance(z, Integral) and not isinstance(z, bool) and 1 <= z <= MAX_ATOMIC_NUMBER
+    atomic numbers."""
+    return is_integer(z) and 1 <= z <= MAX_ATOMIC_NUMBER
 
 
 @dataclass
@@ -57,8 +68,8 @@ class MoleculeGraph:
 
 
 def _check_cutoff(cutoff) -> None:
-    # NaN fails the comparison; a bool would pass as 1, a string would raise TypeError
-    if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not cutoff > 0.0:
+    # NaN fails the comparison
+    if not is_real(cutoff) or not cutoff > 0.0:
         raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
 
 
@@ -115,7 +126,7 @@ def read_file(path, parse):
 def _is_point(pos) -> bool:
     """A list of three real numbers; a JSON boolean is no number."""
     return (isinstance(pos, list) and len(pos) == 3
-            and all(isinstance(x, Real) and not isinstance(x, bool) for x in pos))
+            and all(is_real(x) for x in pos))
 
 
 def graph_from_json(text: str | bytes) -> MoleculeGraph:

@@ -23,14 +23,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
 from .cg import stacked_cg_table
 from .frames import Rotation, wigner_d_batch
-from .graph import MoleculeGraph, finite_array, read_file
+from .graph import MoleculeGraph, finite_array, is_integer, read_file
 from .irreps import IrrepsLayout, So3Features, layout_parse, so3_layout
 from .so2ops import uniform_init
 
@@ -68,8 +67,7 @@ def build_orbital_layout(atomic_numbers, basis_config: dict[int, tuple[int, ...]
             if z not in basis_config:
                 raise ValueError(f"element {z} missing from basis configuration")
             orbs = tuple(basis_config[z])
-            if not orbs or not all(isinstance(l, Integral) and not isinstance(l, bool)
-                                   and l >= 0 for l in orbs):
+            if not orbs or not all(map(is_integer, orbs)) or min(orbs) < 0:
                 raise ValueError(f"basis entry {z} is not a non-empty list of non-negative "
                                  f"integer degrees: {list(orbs)}")
             checked[z] = orbs, [2 * l + 1 for l in orbs]
@@ -98,10 +96,6 @@ class BlockMatrix:
     @property
     def array(self) -> np.ndarray:
         return np.asarray(ad.value_of(self.data), dtype=np.float64)
-
-    def symmetry_error(self) -> float:
-        a = self.array
-        return float(np.max(np.abs(a - a.T)))
 
 
 # ---------------------------------------------------------------------------

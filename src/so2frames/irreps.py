@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -124,10 +123,6 @@ class IrrepsLayout:
 
     def block_shape(self, index: int) -> tuple[int, int]:
         return (self.mult(index), self.component_dim(index))
-
-    @property
-    def total_dim(self) -> int:
-        return sum(mult * self.component_dim(idx) for idx, mult in self.entries)
 
     def format(self) -> str:
         suffix = "e" if self.kind == SO3 else "m"
@@ -231,19 +226,6 @@ class _Features:
     def norm(self) -> float:
         return float(np.linalg.norm(self.flatten()))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "layout": self.layout.format(),
-            "data": [b.tolist() for b in self.as_arrays()],
-        })
-
-    @classmethod
-    def from_json(cls, text: str):
-        doc = json.loads(text)
-        layout = layout_parse(doc["layout"])
-        blocks = [np.asarray(b, dtype=np.float64) for b in doc["data"]]
-        return cls(layout, blocks)
-
     def __repr__(self):
         return f"{type(self).__name__}({self.layout})"
 
@@ -258,16 +240,6 @@ class So2Features(_Features):
     """Multi-channel SO(2) irrep coefficients, one block per order."""
 
     kind = SO2
-
-    def complex_view(self) -> dict[int, np.ndarray]:
-        """Per order m>0: the channels as x_{+m} + i x_{-m}."""
-        out = {}
-        for m, block in self.items():
-            if m == 0:
-                continue
-            arr = np.asarray(getattr(block, "value", block))
-            out[m] = arr[..., 1] + 1j * arr[..., 0]
-        return out
 
 
 DEFAULT_L_CAP = 8

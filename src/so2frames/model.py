@@ -44,14 +44,14 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cached_property
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import autodiff as ad
 from .counters import OpCounter, counting
 from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
-from .graph import MAX_ATOMIC_NUMBER, MoleculeGraph, finite_array, is_atomic_number
+from .graph import (MAX_ATOMIC_NUMBER, MoleculeGraph, finite_array, is_atomic_number,
+                    is_integer, is_real)
 from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, assembly_plan,
                           build_orbital_layout, init_expansion)
 from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
@@ -79,10 +79,6 @@ _INTEGER_FIELDS = {"layers": 0, "tp_arity": 2, "tp_channels": 1, "ffn_channels":
                    "invariant_width": 1, "rbf_size": 1}
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; everything needed to rebuild a model."""
@@ -102,12 +98,12 @@ class ModelConfig:
     def __post_init__(self):
         for name, least in _INTEGER_FIELDS.items():
             value = getattr(self, name)
-            if not _is_integer(value) or value < least:
+            if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not _is_integer(self.seed):
+        if not is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        cutoff = self.cutoff  # NaN fails the comparison; a bool would pass as 1
-        if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not 0.0 < cutoff < math.inf:
+        cutoff = self.cutoff  # NaN fails the comparison
+        if not is_real(cutoff) or not 0.0 < cutoff < math.inf:
             raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
         if not isinstance(self.node_irreps, str):
             raise ValueError(f"node_irreps must be a string, got {self.node_irreps!r}")
@@ -126,7 +122,7 @@ class ModelConfig:
             raise ValueError(f"basis must name distinct elements in 1..{MAX_ATOMIC_NUMBER}, "
                              f"got {keys}")
         for z, degrees in self.basis:
-            if not degrees or not all(_is_integer(l) and 0 <= l <= DEFAULT_L_CAP
+            if not degrees or not all(is_integer(l) and 0 <= l <= DEFAULT_L_CAP
                                       for l in degrees):
                 raise ValueError(f"basis of element {z} must be a non-empty list of degrees "
                                  f"in [0, {DEFAULT_L_CAP}], got {list(degrees)}")

@@ -7,9 +7,9 @@ the autodiff primitives, so gradients with respect to inputs and
 parameters come from the same code path.  LayerNorm (one primitive per
 block), the small MLP (one per call), Linear (one per order) and the
 gate (one per call) are fused autodiff primitives with hand-written
-VJPs: their forward passes run the numpy expressions of the primitive
-chains they replace, in the same order, so values are unchanged while
-the tape records far fewer nodes.  The gate's kernel,
+VJPs: their forward passes evaluate the numpy expressions of the
+primitives they stand for, in their order, so they give the same values
+while the tape records far fewer nodes.  The gate's kernel,
 :func:`gate_apply`, is also the gate of the model's fused
 self-interaction, so SO(2) orders and SO(3) degrees share one gate.
 Every channel mix (each MLP layer, each Linear order) computes its
@@ -333,8 +333,9 @@ def _layernorm_block(block, g, b, c: int, directional: bool):
     per-channel norm (m > 0).  The adjoint takes the chain rule through
     the forward steps one by one, in reverse.  With two channels the
     standardized values hardly depend on the input, so the adjoint is a
-    difference of nearly equal terms; the step-by-step chain keeps its
-    rounding close to that of the unfused tape.
+    difference of nearly equal terms and any other order of its steps
+    rounds differently; the reference gradients of
+    ``tests/predict_reference.npz`` pin this order.
     """
     eps = LN_EPS
     vx = ad.value_of(block)
@@ -415,14 +416,12 @@ class So2TpPath:
     """One v-fold fusion path.
 
     ``orders`` are the input orders (m_1, ..., m_v); ``signs`` the per
-    factor signs with the first fixed to +1; ``intermediates`` the
-    realized orders |e_k| after each chained pair product, all within
-    [0, M_max]; ``m_out`` the final order |sum_k s_k m_k|.
+    factor signs with the first fixed to +1; ``m_out`` the final order
+    |sum_k s_k m_k|.
     """
 
     orders: tuple[int, ...]
     signs: tuple[int, ...]
-    intermediates: tuple[int, ...]
     m_out: int
 
 
@@ -445,9 +444,9 @@ def enumerate_tp_paths(m_max: int, v: int) -> tuple[So2TpPath, ...]:
         raise ValueError(f"tensor product arity must be >= 2, got {v}")
     paths = []
     for orders in itertools.product(range(m_max + 1), repeat=v):
-        def extend(k, exponent, signs, inters):
+        def extend(k, exponent, signs):
             if k == v:
-                paths.append(So2TpPath(orders, tuple(signs), tuple(inters), abs(exponent)))
+                paths.append(So2TpPath(orders, tuple(signs), abs(exponent)))
                 return
             m = orders[k]
             for s in (+1, -1):
@@ -458,9 +457,9 @@ def enumerate_tp_paths(m_max: int, v: int) -> tuple[So2TpPath, ...]:
                     continue  # would need a difference of equal orders
                 if abs(e) > m_max:
                     continue
-                extend(k + 1, e, signs + [s], inters + [abs(e)])
+                extend(k + 1, e, signs + [s])
 
-        extend(1, orders[0], [+1], [orders[0]])
+        extend(1, orders[0], [+1])
     return tuple(paths)
 
 

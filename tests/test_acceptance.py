@@ -187,24 +187,14 @@ def test_07_gradient_contract():
                                   so2_ffn, so2_gate, so2_layernorm, so2_tp_contract,
                                   so2_tp_pair)
 
-    rng = stream(107, "acceptance-vjp")
     layout = so2_layout([(0, 3), (1, 2), (2, 2)])
     so3 = so3_layout([(0, 2), (1, 2), (2, 2)])
     reg = so2_layout_of(so3)
-    frame = frame_from_direction(random_unit_vector(rng), 2)
-    lin_w = init_so2_linear({}, "lin", layout, layout, rng)
-    gate_p = init_so2_gate({}, "gate", layout, rng)
-    ln_p = init_so2_layernorm({}, "ln", layout)
-    ffn_p = init_so2_ffn({}, "ffn", layout, so2_layout([(m, 3) for m in range(3)]),
-                         layout, rng)
-    tp_w = {v: [rng.normal(size=3) for _ in enumerate_tp_paths(2, v)] for v in (2, 3, 4)}
     uni = so2_layout([(m, 3) for m in range(3)])
-    exp_w_shapes = [2, 2, 2]
-    sh = real_spherical_harmonics(2, random_unit_vector(rng))
     tp_paths = valid_paths((0, 1, 2), (0, 1, 2), 2)
 
-    def feats(lay):
-        return [rng.normal(size=lay.block_shape(m)) for m in lay.indices]
+    def shapes(lay):
+        return [lay.block_shape(m) for m in lay.indices]
 
     def project(out_blocks, cots):
         total = None
@@ -213,57 +203,74 @@ def test_07_gradient_contract():
             total = term if total is None else ad.add(total, term)
         return total
 
+    def case(name):
+        # each case draws its fixed weights, probes and directions from a
+        # generator of its own, so a change to one case redraws no other
+        return name, stream(107, f"acceptance-vjp/{name}")
+
     def op_cases():
         c = {m: np.random.default_rng(m).normal(size=layout.block_shape(m))
              for m in layout.indices}
         cots = [c[m] for m in layout.indices]
-        yield "so2_linear", (lambda lv: project(
-            so2_linear(So2Features(layout, lv), lin_w, "lin").blocks, cots)), feats(layout)
-        yield "so2_gate", (lambda lv: project(
-            so2_gate(So2Features(layout, lv), gate_p, "gate").blocks, cots)), feats(layout)
-        yield "so2_layernorm", (lambda lv: project(
-            so2_layernorm(So2Features(layout, lv), ln_p, "ln").blocks, cots)), feats(layout)
+        name, rng = case("so2_linear")
+        lin_w = init_so2_linear({}, "lin", layout, layout, rng)
+        yield name, rng, (lambda lv: project(
+            so2_linear(So2Features(layout, lv), lin_w, "lin").blocks, cots)), shapes(layout)
+        name, rng = case("so2_gate")
+        gate_p = init_so2_gate({}, "gate", layout, rng)
+        yield name, rng, (lambda lv: project(
+            so2_gate(So2Features(layout, lv), gate_p, "gate").blocks, cots)), shapes(layout)
+        name, rng = case("so2_layernorm")
+        ln_p = init_so2_layernorm({}, "ln", layout)
+        yield name, rng, (lambda lv: project(
+            so2_layernorm(So2Features(layout, lv), ln_p, "ln").blocks, cots)), shapes(layout)
         pair_cot = np.random.default_rng(9).normal(size=(3, 2))
-        yield "so2_tp_pair", (lambda lv: sum_entries(ad.mul(
-            so2_tp_pair(lv[0], 2, lv[1], 1, -1)[0], pair_cot))), \
-            [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
+        name, rng = case("so2_tp_pair")
+        yield name, rng, (lambda lv: sum_entries(ad.mul(
+            so2_tp_pair(lv[0], 2, lv[1], 1, -1)[0], pair_cot))), [(3, 2), (3, 2)]
         ucots = [np.random.default_rng(m + 20).normal(size=uni.block_shape(m))
                  for m in uni.indices]
         for v in (2, 3, 4):   # the one input is every factor
-            yield f"so2_tp_contract/v{v}", (lambda lv, v=v: project(
-                so2_tp_contract(So2Features(uni, lv), v, tp_w[v]).blocks, ucots)), feats(uni)
-        yield "so2_ffn", (lambda lv: project(
+            name, rng = case(f"so2_tp_contract/v{v}")
+            tp_w = [rng.normal(size=3) for _ in enumerate_tp_paths(2, v)]
+            yield name, rng, (lambda lv, v=v, tp_w=tp_w: project(
+                so2_tp_contract(So2Features(uni, lv), v, tp_w).blocks, ucots)), shapes(uni)
+        name, rng = case("so2_ffn")
+        ffn_p = init_so2_ffn({}, "ffn", layout, uni, layout, rng)
+        yield name, rng, (lambda lv: project(
             so2_ffn(So2Features(layout, lv[:3]), So2Features(layout, lv[3:6]),
-                    ffn_p, "ffn").blocks, cots)), feats(layout) + feats(layout)
+                    ffn_p, "ffn").blocks, cots)), shapes(layout) * 2
         rcots = [np.random.default_rng(m + 40).normal(size=reg.block_shape(m))
                  for m in reg.indices]
-        yield "to_local", (lambda lv: project(
-            to_local(frame, So3Features(so3, lv)).blocks, rcots)), \
-            [rng.normal(size=so3.block_shape(l)) for l in so3.indices]
+        name, rng = case("to_local")
+        to_frame = frame_from_direction(random_unit_vector(rng), 2)
+        yield name, rng, (lambda lv: project(
+            to_local(to_frame, So3Features(so3, lv)).blocks, rcots)), shapes(so3)
         scots = [np.random.default_rng(m + 60).normal(size=so3.block_shape(m))
                  for m in so3.indices]
-        yield "from_local", (lambda lv: project(
-            from_local(frame, So2Features(reg, lv), so3).blocks, scots)), feats(reg)
+        name, rng = case("from_local")
+        from_frame = frame_from_direction(random_unit_vector(rng), 2)
+        yield name, rng, (lambda lv: project(
+            from_local(from_frame, So2Features(reg, lv), so3).blocks, scots)), shapes(reg)
         bcot = np.random.default_rng(70).normal(size=(3, 3))
-        yield "expansion", (lambda lv: sum_entries(ad.mul(expansion(
+        name, rng = case("expansion")
+        yield name, rng, (lambda lv: sum_entries(ad.mul(expansion(
             So3Features(so3, lv[:3]), {l3: lv[3 + l3] for l3 in range(3)},
-            1, 1), bcot))), \
-            [rng.normal(size=so3.block_shape(l)) for l in so3.indices] + \
-            [rng.normal(size=n) for n in exp_w_shapes]
+            1, 1), bcot))), shapes(so3) + [(2,), (2,), (2,)]
         tcots = {l: np.random.default_rng(l + 80).normal(size=(2, 2 * l + 1))
                  for l in (0, 1, 2)}
-        yield "so3_tensor_product", (lambda lv: project(
+        name, rng = case("so3_tensor_product")
+        sh = real_spherical_harmonics(2, random_unit_vector(rng))
+        yield name, rng, (lambda lv: project(
             so3_tensor_product(So3Features(so3, lv[:3]), sh,
                                dict(zip(tp_paths, lv[3:]))).blocks,
-            [tcots[l] for l in (0, 1, 2)])), \
-            [rng.normal(size=so3.block_shape(l)) for l in so3.indices] + \
-            [rng.normal(size=2) for _ in tp_paths]
+            [tcots[l] for l in (0, 1, 2)])), shapes(so3) + [(2,)] * len(tp_paths)
 
     results = {}
-    for name, loss_of, proto in op_cases():
+    for name, rng, loss_of, arg_shapes in op_cases():
         worst = 0.0
         for _ in range(20):
-            arrays = [rng.normal(size=np.shape(p)) for p in proto]
+            arrays = [rng.normal(size=shape) for shape in arg_shapes]
             worst = max(worst, directional_vjp_check(loss_of, arrays, rng))
         results[name] = worst
     bad = {k: v for k, v in results.items() if v >= 1e-5}

@@ -1,6 +1,6 @@
 """Every top-level import of the package, the tests and the demos is read,
-and importing the package leaves ``scipy.linalg`` and ``scipy.special``
-unloaded."""
+every name the package exports resolves, and importing the package leaves
+``scipy.linalg`` and ``scipy.special`` unloaded."""
 
 import ast
 import os
@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import so2frames
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for folder in ("src/so2frames", "tests", "demos")
@@ -45,6 +47,10 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in so2frames.__all__ if not hasattr(so2frames, name)] == []
 
 
 @pytest.mark.parametrize("module", ["scipy.linalg", "scipy.special"])
