@@ -330,12 +330,15 @@ def _layernorm_block(block, g, b, c: int, directional: bool):
     """One block of :func:`so2_layernorm` with parents ``(block, g, b)``.
 
     The standardized quantity ``y`` is the block itself (m = 0) or its
-    per-channel norm (m > 0).  The adjoint takes the chain rule through
-    the forward steps one by one, in reverse.  With two channels the
-    standardized values hardly depend on the input, so the adjoint is a
-    difference of nearly equal terms and any other order of its steps
-    rounds differently; the reference gradients of
-    ``tests/predict_reference.npz`` pin this order.
+    per-channel norm (m > 0).  The adjoint is the closed form of the
+    forward, exact with eps under both square roots: with ``s`` the
+    standardized values and ``d_s`` their cotangent, ``d_y`` centers
+    ``(d_s - s mean(d_s s)) / std`` across channels, which is ``(d_s -
+    mean(d_s) - s mean(d_s s)) / std`` since ``mean(s) = 0``, and an m > 0
+    channel of direction ``dir`` and direction cotangent ``d_dir`` gets
+    ``(d_dir - dir (dir . d_dir)) / norm + d_y dir``.  Centering last keeps
+    ``mean(d_y)`` at zero where the rounded ``s`` has a nonzero mean, on
+    blocks whose norms nearly agree.
     """
     eps = LN_EPS
     vx = ad.value_of(block)
@@ -359,16 +362,13 @@ def _layernorm_block(block, g, b, c: int, directional: bool):
             grad = (grad * direction).sum(axis=-1, keepdims=True)
         axes = tuple(range(grad.ndim - 2)) + (grad.ndim - 1,)
         d_g, d_b = (grad * scaled).sum(axis=axes), grad.sum(axis=axes)
-        d_scaled = grad * g_col
-        d_var = (-d_scaled * centered / (std * std)).sum(axis=-2, keepdims=True) / (2.0 * std)
-        from_var = d_var / c * centered   # reaches centered twice, through centered**2
-        d_centered = d_scaled / std + from_var + from_var
+        d_s = grad * g_col
+        d_centered = (d_s - scaled * ((d_s * scaled).sum(axis=-2, keepdims=True) / c)) / std
         d_y = d_centered - d_centered.sum(axis=-2, keepdims=True) / c
         if not directional:
             return d_y, d_g, d_b
-        d_norm = d_y + (-d_dir * vx / (norm * norm)).sum(axis=-1, keepdims=True)
-        from_sq = d_norm / (2.0 * norm) * vx   # likewise, through vx**2
-        return d_dir / norm + from_sq + from_sq, d_g, d_b
+        radial = (direction * d_dir).sum(axis=-1, keepdims=True)
+        return (d_dir - direction * radial) / norm + d_y * direction, d_g, d_b
 
     return ad.primitive(out, (block, g, b), vjp)
 
@@ -494,23 +494,15 @@ class _TpTables:
 def _tp_tables(m_max: int, arity: int) -> _TpTables:
     paths = enumerate_tp_paths(m_max, arity)
     n, zero = len(paths), 2 * m_max + 1
-    orders = np.zeros((arity, n), dtype=np.int64)
-    conj = np.ones((arity, n))
-    final = np.ones(n)
-    m_out = np.zeros(n, dtype=np.int64)
-    multiplies = 0
-    for p, path in enumerate(paths):
-        exponent = path.orders[0]
-        for k in range(1, arity):
-            m, s = path.orders[k], path.signs[k]
-            # one pair product: scalar x scalar 1, scalar x pair 2, pair x pair 4
-            multiplies += 1 if exponent == 0 and m == 0 else 2 if exponent == 0 or m == 0 else 4
-            conj[k, p] = s
-            exponent += s * m
-        orders[:, p] = path.orders
-        final[p] = -1.0 if exponent < 0 else 1.0
-        m_out[p] = path.m_out
-        multiplies += 2 if path.m_out > 0 else 1   # the channel weight
+    orders = np.array([path.orders for path in paths], dtype=np.int64).T   # (arity, P)
+    signs = np.array([path.signs for path in paths], dtype=np.int64).T
+    exponent = np.cumsum(signs * orders, axis=0)   # the running signed exponent
+    final = np.where(exponent[-1] < 0, -1.0, 1.0)
+    m_out = np.abs(exponent[-1])
+    # a pair product multiplies 2 per pair operand (1 per scalar); the channel weight 1 or 2
+    pairs = (exponent[:-1] != 0).astype(np.int64) + (orders[1:] != 0)
+    multiplies = int((2 ** pairs).sum() + (2 ** (m_out > 0)).sum())
+    conj = signs.astype(np.float64)
 
     def columns(m):   # real and imaginary column of orders m
         return np.concatenate([2 * m, np.where(m > 0, 2 * m - 1, zero)], axis=-1)
