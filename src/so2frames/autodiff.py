@@ -123,10 +123,13 @@ def primitive(value, parents, vjp):
 
 
 def backward(out: Var) -> None:
-    """Accumulate gradients of ``out`` into ``.grad`` of every ancestor,
-    seeded with ones (use a scalar output for a plain gradient).
+    """Accumulate gradients of ``out`` into ``.grad`` of every leaf
+    ancestor (a Var without a VJP), seeded with ones (use a scalar output
+    for a plain gradient).
 
-    Existing ``.grad`` fields in the subgraph are reset first.
+    Existing ``.grad`` fields in the subgraph are reset first.  A non-leaf
+    node's cotangent is released once its VJP has run, so afterwards every
+    non-leaf ``.grad`` is None and only the leaves hold theirs.
     """
     if not is_var(out):
         raise TypeError("backward needs a Var output")
@@ -152,6 +155,7 @@ def backward(out: Var) -> None:
         if node.grad is None or node.vjp is None:
             continue
         grads = node.vjp(node.grad)
+        node.grad = None
         for parent, g in zip(node.parents, grads):
             if g is None or type(parent) is not Var:
                 continue

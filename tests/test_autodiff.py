@@ -16,7 +16,7 @@ from so2frames.frames import (frame_from_direction, frames_from_directions, from
 from so2frames.graph import build_graph, sample_molecule
 from so2frames.hamiltonian import assemble
 from so2frames.irreps import So2Features, So3Features, real_spherical_harmonics, so2_layout, so3_layout
-from so2frames.model import ModelConfig, init_params, prepare_graph
+from so2frames.model import ModelConfig, default_fit_config, init_params, predict, prepare_graph
 from so2frames.sampling import random_unit_vector, stream
 from so2frames.so2ops import (enumerate_tp_paths, init_so2_ffn, init_so2_gate, mlp,
                               so2_ffn, so2_gate, so2_layernorm, so2_linear,
@@ -113,6 +113,43 @@ class TestPrimitives:
         ad.backward(sum_entries(ad.mul(whole, cot)))
         assert va.grad.tobytes() == stacked.grad[:3].tobytes()
         assert vb.grad.tobytes() == stacked.grad[3:].tobytes()
+
+    def test_backward_keeps_only_leaf_cotangents(self, rng):
+        # a non-leaf cotangent is released once its VJP has run; every leaf
+        # that gets a cotangent keeps it, here 2 * (1 @ b.T) and 2 * (a.T @ 1)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        va, vb = ad.Var(a), ad.Var(b)
+        product = ad.matmul(va, vb)
+        out = sum_entries(ad.add(product, product))
+        ad.backward(out)
+        assert np.array_equal(va.grad, 2.0 * (np.ones((3, 2)) @ b.T))
+        assert np.array_equal(vb.grad, 2.0 * (a.T @ np.ones((3, 2))))
+        tape = _tape(out)
+        assert len(tape) == 6
+        assert all(node.grad is None for node in tape if node.vjp is not None)
+
+    def test_backward_releases_the_model_tape(self):
+        positions = np.array([[0.0, 0.0, 0.0], [1.8, 0.3, 0.1], [0.5, 1.9, -0.4]])
+        graph = build_graph([1, 1, 1], positions, cutoff=15.0)
+        config = default_fit_config(graph)
+        leaves = {k: ad.Var(v) for k, v in init_params(config).items()}
+        out = ad.mean_all(ad.absolute(predict(graph, leaves, config).data))
+        ad.backward(out)
+        tape = _tape(out)
+        inner = [node for node in tape if node.vjp is not None]
+        assert len(inner) > 50 and all(node.grad is None for node in inner)
+        assert sum(leaf.grad is not None for leaf in leaves.values()) > 50
+
+
+def _tape(out):
+    """Every Var that ``out`` depends on, itself included."""
+    nodes, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(p for p in node.parents if isinstance(p, ad.Var))
+    return list(nodes.values())
 
 
 def _random_so2(layout, rng):
