@@ -54,8 +54,8 @@ from .graph import (MAX_ATOMIC_NUMBER, MoleculeGraph, finite_array, is_atomic_nu
                     is_integer, is_real)
 from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, assembly_plan,
                           build_orbital_layout, init_expansion)
-from .irreps import (DEFAULT_L_CAP, IrrepsLayout, So2Features, So3Features, layout_parse,
-                     so2_layout, so3_layout)
+from .irreps import (DEFAULT_L_CAP, SO3, IrrepsLayout, LayoutError, So2Features, So3Features,
+                     layout_parse, so2_layout, so3_layout)
 from .sampling import stream
 from .so2ops import (enumerate_tp_paths, gate_apply, init_mlp, init_so2_ffn, init_so2_gate,
                      init_so2_layernorm, init_so2_linear, mlp, mlp_weights, scale_rows,
@@ -107,10 +107,16 @@ class ModelConfig:
             raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
         if not isinstance(self.node_irreps, str):
             raise ValueError(f"node_irreps must be a string, got {self.node_irreps!r}")
-        if self.l_max > DEFAULT_L_CAP:
-            raise ValueError(f"node_irreps degree {self.l_max} exceeds {DEFAULT_L_CAP}")
+        try:
+            layout = layout_parse(self.node_irreps)
+        except LayoutError as err:
+            raise ValueError(f"node_irreps {self.node_irreps!r}: {err}") from None
+        if layout.kind != SO3:
+            raise ValueError(f"node_irreps {self.node_irreps!r} must hold SO(3) degrees (e)")
+        if layout.max_index > DEFAULT_L_CAP:
+            raise ValueError(f"node_irreps degree {layout.max_index} exceeds {DEFAULT_L_CAP}")
         # the embedding, the gates and the invariants live in the 0e channels
-        if self.node_layout.mult(0) == 0:
+        if layout.mult(0) == 0:
             raise ValueError(f"node_irreps {self.node_irreps!r} has no 0e channels")
         if not all(is_atomic_number(z) for z in self.elements):
             raise ValueError(f"elements must be integers in 1..{MAX_ATOMIC_NUMBER}, "

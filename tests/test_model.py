@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,41 @@ class TestConfigProperties:
             assert params2[key].tobytes() == value.tobytes()
         assert predict(graph, params2, config2).array.tobytes() == H.tobytes()
         assert set(prepare_graph(graph, config).plan.keys) <= set(params)
+
+
+@st.composite
+def _mutations(draw):
+    """A config of :func:`_configs`, one of its fields and an invalid value
+    for it: integers below their bound, booleans and fractions, a cutoff of
+    0, NaN or inf, elements empty, repeated or outside 1..118, a basis that
+    lacks an element or holds degree 9, and malformed ``node_irreps``."""
+    config = draw(_configs())
+    z = draw(st.sampled_from(config.elements))
+    not_integers = [True, False, 2.5, 3.0, Fraction(5, 2)]
+    least = {"layers": 0, "tp_arity": 2, "tp_channels": 1, "ffn_channels": 1,
+             "invariant_width": 1, "rbf_size": 1}
+    invalid = {**{name: [bound - 1, bound - 3, *not_integers] for name, bound in least.items()},
+               "seed": not_integers,
+               "cutoff": [0.0, -1.0, math.nan, math.inf],
+               "elements": [(), config.elements + (z,), (0,), (z, 119)],
+               "basis": [tuple(entry for entry in config.basis if entry[0] != z),
+                         tuple((k, d + (9,) if k == z else d) for k, d in config.basis)],
+               "node_irreps": ["8x0q", "0x0e", "8x0e+8x0e", "", "8x0e+", "4x1e", "8x0e+1x9e",
+                               "8x0m", "8x0e+2x1m", 8]}
+    field = draw(st.sampled_from(sorted(invalid)))
+    return config, field, draw(st.sampled_from(invalid[field]))
+
+
+class TestConfigMutations:
+    """A valid config with one field made invalid is rejected when it is
+    built, by a ValueError that names the field (exit 2 from the CLI)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mutations())
+    def test_invalid_field_is_named(self, mutation):
+        config, field, value = mutation
+        with pytest.raises(ValueError, match=field):
+            replace(config, **{field: value})
 
 
 @pytest.fixture(scope="module")
