@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from so2frames.cli import main
 from so2frames.graph import build_graph, graph_from_json, sample_molecule
 from so2frames.harness import bench, brute_force_pair_paths, check_equivariance
-from so2frames.hamiltonian import (BlockMatrix, build_orbital_layout, layout_from_degrees,
-                                   matrix_dumps, read_matrix, write_matrix)
+from so2frames.hamiltonian import (BlockMatrix, build_orbital_layout, gen_synthetic_target,
+                                   layout_from_degrees, matrix_dumps, metrics, read_matrix,
+                                   write_matrix)
 from so2frames.model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
                              default_fit_config, init_params, predict)
 from so2frames.so2ops import enumerate_tp_paths
@@ -202,6 +203,26 @@ class TestPredictMetricsCli:
         in_process = metrics(predict(graph, params, config),
                              BlockMatrix(graph.hamiltonian, layout), None, 3)
         assert cli_result == {k: float(v) for k, v in in_process.items()}
+
+    def test_overlap_matrix(self, tmp_path, capsys):
+        # --overlap sets S of the generalized eigenproblem; -I is refused
+        graph = sample_molecule(4, 3, [1, 6, 8], 1.4, 15.0)
+        config = default_fit_config(graph)
+        H, S = gen_synthetic_target(graph, seed=5, config=config, spd_overlap=True)
+        pred = predict(graph, init_params(config), config)
+        minus = BlockMatrix(-np.eye(S.array.shape[0]), S.layout)
+        paths = {}
+        for name, matrix in {"pred": pred, "true": H, "S": S, "minus": minus}.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            write_matrix(paths[name], matrix)
+        argv = ["metrics", paths["pred"], paths["true"], "--json"]
+        assert main(argv + ["--overlap", paths["S"]]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(metrics(pred, H, S), sort_keys=True) + "\n"
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["mae_eps"] != json.loads(out)["mae_eps"]
+        assert main(argv + ["--overlap", paths["minus"]]) == 2
+        assert "not positive definite" in capsys.readouterr().err
 
     def test_binary_format_roundtrip(self, molecule_file, tmp_path):
         ckpt = tmp_path / "ckpt.json"
