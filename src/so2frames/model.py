@@ -111,12 +111,10 @@ class ModelConfig:
             layout = layout_parse(self.node_irreps)
         except LayoutError as err:
             raise ValueError(f"node_irreps {self.node_irreps!r}: {err}") from None
-        if layout.kind != SO3:
-            raise ValueError(f"node_irreps {self.node_irreps!r} must hold SO(3) degrees (e)")
         if layout.max_index > DEFAULT_L_CAP:
             raise ValueError(f"node_irreps degree {layout.max_index} exceeds {DEFAULT_L_CAP}")
         # the embedding, the gates and the invariants live in the 0e channels
-        if layout.mult(0) == 0:
+        if layout.kind != SO3 or layout.mult(0) == 0:
             raise ValueError(f"node_irreps {self.node_irreps!r} has no 0e channels")
         if not all(is_atomic_number(z) for z in self.elements):
             raise ValueError(f"elements must be integers in 1..{MAX_ATOMIC_NUMBER}, "
