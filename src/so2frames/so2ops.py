@@ -499,7 +499,7 @@ def _tp_tables(m_max: int, arity: int) -> _TpTables:
     exponent = np.cumsum(signs * orders, axis=0)   # the running signed exponent
     final = np.where(exponent[-1] < 0, -1.0, 1.0)
     m_out = np.abs(exponent[-1])
-    # a pair product multiplies 2 per pair operand (1 per scalar); the channel weight 1 or 2
+    # a pair product costs 2 ** (operands of nonzero order), the channel weight 1 or 2
     pairs = (exponent[:-1] != 0).astype(np.int64) + (orders[1:] != 0)
     multiplies = int((2 ** pairs).sum() + (2 ** (m_out > 0)).sum())
     conj = signs.astype(np.float64)
