@@ -15,6 +15,17 @@ def sum_entries(x):
     return ad.sum_axis(ad.reshape(x, (-1,)), axis=0)
 
 
+def tape_of(outputs):
+    """The Var nodes reachable from ``outputs``."""
+    seen, stack = {}, list(outputs)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ad.Var) and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
 def directional_vjp_check(loss_fn, arrays, rng, step=1e-6):
     """Compare tape gradients against a central finite difference.
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import directional_vjp_check, sum_entries
+from conftest import directional_vjp_check, sum_entries, tape_of
 from so2frames import autodiff as ad
 from so2frames.cg import expansion, so3_tensor_product, valid_paths
 from so2frames.frames import (frame_from_direction, frames_from_directions, from_local,
@@ -124,7 +124,7 @@ class TestPrimitives:
         ad.backward(out)
         assert np.array_equal(va.grad, 2.0 * (np.ones((3, 2)) @ b.T))
         assert np.array_equal(vb.grad, 2.0 * (a.T @ np.ones((3, 2))))
-        tape = _tape(out)
+        tape = tape_of([out])
         assert len(tape) == 6
         assert all(node.grad is None for node in tape if node.vjp is not None)
 
@@ -135,21 +135,10 @@ class TestPrimitives:
         leaves = {k: ad.Var(v) for k, v in init_params(config).items()}
         out = ad.mean_all(ad.absolute(predict(graph, leaves, config).data))
         ad.backward(out)
-        tape = _tape(out)
+        tape = tape_of([out])
         inner = [node for node in tape if node.vjp is not None]
         assert len(inner) > 50 and all(node.grad is None for node in inner)
         assert sum(leaf.grad is not None for leaf in leaves.values()) > 50
-
-
-def _tape(out):
-    """Every Var that ``out`` depends on, itself included."""
-    nodes, stack = {}, [out]
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(p for p in node.parents if isinstance(p, ad.Var))
-    return list(nodes.values())
 
 
 def _random_so2(layout, rng):

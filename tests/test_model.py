@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import so2frames
-from conftest import sum_entries
+from conftest import sum_entries, tape_of
 from so2frames import autodiff as ad
 from so2frames.counters import OpCounter
 from so2frames.frames import rotate_so3, rotation_from_matrix
@@ -491,17 +491,6 @@ class TestInvariantFirstLayer:
         assert check_equivariance(graph, params, config, trials=5, tolerance=1e-9).passed
 
 
-def _tape(outputs):
-    """The Var nodes reachable from ``outputs``."""
-    seen, stack = {}, list(outputs)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ad.Var) and id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node.parents)
-    return list(seen.values())
-
-
 class TestTapeSize:
     def test_forward_tape_independent_of_edges(self, hco_model):
         # every stage runs as array operations over all atoms and edges, so
@@ -512,7 +501,7 @@ class TestTapeSize:
             graph = sample_molecule(n_atoms, n_atoms, [1, 6, 8], 1.4, _CUTOFF)
             leaves = {k: ad.Var(v) for k, v in params.items()}
             h, pair = forward(graph, leaves, config)
-            return len(_tape(list(h.blocks) + list(pair.blocks))), len(graph.edges)
+            return len(tape_of(list(h.blocks) + list(pair.blocks))), len(graph.edges)
 
         (small, e_small), (large, e_large) = tape_nodes(3), tape_nodes(6)
         assert e_small < e_large
@@ -529,7 +518,7 @@ class TestTapeSize:
             graph = build_graph(numbers, positions, _CUTOFF)
             leaves = {k: ad.Var(v) for k, v in params.items()}
             H = predict(graph, leaves, config)
-            return sum(1 for node in _tape([H.data]) if node.parents), len(graph.edges)
+            return sum(1 for node in tape_of([H.data]) if node.parents), len(graph.edges)
 
         (small, e_small), (large, e_large) = operations([1, 6, 8]), operations([8, 1, 6, 6, 8, 1])
         assert e_small < e_large
@@ -544,7 +533,7 @@ class TestTapeSize:
         leaves = {k: ad.Var(v) for k, v in params.items()}
         pred = predict(graph, leaves, config)
         loss = ad.mean_all(ad.absolute(ad.sub(pred.data, target.array)))
-        assert len(_tape([loss])) <= 194
+        assert len(tape_of([loss])) <= 194
 
     def test_taped_assemble_is_one_node(self, setup):
         # the assembly's gathers, contractions, placement and symmetrization
@@ -553,9 +542,9 @@ class TestTapeSize:
         prepared = prepare_graph(graph, config)
         leaves = {k: ad.Var(v) for k, v in params.items()}
         h, pair = forward(graph, leaves, config, prepared)
-        before = {id(node) for node in _tape(list(h.blocks) + list(pair.blocks))}
+        before = {id(node) for node in tape_of(list(h.blocks) + list(pair.blocks))}
         H = assemble(h, pair, prepared, leaves)
-        added = [node for node in _tape([H.data]) if id(node) not in before and node.parents]
+        added = [node for node in tape_of([H.data]) if id(node) not in before and node.parents]
         assert added == [H.data]
 
 
