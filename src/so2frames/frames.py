@@ -227,13 +227,18 @@ def _alignment_rows(l: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=None)
 def order_alignment_permutation(l: int) -> np.ndarray:
-    """Permutation grouping degree-l components as (0, -1,+1, -2,+2, ...).
+    """Permutation grouping degree-l components as (0, -1,+1, -2,+2, ...);
+    shared, read-only.
 
     In the permuted basis a rotation about the target axis is
-    block-diagonal ``diag(1, R_1(a), ..., R_l(a))``.
+    block-diagonal ``diag(1, R_1(a), ..., R_l(a))``.  It is also
+    ``d_in[l]`` of the identity frame, the frame of TARGET_AXIS.
     """
-    return np.eye(2 * l + 1)[_alignment_rows(l)]
+    permutation = np.eye(2 * l + 1)[_alignment_rows(l)]
+    permutation.setflags(write=False)
+    return permutation
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +271,6 @@ class Frame:
 
     def __getitem__(self, k) -> "Frame":
         return Frame([d[k] for d in self.d_in])
-
-    def take(self, index) -> "Frame":
-        """The frames of a batch at an index array, where index -1 gives the
-        exact identity frame of TARGET_AXIS, whose rows are
-        :func:`order_alignment_permutation` (for an item without a direction).
-        The batch is gathered as it is and the identity written over the
-        items at -1, so an empty batch can give identities."""
-        index = np.asarray(index)
-        blank = np.flatnonzero(index == -1)
-        taken = []
-        for l, d in enumerate(self.d_in):
-            items = np.empty(index.shape + d.shape[1:]) if len(blank) == len(index) else d[index]
-            if len(blank):
-                items[blank] = order_alignment_permutation(l)
-            taken.append(items)
-        return Frame(taken)
 
 
 # phi of the frame at -TARGET_AXIS: h = Rz(phi) Ry(pi) Rz(-phi) is the pi

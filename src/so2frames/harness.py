@@ -81,7 +81,8 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     rotation oracle).  The first trial of the rotation stream is the
     identity so the zero-deviation case is always exercised.
     ``corrupt_wigner`` perturbs the cached degree-1 matrix of the first
-    edge frame to prove the audit detects broken rotations.
+    edge frame, in the edge frames and in the node frames taken from it,
+    to prove the audit detects broken rotations.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -90,10 +91,10 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     report = RunReport("check-equiv", config.to_json_obj(), seed)
     rng = stream(seed, "check-equiv")
     prepared = prepare_graph(graph, config)
-    if corrupt_wigner:
-        d1 = prepared.frame.d_in[1].copy()
-        d1[:1] += 0.05
-        prepared.frame.d_in[1] = d1
+    if corrupt_wigner:   # every use of the first edge frame: its edge and its node items
+        for f, at in (prepared.frame, slice(1)), (prepared.node_frame, prepared.node_edge == 0):
+            f.d_in[1] = f.d_in[1].copy()
+            f.d_in[1][at] += 0.05
     h0, pair0 = forward(graph, params, config, prepared)
     H0 = assemble(h0, pair0, prepared, params)
     node_dev = pair_dev = block_dev = 0.0

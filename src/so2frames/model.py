@@ -43,13 +43,13 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .counters import OpCounter, counting
-from .frames import Frame, frames_from_directions, from_local, so2_layout_of, to_local
+from .frames import (Frame, frames_from_directions, from_local, order_alignment_permutation,
+                     so2_layout_of, to_local)
 from .graph import (MAX_ATOMIC_NUMBER, MoleculeGraph, finite_array, is_atomic_number,
                     is_integer, is_real)
 from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, assembly_plan,
@@ -191,7 +191,7 @@ class ModelConfig:
 TAU = 1e-9  # relative tie tolerance: far above rotation rounding, far below bond-length gaps
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedGraph:
     """Per-graph geometry as arrays over the directed edges in (i, j) order,
     and everything else of a forward pass that does not depend on the
@@ -204,17 +204,17 @@ class PreparedGraph:
     (N, 1 + max degree) lists each atom's rows of [own features (N);
     messages (E)].  The node-frame items ``node_atom``, ``node_edge`` (I,)
     pair each atom with its edges within a relative TAU of its shortest,
-    or with edge -1 (the identity frame) if it has none; ``node_frame``
-    holds their frames, gathered on first use (rows only, in the same
-    basis), and ``node_slots`` (N, T) lists each atom's items.
-    ``node_mean``, also made on first use, holds the (N, 1, 1) factors that
-    turn an atom's sum of node-frame updates into the update it adds:
+    in edge order, then each atom without an edge with edge -1, in atom
+    order; ``node_slots`` (N, T) lists each atom's items.  ``node_frame``
+    holds the items' frames: the edge's rows of ``frame``, or the identity
+    frame of TARGET_AXIS (:func:`frames.order_alignment_permutation`) for
+    an atom without an edge.  ``node_mean`` holds the (N, 1, 1) factors
+    that turn an atom's sum of node-frame updates into the update it adds:
     ``1 / items`` for degree 0 and ``connected / items`` for higher
     degrees, where ``items`` counts the atom's items and ``connected`` is 1
-    for an atom with an edge and 0 without one; every layer of every
-    forward pass on the graph reads the same two arrays.  ``layout`` is
-    the orbital layout of the atoms and ``plan`` the
-    :class:`hamiltonian.AssemblyPlan` of :func:`hamiltonian.assemble`.
+    for an atom with an edge and 0 without one.  ``layout`` is the orbital
+    layout of the atoms and ``plan`` the :class:`hamiltonian.AssemblyPlan`
+    of :func:`hamiltonian.assemble`.
     """
 
     src: np.ndarray
@@ -225,18 +225,10 @@ class PreparedGraph:
     node_atom: np.ndarray
     node_edge: np.ndarray
     node_slots: np.ndarray
+    node_frame: Frame
+    node_mean: tuple[np.ndarray, np.ndarray]
     layout: OrbitalLayout
     plan: AssemblyPlan
-
-    @cached_property
-    def node_frame(self) -> Frame:
-        return self.frame.take(self.node_edge)
-
-    @cached_property
-    def node_mean(self) -> tuple[np.ndarray, np.ndarray]:
-        items = np.sum(self.node_slots >= 0, axis=1)[:, None, None]
-        connected = (self.node_edge[self.node_slots[:, 0]] >= 0)[:, None, None]
-        return 1.0 / items, connected / items
 
 
 def rbf(distance, config: ModelConfig) -> np.ndarray:
@@ -277,12 +269,16 @@ def prepare_graph(graph: MoleculeGraph, config: ModelConfig) -> PreparedGraph:
     tied = np.flatnonzero(graph.distances <= nearest[src] * (1.0 + TAU))
     isolated = np.flatnonzero(np.isinf(nearest))
     node_atom = np.concatenate([src[tied], isolated])
-    node_edge = np.concatenate([tied, np.full(len(isolated), -1)])
+    frame = frames_from_directions(graph.directions, config.l_max)
+    node_frame = Frame([np.concatenate([d[tied], order_alignment_permutation(l)[None].repeat(
+        len(isolated), axis=0)]) for l, d in enumerate(frame.d_in)])
+    items = np.bincount(node_atom, minlength=n)[:, None, None]
+    connected = np.isfinite(nearest)[:, None, None]
     layout = build_orbital_layout(graph.numbers, config.basis_map)
-    return PreparedGraph(src, dst, frames_from_directions(graph.directions, config.l_max),
-                         rbf(graph.distances, config),
+    return PreparedGraph(src, dst, frame, rbf(graph.distances, config),
                          _slots(np.concatenate([np.arange(n), src]), n),  # own row first
-                         node_atom, node_edge, _slots(node_atom, n),
+                         node_atom, np.concatenate([tied, np.full(len(isolated), -1)]),
+                         _slots(node_atom, n), node_frame, (1.0 / items, connected / items),
                          layout, assembly_plan(graph.numbers, src, dst, layout, config))
 
 

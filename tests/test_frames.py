@@ -180,13 +180,18 @@ class TestFrame:
         with pytest.raises(ValueError, match="l_max 0"):
             frame_from_direction([0.3, -0.4, 0.866], 0).rotation
 
-    def test_missing_direction_takes_target_axis_frame(self, rng):
-        # take(-1) appends the aligned identity instead of evaluating it
-        taken = frames_from_directions([random_unit_vector(rng)], 4).take(np.array([-1, 0]))
+    def test_missing_direction_takes_target_axis_frame(self):
+        # an atom without an edge gets the aligned identity, not an evaluated frame
+        graph = build_graph([1, 8, 1], [[0.0, 0.0, 0.0], [1.1, 0.4, -0.3], [20.0, 0.0, 0.0]],
+                            15.0)
+        prepared = prepare_graph(graph, ModelConfig(elements=(1, 8)))
+        item = np.flatnonzero(prepared.node_atom == 2)
+        assert prepared.node_edge[item].tolist() == [-1]
+        isolated = prepared.node_frame[item[0]]
         axis = frame_from_direction(TARGET_AXIS, 4)
         for l in range(5):
-            assert np.array_equal(taken.d_in[l][0], axis.d_in[l])
-        assert np.array_equal(taken[0].rotation.matrix, np.eye(3))
+            assert isolated.d_in[l].tobytes() == axis.d_in[l].tobytes()
+        assert np.array_equal(isolated.rotation.matrix, np.eye(3))
 
     def test_cached_matrices_orthogonal(self, rng):
         frame = frame_from_direction(random_unit_vector(rng), 4)
@@ -465,9 +470,13 @@ def regrouping_cases(name, rng):
         graph = build_graph([1, 8], [[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]], 15.0)
         prepared = prepare_graph(graph, ModelConfig(elements=(1, 8)))
         return prepared.frame, random_so3_features_batch(layout, 2, rng), prepared.dst
-    if name == "blank-node-frames":   # index -1 gives the identity frame
-        frame = frames_from_directions(rng.normal(size=(3, 3)), 4).take([-1, 0, -1, 2])
-        return frame, random_so3_features_batch(layout, 3, rng), np.array([0, 1, 2, 2])
+    if name == "blank-node-frames":   # a tie repeats atom 0, atom 3 has the identity frame
+        graph = build_graph([1, 1, 1, 8], [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                           [30.0, 0.0, 0.0]], 15.0)
+        prepared = prepare_graph(graph, ModelConfig(elements=(1, 8)))
+        assert prepared.node_atom.tolist() == [0, 0, 1, 2, 3]
+        return (prepared.node_frame, random_so3_features_batch(layout, 4, rng),
+                prepared.node_atom)
     if name == "isolated-node-frames":
         graph = build_graph([1, 8], [[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]], 15.0)
         prepared = prepare_graph(graph, ModelConfig(elements=(1, 8)))
