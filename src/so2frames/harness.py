@@ -80,6 +80,12 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     global frame (Wigner rotation), and the assembled matrix (block
     rotation oracle).  The first trial of the rotation stream is the
     identity so the zero-deviation case is always exercised.
+    A rotation can move a bond at the cutoff across it, so the rotated
+    molecule has other edges: such a trial compares nodes and blocks but
+    not the pair tracks, and the report gets a failed ``edge_set`` check
+    with the number of such trials, the first of them and the atom pairs
+    whose edge came or went.  A molecule whose edges stay has no such
+    check.
     ``corrupt_wigner`` perturbs the cached degree-1 matrix of the first
     edge frame, in the edge frames and in the node frames taken from it,
     to prove the audit detects broken rotations.
@@ -99,6 +105,7 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     H0 = assemble(h0, pair0, prepared, params)
     node_dev = pair_dev = block_dev = 0.0
     identity_dev = None
+    changed, edges = [], set()   # the trials whose edges differ, and the atom pairs
     for trial in range(trials):
         R = rotation_from_matrix(np.eye(3) if trial == 0
                                  else random_rotation_matrix(rng))
@@ -108,7 +115,11 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
         h1, pair1 = forward(rot_graph, params, config, rot_prepared)
         trial_node = _max_feature_dev(h1, rotate_so3(h0, R))
         node_dev = max(node_dev, trial_node)
-        trial_pair = _max_feature_dev(pair1, rotate_so3(pair0, R))
+        moved = {*map(tuple, graph.edges.tolist())} ^ {*map(tuple, rot_graph.edges.tolist())}
+        if moved:   # a bond at the cutoff came or went: the pair tracks hold other edges
+            changed.append(trial)
+            edges |= moved
+        trial_pair = 0.0 if moved else _max_feature_dev(pair1, rotate_so3(pair0, R))
         pair_dev = max(pair_dev, trial_pair)
         H1 = assemble(h1, pair1, rot_prepared, params)
         trial_block = float(np.max(np.abs(H1.array - block_rotate(H0, R).array)))
@@ -122,6 +133,9 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
                   max_error=pair_dev, trials=trials, tolerance=tolerance)
     report.record("block_equivariance", block_dev < tolerance,
                   max_error=block_dev, trials=trials, tolerance=tolerance)
+    if changed:
+        report.record("edge_set", False, trials=len(changed), first_trial=changed[0],
+                      edges=sorted(edges))
     return report
 
 

@@ -60,7 +60,7 @@ from .sampling import stream
 from .so2ops import (enumerate_tp_paths, gate_apply, init_mlp, init_so2_ffn, init_so2_gate,
                      init_so2_layernorm, init_so2_linear, mlp, mlp_weights, scale_rows,
                      so2_ffn, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
-                     uniform_init)
+                     tp_path_count, uniform_init)
 
 DEFAULT_BASIS: dict[int, tuple[int, ...]] = {
     1: (0, 0, 1),
@@ -77,6 +77,11 @@ _SCALAR_FIELDS = ("node_irreps", "layers", "tp_arity", "tp_channels", "ffn_chann
 # the integer config fields besides the seed, with their least values
 _INTEGER_FIELDS = {"layers": 0, "tp_arity": 2, "tp_channels": 1, "ffn_channels": 1,
                    "invariant_width": 1, "rbf_size": 1}
+# the largest tensor product a config may ask for: enumerate_tp_paths walks all
+# (l_max + 1) ** tp_arity order tuples, and every path has its weights; at
+# l_max 4, arity 6 has 28847 paths and arity 7 has 165580
+MAX_TP_ARITY = 16
+MAX_TP_PATHS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,10 @@ class ModelConfig:
         # the embedding, the gates and the invariants live in the 0e channels
         if layout.kind != SO3 or layout.mult(0) == 0:
             raise ValueError(f"node_irreps {self.node_irreps!r} has no 0e channels")
+        arity, l_max = self.tp_arity, layout.max_index
+        if arity > MAX_TP_ARITY or tp_path_count(l_max, arity) > MAX_TP_PATHS:
+            raise ValueError(f"tp_arity {arity} at l_max {l_max} is too large to build: the "
+                             f"limits are {MAX_TP_ARITY} factors and {MAX_TP_PATHS} fusion paths")
         if not all(is_atomic_number(z) for z in self.elements):
             raise ValueError(f"elements must be integers in 1..{MAX_ATOMIC_NUMBER}, "
                              f"got {list(self.elements)}")

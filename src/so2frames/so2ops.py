@@ -463,6 +463,24 @@ def enumerate_tp_paths(m_max: int, v: int) -> tuple[So2TpPath, ...]:
     return tuple(paths)
 
 
+@functools.lru_cache(maxsize=None)
+def tp_path_count(m_max: int, v: int) -> int:
+    """``len(enumerate_tp_paths(m_max, v))`` without enumerating.
+
+    A walk over the running signed exponent e in [-m_max, m_max], under
+    the rules of :func:`enumerate_tp_paths`: the first factor starts each
+    e in 0..m_max once, and each further factor of order m moves e to
+    ``e + m``, or to ``e - m`` if m and e are nonzero, except onto 0 from
+    a nonzero m.  The v - 1 steps are a power of the 0/1 matrix of those
+    moves, in exact (Python integer) arithmetic.
+    """
+    e = np.arange(-m_max, m_max + 1)
+    step = e[None, :] - e[:, None]   # from exponent e (row) to f (column)
+    moves = ((np.abs(step) <= m_max) & ((e[None, :] != 0) | (step == 0))
+             & ((step >= 0) | (e[:, None] != 0))).astype(object)
+    return int(np.sum((e >= 0).astype(object) @ np.linalg.matrix_power(moves, v - 1)))
+
+
 @dataclass(frozen=True)
 class _TpTables:
     """Index tables of the P paths of :func:`enumerate_tp_paths` (M, v).

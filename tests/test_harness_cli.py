@@ -100,6 +100,28 @@ class TestCheckEquiv:
         out = capsys.readouterr().out
         assert "[PASS] block_equivariance" in out and "tolerance=1.000e-09" in out
 
+    def test_bond_at_the_cutoff_changes_the_edge_set(self, tmp_path, capsys):
+        # two H atoms exactly a cutoff apart: some rotated copies lose the
+        # bond, and the report says so instead of comparing other edges
+        u = np.array([-0.6, 0.7, 0.3])
+        mol = tmp_path / "mol.json"
+        mol.write_text(build_graph([1, 1], [[0.0, 0.0, 0.0], 5.3 * u / np.linalg.norm(u)],
+                                   5.3).to_json())
+        capsys.readouterr()
+        assert main(["check-equiv", str(mol), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdicts"]["edge_set"] == "FAIL"
+        assert report["checks"]["edge_set"]["edges"] == [[0, 1], [1, 0]]
+        assert 1 <= report["checks"]["edge_set"]["trials"] < 20
+        assert main(["check-equiv", str(mol)]) == 1
+        assert "[FAIL] edge_set: edges=[(0, 1), (1, 0)]" in capsys.readouterr().out
+
+    def test_stable_edges_have_no_edge_set_check(self, molecule_file):
+        graph = graph_from_json(Path(molecule_file).read_text())
+        config = default_fit_config(graph)
+        report = check_equivariance(graph, init_params(config), config, trials=4)
+        assert "edge_set" not in report.checks
+
     def test_report_bit_identical_across_runs(self, molecule_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -498,6 +520,24 @@ class TestBadInput:
             assert err.startswith("error: ") and name in err
         with pytest.raises(ValueError, match=name):
             checkpoint_loads(json.dumps(doc))
+
+    def test_tensor_product_too_large_to_build(self, molecule_file, checkpoint_file, tmp_path,
+                                               capsys):
+        # 1.03e9 fusion paths at l_max 4: refused when read, not enumerated
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**ModelConfig().to_json_obj(), "tp_arity": 12}))
+        doc = json.loads(Path(checkpoint_file).read_text())
+        doc["config"] = {**doc["config"], "node_irreps": ModelConfig().node_irreps,
+                         "tp_arity": 12}
+        ckpt = tmp_path / "ckpt12.json"
+        ckpt.write_text(json.dumps(doc))
+        for argv in (["check-equiv", molecule_file, "--config", str(config)],
+                     ["predict", molecule_file, str(ckpt), "--out", str(tmp_path / "H.json")]):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "tp_arity 12" in err
 
     def test_checkpoint_or_config_not_an_object(self, molecule_file, tmp_path, capsys):
         listed = tmp_path / "list.json"

@@ -19,17 +19,18 @@ import so2frames
 from conftest import sum_entries, tape_of
 from so2frames import autodiff as ad
 from so2frames.counters import OpCounter
-from so2frames.frames import rotate_so3, rotation_from_matrix
+from so2frames.frames import TARGET_AXIS, frame_from_direction, rotate_so3, rotation_from_matrix
 from so2frames.graph import build_graph, sample_molecule
 from so2frames.hamiltonian import (BlockMatrix, assemble, block_rotate,
                                    build_orbital_layout, gen_synthetic_target)
-from so2frames.model import (AdamState, ModelConfig, adam_step, checkpoint_dumps,
-                             checkpoint_loads, default_fit_config, degree_inner_products,
-                             fit_demo, fit_node_irreps, forward, init_params, message_pass,
-                             node_embed, node_update_so2tp, prepare_graph, predict, rbf)
+from so2frames.model import (MAX_TP_ARITY, MAX_TP_PATHS, TAU, AdamState, ModelConfig,
+                             adam_step, checkpoint_dumps, checkpoint_loads, default_fit_config,
+                             degree_inner_products, fit_demo, fit_node_irreps, forward,
+                             init_params, message_pass, node_embed, node_update_so2tp,
+                             prepare_graph, predict, rbf)
 from so2frames.irreps import So3Features, layout_parse
 from so2frames.sampling import random_rotation_matrix, stream
-from so2frames.so2ops import so2_layernorm
+from so2frames.so2ops import enumerate_tp_paths, so2_layernorm, tp_path_count
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POSITIONS = np.array([[0.0, 0.0, 0.0],
@@ -212,7 +213,6 @@ class TestNodeUpdate:
         graph, config, params = setup
         prepared = prepare_graph(graph, config)
         modified = dict(params)
-        from so2frames.so2ops import enumerate_tp_paths
         n_paths = len(enumerate_tp_paths(config.l_max, config.tp_arity))
         for k in range(n_paths):
             modified[f"L0/tp/w/{k}"] = np.zeros_like(params[f"L0/tp/w/{k}"])
@@ -402,7 +402,8 @@ class TestConfigProperties:
 @st.composite
 def _mutations(draw):
     """A config of :func:`_configs`, one of its fields and an invalid value
-    for it: integers below their bound, booleans and fractions, a cutoff of
+    for it: integers below their bound, booleans and fractions, an arity
+    above MAX_TP_ARITY, a cutoff of
     0, NaN or inf, elements empty, repeated or outside 1..118, a basis that
     lacks an element or holds degree 9, and malformed ``node_irreps``."""
     config = draw(_configs())
@@ -418,6 +419,7 @@ def _mutations(draw):
                          tuple((k, d + (9,) if k == z else d) for k, d in config.basis)],
                "node_irreps": ["8x0q", "0x0e", "8x0e+8x0e", "", "8x0e+", "4x1e", "8x0e+1x9e",
                                "8x0m", "8x0e+2x1m", 8]}
+    invalid["tp_arity"] += [MAX_TP_ARITY + 1, 10 ** 9]
     field = draw(st.sampled_from(sorted(invalid)))
     return config, field, draw(st.sampled_from(invalid[field]))
 
@@ -490,6 +492,45 @@ class TestInvariantFirstLayer:
         h, pair = forward(graph, params, config)
         assert h.layout == pair.layout == config.node_layout
         assert check_equivariance(graph, params, config, trials=5, tolerance=1e-9).passed
+
+
+class TestNodeTables:
+    """prepare_graph builds the node-frame items, their frames and each
+    atom's averaging factors once, as plain arrays."""
+
+    @example(([1], np.zeros((1, 3))))
+    @example(([6, 1], np.array([[0.0, 0.0, 0.0], [4.0 * _CUTOFF, 0.0, 0.0]])))
+    @example(([8, 1, 1], np.array([[0.0, 0.0, 0.0], [1.75, 0.0, 0.25], [-1.75, 0.0, 0.25]])))
+    @settings(max_examples=25, deadline=None)
+    @given(_molecules())
+    def test_items_frames_and_factors(self, both_models, molecule):
+        # isolated atoms, ties and bonds on or near -z included
+        numbers, positions = molecule
+        try:
+            graph = build_graph(numbers, positions, cutoff=_CUTOFF)
+        except ValueError:
+            assume(False)  # the tilted bond or a mirror image landed on another atom
+        for config, _ in both_models.values():
+            prepared = prepare_graph(graph, config)
+            scalar, directional = prepared.node_mean
+            assert scalar.shape == directional.shape == (graph.n_atoms, 1, 1)
+            for atom in range(graph.n_atoms):
+                own = np.flatnonzero(graph.edges[:, 0] == atom)
+                items = np.flatnonzero(prepared.node_atom == atom)
+                slots = prepared.node_slots[atom]
+                assert slots[slots >= 0].tolist() == items.tolist()
+                if len(own):   # its edges within a relative TAU of its nearest, in edge order
+                    nearest = graph.distances[own].min()
+                    edges = own[graph.distances[own] <= nearest * (1.0 + TAU)]
+                    assert prepared.node_edge[items].tolist() == edges.tolist()
+                    want = [d[edges] for d in prepared.frame.d_in]
+                else:   # one item, the frame of the target axis
+                    assert prepared.node_edge[items].tolist() == [-1]
+                    want = [d[None] for d in frame_from_direction(TARGET_AXIS, config.l_max).d_in]
+                for got, expect in zip(prepared.node_frame.d_in, want, strict=True):
+                    assert got[items].tobytes() == expect.tobytes()
+                assert scalar[atom, 0, 0] == 1.0 / len(items)
+                assert directional[atom, 0, 0] == (len(own) > 0) / len(items)
 
 
 class TestTapeSize:
@@ -996,6 +1037,27 @@ class TestConfigValidation:
     def test_atomic_numbers_bounded(self, fields, field):
         with pytest.raises(ValueError, match=field):
             ModelConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [{"tp_arity": 12}, {"tp_arity": 7},
+                                        {"tp_arity": MAX_TP_ARITY + 1, "node_irreps": "8x0e"},
+                                        {"tp_arity": 10 ** 9, "node_irreps": "8x0e+2x1e"}],
+                             ids=["arity-12", "arity-7", "arity-17-at-lmax-0",
+                                  "arity-1e9-at-lmax-1"])
+    def test_tensor_product_too_large_to_build(self, fields):
+        # l_max 4 unless given: (4, 12) has 1.03e9 fusion paths and (4, 7) 165580
+        with pytest.raises(ValueError, match=r"^tp_arity "):
+            ModelConfig(**fields)
+
+    @pytest.mark.parametrize("node_irreps, arity", [("8x0e+4x1e+2x2e+2x3e+2x4e", 6),
+                                                    (fit_node_irreps(8), 4),
+                                                    ("8x0e", MAX_TP_ARITY)],
+                             ids=["lmax-4-arity-6", "lmax-8-arity-4", "lmax-0-arity-16"])
+    def test_largest_tensor_products_build(self, node_irreps, arity):
+        config = ModelConfig(node_irreps=node_irreps, tp_arity=arity, elements=(1,),
+                             basis=((1, (0,)),), layers=1)
+        assert tp_path_count(config.l_max, arity) <= MAX_TP_PATHS
+        assert sum(name.startswith("L0/tp/w/") for name in init_params(config)) == \
+            len(enumerate_tp_paths(config.l_max, arity))
 
     def test_fit_node_irreps(self):
         assert fit_node_irreps(1) == "8x0e+4x1e"

@@ -12,7 +12,8 @@ from so2frames.irreps import So2Features, So3Features, layout_parse, rotate_so2,
 from so2frames.model import _self_interaction
 from so2frames.so2ops import (So2TpPath, enumerate_tp_paths, init_so2_ffn, init_so2_gate,
                               init_so2_layernorm, init_so2_linear, mlp, so2_ffn, so2_gate,
-                              so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair)
+                              so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair,
+                              tp_path_count)
 
 LAYOUT = so2_layout([(0, 4), (1, 3), (2, 2), (3, 1)])
 
@@ -340,6 +341,16 @@ class TestPathEnumeration:
     def test_arity_validated(self):
         with pytest.raises(ValueError):
             enumerate_tp_paths(2, 1)
+
+    @pytest.mark.parametrize("m_max", range(6))
+    def test_count_without_enumerating(self, m_max):
+        for v in range(2, 6):
+            assert tp_path_count(m_max, v) == len(enumerate_tp_paths(m_max, v))
+
+    def test_count_of_a_product_too_large_to_enumerate(self):
+        # 5^12 order tuples: the walk counts their paths at once, in exact integers
+        assert tp_path_count(4, 12) == 1_031_747_107
+        assert tp_path_count(8, 24) > 2 ** 63
 
     def test_count_slope_near_quadratic(self):
         Ms = range(2, 11)
