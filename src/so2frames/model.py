@@ -279,8 +279,9 @@ def prepare_graph(graph: MoleculeGraph, config: ModelConfig) -> PreparedGraph:
     isolated = np.flatnonzero(np.isinf(nearest))
     node_atom = np.concatenate([src[tied], isolated])
     frame = frames_from_directions(graph.directions, config.l_max)
-    node_frame = Frame([np.concatenate([d[tied], order_alignment_permutation(l)[None].repeat(
-        len(isolated), axis=0)]) for l, d in enumerate(frame.d_in)])
+    # the items' frames: each tied edge's, then one identity per atom without an edge
+    node_frame = Frame([np.concatenate([d.take(tied, 0)] + [order_alignment_permutation(l)[None]]
+                                       * len(isolated)) for l, d in enumerate(frame.d_in)])
     items = np.bincount(node_atom, minlength=n)[:, None, None]
     connected = np.isfinite(nearest)[:, None, None]
     layout = build_orbital_layout(graph.numbers, config.basis_map)
