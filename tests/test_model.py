@@ -403,9 +403,9 @@ class TestConfigProperties:
 def _mutations(draw):
     """A config of :func:`_configs`, one of its fields and an invalid value
     for it: integers below their bound, booleans and fractions, an arity
-    above MAX_TP_ARITY, a cutoff of
-    0, NaN or inf, elements empty, repeated or outside 1..118, a basis that
-    lacks an element or holds degree 9, and malformed ``node_irreps``."""
+    above MAX_TP_ARITY, a cutoff of 0, NaN or inf, elements empty, repeated
+    or outside 1..118, a basis that lacks an element or holds degree 9, and
+    malformed ``node_irreps``."""
     config = draw(_configs())
     z = draw(st.sampled_from(config.elements))
     not_integers = [True, False, 2.5, 3.0, Fraction(5, 2)]
