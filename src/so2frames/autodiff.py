@@ -54,9 +54,19 @@ output blocks are :func:`take` slices of it.  The Hamiltonian assembly
 block placement and symmetrization; it contracts weights with features
 before the CG tables, as :func:`cg.expansion` does, so before the
 symmetrization each block has the bits of one ``cg.expansion`` call.
+
+A fit step runs on small blocks, so its cost is the interpreter's.  The
+adjoints the model records and the fit loop of :func:`model.fit_demo`
+therefore use array methods, slices and NumPy's C entry points
+(``x.swapaxes``, ``a[start:end]``, ``np.zeros(x.shape)``, ``np.add.at``),
+not its Python-level wrappers (``np.swapaxes``, ``np.split``,
+``np.zeros_like``, ``np.broadcast_to``), which do the same arithmetic
+behind one to three Python frames per call.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,17 +74,14 @@ import numpy as np
 class Var:
     """A node in the reverse-mode tape wrapping a float64 ndarray."""
 
-    __slots__ = ("value", "parents", "vjp", "grad")
+    __slots__ = ("value", "parents", "vjp", "grad", "shape")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
+        self.shape = self.value.shape
         self.parents = parents
         self.vjp = vjp
         self.grad = None
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     @property
     def ndim(self):
@@ -150,7 +157,7 @@ def backward(out: Var) -> None:
                 stack.append((parent, False))
     for node in order:
         node.grad = None
-    out.grad = np.ones_like(out.value)
+    out.grad = np.ones(out.shape)
     for node in reversed(order):
         if node.grad is None or node.vjp is None:
             continue
@@ -202,7 +209,7 @@ def mul(a, b):
 def _rows(a):
     """The columns of every item of a batched ``(..., R, C)`` array as the
     rows of one ``(items * C, R)`` array."""
-    return np.swapaxes(a, -1, -2).reshape(-1, a.shape[-2])
+    return a.swapaxes(-1, -2).reshape(-1, a.shape[-2])
 
 
 def matmul_apply(va, vb):
@@ -215,8 +222,8 @@ def matmul_apply(va, vb):
     products over its broadcast axes."""
     def vjp(g):
         ga = (_rows(g).T @ _rows(vb) if va.ndim == 2
-              else unbroadcast(g @ np.swapaxes(vb, -1, -2), va.shape))
-        return ga, unbroadcast(np.swapaxes(va, -1, -2) @ g, vb.shape)
+              else unbroadcast(g @ vb.swapaxes(-1, -2), va.shape))
+        return ga, unbroadcast(va.swapaxes(-1, -2) @ g, vb.shape)
 
     return va @ vb, vjp
 
@@ -289,7 +296,7 @@ def take(a, key):
     out = va[key]
 
     def vjp(g):
-        full = np.zeros_like(va)
+        full = np.zeros(va.shape)
         parts = key if isinstance(key, tuple) else (key,)
         if all(k is Ellipsis or isinstance(k, (slice, int)) for k in parts):
             full[key] = g
@@ -316,7 +323,7 @@ def mean_all(a):
     out = np.asarray(va.mean())
 
     def vjp(g):
-        return (np.broadcast_to(g / n, va.shape).copy(),)
+        return (np.full(va.shape, g / n),)
 
     return primitive(out, (a,), vjp)
 
@@ -349,12 +356,11 @@ def segment_sum(slots, *parts):
     """
     values = [value_of(p) for p in parts]
     stacked = np.concatenate([*values, np.zeros((1,) + values[0].shape[1:])])
-    padded = stacked[slots]
-    out = np.sort(padded, axis=1).sum(axis=1)
+    out = np.sort(stacked[slots], axis=1).sum(axis=1)
 
     def vjp(g):
         grad = np.zeros(stacked.shape)
-        np.add.at(grad, slots, np.broadcast_to(g[:, None], padded.shape))
-        return np.split(grad, np.cumsum([len(v) for v in values]))[:-1]
+        np.add.at(grad, slots, g[:, None])
+        return [grad[end - len(v):end] for v, end in zip(values, accumulate(map(len, values)))]
 
     return primitive(out, parts, vjp)

@@ -403,7 +403,7 @@ def to_local(frame: Frame, x: So3Features, index=None,
     multiplies = 0
     for (l, mult), block, rows in zip(layout.entries, x.blocks, layout.rows):
         items = ad.value_of(block) if index is None else ad.value_of(block)[index]
-        part = items @ np.swapaxes(frame.d_in[l], -1, -2)
+        part = items @ frame.d_in[l].swapaxes(-1, -2)
         if rotated is None:
             shape = part.shape[:-2] + (target.channels, 2 * layout.max_index + 1)
             rotated = np.empty(shape) if layout is target else np.zeros(shape)
@@ -484,7 +484,7 @@ def _from_local_vjp(rotation, aligned_shape, rows, parents):
     back and cut to the columns of the orders present, with each order's
     columns scattered into its channel rows."""
     def vjp(g):
-        back = (g @ np.swapaxes(rotation, -1, -2))[..., :aligned_shape[-1]]
+        back = (g @ rotation.swapaxes(-1, -2))[..., :aligned_shape[-1]]
         aligned = ad.unbroadcast(back, aligned_shape)
         grads = []
         for m, (r, block) in enumerate(zip(rows, parents)):

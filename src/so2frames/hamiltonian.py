@@ -310,8 +310,8 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
 
     def vjp(g):
         d_dense = ((g + g.T) * 0.5).ravel()
-        d_items = {l: np.zeros_like(x) for l, x in items.items()}
-        d_stacked = np.zeros_like(stacked)
+        d_items = {l: np.zeros(x.shape) for l, x in items.items()}
+        d_stacked = np.zeros(stacked.shape)
         for group, feats in zip(plan.groups, gathered):
             d_out = d_dense[group.position].reshape(len(group.k), -1)
             d_y = np.einsum("...n,nc->...c", d_out, group.table)
@@ -323,9 +323,9 @@ def assemble(h: So3Features, pair: So3Features, prepared, params) -> BlockMatrix
                 np.add.at(d_stacked[off:off + segs * mult].reshape(segs, mult), group.seg,
                           np.einsum("...uc,...c->...u", x, d_part))
         n = h.batch_shape[0]
-        ends = np.cumsum([np.size(ad.value_of(w)) for w in weights])[:-1]
+        sizes = [w.shape[0] for w in weights]
         return ([d[:n] for d in d_items.values()] + [d[n:] for d in d_items.values()]
-                + np.split(d_stacked, ends))
+                + [d_stacked[end - size:end] for size, end in zip(sizes, accumulate(sizes))])
 
     return BlockMatrix(ad.primitive(value, (*h.blocks, *pair.blocks, *weights), vjp),
                        prepared.layout)

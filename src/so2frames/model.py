@@ -651,8 +651,10 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
 
     The parameters of :func:`init_params` are held in one flat float64
     buffer in dict order, and the named entries are views into it; the
-    Polyak average is a second buffer.  Each step concatenates the leaf
-    gradients into one vector with a mask of the parameters that got one,
+    Polyak average is a second buffer.  The views are wrapped in leaf
+    ``Var``s once per fit, and :func:`adam_step` updates them in place.
+    Each step writes the leaf gradients into a third buffer of the same
+    layout, through its views, with a mask of the parameters that got one,
     so :func:`adam_step` and the average are each one array expression.
     The first layer's degree/order mixers above 0 never get one: the
     embedding is invariant, so layer 0's message runs on order 0 and they
@@ -680,7 +682,6 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     init = init_params(config)
     flat = np.concatenate([array.ravel() for array in init.values()])
     sizes = [array.size for array in init.values()]
-    params = _views(flat, init)
     average = flat.copy()
     averaged = _views(average, init)
     prepared = prepare_graph(graph, config)
@@ -690,6 +691,10 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
         raise ValueError(f"target must be a {prepared.layout.dim}-square matrix in the "
                          f"molecule's orbital layout, got shape {target_data.shape}")
     state = AdamState(np.zeros(flat.size), np.zeros(flat.size))
+    # the leaves wrap views into flat, whose entries adam_step updates in place
+    leaves = {k: ad.Var(v) for k, v in _views(flat, init).items()}
+    grad = np.zeros(flat.size)
+    grad_views = _views(grad, init).values()
     losses = []
 
     def record(pred: BlockMatrix) -> None:
@@ -701,17 +706,16 @@ def fit_demo(graph: MoleculeGraph, target, steps: int, seed: int,
     if not steps:
         record(predict(graph, averaged, config, prepared))
     for step in range(steps):
-        leaves = {k: ad.Var(v) for k, v in params.items()}
         live = predict(graph, leaves, config, prepared)
         if step == 0:  # no update yet, so the average is the live parameters
             record(live)
         loss = ad.mean_all(ad.absolute(ad.sub(live.data, target_data)))
         if not math.isfinite(float(loss.value)):
             raise RuntimeError(f"non-finite training loss at step {step}")
-        ad.backward(loss)
+        ad.backward(loss)   # resets the grads of every leaf on the tape first
         grads = [leaf.grad for leaf in leaves.values()]
-        grad = np.concatenate([np.zeros(n) if g is None else g.ravel()
-                               for g, n in zip(grads, sizes)])
+        for view, g in zip(grad_views, grads):
+            view[...] = 0.0 if g is None else g
         adam_step(flat, grad, np.repeat([g is not None for g in grads], sizes), state, lr)
         w = min(AVERAGE_DECAY, (step + 1.0) / (step + 2.0))
         average[:] = w * average + (1.0 - w) * flat

@@ -131,15 +131,15 @@ def mlp_apply(values, x):
     n = len(values) // 2
     mixes, hidden = [], []
     out = x
-    for k in range(n):
-        out, mix_vjp = ad.matmul_apply(values[2 * k], out)
-        mixes.append(mix_vjp)
-        out = out + values[2 * k + 1].reshape(-1, 1)
-        if k != n - 1:
-            with np.errstate(over="ignore"):   # exp(800) is inf, and its sigmoid 0
+    with np.errstate(over="ignore"):   # exp(800) is inf, and its sigmoid 0
+        for k in range(n):
+            out, mix_vjp = ad.matmul_apply(values[2 * k], out)
+            mixes.append(mix_vjp)
+            out = out + values[2 * k + 1].reshape(-1, 1)
+            if k != n - 1:
                 sig = 1.0 / (1.0 + np.exp(-out))
-            hidden.append((out, sig))
-            out = out * sig
+                hidden.append((out, sig))
+                out = out * sig
 
     def vjp(g):
         grads = [None] * (2 * n + 1)
@@ -147,7 +147,7 @@ def mlp_apply(values, x):
             if k != n - 1:
                 pre, sig = hidden[k]
                 g = g * sig * (1.0 + pre * (1.0 - sig))
-            grads[2 * k + 2] = np.swapaxes(g, -1, -2).reshape(-1, g.shape[-2]).sum(axis=0)
+            grads[2 * k + 2] = g.swapaxes(-1, -2).reshape(-1, g.shape[-2]).sum(axis=0)
             grads[2 * k + 1], g = mixes[k](g)
         grads[0] = g
         return grads
@@ -591,7 +591,7 @@ def so2_tp_contract(u: So2Features, arity: int, weights) -> So2Features:
         gr, gi = g_terms[..., :n], g_terms[..., n:]
         d_w = (gr * wr + gi * wi).sum(axis=tuple(range(len(batch))))
         gr, gi = gr * w, gi * w * tables.final
-        d_columns = np.zeros_like(columns)
+        d_columns = np.zeros(columns.shape)
         for k in range(arity - 1, -1, -1):
             if k:
                 (ar, ai), (br, bi) = prefix[k - 1], factors[k]
