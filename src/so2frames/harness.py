@@ -88,7 +88,8 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     check.
     ``corrupt_wigner`` perturbs the cached degree-1 matrix of the first
     edge frame, in the edge frames and in the node frames taken from it,
-    to prove the audit detects broken rotations.
+    to prove the audit detects broken rotations; frames that stop at
+    degree 0 hold no such matrix, and the flag is a ValueError there.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -98,6 +99,9 @@ def check_equivariance(graph: MoleculeGraph, params: dict, config: ModelConfig,
     rng = stream(seed, "check-equiv")
     prepared = prepare_graph(graph, config)
     if corrupt_wigner:   # every use of the first edge frame: its edge and its node items
+        if prepared.frame.l_max < 1:
+            raise ValueError("corrupt_wigner (--corrupt-wigner) perturbs the degree 1 frame "
+                             "rotations, and this model's frames hold no degree 1")
         for f, at in (prepared.frame, slice(1)), (prepared.node_frame, prepared.node_edge == 0):
             f.d_in[1] = f.d_in[1].copy()
             f.d_in[1][at] += 0.05

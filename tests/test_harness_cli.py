@@ -91,6 +91,15 @@ class TestCheckEquiv:
                      "--corrupt-wigner"]) == 1
         assert main(["check-equiv", str(tmp_path / "missing.json")]) == 2
 
+    def test_cli_corrupt_wigner_without_degree_1(self, tmp_path, capsys):
+        # frames built at l_max 0 hold no degree-1 rotation for the flag to corrupt
+        mol = tmp_path / "mol.json"
+        assert main(["gen", "--n-atoms", "2", "--out", str(mol)]) == 0
+        capsys.readouterr()
+        assert main(["check-equiv", str(mol), "--lmax", "0", "--corrupt-wigner"]) == 2
+        err = capsys.readouterr().err
+        assert "--corrupt-wigner" in err and "degree 1" in err
+
     def test_cli_config_with_degree_gap(self, molecule_file, tmp_path, capsys):
         # node irreps without degree 1 still give a full, equivariant model
         config = tmp_path / "cfg.json"

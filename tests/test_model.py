@@ -23,11 +23,11 @@ from so2frames.frames import TARGET_AXIS, frame_from_direction, rotate_so3, rota
 from so2frames.graph import build_graph, sample_molecule
 from so2frames.hamiltonian import (BlockMatrix, assemble, block_rotate,
                                    build_orbital_layout, gen_synthetic_target)
-from so2frames.model import (MAX_TP_ARITY, MAX_TP_PATHS, TAU, AdamState, ModelConfig,
-                             adam_step, checkpoint_dumps, checkpoint_loads, default_fit_config,
-                             degree_inner_products, fit_demo, fit_node_irreps, forward,
-                             init_params, message_pass, node_embed, node_update_so2tp,
-                             prepare_graph, predict, rbf)
+from so2frames.model import (AVERAGE_DECAY, MAX_TP_ARITY, MAX_TP_PATHS, TAU, AdamState,
+                             ModelConfig, adam_step, checkpoint_dumps, checkpoint_loads,
+                             default_fit_config, degree_inner_products, fit_demo,
+                             fit_node_irreps, forward, init_params, message_pass, node_embed,
+                             node_update_so2tp, prepare_graph, predict, rbf)
 from so2frames.irreps import So3Features, layout_parse
 from so2frames.sampling import random_rotation_matrix, stream
 from so2frames.so2ops import enumerate_tp_paths, so2_layernorm, tp_path_count
@@ -590,13 +590,13 @@ class TestTapeSize:
         assert added == [H.data]
 
 
-def _package_calls(fn) -> int:
-    """The Python calls made inside the so2frames package while ``fn`` runs.
+def _package_calls(fn, package=so2frames) -> int:
+    """The Python calls made inside ``package`` while ``fn`` runs.
 
     A generator's frame counts once, at its first ``call`` event: the
     profiler reports every resumption as a call too, which would make the
     count follow how many items a generator expression yields."""
-    root = os.path.dirname(so2frames.__file__) + os.sep
+    root = os.path.dirname(package.__file__) + os.sep
     calls = 0
     generators = set()   # the frames hold on, so no id is reused
 
@@ -621,12 +621,15 @@ def _package_calls(fn) -> int:
 class TestCallBudget:
     """The fixed per-call cost of the interpreter: layouts, regrouping
     tables, node-frame factors and weight keys are built once and shared,
-    so a call makes few Python calls of its own.  The budgets are the
+    so a call makes few Python calls of its own.  The adjoints use array
+    methods and slices, not NumPy's Python-level wrappers, so a fit step
+    also makes few calls into NumPy's Python layer.  The budgets are the
     counts of the current code; a change that lowers a count lowers its
     budget, and one that raises a count says so in CHANGES.md."""
 
     PREDICT_CALLS = 865
-    FIT_STEP_CALLS = 1342
+    FIT_STEP_CALLS = 1171
+    FIT_STEP_NUMPY_CALLS = 230
 
     def test_predict_stream_predict(self):
         # an 8-atom H/C/O molecule at the l_max 4 config of the predict-stream benchmark
@@ -639,7 +642,8 @@ class TestCallBudget:
         calls = _package_calls(lambda: predict(graph, params, config))
         assert calls <= self.PREDICT_CALLS
 
-    def test_fit_step(self, setup):
+    @pytest.fixture
+    def fit_step(self, setup):
         # one taped predict, loss and backward on the fit-demo molecule
         graph, config, params = setup
         target = gen_synthetic_target(graph, seed=11, config=config)[0].array
@@ -651,7 +655,15 @@ class TestCallBudget:
             ad.backward(ad.mean_all(ad.absolute(ad.sub(pred.data, target))))
 
         step()
-        assert _package_calls(step) <= self.FIT_STEP_CALLS
+        return step
+
+    def test_fit_step(self, fit_step):
+        assert _package_calls(fit_step) <= self.FIT_STEP_CALLS
+
+    def test_fit_step_numpy_calls(self, fit_step):
+        # np.swapaxes, np.split, np.zeros_like and np.broadcast_to each enter
+        # one to three Python frames of NumPy's; the array methods enter none
+        assert _package_calls(fit_step, np) <= self.FIT_STEP_NUMPY_CALLS
 
 
 @pytest.mark.parametrize("make_config", [default_fit_config,
@@ -868,6 +880,69 @@ class TestFitDemo:
         assert params[live].tobytes() == (before[live] - 1e-2 * update).tobytes()
         assert state.m[live].tobytes() == m.tobytes() and state.v[live].tobytes() == v.tobytes()
         assert state.t == 4
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_leaves_made_once_match_fresh_leaves(self, setup, seed, monkeypatch):
+        # fit_demo wraps its parameter views in leaf Vars once per fit and
+        # writes the gradients into one buffer; the loop it replaced made
+        # fresh leaves and concatenated their gradients on every step
+        graph, config, _ = setup
+        target, _ = gen_synthetic_target(graph, seed=11, config=config)
+        updates = []
+
+        def recording(params, grad, live, state, lr):
+            adam_step(params, grad, live, state, lr)
+            updates.append((params.copy(), live.copy(), state.m.copy(), state.v.copy()))
+
+        def fresh_leaves_fit(steps):
+            init = init_params(replace(config, seed=seed))
+            flat = np.concatenate([a.ravel() for a in init.values()])
+            sizes = [a.size for a in init.values()]
+            ends = np.cumsum(sizes)
+            views = [flat[e - n:e].reshape(a.shape) for n, e, a in zip(sizes, ends, init.values())]
+            average = flat.copy()
+            averaged = dict(zip(init, (average[e - n:e].reshape(a.shape)
+                                       for n, e, a in zip(sizes, ends, init.values()))))
+            prepared = prepare_graph(graph, config)
+            state = AdamState(np.zeros(flat.size), np.zeros(flat.size))
+
+            def mae(pred):
+                return float(np.mean(np.abs(pred.array - target.array)))
+
+            losses = []
+            for step in range(steps):
+                leaves = [ad.Var(v) for v in views]
+                live = predict(graph, dict(zip(init, leaves)), config, prepared)
+                if step == 0:
+                    losses.append(mae(live))
+                ad.backward(ad.mean_all(ad.absolute(ad.sub(live.data, target.array))))
+                grads = [leaf.grad for leaf in leaves]
+                grad = np.concatenate([np.zeros(n) if g is None else g.ravel()
+                                       for g, n in zip(grads, sizes)])
+                recording(flat, grad, np.repeat([g is not None for g in grads], sizes),
+                          state, 1e-3)
+                w = min(AVERAGE_DECAY, (step + 1.0) / (step + 2.0))
+                average[:] = w * average + (1.0 - w) * flat
+                losses.append(mae(predict(graph, averaged, config, prepared)))
+            return np.array(losses), {k: v.copy() for k, v in averaged.items()}
+
+        want_losses, want_params = fresh_leaves_fit(3)
+        want_updates, updates[:] = updates[:], []
+        monkeypatch.setattr("so2frames.model.adam_step", recording)
+        losses, params = fit_demo(graph, target, steps=3, seed=seed, config=config)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert list(params) == list(want_params)
+        assert all(params[k].tobytes() == want_params[k].tobytes() for k in params)
+        assert len(updates) == len(want_updates) == 3
+        for got, want in zip(updates, want_updates):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        # the parameters that get no gradient keep their value and zero moments
+        init = np.concatenate([a.ravel() for a in init_params(replace(config, seed=seed)).values()])
+        for flat, live, m, v in updates:
+            dead = ~live
+            assert dead.any() and live.any()
+            assert flat[dead].tobytes() == init[dead].tobytes()
+            assert not m[dead].any() and not v[dead].any()
 
     def test_short_run_is_finite_and_reproducible(self, setup):
         graph, config, _ = setup
