@@ -6,6 +6,7 @@
     so2frames fit         mol.json --steps 2000 --out-checkpoint ckpt.json
     so2frames predict     mol.json ckpt.json --out H_pred.json
     so2frames metrics     H_pred.json H_true.json --n-occ 4
+    so2frames profile     --atoms 3,5,10,20,40 --repeats 5 --out ladder.json
 
 Exit codes: 0 all checks PASS, 1 any FAIL, 2 usage, I/O or invalid-input
 error.
@@ -23,6 +24,7 @@ from .hamiltonian import gen_synthetic_target, metrics, read_matrix, write_matri
 from .harness import RunReport, bench, check_equivariance
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
                     default_fit_config, fit_demo, fit_node_irreps, init_params, predict)
+from .profiling import ladder
 
 
 def _parse_range(text: str, flag: str) -> range:
@@ -149,6 +151,25 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def cmd_profile(args) -> int:
+    try:
+        atoms = [int(n) for n in args.atoms.split(",")]
+    except ValueError:
+        raise ValueError(f"--atoms {args.atoms} is not a comma-separated list of atom "
+                         "counts") from None
+    result = ladder(atoms, args.repeats)
+    for row in result["rows"]:
+        times = "  ".join(f"{stage} {row[stage]['median_ms']:.2f} ms"
+                          for stage in ("prepare_graph", "predict", "taped"))
+        print(f"{row['atoms']:3d} atoms {row['edges']:5d} edges {row['config']:5s}  {times}  "
+              f"{row['tape_nodes']} nodes  backward peak "
+              f"{row['backward_peak_bytes'] / 2 ** 20:.1f} MiB")
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(json.dumps(result, indent=1))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="so2frames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,6 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-occ", type=int, default=None)
     p.add_argument("--overlap", default=None)
     p.set_defaults(func=cmd_metrics)
+
+    p = sub.add_parser("profile", help="time the model on molecules of growing size")
+    p.add_argument("--atoms", default="3,5,10,20,40", help="comma-separated molecule sizes")
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--out", help="ladder JSON path")
+    p.set_defaults(func=cmd_profile)
     return parser
 
 

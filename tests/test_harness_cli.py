@@ -167,6 +167,38 @@ class TestBench:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestProfile:
+    STAGES = ("prepare_graph", "predict", "taped")
+
+    def test_ladder_keys(self, tmp_path, capsys):
+        out = tmp_path / "ladder.json"
+        assert main(["profile", "--atoms", "3", "--repeats", "1", "--out", str(out)]) == 0
+        ladder = json.loads(out.read_text())
+        assert set(ladder) == {"molecules", "configs", "repeats", "threads", "rows"}
+        assert ladder["repeats"] == 1 and set(ladder["configs"]) == {"fit", "lmax4"}
+        assert set(ladder["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS"}
+        rows = ladder["rows"]
+        assert [(row["atoms"], row["edges"], row["config"]) for row in rows] == [
+            (3, 6, "fit"), (3, 6, "lmax4")]
+        for row in rows:
+            assert set(row) == {"atoms", "edges", "config", *self.STAGES, "op_counts",
+                                "tape_nodes", "tape_bytes", "backward_peak_bytes"}
+            for stage in self.STAGES:   # one repeat has no spread
+                assert row[stage]["median_ms"] > 0.0 and row[stage]["iqr_ms"] == 0.0
+            assert row["tape_nodes"] > 0 and 0 < row["tape_bytes"] < row["backward_peak_bytes"]
+        # the multiplies of one predict, as TestOpCounts and the digests count them
+        assert rows[0]["op_counts"] == {"frame_rotation": 1620, "so2_linear": 12120,
+                                        "so2_tp": 1704}
+        assert capsys.readouterr().out.count(" atoms ") == 2
+
+    @pytest.mark.parametrize("flags", [["--atoms", "0"], ["--atoms", "3,x"], ["--atoms", ""],
+                                       ["--repeats", "0"]])
+    def test_bad_sizes_and_repeats_exit_2(self, flags, capsys):
+        assert main(["profile", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestFitCli:
     def test_zero_steps_checkpoint_equals_init(self, molecule_file, tmp_path):
         from so2frames.model import checkpoint_loads

@@ -63,3 +63,14 @@ def test_package_import_leaves_scipy_linalg_unloaded(module):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_package_import_leaves_the_profiler_unloaded():
+    # only the profile command needs tracemalloc; the package's import time
+    # and memory stay as they were
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, so2frames; "
+            "print(sorted({'tracemalloc', 'so2frames.profiling'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
