@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from so2frames import (So2Features, enumerate_tp_paths, init_so2_gate,
-                       init_so2_layernorm, init_so2_linear, rotate_so2, so2_gate,
-                       so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair)
+from so2frames import (So2Features, init_so2_gate, init_so2_layernorm, init_so2_linear,
+                       rotate_so2, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
+                       so2_tp_pair, tp_path_count)
 from so2frames.irreps import so2_layout
 from so2frames.sampling import stream
 
@@ -54,11 +54,11 @@ print(f"(order 2) x conj(order 1) -> order {m_out}: error {np.max(np.abs(ref - g
 print("\n== fusion paths ==")
 for m_max in (2, 4):
     for arity in (2, 3):
-        n = len(enumerate_tp_paths(m_max, arity))
+        n = tp_path_count(m_max, arity)
         print(f"  M_max={m_max}, v={arity}: {n} paths")
 uniform = so2_layout([(m, 2) for m in range(3)])
 u = So2Features(uniform, [rng.normal(size=uniform.block_shape(m)) for m in uniform.indices])
-w = [rng.normal(size=2) for _ in enumerate_tp_paths(2, 3)]
+w = [rng.normal(size=2) for _ in range(tp_path_count(2, 3))]
 out = so2_tp_contract(u, 3, w)      # u multiplied with itself along every 3-fold path
 rot = so2_tp_contract(rotate_so2(u, phi), 3, w)
 print(f"3-fold contraction commutation error: {dev(rot, rotate_so2(out, phi)):.2e}")

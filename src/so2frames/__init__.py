@@ -20,10 +20,9 @@ from .frames import (Frame, Rotation, TARGET_AXIS, frame_average_check,
                      wigner_d)
 from .cg import (cg_table, escn_reference_apply, expansion, so3_tensor_product,
                  valid_paths)
-from .so2ops import (So2TpPath, enumerate_tp_paths, init_mlp, init_so2_ffn,
-                     init_so2_gate, init_so2_layernorm, init_so2_linear, mlp,
-                     so2_ffn, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
-                     so2_tp_pair)
+from .so2ops import (init_mlp, init_so2_ffn, init_so2_gate, init_so2_layernorm,
+                     init_so2_linear, mlp, so2_ffn, so2_gate, so2_layernorm, so2_linear,
+                     so2_tp_contract, so2_tp_pair, tp_path_count, tp_paths)
 from .graph import MoleculeGraph, build_graph, graph_from_json, sample_molecule
 from .model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
                     default_fit_config, fit_demo, forward, init_params, predict)
@@ -37,10 +36,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockMatrix", "Frame", "IrrepsLayout", "LayoutError", "ModelConfig",
     "MoleculeGraph", "OpCounter", "OrbitalLayout", "Rotation",
-    "RunReport", "So2TpPath", "So2Features", "So3Features", "TARGET_AXIS",
+    "RunReport", "So2Features", "So3Features", "TARGET_AXIS",
     "assemble", "bench", "block_rotate", "build_graph", "build_orbital_layout",
     "cg_table", "check_equivariance", "checkpoint_dumps", "checkpoint_loads",
-    "circular_harmonics", "counting", "default_fit_config", "enumerate_tp_paths",
+    "circular_harmonics", "counting", "default_fit_config",
     "escn_reference_apply", "expansion", "fit_demo", "forward", "frame_average_check",
     "frame_from_direction", "frames_from_directions", "from_local", "gen_synthetic_target",
     "generalized_eigensolve", "graph_from_json", "init_mlp", "init_params",
@@ -50,5 +49,5 @@ __all__ = [
     "sample_molecule",
     "so2_ffn", "so2_gate", "so2_layernorm", "so2_linear", "so2_rotation_matrix",
     "so2_tp_contract", "so2_tp_pair", "so3_tensor_product", "to_local",
-    "valid_paths", "wigner_d",
+    "tp_path_count", "tp_paths", "valid_paths", "wigner_d",
 ]

@@ -23,7 +23,7 @@ from .hamiltonian import assemble, block_rotate
 from .irreps import So3Features, real_spherical_harmonics, so3_layout
 from .model import ModelConfig, forward, prepare_graph
 from .sampling import random_rotation_matrix, random_unit_vector, stream
-from .so2ops import enumerate_tp_paths
+from .so2ops import tp_paths
 
 
 @dataclass
@@ -222,7 +222,7 @@ def bench(l_range=range(2, 9), m_range=range(2, 11), channels: int = 1,
     path_counts = []
     exact = True
     for M in m_range:
-        enumerated = len(enumerate_tp_paths(M, 2))
+        enumerated = tp_paths(M, 2)[0].shape[1]
         brute = brute_force_pair_paths(M)
         exact = exact and enumerated == brute
         path_counts.append(enumerated)

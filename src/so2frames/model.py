@@ -57,7 +57,7 @@ from .hamiltonian import (AssemblyPlan, BlockMatrix, OrbitalLayout, assemble, as
 from .irreps import (DEFAULT_L_CAP, SO3, IrrepsLayout, LayoutError, So2Features, So3Features,
                      layout_parse, so2_layout, so3_layout)
 from .sampling import stream
-from .so2ops import (enumerate_tp_paths, gate_apply, init_mlp, init_so2_ffn, init_so2_gate,
+from .so2ops import (gate_apply, init_mlp, init_so2_ffn, init_so2_gate,
                      init_so2_layernorm, init_so2_linear, mlp, mlp_weights, scale_rows,
                      so2_ffn, so2_gate, so2_layernorm, so2_linear, so2_tp_contract,
                      tp_path_count, uniform_init)
@@ -77,9 +77,10 @@ _SCALAR_FIELDS = ("node_irreps", "layers", "tp_arity", "tp_channels", "ffn_chann
 # the integer config fields besides the seed, with their least values
 _INTEGER_FIELDS = {"layers": 0, "tp_arity": 2, "tp_channels": 1, "ffn_channels": 1,
                    "invariant_width": 1, "rbf_size": 1}
-# the largest tensor product a config may ask for: enumerate_tp_paths walks all
-# (l_max + 1) ** tp_arity order tuples, and every path has its weights; at
-# l_max 4, arity 6 has 28847 paths and arity 7 has 165580
+# the largest tensor product a config may ask for: every path has its weights
+# (at l_max 4, arity 6 has 28847 paths and arity 7 has 165580) and every factor
+# its loops; the path bound does not bound the factors at l_max 0 and 1, where
+# the path count grows too slowly with arity (one path at l_max 0)
 MAX_TP_ARITY = 16
 MAX_TP_PATHS = 10 ** 5
 
@@ -187,8 +188,8 @@ class ModelConfig:
         # the regrouped node layout has every order up to l_max, and the
         # tensor-product layouts must have the same orders
         m_max = doc.get("m_max")
-        if m_max is not None and m_max != config.l_max:
-            raise ValueError(f"m_max {m_max} is not supported: it must equal "
+        if m_max is not None and not (is_integer(m_max) and m_max == config.l_max):
+            raise ValueError(f"m_max {m_max!r} is not supported: it must equal "
                              f"l_max {config.l_max} or be null")
         return config
 
@@ -317,7 +318,7 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
     params["pair0/r_lin"] = uniform_init(rng, (F, K))
     init_mlp(params, "pair0/mlp", [F, F, F, reg.mult(0)], rng)
 
-    paths = enumerate_tp_paths(config.l_max, config.tp_arity)
+    n_paths = tp_path_count(config.l_max, config.tp_arity)
     for n in range(config.layers):
         p = f"L{n}"
         for half in ("self1", "self2"):
@@ -331,8 +332,8 @@ def init_params(config: ModelConfig, rng=None) -> dict[str, np.ndarray]:
         init_mlp(params, f"{p}/msg/scale/mlp", [F, F, F, s_width], rng)
         init_so2_layernorm(params, f"{p}/ln_node", layout)
         init_so2_linear(params, f"{p}/tp/pre", reg, tp_layout, rng)
-        for k in range(len(paths)):
-            params[f"{p}/tp/w/{k}"] = uniform_init(rng, (config.tp_channels,)) / len(paths)
+        for k in range(n_paths):
+            params[f"{p}/tp/w/{k}"] = uniform_init(rng, (config.tp_channels,)) / n_paths
         init_so2_linear(params, f"{p}/tp/post", tp_layout, reg, rng)
         init_so2_ffn(params, f"{p}/ffn", reg, ffn_layout, reg, rng)
         init_so2_layernorm(params, f"{p}/ln_pair", reg)
@@ -510,8 +511,8 @@ def node_update_so2tp(h: So3Features, params, config: ModelConfig,
     """
     p = f"L{layer}"
     layout = config.node_layout
-    paths = enumerate_tp_paths(config.l_max, config.tp_arity)
-    weights = [params[f"{p}/tp/w/{k}"] for k in range(len(paths))]
+    weights = [params[f"{p}/tp/w/{k}"]
+               for k in range(tp_path_count(config.l_max, config.tp_arity))]
     frame = prepared.node_frame
     local = to_local(frame, h, prepared.node_atom)
     u = so2_linear(local, params, f"{p}/tp/pre")

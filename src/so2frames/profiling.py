@@ -11,7 +11,9 @@ and gives their median and interquartile range in milliseconds:
 ``backward``.  It also records the tape nodes of that loss, the
 ``OpCounter`` totals of one ``predict``, and, from one more taped call
 under ``tracemalloc``, the bytes the tape holds and the peak while
-``backward`` runs (tape included).
+``backward`` runs (tape included).  A pass over the first size at both
+configs runs first and is dropped, so the first row carries no process
+warm-up and compares with the later ones.
 
 Wall times vary from run to run and from machine to machine, so they are
 returned here and never enter a :class:`harness.RunReport`.  The ladder
@@ -70,7 +72,7 @@ def ladder(atoms, repeats: int) -> dict:
         raise ValueError(f"profile needs sizes >= 1 and repeats >= 1, got {list(atoms)} "
                          f"and {repeats}")
     rows = []
-    for n in atoms:
+    for n in (atoms[0], *atoms):   # the rows of the warm-up pass are dropped
         graph = sample_molecule(1, n, [1, 6, 8], 1.4, 15.0)
         for name, config in (("fit", default_fit_config(graph)),
                              ("lmax4", ModelConfig(elements=(1, 6, 8)))):
@@ -98,4 +100,5 @@ def ladder(atoms, repeats: int) -> dict:
     return {"molecules": "sample_molecule(1, n, [1, 6, 8], 1.4, 15.0)",
             "configs": {"fit": "default_fit_config(molecule)",
                         "lmax4": "ModelConfig(elements=(1, 6, 8))"}, "repeats": repeats,
-            "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}, "rows": rows}
+            "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+            "rows": rows[2:]}

@@ -18,7 +18,7 @@ mixing weight gets its cotangent from one formula.
 
 The v-fold tensor product multiplies one feature set with itself along
 all its fusion paths at once: index tables built once per (M, v) from
-:func:`enumerate_tp_paths` gather every path's factors into a path axis,
+:func:`tp_paths` gather every path's factors into a path axis,
 conjugation enters as constant sign masks, and the weighted path
 products are added into their output orders in path order.  It records
 one tape node plus one slice per output order, whatever the number of
@@ -40,7 +40,6 @@ own under a name prefix, and the ``init_*`` helpers write them there.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -411,79 +410,69 @@ def so2_tp_pair(x1, m1: int, x2, m2: int, sign: int):
     return out, m1 + sign * m2
 
 
-@dataclass(frozen=True)
-class So2TpPath:
-    """One v-fold fusion path.
-
-    ``orders`` are the input orders (m_1, ..., m_v); ``signs`` the per
-    factor signs with the first fixed to +1; ``m_out`` the final order
-    |sum_k s_k m_k|.
-    """
-
-    orders: tuple[int, ...]
-    signs: tuple[int, ...]
-    m_out: int
-
-
 @functools.lru_cache(maxsize=None)
-def enumerate_tp_paths(m_max: int, v: int) -> tuple[So2TpPath, ...]:
-    """All valid fusion paths for v feature sets with orders <= m_max.
+def _moves(m_max: int) -> np.ndarray:
+    """The fusion-path rule: ``moves[e + m_max, f + m_max]`` holds where a
+    factor may move the running signed exponent from e to f.
 
-    Paths chain left to right; each step either adds (sum path) or
-    subtracts (difference path, strict inequality of the two orders)
-    the next order.  Steps with a zero-order operand collapse to the sum
-    form (the conjugate of a real scalar is itself), so their sign is
-    fixed to +1; steps whose two nonzero orders would cancel exactly are
-    excluded (the pairwise products cannot produce them), as are
-    intermediate orders above m_max.  The tuple is deterministic
-    lexicographic in (orders, signs) with +1 before -1, and free of
-    duplicates by construction.  It is built once per (m_max, v), and
-    :func:`so2_tp_contract` builds its index tables from it once.
-    """
-    if v < 2:
-        raise ValueError(f"tensor product arity must be >= 2, got {v}")
-    paths = []
-    for orders in itertools.product(range(m_max + 1), repeat=v):
-        def extend(k, exponent, signs):
-            if k == v:
-                paths.append(So2TpPath(orders, tuple(signs), abs(exponent)))
-                return
-            m = orders[k]
-            for s in (+1, -1):
-                if s == -1 and (m == 0 or exponent == 0):
-                    continue  # collapses to the sum form
-                e = exponent + s * m
-                if e == 0 and m != 0:
-                    continue  # would need a difference of equal orders
-                if abs(e) > m_max:
-                    continue
-                extend(k + 1, e, signs + [s])
-
-        extend(1, orders[0], [+1])
-    return tuple(paths)
-
-
-@functools.lru_cache(maxsize=None)
-def tp_path_count(m_max: int, v: int) -> int:
-    """``len(enumerate_tp_paths(m_max, v))`` without enumerating.
-
-    A walk over the running signed exponent e in [-m_max, m_max], under
-    the rules of :func:`enumerate_tp_paths`: the first factor starts each
-    e in 0..m_max once, and each further factor of order m moves e to
-    ``e + m``, or to ``e - m`` if m and e are nonzero, except onto 0 from
-    a nonzero m.  The v - 1 steps are a power of the 0/1 matrix of those
-    moves, in exact (Python integer) arithmetic.
+    A factor of order m adds m (sum path), or subtracts it (difference
+    path, conjugating the factor) if m and e are nonzero: a zero-order
+    operand collapses to the sum form (the conjugate of a real scalar is
+    itself).  It may not land on 0 from a nonzero m (the pairwise products
+    cannot cancel two equal orders), nor past -m_max or m_max.  Read-only.
     """
     e = np.arange(-m_max, m_max + 1)
     step = e[None, :] - e[:, None]   # from exponent e (row) to f (column)
     moves = ((np.abs(step) <= m_max) & ((e[None, :] != 0) | (step == 0))
-             & ((step >= 0) | (e[:, None] != 0))).astype(object)
-    return int(np.sum((e >= 0).astype(object) @ np.linalg.matrix_power(moves, v - 1)))
+             & ((step >= 0) | (e[:, None] != 0)))
+    moves.flags.writeable = False
+    return moves
+
+
+@functools.lru_cache(maxsize=None)
+def tp_paths(m_max: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """All fusion paths of v feature sets with orders <= m_max, as two
+    read-only int arrays ``(orders, signs)`` of shape (v, P): column p is
+    path p's input orders (m_1, ..., m_v) and its per-factor signs, the
+    first +1.  Its final order is ``|sum_k s_k m_k|``.
+
+    Paths chain left to right: the first factor starts the signed exponent
+    at its order, and each further factor makes one of the :func:`_moves`,
+    so only valid prefixes are extended.  Columns run lexicographically in
+    (orders, signs) with +1 before -1, the order that maps the checkpoint
+    weight ``L{n}/tp/w/{k}`` to its path; there are no duplicates, since
+    the exponents fix a path.  Built once per (m_max, v).
+    """
+    if v < 2:
+        raise ValueError(f"tensor product arity must be >= 2, got {v}")
+    moves = _moves(m_max)
+    exponents = np.arange(m_max + 1)[None, :]   # (factors so far, paths)
+    for _ in range(v - 1):
+        path, f = np.nonzero(moves[exponents[-1] + m_max])
+        exponents = np.concatenate([exponents[:, path], f[None, :] - m_max])
+    step = np.diff(exponents, axis=0, prepend=0)
+    orders, signs = np.abs(step), np.where(step < 0, -1, 1)
+    order = np.lexsort(np.concatenate([-signs[::-1], orders[::-1]]))
+    orders, signs = orders[:, order], signs[:, order]
+    orders.flags.writeable = signs.flags.writeable = False
+    return orders, signs
+
+
+@functools.lru_cache(maxsize=None)
+def tp_path_count(m_max: int, v: int) -> int:
+    """The number of paths of :func:`tp_paths` (m_max, v), without
+    enumerating them: the first factor starts each exponent 0..m_max once,
+    and the v - 1 further factors are a power of the :func:`_moves`
+    matrix, in exact (Python integer) arithmetic.
+    """
+    moves = _moves(m_max).astype(object)
+    start = (np.arange(-m_max, m_max + 1) >= 0).astype(object)
+    return int(np.sum(start @ np.linalg.matrix_power(moves, v - 1)))
 
 
 @dataclass(frozen=True)
 class _TpTables:
-    """Index tables of the P paths of :func:`enumerate_tp_paths` (M, v).
+    """Index tables of the P paths of :func:`tp_paths` (M, v).
 
     Blocks of orders 0..M concatenated on the last axis give ``2M + 1``
     columns ``(x_0, x_{-1}, x_{+1}, ...)``; a zero column ``2M + 1`` is
@@ -510,10 +499,8 @@ class _TpTables:
 
 @functools.lru_cache(maxsize=None)
 def _tp_tables(m_max: int, arity: int) -> _TpTables:
-    paths = enumerate_tp_paths(m_max, arity)
-    n, zero = len(paths), 2 * m_max + 1
-    orders = np.array([path.orders for path in paths], dtype=np.int64).T   # (arity, P)
-    signs = np.array([path.signs for path in paths], dtype=np.int64).T
+    orders, signs = tp_paths(m_max, arity)
+    n, zero = orders.shape[1], 2 * m_max + 1
     exponent = np.cumsum(signs * orders, axis=0)   # the running signed exponent
     final = np.where(exponent[-1] < 0, -1.0, 1.0)
     m_out = np.abs(exponent[-1])
@@ -539,7 +526,7 @@ def so2_tp_contract(u: So2Features, arity: int, weights) -> So2Features:
 
     ``u`` has orders 0..M with a uniform channel count C; ``weights`` holds
     one channel weight array of shape (C,) for each path of
-    :func:`enumerate_tp_paths` (M, ``arity``), in its order.  Path outputs
+    :func:`tp_paths` (M, ``arity``), in its order.  Path outputs
     accumulate by final order; the result keeps ``u``'s layout.
 
     All paths run at once, as one tape node plus one slice per output

@@ -24,7 +24,7 @@ from so2frames.irreps import (So2Features, So3Features, real_spherical_harmonics
                               so2_layout, so2_rotation_matrix, so3_layout)
 from so2frames.model import default_fit_config, fit_demo, init_params, predict
 from so2frames.sampling import random_rotation_matrix, random_unit_vector, stream
-from so2frames.so2ops import enumerate_tp_paths, init_so2_linear, so2_linear
+from so2frames.so2ops import init_so2_linear, so2_linear, tp_path_count, tp_paths
 
 
 def conclude(number: int, name: str, ok: bool, detail: str) -> None:
@@ -78,7 +78,7 @@ def test_03_so2_tp_path_counts():
     v in {2, 3}; pairwise count slope within 0.3 of 2."""
     exact = True
     for m_max in range(5):
-        exact &= len(enumerate_tp_paths(m_max, 2)) == brute_force_pair_paths(m_max)
+        exact &= tp_paths(m_max, 2)[0].shape[1] == brute_force_pair_paths(m_max)
         brute3 = 0
         for orders in itertools.product(range(m_max + 1), repeat=3):
             m1, m2, m3 = orders
@@ -94,9 +94,9 @@ def test_03_so2_tp_path_counts():
                 if (e3 == 0 and m3 != 0) or abs(e3) > m_max:
                     continue
                 brute3 += 1
-        exact &= len(enumerate_tp_paths(m_max, 3)) == brute3
+        exact &= tp_paths(m_max, 3)[0].shape[1] == brute3
     Ms = range(2, 11)
-    counts = [len(enumerate_tp_paths(m, 2)) for m in Ms]
+    counts = [tp_paths(m, 2)[0].shape[1] for m in Ms]
     slope = float(np.polyfit(np.log(list(Ms)), np.log(counts), 1)[0])
     ok = exact and abs(slope - 2.0) <= 0.3
     conclude(3, "so2-tp-path-counts", ok,
@@ -232,7 +232,7 @@ def test_07_gradient_contract():
                  for m in uni.indices]
         for v in (2, 3, 4):   # the one input is every factor
             name, rng = case(f"so2_tp_contract/v{v}")
-            tp_w = [rng.normal(size=3) for _ in enumerate_tp_paths(2, v)]
+            tp_w = [rng.normal(size=3) for _ in range(tp_path_count(2, v))]
             yield name, rng, (lambda lv, v=v, tp_w=tp_w: project(
                 so2_tp_contract(So2Features(uni, lv), v, tp_w).blocks, ucots)), shapes(uni)
         name, rng = case("so2_ffn")

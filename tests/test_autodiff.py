@@ -18,9 +18,9 @@ from so2frames.hamiltonian import assemble
 from so2frames.irreps import So2Features, So3Features, real_spherical_harmonics, so2_layout, so3_layout
 from so2frames.model import ModelConfig, default_fit_config, init_params, predict, prepare_graph
 from so2frames.sampling import random_unit_vector, stream
-from so2frames.so2ops import (enumerate_tp_paths, init_so2_ffn, init_so2_gate, mlp,
-                              so2_ffn, so2_gate, so2_layernorm, so2_linear,
-                              so2_tp_contract, so2_tp_pair)
+from so2frames.so2ops import (init_so2_ffn, init_so2_gate, mlp, so2_ffn, so2_gate,
+                              so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair,
+                              tp_path_count)
 
 PROBES = 20
 TOL = 1e-5
@@ -262,7 +262,7 @@ class TestOperationVjps:
         # the input is every factor, so its cotangent adds one term per factor
         layout = so2_layout([(m, 2) for m in range(3)])
         for arity in (2, 3, 4):
-            n_paths = len(enumerate_tp_paths(2, arity))
+            n_paths = tp_path_count(2, arity)
 
             def arrays_fn():
                 return _random_so2(layout, rng) + [rng.normal(size=2) for _ in range(n_paths)]
@@ -376,11 +376,11 @@ class TestOperationVjps:
         # the path-batched contraction over a (4,) item axis; the one
         # input is every factor, so its cotangents add up
         layout = so2_layout([(m, 2) for m in range(4)])
-        paths = enumerate_tp_paths(3, arity)
+        n_paths = tp_path_count(3, arity)
 
         def arrays_fn():
             return ([rng.normal(size=(4,) + layout.block_shape(m)) for m in layout.indices]
-                    + [rng.normal(size=2) for _ in paths])
+                    + [rng.normal(size=2) for _ in range(n_paths)])
 
         def op(leaves):
             return so2_tp_contract(So2Features(layout, leaves[:4]), arity, leaves[4:])

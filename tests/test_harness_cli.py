@@ -18,7 +18,7 @@ from so2frames.hamiltonian import (BlockMatrix, build_orbital_layout, gen_synthe
                                    write_matrix)
 from so2frames.model import (ModelConfig, checkpoint_dumps, checkpoint_loads,
                              default_fit_config, init_params, predict)
-from so2frames.so2ops import enumerate_tp_paths
+from so2frames.so2ops import tp_paths
 
 
 @pytest.fixture
@@ -153,7 +153,7 @@ class TestBench:
 
     def test_path_count_matches_brute_force(self):
         for m in range(0, 5):
-            assert len(enumerate_tp_paths(m, 2)) == brute_force_pair_paths(m)
+            assert tp_paths(m, 2)[0].shape[1] == brute_force_pair_paths(m)
 
     def test_report_bit_identical_across_runs(self, tmp_path):
         # narrow ranges keep this fast; verdicts may be FAIL there, the

@@ -30,7 +30,7 @@ from so2frames.model import (AVERAGE_DECAY, MAX_TP_ARITY, MAX_TP_PATHS, TAU, Ada
                              node_update_so2tp, prepare_graph, predict, rbf)
 from so2frames.irreps import So3Features, layout_parse
 from so2frames.sampling import random_rotation_matrix, stream
-from so2frames.so2ops import enumerate_tp_paths, so2_layernorm, tp_path_count
+from so2frames.so2ops import so2_layernorm, tp_path_count, tp_paths
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POSITIONS = np.array([[0.0, 0.0, 0.0],
@@ -213,7 +213,7 @@ class TestNodeUpdate:
         graph, config, params = setup
         prepared = prepare_graph(graph, config)
         modified = dict(params)
-        n_paths = len(enumerate_tp_paths(config.l_max, config.tp_arity))
+        n_paths = tp_path_count(config.l_max, config.tp_arity)
         for k in range(n_paths):
             modified[f"L0/tp/w/{k}"] = np.zeros_like(params[f"L0/tp/w/{k}"])
         h = random_features(config.node_layout, 3, rng)
@@ -1071,8 +1071,15 @@ class TestCheckpoint:
         for value in (None, 4):  # default l_max is 4
             doc["config"]["m_max"] = value
             assert checkpoint_loads(json.dumps(doc))[0] == ModelConfig()
-        doc["config"]["m_max"] = 2
-        with pytest.raises(ValueError, match="m_max 2 .* l_max 4"):
+        for value in (2, 4.0):   # only an integer equals l_max
+            doc["config"]["m_max"] = value
+            with pytest.raises(ValueError, match=f"m_max {value!r} .* l_max 4"):
+                checkpoint_loads(json.dumps(doc))
+        # a boolean is no number, though True == 1 == l_max here
+        config = ModelConfig(node_irreps=fit_node_irreps(1))
+        doc = json.loads(checkpoint_dumps(config, init_params(config)))
+        doc["config"]["m_max"] = True
+        with pytest.raises(ValueError, match="m_max True .* l_max 1"):
             checkpoint_loads(json.dumps(doc))
 
     def test_config_fields_present(self, setup):
@@ -1132,7 +1139,7 @@ class TestConfigValidation:
                              basis=((1, (0,)),), layers=1)
         assert tp_path_count(config.l_max, arity) <= MAX_TP_PATHS
         assert sum(name.startswith("L0/tp/w/") for name in init_params(config)) == \
-            len(enumerate_tp_paths(config.l_max, arity))
+            tp_paths(config.l_max, arity)[0].shape[1]
 
     def test_fit_node_irreps(self):
         assert fit_node_irreps(1) == "8x0e+4x1e"

@@ -10,10 +10,10 @@ from so2frames.counters import OpCounter, count, counting
 from conftest import sum_entries
 from so2frames.irreps import So2Features, So3Features, layout_parse, rotate_so2, so2_layout
 from so2frames.model import _self_interaction
-from so2frames.so2ops import (So2TpPath, enumerate_tp_paths, init_so2_ffn, init_so2_gate,
-                              init_so2_layernorm, init_so2_linear, mlp, so2_ffn, so2_gate,
-                              so2_layernorm, so2_linear, so2_tp_contract, so2_tp_pair,
-                              tp_path_count)
+from so2frames.so2ops import (init_so2_ffn, init_so2_gate, init_so2_layernorm,
+                              init_so2_linear, mlp, so2_ffn, so2_gate, so2_layernorm,
+                              so2_linear, so2_tp_contract, so2_tp_pair, tp_path_count,
+                              tp_paths)
 
 LAYOUT = so2_layout([(0, 4), (1, 3), (2, 2), (3, 1)])
 
@@ -292,60 +292,71 @@ def brute_force_paths_v2(m_max):
     return out
 
 
-def brute_force_paths_v3(m_max):
-    """Independent enumeration of 3-fold chains with the same conventions."""
-    out = set()
-    for m1, m2, m3 in itertools.product(range(m_max + 1), repeat=3):
-        for s2, s3 in itertools.product((+1, -1), repeat=2):
-            if s2 == -1 and (m2 == 0 or m1 == 0 or m1 == m2):
-                continue
-            e2 = m1 + s2 * m2
-            if e2 == 0 and m2 != 0:
-                continue
-            if abs(e2) > m_max:
-                continue
-            if s3 == -1 and (m3 == 0 or e2 == 0):
-                continue
-            e3 = e2 + s3 * m3
-            if e3 == 0 and m3 != 0:
-                continue
-            if abs(e3) > m_max:
-                continue
-            out.add((m1, m2, m3, s2, s3))
-    return out
+def brute_force_paths(m_max, v):
+    """Independent enumeration of v-fold chains with the same conventions:
+    ``(orders, signs)`` tuples, the first sign +1, in (orders, signs)
+    order with +1 before -1."""
+    out = []
+    for orders in itertools.product(range(m_max + 1), repeat=v):
+        for tail in itertools.product((+1, -1), repeat=v - 1):
+            e = orders[0]
+            for m, s in zip(orders[1:], tail):
+                if s == -1 and (m == 0 or e == 0):
+                    break   # collapses to the sum form
+                e += s * m
+                if (e == 0 and m != 0) or abs(e) > m_max:
+                    break
+            else:
+                out.append((orders, (+1,) + tail))
+    return sorted(out, key=lambda path: (path[0], tuple(-s for s in path[1])))
+
+
+def columns(paths):
+    """The columns of ``tp_paths`` as ``(orders, signs)`` tuples."""
+    orders, signs = paths
+    return [(tuple(map(int, o)), tuple(map(int, s))) for o, s in zip(orders.T, signs.T)]
 
 
 class TestPathEnumeration:
     def test_trivial(self):
-        paths = enumerate_tp_paths(0, 2)
-        assert len(paths) == 1
-        assert paths[0] == So2TpPath((0, 0), (+1, +1), 0)
+        assert columns(tp_paths(0, 2)) == [((0, 0), (+1, +1))]
 
     @pytest.mark.parametrize("m_max", [0, 1, 2, 3, 4])
     def test_pairwise_matches_brute_force(self, m_max):
-        got = {(p.orders[0], p.orders[1], p.signs[1])
-               for p in enumerate_tp_paths(m_max, 2)}
+        got = {(orders[0], orders[1], signs[1]) for orders, signs in columns(tp_paths(m_max, 2))}
         assert got == brute_force_paths_v2(m_max)
 
     @pytest.mark.parametrize("m_max", [0, 1, 2, 3, 4])
     def test_threefold_matches_brute_force(self, m_max):
-        got = {p.orders + p.signs[1:] for p in enumerate_tp_paths(m_max, 3)}
-        assert got == brute_force_paths_v3(m_max)
+        got = {orders + signs[1:] for orders, signs in columns(tp_paths(m_max, 3))}
+        assert got == {orders + signs[1:] for orders, signs in brute_force_paths(m_max, 3)}
+
+    @pytest.mark.parametrize("m_max", range(6))
+    def test_order_matches_sorted_brute_force(self, m_max):
+        # the order maps each checkpoint weight L{n}/tp/w/{k} to its path
+        for v in range(2, 6):
+            orders, signs = tp_paths(m_max, v)
+            assert columns((orders, signs)) == brute_force_paths(m_max, v)
+            assert orders.shape == signs.shape == (v, orders.shape[1])
+            for array in (orders, signs):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0] = 1
 
     def test_deterministic_and_deduplicated(self):
-        a = enumerate_tp_paths(3, 3)
-        b = enumerate_tp_paths(3, 3)
+        a = columns(tp_paths(3, 3))
+        b = columns(tp_paths(3, 3))
         assert a == b
         assert len(set(a)) == len(a)
 
     def test_arity_validated(self):
         with pytest.raises(ValueError):
-            enumerate_tp_paths(2, 1)
+            tp_paths(2, 1)
 
     @pytest.mark.parametrize("m_max", range(6))
     def test_count_without_enumerating(self, m_max):
         for v in range(2, 6):
-            assert tp_path_count(m_max, v) == len(enumerate_tp_paths(m_max, v))
+            assert tp_path_count(m_max, v) == tp_paths(m_max, v)[0].shape[1]
 
     def test_count_of_a_product_too_large_to_enumerate(self):
         # 5^12 order tuples: the walk counts their paths at once, in exact integers
@@ -354,7 +365,7 @@ class TestPathEnumeration:
 
     def test_count_slope_near_quadratic(self):
         Ms = range(2, 11)
-        counts = [len(enumerate_tp_paths(m, 2)) for m in Ms]
+        counts = [tp_paths(m, 2)[0].shape[1] for m in Ms]
         slope = np.polyfit(np.log(list(Ms)), np.log(counts), 1)[0]
         assert abs(slope - 2.0) <= 0.3
 
@@ -365,7 +376,7 @@ class TestSo2TpContract:
     def test_single_scalar_path(self, rng):
         # orders 0..0 have one path, the product of the scalars
         layout = so2_layout([(0, 2)])
-        assert enumerate_tp_paths(0, 2) == (So2TpPath((0, 0), (+1, +1), 0),)
+        assert columns(tp_paths(0, 2)) == [((0, 0), (+1, +1))]
         x = random_so2(layout, rng)
         out = so2_tp_contract(x, 2, [np.ones(2)])
         expected = np.asarray(x.block(0)) * np.asarray(x.block(0))
@@ -373,7 +384,7 @@ class TestSo2TpContract:
         assert np.max(np.abs(np.asarray(out.block(0)) - expected)) < 1e-15
 
     def test_equivariance_v3(self, rng):
-        weights = [rng.normal(size=2) for _ in enumerate_tp_paths(2, 3)]
+        weights = [rng.normal(size=2) for _ in range(tp_paths(2, 3)[0].shape[1])]
         for _ in range(200):
             u = random_so2(self.layout, rng)
             phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -389,7 +400,7 @@ class TestSo2TpContract:
             u = random_so2(layout, rng)
             counter = OpCounter()
             with counting(counter):
-                so2_tp_contract(u, 2, [np.ones(1)] * len(enumerate_tp_paths(M, 2)))
+                so2_tp_contract(u, 2, [np.ones(1)] * tp_paths(M, 2)[0].shape[1])
             counts.append(counter.get("so2_tp"))
         slope = np.polyfit(np.log(list(Ms)), np.log(counts), 1)[0]
         assert 1.7 <= slope <= 2.3
@@ -398,21 +409,22 @@ class TestSo2TpContract:
         # the weights of the 2-fold paths do not fit the 3-fold product
         u = random_so2(self.layout, rng)
         with pytest.raises(ValueError, match="weight arrays"):
-            so2_tp_contract(u, 3, [np.ones(2)] * len(enumerate_tp_paths(2, 2)))
+            so2_tp_contract(u, 3, [np.ones(2)] * tp_paths(2, 2)[0].shape[1])
 
 
 def loop_tp_contract(features, paths, weights):
-    """The per-path pairwise chain that :func:`so2_tp_contract` batches:
-    the reference its bits are held to."""
+    """The per-path pairwise chain that :func:`so2_tp_contract` batches,
+    over the columns of ``paths`` (``tp_paths``): the reference its bits
+    are held to."""
     layout = features[0].layout
     channels = layout.entries[0][1]
     batch = features[0].batch_shape
     acc = {m: [] for m in layout.indices}
-    for path, w in zip(paths, weights):
-        block = features[0].block(path.orders[0])
-        exponent = path.orders[0]
+    for (orders, signs), w in zip(columns(paths), weights):
+        block = features[0].block(orders[0])
+        exponent = orders[0]
         for k in range(1, len(features)):
-            m, s = path.orders[k], path.signs[k]
+            m, s = orders[k], signs[k]
             other = features[k].block(m)
             if s == +1:
                 if exponent >= 0:
@@ -431,9 +443,10 @@ def loop_tp_contract(features, paths, weights):
                 else:
                     block, _ = so2_tp_pair(block, -exponent, other, m, +1)
                 exponent -= m
-        assert abs(exponent) == path.m_out
-        count("so2_tp", channels * (2 if path.m_out > 0 else 1) * math.prod(batch))
-        acc[path.m_out].append(block * np.reshape(w, (channels, 1)))
+        m_out = abs(sum(o * s for o, s in zip(orders, signs)))
+        assert abs(exponent) == m_out
+        count("so2_tp", channels * (2 if m_out > 0 else 1) * math.prod(batch))
+        acc[m_out].append(block * np.reshape(w, (channels, 1)))
     return So2Features(layout, [functools.reduce(np.add, acc[m]) if acc[m]
                                 else np.zeros(batch + layout.block_shape(m))
                                 for m in layout.indices])
@@ -445,8 +458,8 @@ class TestBatchedTpMatchesLoop:
     def test_same_bits_and_counts(self, m_max, arity, rng):
         # one input set multiplied with itself, on a batch of five items
         layout = so2_layout([(m, 3) for m in range(m_max + 1)])
-        paths = enumerate_tp_paths(m_max, arity)
-        weights = [rng.normal(size=3) for _ in paths]
+        paths = tp_paths(m_max, arity)
+        weights = [rng.normal(size=3) for _ in range(paths[0].shape[1])]
         u = So2Features(layout, [rng.normal(size=(5,) + layout.block_shape(m))
                                  for m in layout.indices])
         counts = OpCounter(), OpCounter()
@@ -463,18 +476,18 @@ class TestBatchedTpMatchesLoop:
         # nodes whatever the number of paths: 9 to 153 here
         def inner_nodes(m_max, arity):
             layout = so2_layout([(m, 2) for m in range(m_max + 1)])
-            paths = enumerate_tp_paths(m_max, arity)
+            n_paths = tp_paths(m_max, arity)[0].shape[1]
             leaves = [ad.Var(rng.normal(size=(3,) + layout.block_shape(m)))
                       for m in layout.indices]
             out = so2_tp_contract(So2Features(layout, leaves), arity,
-                                  [ad.Var(rng.normal(size=2)) for _ in paths])
+                                  [ad.Var(rng.normal(size=2)) for _ in range(n_paths)])
             seen, stack = set(), [p for b in out.blocks for p in b.parents]
             while stack:
                 node = stack.pop()
                 if isinstance(node, ad.Var) and node.parents and id(node) not in seen:
                     seen.add(id(node))
                     stack.extend(node.parents)
-            return len(seen), len(paths)
+            return len(seen), n_paths
 
         counts = [inner_nodes(m_max, arity) for m_max in (2, 4) for arity in (2, 3)]
         assert len({p for _, p in counts}) == 4
