@@ -452,8 +452,8 @@ def tp_paths(m_max: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         exponents = np.concatenate([exponents[:, path], f[None, :] - m_max])
     step = np.diff(exponents, axis=0, prepend=0)
     orders, signs = np.abs(step), np.where(step < 0, -1, 1)
-    order = np.lexsort(np.concatenate([-signs[::-1], orders[::-1]]))
-    orders, signs = orders[:, order], signs[:, order]
+    ranked = np.lexsort(np.concatenate([-signs[::-1], orders[::-1]]))
+    orders, signs = orders[:, ranked], signs[:, ranked]
     orders.flags.writeable = signs.flags.writeable = False
     return orders, signs
 
